@@ -1,17 +1,21 @@
 """Profile-driven tokenizer.
 
 Turns raw source text into a stream of position-annotated tokens.
-Comments never produce tokens, string/char literals collapse into
-single tokens, and operators are matched with maximal munch (the
+Each profile's data (comment syntax, quotes and escape, preprocessor
+prefix, operators) is compiled into one regex scanner, cached on the
+profile.  Comments never produce tokens, string/char literals collapse
+into single tokens, and operators are matched with maximal munch (the
 longest operator in the profile wins at every position), so "++"
 can never lex as "+", "+".
 
-Lexing never hard-fails: unterminated literals and unknown characters
-are recorded on the stream as recoverable errors and scanning resumes.
+Lexing never hard-fails and always terminates: every step consumes at
+least one character.  Unterminated literals and unknown characters are
+recorded on the stream as recoverable errors and scanning resumes.
 """
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass, field
 from enum import Enum, auto
 from typing import TYPE_CHECKING
@@ -86,206 +90,62 @@ def token_at(stream: TokenStream, index: int) -> Token:
     return stream.tokens[index]
 
 
-_IDENT_START_EXTRA = "_$"
-_NUMBER_BODY = set("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_.")
+# Identifier characters are ASCII letters, digits, "_", "$" and every code
+# point from U+0080 up, so these classes name only the ASCII characters that
+# are left out; the equivalent explicit range up to U+10FFFF compiles about
+# eight times slower.  A number starts only at an ASCII digit (or "." and an
+# ASCII digit), so "²" or "٣" outside an identifier is identifier text too.
+_IDENT_START = r"[^\x00-\x23\x25-\x40\x5b-\x5e\x60\x7b-\x7f]"
+_IDENT_CHAR = r"[^\x00-\x23\x25-\x2f\x3a-\x40\x5b-\x5e\x60\x7b-\x7f]"
+_NUMBER_BODY = r"[0-9A-Za-z_.]*"
+# An exponent sign continues a number: 1e+5, 0x1p-3.
+_HEX = rf"0[xX]{_NUMBER_BODY}(?:(?<=[pP])[+-]{_NUMBER_BODY})*"
+_DECIMAL = rf"(?=\.?[0-9]){_NUMBER_BODY}(?:(?<=[eE])[+-]{_NUMBER_BODY})*"
 
 
-def _is_ident_start(ch: str) -> bool:
-    return ch.isalpha() or ch in _IDENT_START_EXTRA or ord(ch) >= 0x80
+def _quoted(name: str, quote: str, escape: str) -> str:
+    # An escape takes the next character whatever it is, a newline too; an
+    # unescaped newline or the end of input ends an unterminated literal.
+    q = re.escape(quote)
+    plain = f"[^{q}{re.escape(escape)}\\n]*"
+    return rf"(?P<{name}>{q}{plain}(?:{re.escape(escape)}[\s\S]?{plain})*(?P<{name}_end>{q})?)"
 
 
-def _is_ident_char(ch: str) -> bool:
-    return ch.isalnum() or ch in _IDENT_START_EXTRA or ord(ch) >= 0x80
+def compile_scanner(profile: LanguageProfile) -> tuple[re.Pattern[str], re.Pattern[str]]:
+    """Compile ``profile`` into its two scanner patterns.
 
-
-# Per-profile lookup tables, keyed by profile identity (profiles are immutable).
-_OP_TABLE_CACHE: dict[int, dict[str, list[str]]] = {}
-
-
-def _operator_table(profile: LanguageProfile) -> dict[str, list[str]]:
-    table = _OP_TABLE_CACHE.get(id(profile))
-    if table is None:
-        table = {}
-        for op in profile.operators:
-            table.setdefault(op[0], []).append(op)
-        for ops in table.values():
-            ops.sort(key=len, reverse=True)
-        _OP_TABLE_CACHE[id(profile)] = table
-    return table
-
-
-class _Scanner:
-    """Single pass over the source with line/column bookkeeping."""
-
-    def __init__(self, source: str, profile: LanguageProfile, source_path: str):
-        self.src = source
-        self.profile = profile
-        self.i = 0
-        self.line = 1
-        self.col = 1
-        self.line_start = 0  # offset where the current line begins
-        self.tokens: list[Token] = []
-        self.errors: list[LexError] = []
-
-    def pos(self) -> Position:
-        return Position(self.line, self.col, self.i)
-
-    def peek(self, ahead: int = 0) -> str:
-        j = self.i + ahead
-        return self.src[j] if j < len(self.src) else ""
-
-    def advance(self, n: int = 1) -> None:
-        src = self.src
-        for _ in range(n):
-            if self.i >= len(src):
-                return
-            if src[self.i] == "\n":
-                self.line += 1
-                self.col = 1
-                self.line_start = self.i + 1
-            else:
-                self.col += 1
-            self.i += 1
-
-    def startswith(self, text: str) -> bool:
-        return bool(text) and self.src.startswith(text, self.i)
-
-    def emit(self, kind: TokenKind, start: Position) -> None:
-        self.tokens.append(Token(kind, self.src[start.offset : self.i], start))
-
-    def error(self, kind: str, message: str, pos: Position) -> None:
-        self.errors.append(LexError(kind, message, pos))
-
-    # -- region skippers ---------------------------------------------------
-
-    def skip_line_comment(self) -> None:
-        while self.i < len(self.src) and self.src[self.i] != "\n":
-            self.advance()
-
-    def skip_block_comment(self) -> None:
-        start = self.pos()
-        self.advance(len(self.profile.block_comment[0]))
-        close = self.profile.block_comment[1]
-        while self.i < len(self.src):
-            if self.startswith(close):
-                self.advance(len(close))
-                return
-            self.advance()
-        self.error("unterminated-block-comment", "block comment is never closed", start)
-
-    def skip_preprocessor_line(self) -> None:
-        # Consumes through end of line; a trailing backslash continues the
-        # directive onto the next line.
-        while self.i < len(self.src):
-            ch = self.src[self.i]
-            if ch == "\\" and self.peek(1) == "\n":
-                self.advance(2)
-                continue
-            if ch == "\n":
-                return
-            self.advance()
-
-    # -- token scanners ----------------------------------------------------
-
-    def scan_quoted(self, quote: str, kind: TokenKind, what: str) -> None:
-        start = self.pos()
-        self.advance()  # opening quote
-        escape = self.profile.escape_char
-        while self.i < len(self.src):
-            ch = self.src[self.i]
-            if ch == escape:
-                self.advance(2)
-                continue
-            if ch == quote:
-                self.advance()
-                self.emit(kind, start)
-                return
-            if ch == "\n":
-                break
-            self.advance()
-        # Unterminated: keep what was consumed as the token, resume at the
-        # newline (or end of input).
-        self.error("unterminated-string", f"unterminated {what} literal", start)
-        self.emit(kind, start)
-
-    def scan_number(self) -> None:
-        start = self.pos()
-        src = self.src
-        is_hex = self.startswith("0x") or self.startswith("0X")
-        while self.i < len(src):
-            ch = src[self.i]
-            if ch in _NUMBER_BODY:
-                self.advance()
-                continue
-            # exponent sign: 1e+5, 0x1p-3
-            if ch in "+-" and src[self.i - 1] in ("pP" if is_hex else "eE"):
-                self.advance()
-                continue
-            break
-        text = src[start.offset : self.i]
-        if is_hex:
-            floaty = "." in text or "p" in text[2:] or "P" in text[2:]
-        else:
-            floaty = "." in text or "e" in text[1:] or "E" in text[1:]
-        self.emit(TokenKind.FLOAT_LITERAL if floaty else TokenKind.INT_LITERAL, start)
-
-    def scan_identifier(self) -> None:
-        start = self.pos()
-        while self.i < len(self.src) and _is_ident_char(self.src[self.i]):
-            self.advance()
-        text = self.src[start.offset : self.i]
-        kind = TokenKind.KEYWORD if text in self.profile.keywords else TokenKind.IDENTIFIER
-        self.emit(kind, start)
-
-    def scan_symbol(self) -> None:
-        start = self.pos()
-        ch = self.src[self.i]
-        for op in _operator_table(self.profile).get(ch, ()):
-            if self.startswith(op):
-                self.advance(len(op))
-                self.emit(TokenKind.OPERATOR, start)
-                return
-        self.advance()
-        self.emit(TokenKind.PUNCTUATION, start)
-        if ch not in self.profile.punctuation:
-            self.error("unknown-character", f"unexpected character {ch!r}", start)
-
-    # -- main loop -----------------------------------------------------------
-
-    def run(self) -> None:
-        profile = self.profile
-        src = self.src
-        while self.i < len(src):
-            ch = src[self.i]
-            if ch in " \t\r\n\f\v":
-                self.advance()
-                continue
-            if self.startswith(profile.line_comment):
-                self.skip_line_comment()
-                continue
-            if self.startswith(profile.block_comment[0]):
-                self.skip_block_comment()
-                continue
-            if (
-                profile.preprocessor_prefix
-                and self.startswith(profile.preprocessor_prefix)
-                and not src[self.line_start : self.i].strip()
-            ):
-                self.skip_preprocessor_line()
-                continue
-            if ch == profile.string_delims[0]:
-                self.scan_quoted(ch, TokenKind.STRING_LITERAL, "string")
-                continue
-            if ch == profile.string_delims[1]:
-                self.scan_quoted(ch, TokenKind.CHAR_LITERAL, "char")
-                continue
-            if ch.isdigit() or (ch == "." and self.peek(1).isdigit()):
-                self.scan_number()
-                continue
-            if _is_ident_start(ch):
-                self.scan_identifier()
-                continue
-            self.scan_symbol()
+    The first tries, in order: whitespace, line comment, block-comment
+    opener, preprocessor line, string and char literals, hex and decimal
+    numbers, identifiers, operators longest first (maximal munch), and any
+    single character.  The second is the same without the preprocessor
+    line, for a prefix that does not start its line.  Use the copy cached on
+    the profile, ``profile.scanner``.
+    """
+    string_quote, char_quote = profile.string_delims
+    rules = [r"(?P<ws>[ \t\r\n\f\v]+)"]
+    if profile.line_comment:
+        rules.append(rf"(?P<lc>{re.escape(profile.line_comment)}[^\n]*)")
+    if profile.block_comment[0]:
+        rules.append(f"(?P<bc>{re.escape(profile.block_comment[0])})")
+    preprocessor = None
+    if profile.preprocessor_prefix:
+        # A trailing backslash continues the directive onto the next line.
+        prefix = re.escape(profile.preprocessor_prefix)
+        preprocessor = rf"(?P<pp>(?={prefix})[^\\\n]*(?:\\\n?[^\\\n]*)*)"
+        rules.append(preprocessor)
+    rules.append(_quoted("str", string_quote, profile.escape_char))
+    if char_quote != string_quote:
+        rules.append(_quoted("chr", char_quote, profile.escape_char))
+    rules += [f"(?P<hex>{_HEX})", f"(?P<num>{_DECIMAL})", f"(?P<ident>{_IDENT_START}{_IDENT_CHAR}*)"]
+    operators = sorted((op for op in profile.operators if op), key=len, reverse=True)
+    if operators:
+        rules.append(f"(?P<op>{'|'.join(map(re.escape, operators))})")
+    rules.append(r"(?P<punct>[\s\S])")
+    master = re.compile("|".join(rules))
+    if preprocessor is None:
+        return master, master
+    rules.remove(preprocessor)
+    return master, re.compile("|".join(rules))
 
 
 def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>") -> TokenStream:
@@ -295,6 +155,65 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
     increasing offset order and contains nothing from comments or
     (C/C++) preprocessor lines.
     """
-    scanner = _Scanner(source, profile, source_path)
-    scanner.run()
-    return TokenStream(scanner.tokens, source_path, scanner.errors)
+    master, fallback = profile.scanner
+    match = master.match
+    keywords = profile.keywords
+    punctuation = profile.punctuation
+    block_close = profile.block_comment[1]
+    tokens: list[Token] = []
+    errors: list[LexError] = []
+    append = tokens.append
+    # ``line`` and ``line_start`` (offset where that line begins) hold for
+    # offset ``synced``; each token catches them up from there, so newlines
+    # are counted once each.
+    line, line_start, synced = 1, 0, 0
+    pos, size = 0, len(source)
+    while pos < size:
+        m = match(source, pos)
+        group = m.lastgroup
+        if group == "ws" or group == "lc":
+            pos = m.end()
+            continue
+        newlines = source.count("\n", synced, pos)
+        if newlines:
+            line += newlines
+            line_start = source.rfind("\n", synced, pos) + 1
+        synced = pos
+        start = Position(line, pos - line_start + 1, pos)
+        if group == "bc":
+            close = source.find(block_close, m.end()) if block_close else -1
+            if close < 0:
+                message = "block comment is never closed"
+                errors.append(LexError("unterminated-block-comment", message, start))
+                break
+            pos = close + len(block_close)
+            continue
+        if group == "pp":
+            if not source[line_start:pos].strip():
+                pos = m.end()
+                continue
+            m = fallback.match(source, pos)
+            group = m.lastgroup
+        text = m.group()
+        if group == "ident":
+            kind = TokenKind.KEYWORD if text in keywords else TokenKind.IDENTIFIER
+        elif group == "op":
+            kind = TokenKind.OPERATOR
+        elif group == "punct":
+            kind = TokenKind.PUNCTUATION
+            if text not in punctuation:
+                errors.append(LexError("unknown-character", f"unexpected character {text!r}", start))
+        elif group == "num":
+            floaty = "." in text or "e" in text[1:] or "E" in text[1:]
+            kind = TokenKind.FLOAT_LITERAL if floaty else TokenKind.INT_LITERAL
+        elif group == "hex":
+            floaty = "." in text or "p" in text[2:] or "P" in text[2:]
+            kind = TokenKind.FLOAT_LITERAL if floaty else TokenKind.INT_LITERAL
+        else:
+            kind = TokenKind.STRING_LITERAL if group == "str" else TokenKind.CHAR_LITERAL
+            if m.group(f"{group}_end") is None:
+                what = "string" if group == "str" else "char"
+                errors.append(LexError("unterminated-string", f"unterminated {what} literal", start))
+        append(Token(kind, text, start))
+        pos = m.end()
+    return TokenStream(tokens, source_path, errors)

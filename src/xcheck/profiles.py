@@ -8,7 +8,11 @@ data addition here (or a profile file loaded at runtime), not a code change.
 from __future__ import annotations
 
 import os
-from dataclasses import dataclass, field
+import re
+from dataclasses import dataclass
+from functools import cached_property
+
+from .lexer import compile_scanner
 
 
 class ProfileError(Exception):
@@ -45,6 +49,14 @@ class LanguageProfile:
     # Lines whose first non-blank text starts with this prefix are skipped
     # like comments (with backslash continuation). None disables the rule.
     preprocessor_prefix: str | None = None
+
+    @cached_property
+    def scanner(self) -> tuple[re.Pattern[str], re.Pattern[str]]:
+        """The lexer's compiled patterns for this profile, built on first use.
+
+        Kept on the value itself, so they live and die with it.
+        """
+        return compile_scanner(self)
 
 
 def validate_profile(profile: LanguageProfile) -> None:
@@ -92,9 +104,9 @@ class Registry:
         if profile.name in self._by_name:
             raise DuplicateName(f"language {profile.name!r} is already registered")
         for ext in profile.file_extensions:
-            if ext in self._by_ext:
+            if ext.lower() in self._by_ext:
                 raise DuplicateName(
-                    f"extension {ext!r} is already claimed by {self._by_ext[ext].name!r}"
+                    f"extension {ext!r} is already claimed by {self._by_ext[ext.lower()].name!r}"
                 )
         self._by_name[profile.name] = profile
         for ext in profile.file_extensions:

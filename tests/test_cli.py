@@ -2,9 +2,13 @@
 
 import io
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import xcheck
 from xcheck.cli import BadRange, RunConfig, parse_args, run
 from xcheck.fixtures import case_by_name, fixture_path, load_source
 from xcheck.profiles import builtin_registry
@@ -195,3 +199,28 @@ def test_exit_codes_cover_the_three_fixtures():
     assert invoke(["--lang", "cpp", "--line-range", "440:516", inst])[0] == 1
     assert invoke([obj])[0] == 0
     assert invoke(["no-such-file.c"])[0] == 2
+
+
+def test_non_ascii_digit_outside_identifier_exits_0(tmp_path):
+    path = tmp_path / "sup.c"
+    path.write_text("int f(void) {\n    return ²;\n}\n", encoding="utf-8")
+    code, out, err = invoke([str(path)])
+    assert code == 0 and out == "" and err == ""
+
+
+def test_python_dash_m_runs_the_cli():
+    src_dir = os.path.dirname(os.path.dirname(xcheck.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    env = {**os.environ, "PYTHONPATH": pythonpath}
+    proc = subprocess.run(
+        [sys.executable, "-m", "xcheck", "--format", "json", fixture_path("CipherCore.java")],
+        capture_output=True,
+        text=True,
+        env=env,
+        timeout=60,
+    )
+    assert proc.returncode == 1, proc.stderr
+    records = json.loads(proc.stdout)
+    assert [(r["checker"], r["start_line"], r["related_line"]) for r in records] == [
+        ("null-deref", 888, 886)
+    ]

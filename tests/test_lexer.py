@@ -1,5 +1,6 @@
 """Lexer behavior: token classes, maximal munch, comments, recovery."""
 
+import dataclasses
 import random
 
 import pytest
@@ -190,3 +191,26 @@ def test_token_at_bounds():
     assert token_at(stream, 2).text == "c"
     with pytest.raises(IndexError):
         token_at(tokenize("a", C), 1)
+
+
+def test_non_ascii_digits_lex_as_identifier_text():
+    # A number starts only at an ASCII digit; before this rule "²" and "٣"
+    # made tokenize loop forever.
+    stream = tokenize("x = ²;", C)
+    assert texts(stream) == ["x", "=", "²", ";"]
+    assert stream.tokens[2].kind is TokenKind.IDENTIFIER
+    assert stream.errors == []
+    stream = tokenize(".٣", C)
+    assert texts(stream) == [".", "٣"]
+    assert kinds(stream) == [TokenKind.OPERATOR, TokenKind.IDENTIFIER]
+
+
+def test_fresh_profiles_never_share_a_stale_scanner():
+    # Each profile is freed before the next is made, so a cache keyed by
+    # id() would hand some of them the previous profile's operators.
+    for i in range(40):
+        operators = C.operators | {"++"} if i % 2 else C.operators - {"++"}
+        profile = dataclasses.replace(C, operators=operators)
+        expected = ["a", *greedy_operator_tokenization("++", operators), "b"]
+        assert texts(tokenize("a++b", profile)) == expected, f"profile {i}"
+        del profile

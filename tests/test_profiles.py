@@ -1,5 +1,7 @@
 """Registry behavior and the per-language data deltas."""
 
+import dataclasses
+
 import pytest
 
 from support import C, CPP, JAVA
@@ -66,6 +68,14 @@ def test_register_duplicate_name_rejected():
     registry = builtin_registry()
     with pytest.raises(DuplicateName):
         registry.register(C)
+
+
+def test_register_extension_differing_only_in_case_rejected():
+    registry = builtin_registry()
+    upper_c = dataclasses.replace(C, name="upper-c", file_extensions=frozenset({".C"}))
+    with pytest.raises(DuplicateName):
+        registry.register(upper_c)
+    assert registry.resolve("x.c") is registry.resolve("c")
 
 
 def test_register_empty_operator_set_rejected():
