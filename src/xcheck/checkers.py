@@ -39,10 +39,10 @@ from .microgrammar import (
     While,
     Wildcard,
     WildcardStmt,
-    expr_equal,
+    Key,
     expr_key,
     expr_tokens,
-    stmt_list_equal,
+    stmt_key,
     walk_statements,
 )
 from .profiles import LanguageProfile
@@ -344,6 +344,17 @@ def _body_span(body: Sequence[Stmt], fallback: Span) -> Span:
     return Span(body[0].span.start, body[-1].span.end)
 
 
+def _repeats(keys: Iterable[Key | None]) -> Iterator[tuple[int, int]]:
+    """``(later, first)`` index pairs: each key seen before, against its first
+    occurrence, in order.  ``None`` keys are never compared."""
+    first: dict[Key, int] = {}
+    for j, key in enumerate(keys):
+        if key is not None:
+            i = first.setdefault(key, j)
+            if i != j:
+                yield j, i
+
+
 def check_redundant_conditions(
     stmts: Sequence[Stmt], path: str = "<input>"
 ) -> list[Diagnostic]:
@@ -353,36 +364,30 @@ def check_redundant_conditions(
         if not isinstance(node, If):
             continue
         conds: list[Expr] = [node.cond] + [c for c, _ in node.elifs]
-        for j in range(1, len(conds)):
-            for i in range(j):
-                if expr_equal(conds[i], conds[j]):
-                    diags.append(
-                        Diagnostic(
-                            checker=CheckerId.REDUNDANT_CONDITION.value,
-                            message="condition repeats an earlier condition of the same chain",
-                            file=path,
-                            span=conds[j].span,
-                            related=(conds[i].span.start, "first tested here"),
-                        )
-                    )
-                    break
+        for j, i in _repeats(expr_key(c) for c in conds):
+            diags.append(
+                Diagnostic(
+                    checker=CheckerId.REDUNDANT_CONDITION.value,
+                    message="condition repeats an earlier condition of the same chain",
+                    file=path,
+                    span=conds[j].span,
+                    related=(conds[i].span.start, "first tested here"),
+                )
+            )
         bodies: list[Sequence[Stmt]] = [node.then_body] + [b for _, b in node.elifs]
         if node.else_body is not None:
             bodies.append(node.else_body)
         spans = [_body_span(b, node.span) for b in bodies]
-        for j in range(1, len(bodies)):
-            for i in range(j):
-                if stmt_list_equal(bodies[i], bodies[j]):
-                    diags.append(
-                        Diagnostic(
-                            checker=CheckerId.REDUNDANT_CONDITION.value,
-                            message="branch body is identical to an earlier branch of the same chain",
-                            file=path,
-                            span=spans[j],
-                            related=(spans[i].start, "identical branch here"),
-                        )
-                    )
-                    break
+        for j, i in _repeats(tuple(stmt_key(s) for s in b) for b in bodies):
+            diags.append(
+                Diagnostic(
+                    checker=CheckerId.REDUNDANT_CONDITION.value,
+                    message="branch body is identical to an earlier branch of the same chain",
+                    file=path,
+                    span=spans[j],
+                    related=(spans[i].start, "identical branch here"),
+                )
+            )
     return diags
 
 
@@ -394,42 +399,38 @@ def check_redundant_branches(
     for node in walk_statements(stmts):
         if not isinstance(node, Switch):
             continue
-        label_keys = [
+        label_keys = (
             expr_key(a.label) if a.label is not None else ("DefaultArm",)
             for a in node.cases
-        ]
-        for j in range(1, len(node.cases)):
-            for i in range(j):
-                if label_keys[i] == label_keys[j]:
-                    later = node.cases[j]
-                    span = later.label.span if later.label is not None else later.span
-                    earlier = node.cases[i]
-                    rel = earlier.label.span.start if earlier.label is not None else earlier.span.start
-                    diags.append(
-                        Diagnostic(
-                            checker=CheckerId.REDUNDANT_BRANCH.value,
-                            message="case label duplicates an earlier label of the same switch",
-                            file=path,
-                            span=span,
-                            related=(rel, "first labeled here"),
-                        )
-                    )
-                    break
-        for j in range(1, len(node.cases)):
-            if not node.cases[j].body:
-                continue  # empty fallthrough arms are exempt
-            for i in range(j):
-                if node.cases[i].body and stmt_list_equal(node.cases[i].body, node.cases[j].body):
-                    diags.append(
-                        Diagnostic(
-                            checker=CheckerId.REDUNDANT_BRANCH.value,
-                            message="case body is identical to an earlier case of the same switch",
-                            file=path,
-                            span=node.cases[j].span,
-                            related=(node.cases[i].span.start, "identical case here"),
-                        )
-                    )
-                    break
+        )
+        for j, i in _repeats(label_keys):
+            later = node.cases[j]
+            span = later.label.span if later.label is not None else later.span
+            earlier = node.cases[i]
+            rel = earlier.label.span.start if earlier.label is not None else earlier.span.start
+            diags.append(
+                Diagnostic(
+                    checker=CheckerId.REDUNDANT_BRANCH.value,
+                    message="case label duplicates an earlier label of the same switch",
+                    file=path,
+                    span=span,
+                    related=(rel, "first labeled here"),
+                )
+            )
+        # empty fallthrough arms are exempt
+        body_keys = (
+            tuple(stmt_key(s) for s in a.body) if a.body else None for a in node.cases
+        )
+        for j, i in _repeats(body_keys):
+            diags.append(
+                Diagnostic(
+                    checker=CheckerId.REDUNDANT_BRANCH.value,
+                    message="case body is identical to an earlier case of the same switch",
+                    file=path,
+                    span=node.cases[j].span,
+                    related=(node.cases[i].span.start, "identical case here"),
+                )
+            )
     return diags
 
 

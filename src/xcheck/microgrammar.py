@@ -1,16 +1,20 @@
 """Deliberately incomplete parser: control-flow statements only.
 
-Parsing happens in two steps.  Step one scans the token stream left to
-right and builds statement trees for ``if``/``while``/``do``/``for``/
-``switch``/braced blocks; every expression slot and every unrecognized
-token run is kept as an uninterpreted *wildcard* (an ordered token list).
-When a structural parse fails partway, the scanner recovers by advancing
-exactly one token and retrying, so no input can make it abort.
+Parsing happens in two steps, interleaved.  Step one scans the token
+stream left to right and builds statement trees for ``if``/``while``/
+``do``/``for``/``switch``/braced blocks; every expression slot and every
+unrecognized token run is cut out as an uninterpreted *wildcard* (an
+ordered token list).  When a structural parse fails partway, the scanner
+recovers by advancing exactly one token and retrying, so no input can
+make it abort.
 
-Step two refines each wildcard with a total expression parser that
-recognizes just the shapes the checkers need (comparisons, logical
-combinations, updates, assignments, calls, access paths) and returns the
-wildcard unchanged when nothing matches.
+Step two runs on each slot as soon as it is cut: a total expression
+parser that recognizes just the shapes the checkers need (comparisons,
+logical combinations, updates, assignments, calls, access paths) and
+leaves the wildcard unchanged when nothing matches.
+
+Both steps find brackets in one table built per token list in a single
+pass (:func:`_bracket_table`) and work on index ranges of that list.
 
 Every tree node records the token slice it covers and its source span;
 structural equality and ordering deliberately ignore positions.
@@ -31,23 +35,16 @@ MAX_NESTING = 64
 MAX_EXPR_DEPTH = 128
 
 _COMPARE_OPS = frozenset({"<", "<=", ">", ">=", "==", "!="})
-_LOGICAL_OPS = frozenset({"&&", "||"})
 _UNARY_UPDATE_OPS = frozenset({"++", "--"})
 _BINARY_UPDATE_OPS = frozenset({"+=", "-="})
 _STARTERS = frozenset({"if", "while", "do", "for", "switch"})
+_LABELS = ("case", "default")
 
 
 @dataclass(frozen=True, slots=True)
 class Span:
     start: Position
     end: Position
-
-
-def _span_of(tokens: Sequence[Token], fallback: Position | None = None) -> Span:
-    if tokens:
-        return Span(tokens[0].pos, token_end(tokens[-1]))
-    pos = fallback or Position(1, 1, 0)
-    return Span(pos, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -215,114 +212,59 @@ class Switch(Stmt):
 
 
 # ---------------------------------------------------------------------------
-# Cursor primitives
+# Bracket table
 # ---------------------------------------------------------------------------
 
 
-class EndOfInput(Exception):
-    pass
+def _bracket_table(
+    tokens: Sequence[Token], profile: LanguageProfile
+) -> tuple[list[int], list[int]]:
+    """The two bracket-match columns of a token tuple, in one pass.
 
+    ``same[i]`` pairs ``(`` with ``)`` and ``{`` with ``}``, counting that
+    kind only: these are the brackets the grammar itself spells out.
+    ``any[i]`` pairs each opener of ``profile.open_close_pairs`` with the
+    first later closer, of any kind, that brings the depth back down; a
+    closer at depth zero changes nothing.  In both columns every other
+    index maps to itself and an opener left unclosed maps to
+    ``len(tokens)``.
 
-class Cursor:
-    """A consuming position in a token sequence."""
-
-    __slots__ = ("tokens", "profile", "i")
-
-    def __init__(self, tokens: Sequence[Token] | TokenStream, profile: LanguageProfile, start: int = 0):
-        self.tokens = tokens.tokens if isinstance(tokens, TokenStream) else tokens
-        self.profile = profile
-        self.i = start
-
-    def at_end(self) -> bool:
-        return self.i >= len(self.tokens)
-
-    def peek(self, ahead: int = 0) -> Token | None:
-        j = self.i + ahead
-        return self.tokens[j] if j < len(self.tokens) else None
-
-    def any_token(self) -> Token:
-        """Consume and return exactly one token."""
-        if self.at_end():
-            raise EndOfInput("no tokens left")
-        tok = self.tokens[self.i]
-        self.i += 1
-        return tok
-
-    def _fallback_pos(self) -> Position:
-        if self.i < len(self.tokens):
-            return self.tokens[self.i].pos
-        if self.tokens:
-            return token_end(self.tokens[-1])
-        return Position(1, 1, 0)
-
-
-def any_token(cursor: Cursor) -> Token:
-    return cursor.any_token()
-
-
-@dataclass(slots=True)
-class SkipResult:
-    wildcard: Wildcard
-    found: bool  # False: end of input reached before the suffix
-
-
-def skip_to(cursor: Cursor, suffix: str) -> SkipResult:
-    """Consume tokens up to a ``suffix`` token at bracket depth zero.
-
-    The suffix itself is consumed but excluded from the wildcard; bracket
-    depth is tracked over the profile's open/close pairs so, e.g., a ";"
-    inside parentheses does not terminate.
+    A match depends only on the tokens after its opener, so one table
+    serves every index range ``[lo, hi)`` of the tuple: a match at or past
+    ``hi`` means the opener is unclosed within the range.
     """
-    opens = {o for o, _ in cursor.profile.open_close_pairs}
-    closes = {c for _, c in cursor.profile.open_close_pairs}
-    fallback = cursor._fallback_pos()
-    collected: list[Token] = []
-    depth = 0
-    while not cursor.at_end():
-        tok = cursor.any_token()
-        if depth == 0 and tok.text == suffix:
-            return SkipResult(Wildcard(tuple(collected), _span_of(collected, tok.pos)), True)
-        collected.append(tok)
-        if tok.text in opens:
-            depth += 1
-        elif tok.text in closes:
-            depth = max(0, depth - 1)
-    wild = Wildcard(tuple(collected), _span_of(collected, fallback), incomplete=True)
-    return SkipResult(wild, False)
-
-
-@dataclass(slots=True)
-class BalancedResult:
-    tokens: tuple[Token, ...]  # interior, outer pair excluded
-    balanced: bool  # False: input ended before the matching close
-
-
-def balanced(cursor: Cursor, open_text: str, close_text: str) -> BalancedResult:
-    """Consume a bracketed region, counting nested pairs of the same kind.
-
-    The cursor must sit on ``open_text``; the matching close is found by
-    depth counting so inner pairs never terminate the scan early.
-    """
-    first = cursor.peek()
-    if first is None or first.text != open_text:
-        raise ValueError(f"cursor is not at {open_text!r}")
-    cursor.any_token()
-    collected: list[Token] = []
-    depth = 1
-    while not cursor.at_end():
-        tok = cursor.any_token()
-        if tok.text == open_text:
-            depth += 1
-        elif tok.text == close_text:
-            depth -= 1
-            if depth == 0:
-                return BalancedResult(tuple(collected), True)
-        collected.append(tok)
-    return BalancedResult(tuple(collected), False)
+    n = len(tokens)
+    same = list(range(n))
+    any_ = list(range(n))
+    opens = {o for o, _ in profile.open_close_pairs}
+    closes = {c for _, c in profile.open_close_pairs}
+    parens: list[int] = []
+    braces: list[int] = []
+    same_opens = {"(": parens, "{": braces}
+    same_closes = {")": parens, "}": braces}
+    brackets = opens | closes | same_opens.keys() | same_closes.keys()
+    pending: list[int] = []
+    for i, tok in enumerate(tokens):
+        text = tok.text
+        if text not in brackets:
+            continue
+        if text in opens:
+            pending.append(i)
+        elif text in closes and pending:
+            any_[pending.pop()] = i
+        if text in same_opens:
+            same_opens[text].append(i)
+        elif text in same_closes and same_closes[text]:
+            same[same_closes[text].pop()] = i
+    for i in pending:
+        any_[i] = n
+    for i in parens + braces:
+        same[i] = n
+    return same, any_
 
 
 # ---------------------------------------------------------------------------
-# Step one: statement recognition with sliding-window recovery
+# Statement recognition with sliding-window recovery, refining as it cuts
 # ---------------------------------------------------------------------------
 
 
@@ -344,68 +286,88 @@ class ParseAccounting:
 
 
 class _Parser:
-    def __init__(
-        self,
-        tokens: Sequence[Token],
-        profile: LanguageProfile,
-        acct: ParseAccounting,
-        nesting: int = 0,
-    ):
+    """Both parsing steps over one token tuple and its bracket table.
+
+    Every scan works on an index range ``[lo, hi)`` of ``toks`` and jumps
+    over whole bracket groups through the table, so block interiors are
+    neither copied nor rescanned per nesting level.  ``i`` is the next
+    token of the range being parsed and ``hi`` its end.
+    """
+
+    def __init__(self, tokens: tuple[Token, ...], profile: LanguageProfile, acct: ParseAccounting):
         self.toks = tokens
+        self.same, self.any = _bracket_table(tokens, profile)
         self.profile = profile
         self.acct = acct
-        self.nesting = nesting
         self.i = 0
-        self.last: Token | None = None
-        self._opens = {o for o, _ in profile.open_close_pairs}
-        self._closes = {c for _, c in profile.open_close_pairs}
+        self.hi = len(tokens)
 
     # -- primitives ---------------------------------------------------------
 
-    def _at_end(self) -> bool:
-        return self.i >= len(self.toks)
-
-    def _peek(self, ahead: int = 0) -> Token | None:
-        j = self.i + ahead
-        return self.toks[j] if j < len(self.toks) else None
-
-    def _take(self) -> Token:
-        tok = self.toks[self.i]
-        self.i += 1
-        self.last = tok
-        return tok
+    def _peek(self) -> Token | None:
+        return self.toks[self.i] if self.i < self.hi else None
 
     def _take_syntax(self) -> Token:
-        tok = self._take()
+        tok = self.toks[self.i]
+        self.i += 1
         self.acct.syntax_tokens.append(tok)
         return tok
 
     def _end_pos(self) -> Position:
-        return token_end(self.last) if self.last is not None else Position(1, 1, 0)
+        """End of the last token taken."""
+        return token_end(self.toks[self.i - 1])
+
+    def _span(self, lo: int, hi: int, fallback: Position) -> Span:
+        if hi > lo:
+            return Span(self.toks[lo].pos, token_end(self.toks[hi - 1]))
+        return Span(fallback, fallback)
 
     def _is_kw(self, tok: Token | None, text: str) -> bool:
         return tok is not None and tok.kind is TokenKind.KEYWORD and tok.text == text
 
+    def _balanced(self, open_text: str) -> tuple[int, int, bool, Token]:
+        """Consume a ``(...)`` or ``{...}`` group at the cursor.
+
+        Returns the interior range, whether the group closed before the
+        end of the current range, and the opening token.
+        """
+        open_tok = self._peek()
+        if open_tok is None or open_tok.text != open_text:
+            raise _StructuralMismatch(f"expected {open_text!r}")
+        self._take_syntax()
+        lo, close = self.i, self.same[self.i - 1]
+        if close < self.hi:
+            self.i = close
+            self._take_syntax()
+            return lo, close, True, open_tok
+        self.i = self.hi
+        return lo, self.hi, False, open_tok
+
     # -- entry point ----------------------------------------------------------
 
-    def parse(self) -> list[Stmt]:
+    def parse(self, lo: int, hi: int, nesting: int) -> list[Stmt]:
+        """The statements of ``toks[lo:hi]``; the caller's range is restored."""
+        outer = self.i, self.hi
+        self.i, self.hi = lo, hi
+        syntax = self.acct.syntax_tokens
         out: list[Stmt] = []
-        while not self._at_end():
+        while self.i < hi:
             self.acct.iterations += 1
             start = self.i
-            mark = len(self.acct.syntax_tokens)
+            mark = len(syntax)
             try:
-                stmt = self._statement(self.nesting)
+                stmt = self._statement(nesting)
             except _StructuralMismatch:
                 # Sliding window: emit nothing, advance one token, retry.
                 # Everything the failed attempt consumed is handed back.
-                del self.acct.syntax_tokens[mark:]
+                del syntax[mark:]
                 self.i = start
-                self.acct.syntax_tokens.append(self._take())
+                self._take_syntax()
                 continue
             out.append(stmt)
             if self.i == start:  # defensive: progress must always hold
-                self.acct.syntax_tokens.append(self._take())
+                self._take_syntax()
+        self.i, self.hi = outer
         return out
 
     # -- statement forms ------------------------------------------------------
@@ -434,72 +396,50 @@ class _Parser:
         brace region is recognized as a block; an input that ends first
         yields the run flagged as incomplete.
         """
-        start_tok = self._peek()
-        assert start_tok is not None and start_tok.text != "{"
+        toks, match, lo, hi = self.toks, self.any, self.i, self.hi
         term = self.profile.stmt_terminator
-        collected: list[Token] = []
-        depth = 0
-        terminator: Token | None = None
-        incomplete = False
-        while True:
-            tok = self._peek()
-            if tok is None:
-                incomplete = True
+        k = lo
+        while k < hi:
+            text = toks[k].text
+            if text == term or text == "{":
                 break
-            if depth == 0 and tok.text == term:
-                terminator = self._take_syntax()
-                break
-            if depth == 0 and tok.text == "{":
-                break
-            self._take()
-            collected.append(tok)
-            if tok.text in self._opens:
-                depth += 1
-            elif tok.text in self._closes:
-                depth = max(0, depth - 1)
-        anchor = terminator.pos if terminator is not None else start_tok.pos
-        wild = Wildcard(tuple(collected), _span_of(collected, anchor), incomplete=incomplete)
-        end = token_end(terminator) if terminator is not None else self._end_pos()
-        span = Span(collected[0].pos if collected else anchor, end)
-        return WildcardStmt(wild, span, incomplete=incomplete)
+            k = match[k] + 1
+        stop = min(k, hi)
+        incomplete = stop == hi
+        self.i = stop
+        terminator = self._take_syntax() if not incomplete and toks[stop].text == term else None
+        anchor = terminator.pos if terminator is not None else toks[lo].pos
+        end = token_end(terminator) if terminator is not None else token_end(toks[stop - 1])
+        span = Span(toks[lo].pos if stop > lo else anchor, end)
+        return WildcardStmt(self._slot(lo, stop, anchor, incomplete), span, incomplete=incomplete)
 
-    def _balanced(self, open_text: str, close_text: str) -> tuple[tuple[Token, ...], bool, Token]:
-        open_tok = self._peek()
-        if open_tok is None or open_tok.text != open_text:
-            raise _StructuralMismatch(f"expected {open_text!r}")
-        self._take_syntax()
-        collected: list[Token] = []
-        depth = 1
-        while not self._at_end():
-            tok = self._peek()
-            assert tok is not None
-            if tok.text == open_text:
-                depth += 1
-            elif tok.text == close_text:
-                depth -= 1
-                if depth == 0:
-                    self._take_syntax()
-                    return tuple(collected), True, open_tok
-            self._take()
-            collected.append(tok)
-        return tuple(collected), False, open_tok
+    def _slot(self, lo: int, hi: int, fallback: Position, incomplete: bool = False) -> Expr:
+        """Refine the expression slot ``toks[lo:hi]`` as soon as it is cut.
 
-    def _cond(self) -> tuple[Wildcard, bool]:
-        interior, ok, open_tok = self._balanced("(", ")")
-        return Wildcard(interior, _span_of(interior, open_tok.pos), incomplete=not ok), ok
+        ``fallback`` anchors an empty slot's span; a slot that stays a
+        wildcard keeps the ``incomplete`` mark of its cut.
+        """
+        anchor = self.toks[lo].pos if hi > lo else fallback
+        expr = self._refine(lo, hi, 0, anchor)
+        if incomplete and isinstance(expr, Wildcard):
+            expr.incomplete = True
+        return expr
 
-    def _subparse(self, tokens: Sequence[Token], depth: int) -> list[Stmt]:
+    def _cond(self) -> tuple[Expr, bool]:
+        lo, hi, ok, open_tok = self._balanced("(")
+        return self._slot(lo, hi, open_tok.pos, incomplete=not ok), ok
+
+    def _subparse(self, lo: int, hi: int, depth: int) -> list[Stmt]:
         if depth >= MAX_NESTING:
-            if not tokens:
+            if hi == lo:
                 return []
-            wild = Wildcard(tuple(tokens), _span_of(tokens))
-            return [WildcardStmt(wild, _span_of(tokens))]
-        sub = _Parser(tokens, self.profile, self.acct, nesting=depth)
-        return sub.parse()
+            pos = self.toks[lo].pos
+            return [WildcardStmt(self._slot(lo, hi, pos), self._span(lo, hi, pos))]
+        return self.parse(lo, hi, depth)
 
     def _block(self, depth: int) -> Block:
-        interior, ok, open_tok = self._balanced("{", "}")
-        body = self._subparse(interior, depth + 1)
+        lo, hi, ok, open_tok = self._balanced("{")
+        body = self._subparse(lo, hi, depth + 1)
         return Block(body, Span(open_tok.pos, self._end_pos()), incomplete=not ok)
 
     def _body(self, depth: int) -> tuple[list[Stmt], bool]:
@@ -508,8 +448,8 @@ class _Parser:
         if tok is None:
             return [], True
         if tok.text == "{":
-            interior, ok, _ = self._balanced("{", "}")
-            return self._subparse(interior, depth + 1), not ok
+            lo, hi, ok, _ = self._balanced("{")
+            return self._subparse(lo, hi, depth + 1), not ok
         return [self._statement(depth + 1)], False
 
     def _if(self, depth: int) -> If:
@@ -553,177 +493,220 @@ class _Parser:
 
     def _for(self, depth: int) -> For:
         for_tok = self._take_syntax()
-        header, ok, open_tok = self._balanced("(", ")")
+        lo, hi, ok, open_tok = self._balanced("(")
         header_span = Span(open_tok.pos, self._end_pos())
-        init, cond, update = self._split_for_header(header, open_tok.pos)
+        init, cond, update = self._split_for_header(lo, hi, open_tok.pos)
         body, inc = self._body(depth)
         return For(init, cond, update, body, header_span, Span(for_tok.pos, self._end_pos()), not ok or inc)
 
     def _split_for_header(
-        self, header: tuple[Token, ...], anchor: Position
+        self, lo: int, hi: int, anchor: Position
     ) -> tuple[Expr | None, Expr | None, Expr | None]:
         """Split on depth-zero ";" into init/cond/update.
 
         Anything other than exactly two semicolons (range-for, for-each,
         malformed headers) degrades to a single wildcard condition.
         """
+        toks, match = self.toks, self.any
+        term = self.profile.stmt_terminator
         semis: list[int] = []
-        depth = 0
-        for idx, tok in enumerate(header):
-            if depth == 0 and tok.text == self.profile.stmt_terminator:
-                semis.append(idx)
-            elif tok.text in self._opens:
-                depth += 1
-            elif tok.text in self._closes:
-                depth = max(0, depth - 1)
+        k = lo
+        while k < hi:
+            if toks[k].text == term:
+                semis.append(k)
+            k = match[k] + 1
         if len(semis) != 2:
-            if not header:
+            if lo == hi:
                 return None, None, None
-            return None, Wildcard(header, _span_of(header, anchor)), None
+            return None, self._slot(lo, hi, anchor), None
         a, b = semis
-        self.acct.syntax_tokens.extend((header[a], header[b]))
-        parts = (header[:a], header[a + 1 : b], header[b + 1 :])
-        exprs = tuple(
-            Wildcard(part, _span_of(part, anchor)) if part else None for part in parts
+        self.acct.syntax_tokens.extend((toks[a], toks[b]))
+        init, cond, update = (
+            self._slot(x, y, anchor) if y > x else None
+            for x, y in ((lo, a), (a + 1, b), (b + 1, hi))
         )
-        return exprs[0], exprs[1], exprs[2]
+        return init, cond, update
 
     def _switch(self, depth: int) -> Switch:
         sw_tok = self._take_syntax()
         scrutinee, ok = self._cond()
-        if self._peek() is None or self._peek().text != "{":
+        nxt = self._peek()
+        if nxt is None or nxt.text != "{":
             raise _StructuralMismatch("switch without a braced body")
-        interior, ok2, _ = self._balanced("{", "}")
-        cases = self._split_cases(interior, depth)
+        lo, hi, ok2, _ = self._balanced("{")
+        cases = self._split_cases(lo, hi, depth)
         return Switch(scrutinee, cases, Span(sw_tok.pos, self._end_pos()), not ok or not ok2)
 
-    def _split_cases(self, interior: tuple[Token, ...], depth: int) -> list[CaseArm]:
+    def _split_cases(self, lo: int, hi: int, depth: int) -> list[CaseArm]:
         """Cut the switch body into case/default arms at depth zero.
 
         An arm's body runs until the next depth-zero ``case``/``default``
         or the end of the body; tokens before the first label make the
         whole switch structurally unparseable (sliding window takes over).
         """
-        if not interior:
+        if lo == hi:
             return []
-        first = interior[0]
-        if not (first.kind is TokenKind.KEYWORD and first.text in ("case", "default")):
+        toks, match = self.toks, self.any
+        first = toks[lo]
+        if not (first.kind is TokenKind.KEYWORD and first.text in _LABELS):
             raise _StructuralMismatch("switch body does not start with a label")
 
-        # Pre-compute depth-zero label positions.
         boundaries: list[int] = []
-        d = 0
-        for idx, tok in enumerate(interior):
-            if d == 0 and tok.kind is TokenKind.KEYWORD and tok.text in ("case", "default"):
-                boundaries.append(idx)
-            if tok.text in self._opens:
-                d += 1
-            elif tok.text in self._closes:
-                d = max(0, d - 1)
-        boundaries.append(len(interior))
+        k = lo
+        while k < hi:
+            tok = toks[k]
+            if tok.kind is TokenKind.KEYWORD and tok.text in _LABELS:
+                boundaries.append(k)
+            k = match[k] + 1
+        boundaries.append(hi)
 
         arms: list[CaseArm] = []
-        for b_idx in range(len(boundaries) - 1):
-            start, stop = boundaries[b_idx], boundaries[b_idx + 1]
-            label_tok = interior[start]
+        for start, stop in zip(boundaries, boundaries[1:]):
+            label_tok = toks[start]
             self.acct.syntax_tokens.append(label_tok)
-            cur = start + 1
             # label tokens run to the first depth-zero ":"
-            label_toks: list[Token] = []
-            d = 0
-            colon = None
-            while cur < stop:
-                tok = interior[cur]
-                if d == 0 and tok.text == ":":
-                    colon = tok
-                    cur += 1
-                    break
-                label_toks.append(tok)
-                if tok.text in self._opens:
-                    d += 1
-                elif tok.text in self._closes:
-                    d = max(0, d - 1)
-                cur += 1
-            if colon is not None:
-                self.acct.syntax_tokens.append(colon)
-            body_toks = interior[cur:stop]
-            body = self._subparse(body_toks, depth + 1)
+            k = start + 1
+            while k < stop and toks[k].text != ":":
+                k = match[k] + 1
+            label_end = min(k, stop)
+            body_lo = label_end
+            if label_end < stop:
+                self.acct.syntax_tokens.append(toks[label_end])
+                body_lo += 1
+            body = self._subparse(body_lo, stop, depth + 1)
             label: Expr | None
             if label_tok.text == "default":
                 label = None
                 # stray tokens between `default` and ":" go into the body
-                if label_toks:
-                    wild = Wildcard(tuple(label_toks), _span_of(label_toks, label_tok.pos))
-                    body.insert(0, WildcardStmt(wild, wild.span))
+                if label_end > start + 1:
+                    stray = self._slot(start + 1, label_end, label_tok.pos)
+                    body.insert(0, WildcardStmt(stray, self._span(start + 1, label_end, label_tok.pos)))
             else:
-                label = Wildcard(tuple(label_toks), _span_of(label_toks, label_tok.pos))
-            last = interior[stop - 1] if stop > start else label_tok
-            arms.append(CaseArm(label, body, Span(label_tok.pos, token_end(last))))
+                label = self._slot(start + 1, label_end, label_tok.pos)
+            arms.append(CaseArm(label, body, Span(label_tok.pos, token_end(toks[stop - 1]))))
         return arms
 
+    # -- expression refinement ------------------------------------------------
 
-# ---------------------------------------------------------------------------
-# Step two: total expression refinement
-# ---------------------------------------------------------------------------
+    def _refine(self, lo: int, hi: int, depth: int, anchor: Position) -> Expr:
+        """Refine ``toks[lo:hi]`` into a recognized shape, else a wildcard.
 
+        ``anchor`` is the slot's start, the span of any empty part.
+        """
+        toks = self.toks
+        tokens = toks[lo:hi]
+        span = self._span(lo, hi, anchor)
+        if lo == hi or depth > MAX_EXPR_DEPTH:
+            return Wildcard(tokens, span)
+        depth += 1
+        refine = self._refine
 
-def _depth_profile(tokens: Sequence[Token], profile: LanguageProfile) -> list[int]:
-    """Bracket depth at each index (depth of the token itself)."""
-    opens = {o for o, _ in profile.open_close_pairs}
-    closes = {c for _, c in profile.open_close_pairs}
-    depths: list[int] = []
-    d = 0
-    for tok in tokens:
-        if tok.text in opens:
-            depths.append(d)
-            d += 1
-        elif tok.text in closes:
-            d = max(0, d - 1)
-            depths.append(d)
-        else:
-            depths.append(d)
-    return depths
+        # Operators at bracket depth zero (the closer of a depth-zero group
+        # is at depth zero too).  Assign: the first bare "=" wins outright;
+        # right-associative chains nest in the rhs.
+        match = self.any
+        or_at = and_at = -1
+        comparisons: list[int] = []
+        bin_updates: list[int] = []
+        k = lo
+        while k < hi:
+            tok = toks[k]
+            if tok.kind is TokenKind.OPERATOR:
+                text = tok.text
+                if text == "=":
+                    return Assign(refine(lo, k, depth, anchor), refine(k + 1, hi, depth, anchor), tokens, span)
+                if text == "||":
+                    or_at = k
+                elif text == "&&":
+                    and_at = k
+                elif text in _COMPARE_OPS:
+                    comparisons.append(k)
+                elif text in _BINARY_UPDATE_OPS:
+                    bin_updates.append(k)
+            m = match[k]
+            k = m if m > k else k + 1
 
+        # Logical: split at the last top-level "||", else the last "&&".
+        for op, idx in (("||", or_at), ("&&", and_at)):
+            if idx >= 0:
+                return Logical(op, refine(lo, idx, depth, anchor), refine(idx + 1, hi, depth, anchor), tokens, span)
 
-def _matching_close(tokens: Sequence[Token], open_idx: int) -> int | None:
-    """Index of the close matching tokens[open_idx], same-pair counting."""
-    open_text = tokens[open_idx].text
-    close_text = {"(": ")", "{": "}", "[": "]"}.get(open_text)
-    if close_text is None:
-        return None
-    depth = 0
-    for idx in range(open_idx, len(tokens)):
-        text = tokens[idx].text
-        if text == open_text:
-            depth += 1
-        elif text == close_text:
-            depth -= 1
-            if depth == 0:
-                return idx
-    return None
+        # Compare: exactly one top-level comparison operator.  Two or more
+        # (template/generic angle brackets, chained comparisons) stay wildcard.
+        if len(comparisons) == 1:
+            idx = comparisons[0]
+            op = toks[idx].text
+            return Compare(op, refine(lo, idx, depth, anchor), refine(idx + 1, hi, depth, anchor), tokens, span)
 
+        # Not: leading "!".
+        first, last = toks[lo], toks[hi - 1]
+        if first.text == "!" and hi - lo > 1:
+            return Not(refine(lo + 1, hi, depth, anchor), tokens, span)
 
-def _path_prefix_len(tokens: Sequence[Token], profile: LanguageProfile) -> int:
-    """Length of the maximal ``ident (deref_op ident)*`` prefix (0 if none)."""
-    if not tokens or tokens[0].kind is not TokenKind.IDENTIFIER:
-        return 0
-    k = 1
-    while (
-        k + 1 < len(tokens)
-        and tokens[k].kind is TokenKind.OPERATOR
-        and tokens[k].text in profile.deref_ops
-        and tokens[k + 1].kind is TokenKind.IDENTIFIER
-    ):
-        k += 2
-    return k
+        # Update: one top-level "+=" / "-=", or a leading/trailing "++" / "--".
+        if len(bin_updates) == 1:
+            idx = bin_updates[0]
+            value = refine(idx + 1, hi, depth, anchor)
+            return Update(toks[idx].text, refine(lo, idx, depth, anchor), tokens, span, value=value)
+        if hi - lo >= 2 and last.text in _UNARY_UPDATE_OPS:
+            return Update(last.text, refine(lo, hi - 1, depth, anchor), tokens, span)
+        if hi - lo >= 2 and first.text in _UNARY_UPDATE_OPS:
+            return Update(first.text, refine(lo + 1, hi, depth, anchor), tokens, span)
 
+        # Call: access path (or bare identifier) + balanced "(...)" covering
+        # the remainder; arguments split on depth-zero commas.
+        k = self._path_end(lo, hi)
+        if lo < k < hi and toks[k].text == "(" and self.same[k] == hi - 1:
+            args: list[Expr] = []
+            start = j = k + 1
+            if start < hi - 1:
+                while j < hi - 1:
+                    if toks[j].text == ",":
+                        args.append(refine(start, j, depth, anchor))
+                        start = j + 1
+                    j = match[j] + 1
+                args.append(refine(start, hi - 1, depth, anchor))
+            return Call(self._path(lo, k, anchor), tuple(args), tokens, span)
 
-def _path_expr(tokens: Sequence[Token], fallback: Position | None = None) -> Expr:
-    toks = tuple(tokens)
-    if len(toks) == 1:
-        return Atom(toks[0], toks, _span_of(toks, fallback))
-    steps = tuple((toks[i].text, toks[i + 1]) for i in range(1, len(toks), 2))
-    return AccessPath(toks[0], steps, toks, _span_of(toks, fallback))
+        # AccessPath: the whole run is ident (deref_op ident)+ exactly.
+        if k == hi and hi - lo >= 3:
+            return self._path(lo, hi, anchor)
+
+        # Atom: any single token.
+        if hi - lo == 1:
+            return Atom(first, tokens, span)
+
+        # Fully covering parentheses: strip and re-refine the interior, but
+        # keep the original token slice on the node.
+        if first.text == "(" and self.same[lo] == hi - 1:
+            inner = refine(lo + 1, hi - 1, depth, anchor)
+            return replace(inner, tokens=tokens, span=span)
+
+        return Wildcard(tokens, span)
+
+    def _path_end(self, lo: int, hi: int) -> int:
+        """End of the maximal ``ident (deref_op ident)*`` prefix (``lo`` if none)."""
+        toks = self.toks
+        if toks[lo].kind is not TokenKind.IDENTIFIER:
+            return lo
+        deref_ops = self.profile.deref_ops
+        k = lo + 1
+        while (
+            k + 1 < hi
+            and toks[k].kind is TokenKind.OPERATOR
+            and toks[k].text in deref_ops
+            and toks[k + 1].kind is TokenKind.IDENTIFIER
+        ):
+            k += 2
+        return k
+
+    def _path(self, lo: int, hi: int, anchor: Position) -> Expr:
+        toks = self.toks[lo:hi]
+        span = self._span(lo, hi, anchor)
+        if len(toks) == 1:
+            return Atom(toks[0], toks, span)
+        steps = tuple((toks[i].text, toks[i + 1]) for i in range(1, len(toks), 2))
+        return AccessPath(toks[0], steps, toks, span)
 
 
 def parse_expression(wildcard: Expr, profile: LanguageProfile) -> Expr:
@@ -734,96 +717,15 @@ def parse_expression(wildcard: Expr, profile: LanguageProfile) -> Expr:
     """
     if not isinstance(wildcard, Wildcard):
         return wildcard
-    refined = _refine(wildcard.tokens, profile, 0, wildcard.span.start)
+    tokens = tuple(wildcard.tokens)
+    refined = _Parser(tokens, profile, ParseAccounting())._refine(0, len(tokens), 0, wildcard.span.start)
     if isinstance(refined, Wildcard):
-        refined.incomplete = refined.incomplete or wildcard.incomplete
+        refined.incomplete = wildcard.incomplete
     return refined
 
 
-def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anchor: Position) -> Expr:
-    span = _span_of(tokens, anchor)
-    if not tokens or depth > MAX_EXPR_DEPTH:
-        return Wildcard(tokens, span)
-
-    def sub(part: tuple[Token, ...]) -> Expr:
-        return _refine(part, profile, depth + 1, anchor)
-
-    depths = _depth_profile(tokens, profile)
-    top = [
-        (idx, tok.text)
-        for idx, tok in enumerate(tokens)
-        if depths[idx] == 0 and tok.kind is TokenKind.OPERATOR
-    ]
-
-    # Assign: first top-level bare "=" (right-associative chains nest in rhs).
-    for idx, text in top:
-        if text == "=":
-            return Assign(sub(tokens[:idx]), sub(tokens[idx + 1 :]), tokens, span)
-
-    # Logical: split at the last top-level "||", else the last "&&".
-    for op in ("||", "&&"):
-        hits = [idx for idx, text in top if text == op]
-        if hits:
-            idx = hits[-1]
-            return Logical(op, sub(tokens[:idx]), sub(tokens[idx + 1 :]), tokens, span)
-
-    # Compare: exactly one top-level comparison operator.  Two or more
-    # (template/generic angle brackets, chained comparisons) stay wildcard.
-    comparisons = [(idx, text) for idx, text in top if text in _COMPARE_OPS]
-    if len(comparisons) == 1:
-        idx, op = comparisons[0]
-        return Compare(op, sub(tokens[:idx]), sub(tokens[idx + 1 :]), tokens, span)
-
-    # Not: leading "!".
-    if tokens[0].text == "!" and len(tokens) > 1:
-        return Not(sub(tokens[1:]), tokens, span)
-
-    # Update: one top-level "+=" / "-=", or a leading/trailing "++" / "--".
-    bin_updates = [(idx, text) for idx, text in top if text in _BINARY_UPDATE_OPS]
-    if len(bin_updates) == 1:
-        idx, op = bin_updates[0]
-        return Update(op, sub(tokens[:idx]), tokens, span, value=sub(tokens[idx + 1 :]))
-    if len(tokens) >= 2 and tokens[-1].text in _UNARY_UPDATE_OPS:
-        return Update(tokens[-1].text, sub(tokens[:-1]), tokens, span)
-    if len(tokens) >= 2 and tokens[0].text in _UNARY_UPDATE_OPS:
-        return Update(tokens[0].text, sub(tokens[1:]), tokens, span)
-
-    # Call: access path (or bare identifier) + balanced "(...)" covering
-    # the remainder; arguments split on depth-zero commas.
-    k = _path_prefix_len(tokens, profile)
-    if 1 <= k < len(tokens) and tokens[k].text == "(" and _matching_close(tokens, k) == len(tokens) - 1:
-        interior = tokens[k + 1 : -1]
-        args: list[Expr] = []
-        if interior:
-            arg_depths = _depth_profile(interior, profile)
-            start = 0
-            for idx, tok in enumerate(interior):
-                if arg_depths[idx] == 0 and tok.text == ",":
-                    args.append(sub(interior[start:idx]))
-                    start = idx + 1
-            args.append(sub(interior[start:]))
-        callee = _path_expr(tokens[:k], anchor)
-        return Call(callee, tuple(args), tokens, span)
-
-    # AccessPath: the whole run is ident (deref_op ident)+ exactly.
-    if k == len(tokens) and k >= 3:
-        return _path_expr(tokens, anchor)
-
-    # Atom: any single token.
-    if len(tokens) == 1:
-        return Atom(tokens[0], tokens, span)
-
-    # Fully covering parentheses: strip and re-refine the interior, but
-    # keep the original token slice on the node.
-    if tokens[0].text == "(" and _matching_close(tokens, 0) == len(tokens) - 1:
-        inner = sub(tokens[1:-1])
-        return replace(inner, tokens=tokens, span=span)
-
-    return Wildcard(tokens, span)
-
-
 # ---------------------------------------------------------------------------
-# Whole-stream parse (both steps)
+# Whole-stream parse
 # ---------------------------------------------------------------------------
 
 
@@ -838,50 +740,10 @@ def parse_statements_debug(
     stream: TokenStream | Sequence[Token], profile: LanguageProfile
 ) -> tuple[list[Stmt], ParseAccounting]:
     """Like :func:`parse_statements` but also returns consumption bookkeeping."""
-    tokens = stream.tokens if isinstance(stream, TokenStream) else list(stream)
+    tokens = tuple(stream.tokens if isinstance(stream, TokenStream) else stream)
     acct = ParseAccounting()
-    stmts = _Parser(tokens, profile, acct).parse()
-    _refine_stmts(stmts, profile)
+    stmts = _Parser(tokens, profile, acct).parse(0, len(tokens), 0)
     return stmts, acct
-
-
-def _refine_stmts(stmts: list[Stmt], profile: LanguageProfile) -> None:
-    for s in stmts:
-        if isinstance(s, WildcardStmt):
-            s.expr = parse_expression(s.expr, profile)
-        elif isinstance(s, Block):
-            _refine_stmts(s.body, profile)
-        elif isinstance(s, If):
-            s.cond = parse_expression(s.cond, profile)
-            _refine_stmts(s.then_body, profile)
-            s.elifs = [
-                (parse_expression(c, profile), b) for c, b in s.elifs
-            ]
-            for _, b in s.elifs:
-                _refine_stmts(b, profile)
-            if s.else_body is not None:
-                _refine_stmts(s.else_body, profile)
-        elif isinstance(s, While):
-            s.cond = parse_expression(s.cond, profile)
-            _refine_stmts(s.body, profile)
-        elif isinstance(s, DoWhile):
-            s.cond = parse_expression(s.cond, profile)
-            _refine_stmts(s.body, profile)
-        elif isinstance(s, For):
-            if s.init is not None:
-                s.init = parse_expression(s.init, profile)
-            if s.cond is not None:
-                s.cond = parse_expression(s.cond, profile)
-            if s.update is not None:
-                s.update = parse_expression(s.update, profile)
-            _refine_stmts(s.body, profile)
-        elif isinstance(s, Switch):
-            s.scrutinee = parse_expression(s.scrutinee, profile)
-            for arm in s.cases:
-                if arm.label is not None:
-                    arm.label = parse_expression(arm.label, profile)
-                _refine_stmts(arm.body, profile)
-
 
 # ---------------------------------------------------------------------------
 # Structural equality and total ordering (positions ignored)
@@ -957,10 +819,6 @@ def expr_equal(a: Expr, b: Expr) -> bool:
 
 def stmt_equal(a: Stmt, b: Stmt) -> bool:
     return stmt_key(a) == stmt_key(b)
-
-
-def stmt_list_equal(a: Sequence[Stmt], b: Sequence[Stmt]) -> bool:
-    return len(a) == len(b) and all(stmt_equal(x, y) for x, y in zip(a, b))
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,7 @@
 """Checker behavior, including the event-log oracle for derived cases."""
 
 import random
+from collections import Counter
 
 from support import (
     C,
@@ -21,6 +22,7 @@ from xcheck.checkers import (
     iter_null_events,
     run_checkers,
 )
+from xcheck import checkers, microgrammar
 from xcheck.lexer import tokenize
 from xcheck.microgrammar import parse_statements
 
@@ -98,6 +100,34 @@ def test_duplicate_default_is_reported():
     stmts = parse_source("switch (x) { default: f(); break; default: g(); break; }")
     diags = check_redundant_branches(stmts)
     assert any("label" in d.message for d in diags)
+
+
+def test_redundancy_checkers_key_each_arm_once(monkeypatch):
+    # Arm i sits on line i + 1 (chain) and line ARMS + i + 3 (switch); the
+    # last arm of each repeats arm 7.
+    arms = 300
+    lines = ["if (x == 0) f0();"]
+    lines += [f"else if (x == {i}) f{i}();" for i in range(1, arms)]
+    lines += ["else if (x == 7) f7();", "switch (x) {"]
+    lines += [f"case {i}: g{i}(); break;" for i in range(arms)]
+    lines += ["case 7: g7(); break;", "}"]
+    stmts = parse_source("\n".join(lines))
+
+    calls: Counter[str] = Counter()
+    for name in ("expr_key", "stmt_key"):
+        def counted(node, real=getattr(microgrammar, name), name=name):
+            calls[name] += 1
+            return real(node)
+
+        monkeypatch.setattr(microgrammar, name, counted)
+        monkeypatch.setattr(checkers, name, counted, raising=False)
+    conds = check_redundant_conditions(stmts)
+    branches = check_redundant_branches(stmts)
+
+    # each arm's condition, label and body is keyed a bounded number of times
+    assert sum(calls.values()) <= 20 * (arms + 1)
+    assert findings(conds) == [("redundant-condition", arms + 1, 8)] * 2
+    assert findings(branches) == [("redundant-branch", 2 * arms + 3, arms + 10)] * 2
 
 
 # -- loop direction ---------------------------------------------------------------

@@ -18,9 +18,7 @@ from xcheck.microgrammar import (
     Block,
     Call,
     Compare,
-    Cursor,
     DoWhile,
-    EndOfInput,
     For,
     If,
     Switch,
@@ -28,80 +26,92 @@ from xcheck.microgrammar import (
     While,
     Wildcard,
     WildcardStmt,
-    balanced,
+    _bracket_table,
     dump_statements,
     parse_statements,
     parse_statements_debug,
-    skip_to,
 )
 
 
-def cursor(texts, profile=C):
-    return Cursor(list(toks(texts, profile)), profile)
+def table(texts, profile=C):
+    return _bracket_table(toks(texts, profile), profile)
 
 
-# -- any_token ---------------------------------------------------------------
+def debug_parse(source, profile=C):
+    stmts, acct = parse_statements_debug(tokenize(source, profile), profile)
+    return stmts, [t.text for t in acct.syntax_tokens], acct.iterations
+
+
+# -- consuming single tokens (formerly the any_token primitive) ---------------
 
 
 def test_any_token_consumes_one():
-    cur = cursor(["++", "x"])
-    assert cur.any_token().text == "++"
-    assert cur.peek().text == "x"
+    # a failed statement shape hands back all it took and slides one token
+    stmts, syntax, _ = debug_parse("do f();")
+    assert syntax == ["do", ";"]
+    assert len(stmts) == 1 and [t.text for t in stmts[0].expr.tokens] == ["f", "(", ")"]
 
 
 def test_any_token_at_end_raises():
-    cur = cursor([])
-    with pytest.raises(EndOfInput):
-        cur.any_token()
+    # the parser never reads past the end of its range: no input, no loop,
+    # and a body missing at the end is an empty, incomplete one
+    assert debug_parse("") == ([], [], 0)
+    node = parse_source("if (a)")[0]
+    assert isinstance(node, If) and node.then_body == [] and node.incomplete
 
 
 def test_any_token_single():
-    assert cursor(["x"]).any_token().text == "x"
+    stmts = parse_source("x")
+    assert len(stmts) == 1 and [t.text for t in stmts[0].expr.tokens] == ["x"]
 
 
-# -- skip_to -----------------------------------------------------------------
+# -- statement runs (formerly the skip_to primitive) --------------------------
 
 
 def test_skip_to_ignores_nested_terminators():
     # the ";" between parens sits at depth 1 and must not terminate
-    cur = cursor(["x", "=", "f", "(", "a", ";", "b", ")", ";"])
-    result = skip_to(cur, ";")
-    assert result.found
-    assert [t.text for t in result.wildcard.tokens] == ["x", "=", "f", "(", "a", ";", "b", ")"]
-    assert cur.at_end()
+    stmts, syntax, _ = debug_parse("x = f(a; b);")
+    assert len(stmts) == 1 and not stmts[0].incomplete
+    assert [t.text for t in stmts[0].expr.tokens] == ["x", "=", "f", "(", "a", ";", "b", ")"]
+    assert syntax == [";"]
 
 
 def test_skip_to_empty_statement():
-    result = skip_to(cursor([";"]), ";")
-    assert result.found and result.wildcard.tokens == ()
+    stmts, syntax, _ = debug_parse(";")
+    assert len(stmts) == 1 and stmts[0].expr.tokens == () and not stmts[0].incomplete
+    assert syntax == [";"]
 
 
 def test_skip_to_missing_suffix_flags_and_returns_tokens():
-    result = skip_to(cursor(["a", "b"]), ";")
-    assert not result.found
-    assert result.wildcard.incomplete
-    assert [t.text for t in result.wildcard.tokens] == ["a", "b"]
+    stmts, syntax, _ = debug_parse("a b")
+    assert len(stmts) == 1 and stmts[0].incomplete
+    assert isinstance(stmts[0].expr, Wildcard) and stmts[0].expr.incomplete
+    assert [t.text for t in stmts[0].expr.tokens] == ["a", "b"]
+    assert syntax == []
 
 
-# -- balanced ----------------------------------------------------------------
+# -- the bracket table (formerly the balanced primitive) ----------------------
 
 
 def test_balanced_counts_nested_pairs():
-    cur = cursor(["(", "a", "(", "b", ")", "c", ")"])
-    result = balanced(cur, "(", ")")
-    assert result.balanced
-    assert [t.text for t in result.tokens] == ["a", "(", "b", ")", "c"]
+    same, any_ = table(["(", "a", "(", "b", ")", "c", ")"])
+    assert (same[0], same[2]) == (6, 4)
+    assert any_ == same
+    # `same` counts one kind only; `any` closes on the next closer of any kind
+    same, any_ = table(["(", "[", ")", "]"])
+    assert (same[0], any_[0], any_[1]) == (2, 3, 2)
 
 
 def test_balanced_empty_interior():
-    result = balanced(cursor(["(", ")"]), "(", ")")
-    assert result.balanced and result.tokens == ()
+    same, any_ = table(["(", ")"])
+    assert same[0] == any_[0] == 1
 
 
 def test_balanced_unclosed_flags():
-    result = balanced(cursor(["(", "a"]), "(", ")")
-    assert not result.balanced
-    assert [t.text for t in result.tokens] == ["a"]
+    # an unclosed opener matches the end; every other index maps to itself
+    same, any_ = table(["(", "a", "{", "}"])
+    assert same == [4, 1, 3, 3]
+    assert any_ == [4, 1, 3, 3]
 
 
 # -- parse_statements: structure ----------------------------------------------
