@@ -12,9 +12,8 @@ suite's brute-force oracle consumes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .diagnostics import Diagnostic
 from .lexer import Position, TokenKind
@@ -70,39 +69,36 @@ def render_path(path: Path) -> str:
     return "".join(path)
 
 
-@dataclass(frozen=True, slots=True)
-class NonNullEntry:
-    """A path believed non-null because it was dereferenced."""
+class NonNullEntry(NamedTuple):
+    """A path believed non-null because it was dereferenced (immutable named tuple)."""
 
     path: Path
     deref_pos: Position
 
 
-@dataclass(frozen=True, slots=True)
-class DerefEvent:
+class DerefEvent(NamedTuple):
+    """A path dereferenced at ``pos`` (immutable named tuple)."""
+
     path: Path
     pos: Position
 
 
-@dataclass(frozen=True, slots=True)
-class NullTestEvent:
-    """A path compared against null or used bare as a truth value."""
+class NullTestEvent(NamedTuple):
+    """A path compared against null or used bare as a truth value (immutable named tuple)."""
 
     path: Path
     span: Span
 
 
-@dataclass(frozen=True, slots=True)
-class KillEvent:
-    """Assignment/update to a root: every path from that root is invalidated."""
+class KillEvent(NamedTuple):
+    """Assignment/update to a root: every path from it is invalidated (immutable named tuple)."""
 
     root: str
     pos: Position
 
 
-@dataclass(frozen=True, slots=True)
-class ResetEvent:
-    """Tracking state cleared (top-level compound statement finished)."""
+class ResetEvent(NamedTuple):
+    """Tracking state cleared (top-level compound statement finished); immutable named tuple."""
 
     pos: Position
 

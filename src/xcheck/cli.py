@@ -2,7 +2,8 @@
 
 Resolves inputs to (file, profile) pairs, runs the pipeline, renders
 findings to stdout, and exits 0 (clean), 1 (findings), or 2 (usage/IO
-error).  Logs and errors go to stderr; stdout carries output only.
+error; an unreadable file is reported and skipped, the rest still run).
+Logs and errors go to stderr; stdout carries output only.
 """
 
 from __future__ import annotations
@@ -158,8 +159,14 @@ def run(config: RunConfig, registry: Registry = DEFAULT_REGISTRY, out=None, err=
             if len(files) != 1 or not os.path.isfile(config.paths[0]):
                 raise BadRange("--line-range requires exactly one input file")
         all_diags: list[Diagnostic] = []
+        unreadable = False
         for path, lang in files:
-            diags, _stream, stmts = analyze_file(path, lang, config, registry, err)
+            try:
+                diags, _stream, stmts = analyze_file(path, lang, config, registry, err)
+            except OSError as exc:
+                print(f"xcheck: error: {path}: {exc.strerror or exc}", file=err)
+                unreadable = True
+                continue
             if config.dump_ast:
                 print(f"// AST {path}", file=out)
                 tree = dump_statements(stmts)
@@ -176,7 +183,7 @@ def run(config: RunConfig, registry: Registry = DEFAULT_REGISTRY, out=None, err=
         text = render_text(all_diags)
         if text:
             print(text, file=out)
-    return 1 if all_diags else 0
+    return 2 if unreadable else 1 if all_diags else 0
 
 
 def main(argv: list[str] | None = None) -> int:

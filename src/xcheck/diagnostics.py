@@ -3,15 +3,15 @@
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .lexer import Position
 from .microgrammar import Span
 
 
-@dataclass(frozen=True, slots=True)
-class Diagnostic:
+class Diagnostic(NamedTuple):
+    """One finding (immutable named tuple)."""
+
     checker: str
     message: str
     file: str
@@ -26,15 +26,7 @@ def sort_key(d: Diagnostic) -> tuple[str, int, str]:
 
 def dedupe_and_sort(diags: Iterable[Diagnostic]) -> list[Diagnostic]:
     """Strict (file, start offset, checker id) order, exact duplicates dropped."""
-    seen: set[tuple] = set()
-    out: list[Diagnostic] = []
-    for d in sorted(diags, key=sort_key):
-        ident = (d.checker, d.message, d.file, d.span, d.related)
-        if ident in seen:
-            continue
-        seen.add(ident)
-        out.append(d)
-    return out
+    return list(dict.fromkeys(sorted(diags, key=sort_key)))
 
 
 def render_text(diags: Sequence[Diagnostic]) -> str:

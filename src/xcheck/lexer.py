@@ -18,7 +18,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass, field
 from enum import Enum, auto
-from typing import TYPE_CHECKING
+from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
     from .profiles import LanguageProfile
@@ -35,17 +35,21 @@ class TokenKind(Enum):
     CHAR_LITERAL = auto()
 
 
-@dataclass(frozen=True, slots=True)
-class Position:
-    """A point in a source file: 1-based line/column, 0-based byte offset."""
+class Position(NamedTuple):
+    """A point in a source file: 1-based line/column, 0-based byte offset.
+
+    Immutable named tuple, like the pipeline's other per-token, per-node and
+    per-event records: it builds about twice as fast as a frozen dataclass.
+    """
 
     line: int
     column: int
     offset: int
 
 
-@dataclass(frozen=True, slots=True)
-class Token:
+class Token(NamedTuple):
+    """One lexed token (immutable named tuple)."""
+
     kind: TokenKind
     text: str
     pos: Position
@@ -64,9 +68,8 @@ def token_end(tok: Token) -> Position:
     return Position(tok.pos.line, tok.pos.column + len(text), tok.pos.offset + len(text))
 
 
-@dataclass(frozen=True, slots=True)
-class LexError:
-    """Recoverable lexing problem (never aborts the file)."""
+class LexError(NamedTuple):
+    """Recoverable lexing problem (never aborts the file); immutable named tuple."""
 
     kind: str  # "unterminated-string" | "unterminated-block-comment" | "unknown-character"
     message: str

@@ -23,7 +23,7 @@ structural equality and ordering deliberately ignore positions.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .lexer import Position, Token, TokenKind, TokenStream, token_end
 from .profiles import LanguageProfile
@@ -41,8 +41,9 @@ _STARTERS = frozenset({"if", "while", "do", "for", "switch"})
 _LABELS = ("case", "default")
 
 
-@dataclass(frozen=True, slots=True)
-class Span:
+class Span(NamedTuple):
+    """A node's source extent, up to one past its last token (immutable named tuple)."""
+
     start: Position
     end: Position
 
@@ -235,7 +236,7 @@ def _bracket_table(
     """
     n = len(tokens)
     same = list(range(n))
-    any_ = list(range(n))
+    any_ = same.copy()  # both columns share one int object per index (memory)
     opens = {o for o, _ in profile.open_close_pairs}
     closes = {c for _, c in profile.open_close_pairs}
     parens: list[int] = []

@@ -1,5 +1,6 @@
 """CLI contract: flag parsing, exit codes, output channels."""
 
+import errno
 import io
 import json
 import os
@@ -146,6 +147,18 @@ def test_directory_output_order_is_deterministic(tmp_path):
     lines = first.splitlines()
     assert lines[0].startswith(str(tmp_path / "a.c"))
     assert lines[2].startswith(str(tmp_path / "b.c"))
+
+
+def test_unreadable_file_is_reported_and_the_rest_still_analyzed(tmp_path):
+    (tmp_path / "a.c").write_text("p->f(x);\nif (p) q();\n")
+    os.symlink(tmp_path / "missing.c", tmp_path / "b.c")
+    (tmp_path / "c.c").write_text("q->f(x);\nif (q) r();\n")
+    code, out, err = invoke([str(tmp_path)])
+    assert code == 2
+    lines = out.splitlines()
+    assert lines[0].startswith(f"{tmp_path / 'a.c'}:2:5: warning [null-deref]:")
+    assert lines[2].startswith(f"{tmp_path / 'c.c'}:2:5: warning [null-deref]:")
+    assert err.splitlines() == [f"xcheck: error: {tmp_path / 'b.c'}: {os.strerror(errno.ENOENT)}"]
 
 
 def test_line_range_requires_single_file(tmp_path):
