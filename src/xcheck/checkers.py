@@ -15,17 +15,16 @@ from __future__ import annotations
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .diagnostics import Diagnostic
+from .diagnostics import Diagnostic, sort_key
 from .lexer import Position, TokenKind
 from .microgrammar import (
+    BODY,
+    TEST,
     AccessPath,
     Assign,
     Atom,
-    Block,
     Call,
-    CaseArm,
     Compare,
-    DoWhile,
     Expr,
     For,
     If,
@@ -35,7 +34,6 @@ from .microgrammar import (
     Stmt,
     Switch,
     Update,
-    While,
     Wildcard,
     WildcardStmt,
     Key,
@@ -45,6 +43,9 @@ from .microgrammar import (
     walk_statements,
 )
 from .profiles import LanguageProfile
+
+# Token kinds bound once for the per-token loops (see the note in ``lexer``).
+_IDENT, _OP = TokenKind.IDENTIFIER, TokenKind.OPERATOR
 
 
 class CheckerId(str, Enum):
@@ -107,39 +108,29 @@ NullEvent = DerefEvent | NullTestEvent | KillEvent | ResetEvent
 
 
 def _path_of(e: Expr) -> Path | None:
-    if isinstance(e, Atom) and e.token.kind is TokenKind.IDENTIFIER:
+    if isinstance(e, Atom) and e.token.kind is _IDENT:
         return (e.token.text,)
     if isinstance(e, AccessPath):
-        flat: list[str] = [e.root.text]
-        for op, ident in e.steps:
-            flat.append(op)
-            flat.append(ident.text)
-        return tuple(flat)
+        return e.path()
     return None
 
 
 def _lvalue_root(e: Expr) -> str | None:
-    if isinstance(e, Atom) and e.token.kind is TokenKind.IDENTIFIER:
-        return e.token.text
-    if isinstance(e, AccessPath):
-        return e.root.text
-    return None
+    path = _path_of(e)
+    return path[0] if path is not None else None
 
 
-def _deref_events(e: AccessPath, include_full: bool) -> Iterator[DerefEvent]:
-    """Paths a dereference proves non-null.
+def _deref_events(path: Path, pos: Position, include_full: bool) -> Iterator[DerefEvent]:
+    """Paths a dereference of ``path`` proves non-null.
 
     Reading ``a->b->c`` proves every proper prefix (``a``, ``a->b``);
     calling through the path (``state->work(...)``) additionally proves
     the full callee path.
     """
-    flat: list[str] = [e.root.text]
-    for op, ident in e.steps:
-        yield DerefEvent(tuple(flat), e.root.pos)
-        flat.append(op)
-        flat.append(ident.text)
+    for k in range(1, len(path), 2):
+        yield DerefEvent(path[:k], pos)
     if include_full:
-        yield DerefEvent(tuple(flat), e.root.pos)
+        yield DerefEvent(path, pos)
 
 
 def _wildcard_deref_events(w: Wildcard, profile: LanguageProfile) -> Iterator[DerefEvent]:
@@ -153,26 +144,20 @@ def _wildcard_deref_events(w: Wildcard, profile: LanguageProfile) -> Iterator[De
     n = len(toks)
     i = 0
     while i < n:
-        if toks[i].kind is not TokenKind.IDENTIFIER:
+        if toks[i].kind is not _IDENT:
             i += 1
             continue
         k = i + 1
         while (
             k + 1 < n
-            and toks[k].kind is TokenKind.OPERATOR
+            and toks[k].kind is _OP
             and toks[k].text in deref_ops
-            and toks[k + 1].kind is TokenKind.IDENTIFIER
+            and toks[k + 1].kind is _IDENT
         ):
             k += 2
         if k - i >= 3:
-            followed_by_call = k < n and toks[k].text == "("
-            flat: list[str] = [toks[i].text]
-            for j in range(i + 1, k, 2):
-                yield DerefEvent(tuple(flat), toks[i].pos)
-                flat.append(toks[j].text)
-                flat.append(toks[j + 1].text)
-            if followed_by_call:
-                yield DerefEvent(tuple(flat), toks[i].pos)
+            path = tuple(t.text for t in toks[i:k])
+            yield from _deref_events(path, toks[i].pos, k < n and toks[k].text == "(")
         i = k if k > i + 1 else i + 1
 
 
@@ -200,16 +185,15 @@ def _expr_events(e: Expr, profile: LanguageProfile, truth: bool) -> Iterator[Nul
     elif isinstance(e, Atom):
         if (
             truth
-            and e.token.kind is TokenKind.IDENTIFIER
+            and e.token.kind is _IDENT
             and e.token.text not in profile.null_literals
         ):
             yield NullTestEvent((e.token.text,), e.span)
     elif isinstance(e, AccessPath):
+        path = e.path()
         if truth:
-            path = _path_of(e)
-            assert path is not None
             yield NullTestEvent(path, e.span)
-        yield from _deref_events(e, include_full=False)
+        yield from _deref_events(path, e.root.pos, include_full=False)
     elif isinstance(e, Compare):
         if truth and e.op in ("==", "!="):
             tested = _null_test_path(e, profile)
@@ -237,7 +221,7 @@ def _expr_events(e: Expr, profile: LanguageProfile, truth: bool) -> Iterator[Nul
             yield KillEvent(root, e.span.start)
     elif isinstance(e, Call):
         if isinstance(e.callee, AccessPath):
-            yield from _deref_events(e.callee, include_full=True)
+            yield from _deref_events(e.callee.path(), e.callee.root.pos, include_full=True)
         for arg in e.args:
             yield from _expr_events(arg, profile, False)
 
@@ -247,39 +231,11 @@ def _is_compound(s: Stmt) -> bool:
 
 
 def _stmt_events(s: Stmt, profile: LanguageProfile, depth: int) -> Iterator[NullEvent]:
-    if isinstance(s, WildcardStmt):
-        yield from _expr_events(s.expr, profile, False)
-    elif isinstance(s, Block):
-        yield from _walk_events(s.body, profile, depth + 1)
-    elif isinstance(s, If):
-        yield from _expr_events(s.cond, profile, True)
-        yield from _walk_events(s.then_body, profile, depth + 1)
-        for cond, body in s.elifs:
-            yield from _expr_events(cond, profile, True)
-            yield from _walk_events(body, profile, depth + 1)
-        if s.else_body is not None:
-            yield from _walk_events(s.else_body, profile, depth + 1)
-    elif isinstance(s, While):
-        yield from _expr_events(s.cond, profile, True)
-        yield from _walk_events(s.body, profile, depth + 1)
-    elif isinstance(s, DoWhile):
-        yield from _walk_events(s.body, profile, depth + 1)
-        # do-while conditions are not null-test positions
-        yield from _expr_events(s.cond, profile, False)
-    elif isinstance(s, For):
-        if s.init is not None:
-            yield from _expr_events(s.init, profile, False)
-        if s.cond is not None:
-            yield from _expr_events(s.cond, profile, True)
-        if s.update is not None:
-            yield from _expr_events(s.update, profile, False)
-        yield from _walk_events(s.body, profile, depth + 1)
-    elif isinstance(s, Switch):
-        yield from _expr_events(s.scrutinee, profile, False)
-        for arm in s.cases:
-            if arm.label is not None:
-                yield from _expr_events(arm.label, profile, False)
-            yield from _walk_events(arm.body, profile, depth + 1)
+    for role, part in s.parts():
+        if role is BODY:
+            yield from _walk_events(part, profile, depth + 1)
+        elif part is not None:
+            yield from _expr_events(part, profile, role is TEST)
 
 
 def _walk_events(stmts: Sequence[Stmt], profile: LanguageProfile, depth: int) -> Iterator[NullEvent]:
@@ -499,5 +455,5 @@ def run_checkers(
         diags.extend(check_loop_direction(stmts, path))
     if CheckerId.NULL_DEREF.value in ids:
         diags.extend(check_null_deref(stmts, profile, path))
-    diags.sort(key=lambda d: (d.file, d.span.start.offset, d.checker))
+    diags.sort(key=sort_key)
     return diags

@@ -153,7 +153,13 @@ def run(config: RunConfig, registry: Registry = DEFAULT_REGISTRY, out=None, err=
     err = err if err is not None else sys.stderr
     try:
         if config.profile_file is not None:
-            load_profile_file(config.profile_file, registry)
+            # extend a copy: the caller's registry (by default the
+            # process-wide one) must read the same after the run
+            extended = Registry()
+            for name in registry.names():
+                extended.register(registry.resolve(name))
+            load_profile_file(config.profile_file, extended)
+            registry = extended
         files = _collect_files(config, registry, err)
         if config.line_range is not None:
             if len(files) != 1 or not os.path.isfile(config.paths[0]):

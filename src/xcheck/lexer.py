@@ -35,6 +35,17 @@ class TokenKind(Enum):
     CHAR_LITERAL = auto()
 
 
+# Members bound to module names once: on CPython 3.11 reading a member
+# through its enum class costs several times a module-global read, and
+# per-token loops (here and in the parser and checkers) pay it per token.
+_IDENT, _KW, _OP, _PUNCT = (
+    TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.OPERATOR, TokenKind.PUNCTUATION
+)
+_INT, _FLOAT, _STR, _CHAR = (
+    TokenKind.INT_LITERAL, TokenKind.FLOAT_LITERAL, TokenKind.STRING_LITERAL, TokenKind.CHAR_LITERAL
+)
+
+
 class Position(NamedTuple):
     """A point in a source file: 1-based line/column, 0-based byte offset.
 
@@ -199,21 +210,21 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
             group = m.lastgroup
         text = m.group()
         if group == "ident":
-            kind = TokenKind.KEYWORD if text in keywords else TokenKind.IDENTIFIER
+            kind = _KW if text in keywords else _IDENT
         elif group == "op":
-            kind = TokenKind.OPERATOR
+            kind = _OP
         elif group == "punct":
-            kind = TokenKind.PUNCTUATION
+            kind = _PUNCT
             if text not in punctuation:
                 errors.append(LexError("unknown-character", f"unexpected character {text!r}", start))
         elif group == "num":
             floaty = "." in text or "e" in text[1:] or "E" in text[1:]
-            kind = TokenKind.FLOAT_LITERAL if floaty else TokenKind.INT_LITERAL
+            kind = _FLOAT if floaty else _INT
         elif group == "hex":
             floaty = "." in text or "p" in text[2:] or "P" in text[2:]
-            kind = TokenKind.FLOAT_LITERAL if floaty else TokenKind.INT_LITERAL
+            kind = _FLOAT if floaty else _INT
         else:
-            kind = TokenKind.STRING_LITERAL if group == "str" else TokenKind.CHAR_LITERAL
+            kind = _STR if group == "str" else _CHAR
             if m.group(f"{group}_end") is None:
                 what = "string" if group == "str" else "char"
                 errors.append(LexError("unterminated-string", f"unterminated {what} literal", start))

@@ -18,6 +18,12 @@ pass (:func:`_bracket_table`) and work on index ranges of that list.
 
 Every tree node records the token slice it covers and its source span;
 structural equality and ordering deliberately ignore positions.
+
+Each statement class declares its shape once, in ``parts()``: its
+expression slots and bodies in source order, each tagged ``TEST`` (a
+condition whose truth picks a path), ``SLOT`` (any other expression slot)
+or ``BODY`` (a statement list).  Equality keys, child and token listing,
+the tree dump and the checkers' event walk all read that one declaration.
 """
 
 from __future__ import annotations
@@ -39,6 +45,9 @@ _UNARY_UPDATE_OPS = frozenset({"++", "--"})
 _BINARY_UPDATE_OPS = frozenset({"+=", "-="})
 _STARTERS = frozenset({"if", "while", "do", "for", "switch"})
 _LABELS = ("case", "default")
+
+# Token kinds bound once for the per-token loops (see the note in ``lexer``).
+_IDENT, _KW, _OP = TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.OPERATOR
 
 
 class Span(NamedTuple):
@@ -127,6 +136,13 @@ class AccessPath(Expr):
     tokens: tuple[Token, ...]
     span: Span
 
+    def path(self) -> tuple[str, ...]:
+        """The flattened access chain: ``("state", "->", "work")``."""
+        flat = [self.root.text]
+        for op, ident in self.steps:
+            flat += op, ident.text
+        return tuple(flat)
+
 
 @dataclass(slots=True)
 class Atom(Expr):
@@ -140,10 +156,23 @@ class Atom(Expr):
 # ---------------------------------------------------------------------------
 
 
+# The role of each part of a statement node (see ``Stmt.parts``).
+TEST = "test"  # a condition whose truth value picks a path; may be None
+SLOT = "slot"  # any other expression slot; may be None
+BODY = "body"  # a list[Stmt]
+
+Part = tuple[str, "Expr | list[Stmt] | None"]
+
+
 class Stmt:
     """Base class for statement tree nodes."""
 
     __slots__ = ()
+
+    def parts(self) -> Sequence[Part]:
+        """The node's expression slots and bodies in source order, each
+        tagged with its role; every walk over the tree reads this."""
+        raise NotImplementedError
 
 
 @dataclass(slots=True)
@@ -152,12 +181,18 @@ class WildcardStmt(Stmt):
     span: Span
     incomplete: bool = False
 
+    def parts(self) -> Sequence[Part]:
+        return ((SLOT, self.expr),)
+
 
 @dataclass(slots=True)
 class Block(Stmt):
     body: list[Stmt]
     span: Span
     incomplete: bool = False
+
+    def parts(self) -> Sequence[Part]:
+        return ((BODY, self.body),)
 
 
 @dataclass(slots=True)
@@ -169,6 +204,14 @@ class If(Stmt):
     span: Span
     incomplete: bool = False
 
+    def parts(self) -> Sequence[Part]:
+        parts: list[Part] = [(TEST, self.cond), (BODY, self.then_body)]
+        for cond, body in self.elifs:
+            parts += (TEST, cond), (BODY, body)
+        if self.else_body is not None:
+            parts.append((BODY, self.else_body))
+        return parts
+
 
 @dataclass(slots=True)
 class While(Stmt):
@@ -177,6 +220,9 @@ class While(Stmt):
     span: Span
     incomplete: bool = False
 
+    def parts(self) -> Sequence[Part]:
+        return ((TEST, self.cond), (BODY, self.body))
+
 
 @dataclass(slots=True)
 class DoWhile(Stmt):
@@ -184,6 +230,10 @@ class DoWhile(Stmt):
     cond: Expr
     span: Span
     incomplete: bool = False
+
+    def parts(self) -> Sequence[Part]:
+        # a do-while condition is not a null-test position
+        return ((BODY, self.body), (SLOT, self.cond))
 
 
 @dataclass(slots=True)
@@ -195,6 +245,9 @@ class For(Stmt):
     header_span: Span
     span: Span
     incomplete: bool = False
+
+    def parts(self) -> Sequence[Part]:
+        return ((SLOT, self.init), (TEST, self.cond), (SLOT, self.update), (BODY, self.body))
 
 
 @dataclass(slots=True)
@@ -210,6 +263,12 @@ class Switch(Stmt):
     cases: list[CaseArm]
     span: Span
     incomplete: bool = False
+
+    def parts(self) -> Sequence[Part]:
+        parts: list[Part] = [(SLOT, self.scrutinee)]
+        for arm in self.cases:
+            parts += (SLOT, arm.label), (BODY, arm.body)
+        return parts
 
 
 # ---------------------------------------------------------------------------
@@ -324,7 +383,7 @@ class _Parser:
         return Span(fallback, fallback)
 
     def _is_kw(self, tok: Token | None, text: str) -> bool:
-        return tok is not None and tok.kind is TokenKind.KEYWORD and tok.text == text
+        return tok is not None and tok.kind is _KW and tok.text == text
 
     def _balanced(self, open_text: str) -> tuple[int, int, bool, Token]:
         """Consume a ``(...)`` or ``{...}`` group at the cursor.
@@ -378,7 +437,7 @@ class _Parser:
         assert tok is not None
         if tok.text == "{":
             return self._block(depth)
-        if tok.kind is TokenKind.KEYWORD and tok.text in _STARTERS and depth < MAX_NESTING:
+        if tok.kind is _KW and tok.text in _STARTERS and depth < MAX_NESTING:
             if tok.text == "if":
                 return self._if(depth)
             if tok.text == "while":
@@ -549,14 +608,14 @@ class _Parser:
             return []
         toks, match = self.toks, self.any
         first = toks[lo]
-        if not (first.kind is TokenKind.KEYWORD and first.text in _LABELS):
+        if not (first.kind is _KW and first.text in _LABELS):
             raise _StructuralMismatch("switch body does not start with a label")
 
         boundaries: list[int] = []
         k = lo
         while k < hi:
             tok = toks[k]
-            if tok.kind is TokenKind.KEYWORD and tok.text in _LABELS:
+            if tok.kind is _KW and tok.text in _LABELS:
                 boundaries.append(k)
             k = match[k] + 1
         boundaries.append(hi)
@@ -612,7 +671,7 @@ class _Parser:
         k = lo
         while k < hi:
             tok = toks[k]
-            if tok.kind is TokenKind.OPERATOR:
+            if tok.kind is _OP:
                 text = tok.text
                 if text == "=":
                     return Assign(refine(lo, k, depth, anchor), refine(k + 1, hi, depth, anchor), tokens, span)
@@ -688,15 +747,15 @@ class _Parser:
     def _path_end(self, lo: int, hi: int) -> int:
         """End of the maximal ``ident (deref_op ident)*`` prefix (``lo`` if none)."""
         toks = self.toks
-        if toks[lo].kind is not TokenKind.IDENTIFIER:
+        if toks[lo].kind is not _IDENT:
             return lo
         deref_ops = self.profile.deref_ops
         k = lo + 1
         while (
             k + 1 < hi
-            and toks[k].kind is TokenKind.OPERATOR
+            and toks[k].kind is _OP
             and toks[k].text in deref_ops
-            and toks[k + 1].kind is TokenKind.IDENTIFIER
+            and toks[k + 1].kind is _IDENT
         ):
             k += 2
         return k
@@ -759,11 +818,7 @@ def expr_key(e: Expr) -> Key:
     if isinstance(e, Atom):
         return ("Atom", e.token.text)
     if isinstance(e, AccessPath):
-        flat: list[str] = [e.root.text]
-        for op, ident in e.steps:
-            flat.append(op)
-            flat.append(ident.text)
-        return ("AccessPath",) + tuple(flat)
+        return ("AccessPath", *e.path())
     if isinstance(e, Compare):
         return ("Compare", e.op, expr_key(e.lhs), expr_key(e.rhs))
     if isinstance(e, Logical):
@@ -780,37 +835,16 @@ def expr_key(e: Expr) -> Key:
     raise TypeError(f"not an expression node: {e!r}")
 
 
-def _body_key(stmts: Iterable[Stmt]) -> Key:
-    return ("Body",) + tuple(stmt_key(s) for s in stmts)
-
-
 def stmt_key(s: Stmt) -> Key:
-    if isinstance(s, WildcardStmt):
-        return ("WildcardStmt", expr_key(s.expr))
-    if isinstance(s, Block):
-        return ("Block", _body_key(s.body))
-    if isinstance(s, If):
-        elifs = tuple(("Arm", expr_key(c), _body_key(b)) for c, b in s.elifs)
-        else_key = _body_key(s.else_body) if s.else_body is not None else ("NoElse",)
-        return ("If", expr_key(s.cond), _body_key(s.then_body), ("Elifs",) + elifs, else_key)
-    if isinstance(s, While):
-        return ("While", expr_key(s.cond), _body_key(s.body))
-    if isinstance(s, DoWhile):
-        return ("DoWhile", _body_key(s.body), expr_key(s.cond))
-    if isinstance(s, For):
-        def opt(e: Expr | None) -> Key:
-            return expr_key(e) if e is not None else ("None",)
-
-        return ("For", opt(s.init), opt(s.cond), opt(s.update), _body_key(s.body))
-    if isinstance(s, Switch):
-        arms = tuple(
-            ("Case", expr_key(a.label), _body_key(a.body))
-            if a.label is not None
-            else ("Default", _body_key(a.body))
-            for a in s.cases
-        )
-        return ("Switch", expr_key(s.scrutinee), ("Arms",) + arms)
-    raise TypeError(f"not a statement node: {s!r}")
+    """``(class name, *part keys)``; a body keys as ``("Body", ...)`` and an
+    empty slot as ``("None",)``, so no two distinct shapes share a key."""
+    key: list = [type(s).__name__]
+    for role, part in s.parts():
+        if role is BODY:
+            key.append(("Body", *map(stmt_key, part)))
+        else:
+            key.append(expr_key(part) if part is not None else ("None",))
+    return tuple(key)
 
 
 def expr_equal(a: Expr, b: Expr) -> bool:
@@ -828,17 +862,9 @@ def stmt_equal(a: Stmt, b: Stmt) -> bool:
 
 
 def child_statements(s: Stmt) -> Iterator[Stmt]:
-    if isinstance(s, (Block, While, DoWhile, For)):
-        yield from s.body
-    elif isinstance(s, If):
-        yield from s.then_body
-        for _, b in s.elifs:
-            yield from b
-        if s.else_body is not None:
-            yield from s.else_body
-    elif isinstance(s, Switch):
-        for arm in s.cases:
-            yield from arm.body
+    for role, part in s.parts():
+        if role is BODY:
+            yield from part
 
 
 def walk_statements(stmts: Iterable[Stmt]) -> Iterator[Stmt]:
@@ -854,31 +880,14 @@ def expr_tokens(e: Expr) -> tuple[Token, ...]:
 
 
 def stmt_tokens(s: Stmt) -> list[Token]:
-    """All non-syntax tokens reachable from a statement node."""
+    """All non-syntax tokens reachable from a statement node, in source order."""
     out: list[Token] = []
-
-    def add_expr(e: Expr | None) -> None:
-        if e is not None:
-            out.extend(expr_tokens(e))
-
-    if isinstance(s, WildcardStmt):
-        add_expr(s.expr)
-    elif isinstance(s, If):
-        add_expr(s.cond)
-        for c, _ in s.elifs:
-            add_expr(c)
-    elif isinstance(s, (While, DoWhile)):
-        add_expr(s.cond)
-    elif isinstance(s, For):
-        add_expr(s.init)
-        add_expr(s.cond)
-        add_expr(s.update)
-    elif isinstance(s, Switch):
-        add_expr(s.scrutinee)
-        for arm in s.cases:
-            add_expr(arm.label)
-    for child in child_statements(s):
-        out.extend(stmt_tokens(child))
+    for role, part in s.parts():
+        if role is BODY:
+            for child in part:
+                out.extend(stmt_tokens(child))
+        elif part is not None:
+            out.extend(expr_tokens(part))
     return out
 
 
@@ -891,7 +900,12 @@ def _texts(e: Expr | None) -> str:
 
 
 def dump_statements(stmts: Sequence[Stmt], indent: int = 0) -> str:
-    """Indented tree rendering, one node per line."""
+    """Indented tree rendering, one node per line.
+
+    A node prints as ``Name @line:col`` plus the texts of its expression
+    slots, then its bodies one level deeper; ``If`` heads each elif and
+    else, and ``Switch`` each arm, with a line of its own.
+    """
     lines: list[str] = []
     pad = "  " * indent
 
@@ -899,12 +913,7 @@ def dump_statements(stmts: Sequence[Stmt], indent: int = 0) -> str:
         return f"@{span.start.line}:{span.start.column}"
 
     for s in stmts:
-        if isinstance(s, WildcardStmt):
-            lines.append(f"{pad}WildcardStmt {at(s.span)} {_texts(s.expr)}")
-        elif isinstance(s, Block):
-            lines.append(f"{pad}Block {at(s.span)}")
-            lines.append(dump_statements(s.body, indent + 1))
-        elif isinstance(s, If):
+        if isinstance(s, If):
             lines.append(f"{pad}If {at(s.span)} {_texts(s.cond)}")
             lines.append(dump_statements(s.then_body, indent + 1))
             for c, b in s.elifs:
@@ -913,21 +922,17 @@ def dump_statements(stmts: Sequence[Stmt], indent: int = 0) -> str:
             if s.else_body is not None:
                 lines.append(f"{pad}Else {at(s.span)}")
                 lines.append(dump_statements(s.else_body, indent + 1))
-        elif isinstance(s, While):
-            lines.append(f"{pad}While {at(s.span)} {_texts(s.cond)}")
-            lines.append(dump_statements(s.body, indent + 1))
-        elif isinstance(s, DoWhile):
-            lines.append(f"{pad}DoWhile {at(s.span)} {_texts(s.cond)}")
-            lines.append(dump_statements(s.body, indent + 1))
-        elif isinstance(s, For):
-            lines.append(
-                f"{pad}For {at(s.span)} {_texts(s.init)} {_texts(s.cond)} {_texts(s.update)}"
-            )
-            lines.append(dump_statements(s.body, indent + 1))
         elif isinstance(s, Switch):
             lines.append(f"{pad}Switch {at(s.span)} {_texts(s.scrutinee)}")
             for arm in s.cases:
                 head = "Default" if arm.label is None else f"Case {_texts(arm.label)}"
-                lines.append(f"{pad}  {head} @{arm.span.start.line}:{arm.span.start.column}")
+                lines.append(f"{pad}  {head} {at(arm.span)}")
                 lines.append(dump_statements(arm.body, indent + 2))
+        else:
+            parts = s.parts()
+            texts = "".join(f" {_texts(part)}" for role, part in parts if role is not BODY)
+            lines.append(f"{pad}{type(s).__name__} {at(s.span)}{texts}")
+            for role, part in parts:
+                if role is BODY:
+                    lines.append(dump_statements(part, indent + 1))
     return "\n".join(line for line in lines if line)

@@ -3,6 +3,8 @@
 import random
 from collections import Counter
 
+import pytest
+
 from support import (
     C,
     JAVA,
@@ -211,6 +213,23 @@ def test_guard_idiom_is_clean():
     deref_idx = next(i for i, e in enumerate(events) if isinstance(e, DerefEvent))
     assert test_idx < deref_idx
     assert check_null_deref(stmts, C) == []
+
+
+@pytest.mark.parametrize(
+    "stmt,reported",
+    [
+        ("if (p) g();", True),
+        ("if (a) g(); else if (p) h();", True),
+        ("while (p) g();", True),
+        ("for (i = 0; p; i++) g();", True),
+        ("do g(); while (p);", False),
+        ("for (p; i; p) g();", False),
+        ("switch (p) { case p: g(); }", False),
+    ],
+)
+def test_only_condition_positions_test_for_null(stmt, reported):
+    diags = check_null_deref(parse_source(f"p->f(x);\n{stmt}"), C)
+    assert findings(diags) == ([("null-deref", 2, 1)] if reported else [])
 
 
 def test_not_null_comparison_also_counts_as_check():

@@ -12,7 +12,7 @@ import pytest
 import xcheck
 from xcheck.cli import BadRange, RunConfig, parse_args, run
 from xcheck.fixtures import case_by_name, fixture_path, load_source
-from xcheck.profiles import builtin_registry
+from xcheck.profiles import DEFAULT_REGISTRY, builtin_registry
 
 MINI_PROFILE_TEXT = """\
 name = mini
@@ -202,6 +202,26 @@ def test_profile_flag_registers_language(tmp_path):
     source.write_text("x = p.f;\nif (p == nil) g();\n")
     code, out, _ = invoke(["--profile", str(profile_file), str(source)])
     assert code == 1 and "null-deref" in out
+
+
+def test_profile_flag_leaves_the_default_registry_untouched(tmp_path, monkeypatch):
+    # The runs below use the process-wide registry; its tables are swapped
+    # for copies that monkeypatch restores, so nothing leaks to other tests.
+    monkeypatch.setattr(DEFAULT_REGISTRY, "_by_name", dict(DEFAULT_REGISTRY._by_name))
+    monkeypatch.setattr(DEFAULT_REGISTRY, "_by_ext", dict(DEFAULT_REGISTRY._by_ext))
+    names = DEFAULT_REGISTRY.names()
+    profile_file = tmp_path / "mini.profile"
+    profile_file.write_text(MINI_PROFILE_TEXT)
+    source = tmp_path / "demo.mini"
+    source.write_text("x = p.f;\nif (p == nil) g();\n")
+    results = []
+    for _ in range(2):
+        out, err = io.StringIO(), io.StringIO()
+        code = run(parse_args(["--profile", str(profile_file), str(source)]), out=out, err=err)
+        results.append((code, out.getvalue()))
+    assert results[0] == results[1]
+    assert results[0][0] == 1 and "null-deref" in results[0][1]
+    assert DEFAULT_REGISTRY.names() == names
 
 
 def test_exit_codes_cover_the_three_fixtures():

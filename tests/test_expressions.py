@@ -1,6 +1,9 @@
 """Wildcard refinement (the total expression parser) and structural equality."""
 
 import random
+from dataclasses import replace
+
+import pytest
 
 from support import (
     C,
@@ -18,6 +21,7 @@ from xcheck.microgrammar import (
     Atom,
     Call,
     Compare,
+    If,
     Logical,
     Not,
     Update,
@@ -219,3 +223,24 @@ def test_order_is_total_over_mixed_trees():
     keys.sort()  # must not raise on any pair the sort compares
     for i in range(len(keys) - 1):
         assert keys[i] <= keys[i + 1]
+
+
+@pytest.mark.parametrize(
+    "a,b",
+    [
+        ("if (a) f();", "if (a) f(); else {}"),
+        ("switch (x) { default: f(); }", "switch (x) { case y: f(); }"),
+        ("for (;;) f();", "for (;x;) f();"),
+        ("for (x;;) f();", "for (;x;) f();"),
+    ],
+)
+def test_statement_key_tells_apart_shapes_that_differ(a, b):
+    (sa,), (sb,) = parse_source(a), parse_source(b)
+    assert stmt_key(sa) != stmt_key(sb) and not stmt_equal(sa, sb)
+
+
+def test_statement_key_tells_else_if_chain_from_nested_if_in_else():
+    chain = parse_source("if (a) f(); else if (b) g();")[0]
+    (cond, body), = chain.elifs
+    nested = replace(chain, elifs=[], else_body=[If(cond, body, [], None, chain.span)])
+    assert stmt_key(chain) != stmt_key(nested) and not stmt_equal(chain, nested)
