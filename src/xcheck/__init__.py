@@ -7,7 +7,7 @@ The pipeline is ``tokenize`` (profile-driven lexer) → ``parse_statements``
 
 from .checkers import ALL_CHECKER_IDS, CheckerId, run_checkers
 from .diagnostics import Diagnostic, dedupe_and_sort, render_json, render_text
-from .lexer import Position, Token, TokenKind, TokenStream, token_at, tokenize
+from .lexer import Position, Token, TokenKind, TokenStream, tokenize
 from .microgrammar import parse_expression, parse_statements
 from .profiles import LanguageProfile, profile_for, register_profile
 
@@ -31,6 +31,5 @@ __all__ = [
     "render_json",
     "render_text",
     "run_checkers",
-    "token_at",
     "tokenize",
 ]

@@ -39,13 +39,14 @@ from .microgrammar import (
     Key,
     expr_key,
     expr_tokens,
+    path_end,
     stmt_key,
     walk_statements,
 )
 from .profiles import LanguageProfile
 
 # Token kinds bound once for the per-token loops (see the note in ``lexer``).
-_IDENT, _OP = TokenKind.IDENTIFIER, TokenKind.OPERATOR
+_IDENT = TokenKind.IDENTIFIER
 
 
 class CheckerId(str, Enum):
@@ -147,18 +148,11 @@ def _wildcard_deref_events(w: Wildcard, profile: LanguageProfile) -> Iterator[De
         if toks[i].kind is not _IDENT:
             i += 1
             continue
-        k = i + 1
-        while (
-            k + 1 < n
-            and toks[k].kind is _OP
-            and toks[k].text in deref_ops
-            and toks[k + 1].kind is _IDENT
-        ):
-            k += 2
+        k = path_end(toks, i, n, deref_ops)
         if k - i >= 3:
             path = tuple(t.text for t in toks[i:k])
             yield from _deref_events(path, toks[i].pos, k < n and toks[k].text == "(")
-        i = k if k > i + 1 else i + 1
+        i = k
 
 
 def _null_test_path(e: Compare, profile: LanguageProfile) -> Path | None:

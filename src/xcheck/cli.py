@@ -11,14 +11,15 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .checkers import ALL_CHECKER_IDS, run_checkers
 from .diagnostics import Diagnostic, dedupe_and_sort, render_json, render_text
-from .lexer import TokenStream, tokenize
-from .microgrammar import dump_statements, parse_statements
+from .lexer import LexError, tokenize
+from .microgrammar import Stmt, dump_statements, parse_statements
 from .profiles import (
     DEFAULT_REGISTRY,
+    LanguageProfile,
     ProfileError,
     Registry,
     UnknownLanguage,
@@ -123,29 +124,41 @@ def _collect_files(config: RunConfig, registry: Registry, err) -> list[tuple[str
     return out
 
 
+def analyze_source(
+    source: str,
+    profile: LanguageProfile,
+    path: str,
+    line_range: tuple[int, int] | None,
+    checkers: tuple[str, ...],
+) -> tuple[list[LexError], list[Stmt], list[Diagnostic]]:
+    """One file through the pipeline: lex, keep the 1-based ``line_range``
+    window of tokens (all of them when ``None``), parse, run ``checkers``."""
+    stream = tokenize(source, profile, source_path=path)
+    tokens = stream.tokens
+    if line_range is not None:
+        first, last = line_range
+        tokens = [t for t in tokens if first <= t.pos.line <= last]
+    stmts = parse_statements(tokens, profile)
+    return stream.errors, stmts, run_checkers(stmts, profile, checkers, path=path)
+
+
 def analyze_file(
     path: str,
     lang: str,
     config: RunConfig,
     registry: Registry,
     err,
-) -> tuple[list[Diagnostic], TokenStream, list]:
+) -> tuple[list[Diagnostic], list[Stmt]]:
     profile = registry.resolve(lang)
     with open(path, encoding="utf-8", errors="replace") as fh:
         source = fh.read()
-    stream = tokenize(source, profile, source_path=path)
-    for lex_err in stream.errors:
+    lex_errors, stmts, diags = analyze_source(source, profile, path, config.line_range, config.checkers)
+    for lex_err in lex_errors:
         print(
             f"{path}:{lex_err.pos.line}:{lex_err.pos.column}: lex-warning: {lex_err.message}",
             file=err,
         )
-    tokens = stream.tokens
-    if config.line_range is not None:
-        first, last = config.line_range
-        tokens = [t for t in tokens if first <= t.pos.line <= last]
-    stmts = parse_statements(tokens, profile)
-    diags = run_checkers(stmts, profile, config.checkers, path=path)
-    return diags, stream, stmts
+    return diags, stmts
 
 
 def run(config: RunConfig, registry: Registry = DEFAULT_REGISTRY, out=None, err=None) -> int:
@@ -168,7 +181,7 @@ def run(config: RunConfig, registry: Registry = DEFAULT_REGISTRY, out=None, err=
         unreadable = False
         for path, lang in files:
             try:
-                diags, _stream, stmts = analyze_file(path, lang, config, registry, err)
+                diags, stmts = analyze_file(path, lang, config, registry, err)
             except OSError as exc:
                 print(f"xcheck: error: {path}: {exc.strerror or exc}", file=err)
                 unreadable = True

@@ -13,10 +13,9 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from ..checkers import run_checkers
+from ..checkers import ALL_CHECKER_IDS
+from ..cli import analyze_source
 from ..diagnostics import dedupe_and_sort, to_record
-from ..lexer import tokenize
-from ..microgrammar import parse_statements
 from ..profiles import profile_for
 
 
@@ -152,14 +151,10 @@ def verify_line_anchors(case: FixtureCase) -> None:
 
 def run_pipeline(case: FixtureCase) -> list[dict]:
     profile = profile_for(case.language)
-    stream = tokenize(load_source(case), profile, source_path=case.filename)
-    tokens = stream.tokens
-    if case.line_range is not None:
-        first, last = case.line_range
-        tokens = [t for t in tokens if first <= t.pos.line <= last]
-    stmts = parse_statements(tokens, profile)
-    diags = dedupe_and_sort(run_checkers(stmts, profile, path=case.filename))
-    return [to_record(d) for d in diags]
+    _, _, diags = analyze_source(
+        load_source(case), profile, case.filename, case.line_range, ALL_CHECKER_IDS
+    )
+    return [to_record(d) for d in dedupe_and_sort(diags)]
 
 
 def run_fixture(case: FixtureCase) -> FixtureReport:

@@ -93,16 +93,6 @@ class TokenStream:
     source_path: str = "<input>"
     errors: list[LexError] = field(default_factory=list)
 
-    def __len__(self) -> int:
-        return len(self.tokens)
-
-
-def token_at(stream: TokenStream, index: int) -> Token:
-    """Return the index-th token; raises IndexError when out of bounds."""
-    if index < 0 or index >= len(stream.tokens):
-        raise IndexError(f"token index {index} out of bounds for stream of {len(stream.tokens)}")
-    return stream.tokens[index]
-
 
 # Identifier characters are ASCII letters, digits, "_", "$" and every code
 # point from U+0080 up, so these classes name only the ASCII characters that

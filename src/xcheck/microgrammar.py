@@ -272,7 +272,7 @@ class Switch(Stmt):
 
 
 # ---------------------------------------------------------------------------
-# Bracket table
+# Scans over index ranges of a token tuple: brackets and access paths
 # ---------------------------------------------------------------------------
 
 
@@ -321,6 +321,22 @@ def _bracket_table(
     for i in parens + braces:
         same[i] = n
     return same, any_
+
+
+def path_end(toks: Sequence[Token], lo: int, hi: int, deref_ops: Sequence[str]) -> int:
+    """End of the maximal ``ident (deref_op ident)*`` run of ``toks[lo:hi]``
+    that starts at ``lo`` (``lo`` itself when ``toks[lo]`` is no identifier)."""
+    if toks[lo].kind is not _IDENT:
+        return lo
+    k = lo + 1
+    while (
+        k + 1 < hi
+        and toks[k].kind is _OP
+        and toks[k].text in deref_ops
+        and toks[k + 1].kind is _IDENT
+    ):
+        k += 2
+    return k
 
 
 # ---------------------------------------------------------------------------
@@ -715,7 +731,7 @@ class _Parser:
 
         # Call: access path (or bare identifier) + balanced "(...)" covering
         # the remainder; arguments split on depth-zero commas.
-        k = self._path_end(lo, hi)
+        k = path_end(toks, lo, hi, self.profile.deref_ops)
         if lo < k < hi and toks[k].text == "(" and self.same[k] == hi - 1:
             args: list[Expr] = []
             start = j = k + 1
@@ -743,22 +759,6 @@ class _Parser:
             return replace(inner, tokens=tokens, span=span)
 
         return Wildcard(tokens, span)
-
-    def _path_end(self, lo: int, hi: int) -> int:
-        """End of the maximal ``ident (deref_op ident)*`` prefix (``lo`` if none)."""
-        toks = self.toks
-        if toks[lo].kind is not _IDENT:
-            return lo
-        deref_ops = self.profile.deref_ops
-        k = lo + 1
-        while (
-            k + 1 < hi
-            and toks[k].kind is _OP
-            and toks[k].text in deref_ops
-            and toks[k + 1].kind is _IDENT
-        ):
-            k += 2
-        return k
 
     def _path(self, lo: int, hi: int, anchor: Position) -> Expr:
         toks = self.toks[lo:hi]
@@ -845,15 +845,6 @@ def stmt_key(s: Stmt) -> Key:
         else:
             key.append(expr_key(part) if part is not None else ("None",))
     return tuple(key)
-
-
-def expr_equal(a: Expr, b: Expr) -> bool:
-    """Same constructor, recursively equal children; token text only."""
-    return expr_key(a) == expr_key(b)
-
-
-def stmt_equal(a: Stmt, b: Stmt) -> bool:
-    return stmt_key(a) == stmt_key(b)
 
 
 # ---------------------------------------------------------------------------

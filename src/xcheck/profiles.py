@@ -2,7 +2,9 @@
 operators, and null literals.
 
 Everything else in the analyzer is language-agnostic; adding a language is a
-data addition here (or a profile file loaded at runtime), not a code change.
+data change, not a code change.  The built-in C, C++ and Java profiles are
+written below in the same profile-file format that ``--profile`` loads, and
+are read by the same :func:`parse_profile_text`.
 """
 
 from __future__ import annotations
@@ -127,138 +129,14 @@ class Registry:
 
 
 # --------------------------------------------------------------------------
-# Built-in profiles
-# --------------------------------------------------------------------------
-
-_BRACKET_PAIRS = (("(", ")"), ("{", "}"), ("[", "]"))
-
-_C_OPERATORS = (
-    "...", "<<=", ">>=",
-    "->", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-    "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=",
-    "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~", ".",
-)
-
-_C_KEYWORDS = (
-    "auto break case char const continue default do double else enum extern "
-    "float for goto if inline int long register restrict return short signed "
-    "sizeof static struct switch typedef union unsigned void volatile while "
-    "_Alignas _Alignof _Atomic _Bool _Complex _Generic _Imaginary _Noreturn "
-    "_Static_assert _Thread_local"
-).split()
-
-_CPP_KEYWORDS = (
-    "alignas alignof and and_eq asm auto bitand bitor bool break case catch "
-    "char char16_t char32_t class compl const constexpr const_cast continue "
-    "decltype default delete do double dynamic_cast else enum explicit export "
-    "extern false float for friend goto if inline int long mutable namespace "
-    "new noexcept not not_eq nullptr operator or or_eq private protected "
-    "public register reinterpret_cast return short signed sizeof static "
-    "static_assert static_cast struct switch template this thread_local throw "
-    "true try typedef typeid typename union unsigned using virtual void "
-    "volatile wchar_t while xor xor_eq"
-).split()
-
-_JAVA_KEYWORDS = (
-    "abstract assert boolean break byte case catch char class const continue "
-    "default do double else enum extends final finally float for goto if "
-    "implements import instanceof int interface long native new package "
-    "private protected public return short static strictfp super switch "
-    "synchronized this throw throws transient try void volatile while "
-    "true false null"
-).split()
-
-_JAVA_OPERATORS = (
-    ">>>=", "<<=", ">>=", ">>>", "...",
-    "->", "::", "++", "--", "<<", ">>", "<=", ">=", "==", "!=", "&&", "||",
-    "+=", "-=", "*=", "/=", "%=", "&=", "^=", "|=",
-    "+", "-", "*", "/", "%", "<", ">", "=", "!", "&", "|", "^", "~", ".",
-)
-
-_C_PUNCTUATION = frozenset("(){}[];,:?")
-
-
-def _c_profile() -> LanguageProfile:
-    return LanguageProfile(
-        name="c",
-        file_extensions=frozenset({".c", ".h"}),
-        line_comment="//",
-        block_comment=("/*", "*/"),
-        string_delims=('"', "'"),
-        escape_char="\\",
-        operators=frozenset(_C_OPERATORS),
-        keywords=frozenset(_C_KEYWORDS),
-        punctuation=_C_PUNCTUATION,
-        stmt_terminator=";",
-        deref_ops=("->", "."),
-        null_literals=frozenset({"NULL"}),
-        open_close_pairs=_BRACKET_PAIRS,
-        preprocessor_prefix="#",
-    )
-
-
-def _cpp_profile() -> LanguageProfile:
-    return LanguageProfile(
-        name="cpp",
-        file_extensions=frozenset({".cpp", ".cc", ".cxx", ".hpp", ".hh", ".hxx"}),
-        line_comment="//",
-        block_comment=("/*", "*/"),
-        string_delims=('"', "'"),
-        escape_char="\\",
-        operators=frozenset(_C_OPERATORS + ("::", "->*", ".*")),
-        keywords=frozenset(_CPP_KEYWORDS),
-        punctuation=_C_PUNCTUATION,
-        stmt_terminator=";",
-        deref_ops=("->", "."),
-        null_literals=frozenset({"NULL", "nullptr"}),
-        open_close_pairs=_BRACKET_PAIRS,
-        preprocessor_prefix="#",
-    )
-
-
-def _java_profile() -> LanguageProfile:
-    return LanguageProfile(
-        name="java",
-        file_extensions=frozenset({".java"}),
-        line_comment="//",
-        block_comment=("/*", "*/"),
-        string_delims=('"', "'"),
-        escape_char="\\",
-        operators=frozenset(_JAVA_OPERATORS),
-        keywords=frozenset(_JAVA_KEYWORDS),
-        punctuation=_C_PUNCTUATION | {"@"},
-        stmt_terminator=";",
-        deref_ops=(".",),
-        null_literals=frozenset({"null"}),
-        open_close_pairs=_BRACKET_PAIRS,
-    )
-
-
-def builtin_registry() -> Registry:
-    """A fresh registry holding the built-in C, C++, and Java profiles."""
-    registry = Registry()
-    for profile in (_c_profile(), _cpp_profile(), _java_profile()):
-        registry.register(profile)
-    return registry
-
-
-DEFAULT_REGISTRY = builtin_registry()
-
-
-def profile_for(name_or_path: str, registry: Registry | None = None) -> LanguageProfile:
-    return (registry or DEFAULT_REGISTRY).resolve(name_or_path)
-
-
-def register_profile(profile: LanguageProfile, registry: Registry | None = None) -> None:
-    (registry or DEFAULT_REGISTRY).register(profile)
-
-
-# --------------------------------------------------------------------------
 # Profile definition files
 # --------------------------------------------------------------------------
 #
 # One language per file, `key = value` lines, `#` starts a comment line,
-# list values are whitespace-separated.  Example:
+# list values are whitespace-separated.  Only `name` and `operators` are
+# required; a key left out takes its default (C's comment, quote, escape,
+# terminator, punctuation `( ) { } [ ] ; , : ?` and pairs, and otherwise
+# nothing).  Example:
 #
 #     name = mini
 #     extensions = .mini .mn
@@ -286,7 +164,7 @@ def parse_profile_text(text: str) -> LanguageProfile:
     values: dict[str, list[str] | str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
-        if not line or line.startswith("# "):
+        if not line or line.startswith("#"):
             continue
         if "=" not in line:
             raise MalformedProfile(f"profile file line {lineno}: expected 'key = value'")
@@ -344,6 +222,77 @@ def parse_profile_text(text: str) -> LanguageProfile:
     )
     validate_profile(profile)
     return profile
+
+
+# --------------------------------------------------------------------------
+# Built-in profiles, in the profile-file format
+# --------------------------------------------------------------------------
+
+_C_TEXT = (
+    "name = c\n"
+    "extensions = .c .h\n"
+    "operators = ... <<= >>= -> ++ -- << >> <= >= == != && || += -= *= /= %= &= ^= |="
+    " + - * / % < > = ! & | ^ ~ .\n"
+    "keywords = auto break case char const continue default do double else enum extern"
+    " float for goto if inline int long register restrict return short signed sizeof"
+    " static struct switch typedef union unsigned void volatile while _Alignas _Alignof"
+    " _Atomic _Bool _Complex _Generic _Imaginary _Noreturn _Static_assert _Thread_local\n"
+    "deref_ops = -> .\n"
+    "null_literals = NULL\n"
+    "preprocessor = #\n"
+)
+
+_CPP_TEXT = (
+    "name = cpp\n"
+    "extensions = .cpp .cc .cxx .hpp .hh .hxx\n"
+    "operators = ... <<= >>= -> ++ -- << >> <= >= == != && || += -= *= /= %= &= ^= |="
+    " + - * / % < > = ! & | ^ ~ . :: ->* .*\n"
+    "keywords = alignas alignof and and_eq asm auto bitand bitor bool break case catch"
+    " char char16_t char32_t class compl const constexpr const_cast continue decltype"
+    " default delete do double dynamic_cast else enum explicit export extern false float"
+    " for friend goto if inline int long mutable namespace new noexcept not not_eq"
+    " nullptr operator or or_eq private protected public register reinterpret_cast"
+    " return short signed sizeof static static_assert static_cast struct switch template"
+    " this thread_local throw true try typedef typeid typename union unsigned using"
+    " virtual void volatile wchar_t while xor xor_eq\n"
+    "deref_ops = -> .\n"
+    "null_literals = NULL nullptr\n"
+    "preprocessor = #\n"
+)
+
+_JAVA_TEXT = (
+    "name = java\n"
+    "extensions = .java\n"
+    "operators = >>>= <<= >>= >>> ... -> :: ++ -- << >> <= >= == != && || += -= *= /= %="
+    " &= ^= |= + - * / % < > = ! & | ^ ~ .\n"
+    "keywords = abstract assert boolean break byte case catch char class const continue"
+    " default do double else enum extends final finally float for goto if implements"
+    " import instanceof int interface long native new package private protected public"
+    " return short static strictfp super switch synchronized this throw throws transient"
+    " try void volatile while true false null\n"
+    "punctuation = ( ) { } [ ] ; , : ? @\n"
+    "deref_ops = .\n"
+    "null_literals = null\n"
+)
+
+
+def builtin_registry() -> Registry:
+    """A fresh registry holding the built-in C, C++, and Java profiles."""
+    registry = Registry()
+    for text in (_C_TEXT, _CPP_TEXT, _JAVA_TEXT):
+        registry.register(parse_profile_text(text))
+    return registry
+
+
+DEFAULT_REGISTRY = builtin_registry()
+
+
+def profile_for(name_or_path: str, registry: Registry | None = None) -> LanguageProfile:
+    return (registry or DEFAULT_REGISTRY).resolve(name_or_path)
+
+
+def register_profile(profile: LanguageProfile, registry: Registry | None = None) -> None:
+    (registry or DEFAULT_REGISTRY).register(profile)
 
 
 def load_profile_file(path: str, registry: Registry | None = None) -> LanguageProfile:

@@ -373,15 +373,32 @@ def random_micro_program(rng: random.Random) -> str:
         )
         return f"if ({name()}) {{ {inner} }}"
 
+    def control_stmt() -> str:
+        # A do-while condition and a switch scrutinee or label are plain
+        # slots: they dereference, but they never test for null.
+        x, y = name(), name()
+        forms = [
+            lambda: f"do {{ {simple_stmt()} }} while ({x});",
+            lambda: f"do {simple_stmt()} while ({x}->{fld()} + 1);",
+            lambda: f"switch ({x}->{fld()}) {{ case 1: {simple_stmt()} break; "
+            f"case {y}->{fld()} + 1: case 2: {test_stmt()} default: {simple_stmt()} }}",
+            lambda: f"switch ({x}) {{ case {y}: {simple_stmt()} }}",
+            lambda: f"if ({x} == NULL) t(); else if ({y}->{fld()}) {simple_stmt()} "
+            f"else if ({y}) u(); else {{ {simple_stmt()} }}",
+        ]
+        return rng.choice(forms)()
+
     lines = []
     for _ in range(rng.randint(3, 14)):
         roll = rng.random()
-        if roll < 0.5:
+        if roll < 0.45:
             lines.append(simple_stmt())
-        elif roll < 0.85:
+        elif roll < 0.75:
             lines.append(test_stmt())
-        else:
+        elif roll < 0.87:
             lines.append(block_stmt())
+        else:
+            lines.append(control_stmt())
     return "\n".join(lines)
 
 

@@ -36,11 +36,9 @@ from xcheck.fixtures import case_by_name, fixture_path, run_fixture
 from xcheck.lexer import TokenKind, tokenize
 from xcheck.microgrammar import (
     MAX_NESTING,
-    expr_equal,
     expr_key,
     parse_statements,
     parse_statements_debug,
-    stmt_equal,
     stmt_key,
 )
 from xcheck.profiles import builtin_registry
@@ -206,19 +204,22 @@ def test_criterion_09_equality_laws():
             b = TreeGen(seed, pos_base=10_000).expr(3)
             c = TreeGen(seed, pos_base=20_000).expr(3)
             other = TreeGen(seed + 900_000).expr(3)
-            assert expr_equal(a, a)  # reflexive
-            assert expr_equal(a, b) and expr_equal(b, a)  # symmetric
-            assert expr_equal(b, c) and expr_equal(a, c)  # transitive
-            assert (expr_key(a) == expr_key(other)) == expr_equal(a, other)
+            ka, kb, kc, ko = expr_key(a), expr_key(b), expr_key(c), expr_key(other)
+            assert ka == ka  # reflexive
+            assert ka == kb and kb == ka  # symmetric
+            assert kb == kc and ka == kc  # transitive
+            # equality agrees with the ordering: equal exactly when neither sorts first
+            assert (ka == ko) == (not ka < ko and not ko < ka)
             expr_keys.append(expr_key(a))
             expr_keys.append(expr_key(other))
         for seed in range(500):
             a = TreeGen(seed).stmt(2)
             b = TreeGen(seed, pos_base=10_000).stmt(2)
             c = TreeGen(seed, pos_base=20_000).stmt(2)
-            assert stmt_equal(a, a)
-            assert stmt_equal(a, b) and stmt_equal(b, a)
-            assert stmt_equal(b, c) and stmt_equal(a, c)
+            ka, kb, kc = stmt_key(a), stmt_key(b), stmt_key(c)
+            assert ka == ka
+            assert ka == kb and kb == ka
+            assert kb == kc and ka == kc
         # the ordering is total (sorting never hits an incomparable pair)
         # and consistent with equality
         expr_keys.sort()

@@ -12,7 +12,7 @@ from support import (
     all_operator_tokenizations,
     greedy_operator_tokenization,
 )
-from xcheck.lexer import TokenKind, token_at, tokenize
+from xcheck.lexer import TokenKind, tokenize
 
 
 def texts(stream):
@@ -187,10 +187,10 @@ def test_tokenize_is_deterministic():
 
 def test_token_at_bounds():
     stream = tokenize("a b c", C)
-    assert token_at(stream, 0).text == "a"
-    assert token_at(stream, 2).text == "c"
+    assert stream.tokens[0].text == "a"
+    assert stream.tokens[2].text == "c"
     with pytest.raises(IndexError):
-        token_at(tokenize("a", C), 1)
+        tokenize("a", C).tokens[1]
 
 
 def test_non_ascii_digits_lex_as_identifier_text():

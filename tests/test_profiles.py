@@ -44,6 +44,26 @@ def test_header_files_default_to_c():
     assert profile_for("include/foo.h").name == "c"
 
 
+@pytest.mark.parametrize(
+    "path,name",
+    [
+        ("a.c", "c"), ("a.h", "c"),
+        ("a.cpp", "cpp"), ("a.cc", "cpp"), ("a.cxx", "cpp"),
+        ("a.hpp", "cpp"), ("a.hh", "cpp"), ("a.hxx", "cpp"),
+        ("a.java", "java"),
+        ("LEGACY.HPP", "cpp"),
+    ],
+)
+def test_builtin_extension_map(path, name):
+    assert profile_for(path).name == name
+
+
+def test_java_has_no_preprocessor_and_at_is_punctuation():
+    assert JAVA.preprocessor_prefix is None
+    assert "@" in JAVA.punctuation
+    assert C.preprocessor_prefix == CPP.preprocessor_prefix == "#"
+
+
 def test_unknown_language_lists_known_names():
     with pytest.raises(UnknownLanguage) as exc:
         profile_for("file.xyz")
@@ -108,6 +128,11 @@ def test_deref_ops_must_be_operators():
 def test_unknown_profile_key_rejected():
     with pytest.raises(MalformedProfile):
         parse_profile_text(MINI_PROFILE_TEXT + "color = blue\n")
+
+
+def test_any_line_starting_with_hash_is_a_comment():
+    text = "#\n#x = 1\n  #no space after the hash\n" + MINI_PROFILE_TEXT
+    assert parse_profile_text(text) == parse_profile_text(MINI_PROFILE_TEXT)
 
 
 def test_builtin_language_deltas():
