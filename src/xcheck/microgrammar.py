@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .lexer import Position, Token, TokenKind, TokenStream, token_end
+from .lexer import Position, Token, TokenKind, TokenStream, _new, token_end
 from .profiles import LanguageProfile
 
 # Beyond this nesting depth, block interiors and wildcard refinements stay
@@ -395,8 +395,8 @@ class _Parser:
 
     def _span(self, lo: int, hi: int, fallback: Position) -> Span:
         if hi > lo:
-            return Span(self.toks[lo].pos, token_end(self.toks[hi - 1]))
-        return Span(fallback, fallback)
+            return _new(Span, (self.toks[lo].pos, token_end(self.toks[hi - 1])))
+        return _new(Span, (fallback, fallback))
 
     def _is_kw(self, tok: Token | None, text: str) -> bool:
         return tok is not None and tok.kind is _KW and tok.text == text
@@ -486,7 +486,7 @@ class _Parser:
         terminator = self._take_syntax() if not incomplete and toks[stop].text == term else None
         anchor = terminator.pos if terminator is not None else toks[lo].pos
         end = token_end(terminator) if terminator is not None else token_end(toks[stop - 1])
-        span = Span(toks[lo].pos if stop > lo else anchor, end)
+        span = _new(Span, (toks[lo].pos if stop > lo else anchor, end))
         return WildcardStmt(self._slot(lo, stop, anchor, incomplete), span, incomplete=incomplete)
 
     def _slot(self, lo: int, hi: int, fallback: Position, incomplete: bool = False) -> Expr:
@@ -516,7 +516,7 @@ class _Parser:
     def _block(self, depth: int) -> Block:
         lo, hi, ok, open_tok = self._balanced("{")
         body = self._subparse(lo, hi, depth + 1)
-        return Block(body, Span(open_tok.pos, self._end_pos()), incomplete=not ok)
+        return Block(body, _new(Span, (open_tok.pos, self._end_pos())), incomplete=not ok)
 
     def _body(self, depth: int) -> tuple[list[Stmt], bool]:
         """Either a braced statement list or exactly one statement."""
@@ -547,13 +547,13 @@ class _Parser:
                 else_body, inc3 = self._body(depth)
                 incomplete = incomplete or inc3
                 break
-        return If(cond, then_body, elifs, else_body, Span(if_tok.pos, self._end_pos()), incomplete)
+        return If(cond, then_body, elifs, else_body, _new(Span, (if_tok.pos, self._end_pos())), incomplete)
 
     def _while(self, depth: int) -> While:
         while_tok = self._take_syntax()
         cond, ok = self._cond()
         body, inc = self._body(depth)
-        return While(cond, body, Span(while_tok.pos, self._end_pos()), not ok or inc)
+        return While(cond, body, _new(Span, (while_tok.pos, self._end_pos())), not ok or inc)
 
     def _do_while(self, depth: int) -> DoWhile:
         do_tok = self._take_syntax()
@@ -565,15 +565,15 @@ class _Parser:
         nxt = self._peek()
         if nxt is not None and nxt.text == self.profile.stmt_terminator:
             self._take_syntax()
-        return DoWhile(body, cond, Span(do_tok.pos, self._end_pos()), not ok or inc)
+        return DoWhile(body, cond, _new(Span, (do_tok.pos, self._end_pos())), not ok or inc)
 
     def _for(self, depth: int) -> For:
         for_tok = self._take_syntax()
         lo, hi, ok, open_tok = self._balanced("(")
-        header_span = Span(open_tok.pos, self._end_pos())
+        header_span = _new(Span, (open_tok.pos, self._end_pos()))
         init, cond, update = self._split_for_header(lo, hi, open_tok.pos)
         body, inc = self._body(depth)
-        return For(init, cond, update, body, header_span, Span(for_tok.pos, self._end_pos()), not ok or inc)
+        return For(init, cond, update, body, header_span, _new(Span, (for_tok.pos, self._end_pos())), not ok or inc)
 
     def _split_for_header(
         self, lo: int, hi: int, anchor: Position
@@ -611,7 +611,7 @@ class _Parser:
             raise _StructuralMismatch("switch without a braced body")
         lo, hi, ok2, _ = self._balanced("{")
         cases = self._split_cases(lo, hi, depth)
-        return Switch(scrutinee, cases, Span(sw_tok.pos, self._end_pos()), not ok or not ok2)
+        return Switch(scrutinee, cases, _new(Span, (sw_tok.pos, self._end_pos())), not ok or not ok2)
 
     def _split_cases(self, lo: int, hi: int, depth: int) -> list[CaseArm]:
         """Cut the switch body into case/default arms at depth zero.
@@ -659,7 +659,7 @@ class _Parser:
                     body.insert(0, WildcardStmt(stray, self._span(start + 1, label_end, label_tok.pos)))
             else:
                 label = self._slot(start + 1, label_end, label_tok.pos)
-            arms.append(CaseArm(label, body, Span(label_tok.pos, token_end(toks[stop - 1]))))
+            arms.append(CaseArm(label, body, _new(Span, (label_tok.pos, token_end(toks[stop - 1])))))
         return arms
 
     # -- expression refinement ------------------------------------------------

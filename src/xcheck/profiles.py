@@ -171,6 +171,8 @@ def parse_profile_text(text: str) -> LanguageProfile:
         key, _, value = line.partition("=")
         key = key.strip()
         value = value.strip()
+        if key in values:
+            raise MalformedProfile(f"profile file line {lineno}: key {key!r} is given twice")
         if key in _LIST_KEYS:
             values[key] = value.split()
         elif key in _SCALAR_KEYS:

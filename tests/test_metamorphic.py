@@ -130,6 +130,24 @@ def test_generated_program_findings_survive_consistent_renaming():
     assert total > 0
 
 
+def test_concatenated_files_keep_each_files_findings():
+    """Findings of ``A + "\\n{}\\n" + B`` are A's plus B's moved down by A's
+    lines: the empty block between them resets the tracked null-deref state,
+    so nothing leaks from A into B."""
+    rng = random.Random(7170)
+    total = 0
+    for _ in range(500):
+        a, b = random_micro_program(rng), random_micro_program(rng)
+        shift = a.count("\n") + 2
+        want = _findings(a, C) + [
+            (checker, line + shift, related if related is None else related + shift, message)
+            for checker, line, related, message in _findings(b, C)
+        ]
+        total += len(want)
+        assert _findings(a + "\n{}\n" + b, C) == want, (a, b)
+    assert total > 0
+
+
 def _cli(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
     return run(parse_args(argv), registry=builtin_registry(), out=out, err=err), out.getvalue()

@@ -130,6 +130,14 @@ def test_unknown_profile_key_rejected():
         parse_profile_text(MINI_PROFILE_TEXT + "color = blue\n")
 
 
+def test_repeated_profile_key_rejected_with_its_line():
+    text = "name = t\noperators = . = ==\n# a list split over two lines\noperators = + -\n"
+    with pytest.raises(MalformedProfile, match=r"line 4: key 'operators' is given twice"):
+        parse_profile_text(text)
+    with pytest.raises(MalformedProfile, match="'name'"):
+        parse_profile_text(MINI_PROFILE_TEXT + "name = other\n")
+
+
 def test_any_line_starting_with_hash_is_a_comment():
     text = "#\n#x = 1\n  #no space after the hash\n" + MINI_PROFILE_TEXT
     assert parse_profile_text(text) == parse_profile_text(MINI_PROFILE_TEXT)

@@ -1,0 +1,118 @@
+"""End positions, checked against the source text.
+
+``tests/reference_parser.py`` builds its spans with the shipped
+``token_end``, so the parser oracle cannot see a wrong end position.  Here
+each token's end is recomputed from the text alone: the line, column and
+offset of ``offset + len(text)``.  Every parsed node's span must end where
+its last token does, and the records the lexer and parser build must be
+instances of the named classes.
+"""
+
+from __future__ import annotations
+
+import bisect
+import random
+from dataclasses import fields
+
+import pytest
+
+from support import C, CPP, JAVA, random_micro_program
+from xcheck.fixtures import fixture_path
+from xcheck.lexer import Position, Token, token_end, tokenize
+from xcheck.microgrammar import (
+    BODY,
+    Expr,
+    For,
+    Span,
+    Switch,
+    expr_tokens,
+    parse_statements,
+    walk_statements,
+)
+from xcheck.profiles import LanguageProfile
+
+FIXTURES = ("object.c", "InstCombineAddSub.cpp", "CipherCore.java")
+PROFILES = {"c": C, "cpp": CPP, "java": JAVA}
+# A backslash before a newline continues a string literal onto the next line.
+ESCAPED_NEWLINES = (
+    'char *s = "ab\\\ncd"; x = 1;\n',
+    'p = "\\\n\\\n"; if (p) q->a;\n',
+    'x = "one\\\ntwo\\\nthree" + y;\n  z = \'\\\n\';\n',
+    'if (a) {\n  s = "x\\\n  y";\n}\nb->c = "\\\n";',
+)
+
+
+def _end_from_source(source: str, tok: Token) -> Position:
+    end = tok.pos.offset + len(tok.text)
+    line_start = source.rfind("\n", 0, end) + 1
+    return Position(source.count("\n", 0, end) + 1, end - line_start + 1, end)
+
+
+def _expressions(stmt):
+    """Every expression node under ``stmt``'s slots, nested ones too."""
+    todo = [part for role, part in stmt.parts() if role is not BODY and part is not None]
+    while todo:
+        expr = todo.pop()
+        yield expr
+        for f in fields(expr):
+            value = getattr(expr, f.name)
+            children = value if isinstance(value, tuple) else (value,)
+            todo += [child for child in children if isinstance(child, Expr)]
+
+
+def _check(source: str, profile: LanguageProfile) -> int:
+    tokens = tokenize(source, profile).tokens
+    for tok in tokens:
+        assert type(tok) is Token and type(tok.pos) is Position
+        assert source.startswith(tok.text, tok.pos.offset)
+        end = token_end(tok)
+        assert type(end) is Position
+        assert end == _end_from_source(source, tok), (tok, source)
+
+    offsets = [t.pos.offset for t in tokens]
+
+    def ends_at_last_token(span: Span) -> None:
+        # The last token that starts inside the span must end where it ends.
+        assert type(span) is Span
+        if span.start == span.end:
+            return
+        last = tokens[bisect.bisect_left(offsets, span.end.offset) - 1]
+        assert span.start.offset <= last.pos.offset
+        assert span.end == token_end(last), (span, last)
+
+    nodes = 0
+    for stmt in walk_statements(parse_statements(tokenize(source, profile), profile)):
+        ends_at_last_token(stmt.span)
+        spans = [arm.span for arm in stmt.cases] if isinstance(stmt, Switch) else []
+        if isinstance(stmt, For):
+            spans.append(stmt.header_span)
+        for span in spans:
+            ends_at_last_token(span)
+        for expr in _expressions(stmt):
+            assert type(expr.span) is Span
+            covered = expr_tokens(expr)
+            if covered:
+                assert expr.span.end == token_end(covered[-1])
+                ends_at_last_token(expr.span)
+        nodes += 1
+    return nodes
+
+
+@pytest.mark.parametrize("filename", FIXTURES)
+@pytest.mark.parametrize("language", PROFILES)
+def test_fixture_end_positions_match_the_source(filename, language):
+    with open(fixture_path(filename), encoding="utf-8") as fh:
+        assert _check(fh.read(), PROFILES[language]) > 0
+
+
+def test_generated_program_end_positions_match_the_source():
+    rng = random.Random(8180)
+    assert sum(_check(random_micro_program(rng), C) for _ in range(300)) > 0
+
+
+@pytest.mark.parametrize("source", ESCAPED_NEWLINES)
+@pytest.mark.parametrize("language", PROFILES)
+def test_escaped_newline_end_positions_match_the_source(source, language):
+    _check(source, PROFILES[language])
+    strings = [t for t in tokenize(source, PROFILES[language]).tokens if "\n" in t.text]
+    assert strings and all(token_end(t).line > t.pos.line for t in strings)
