@@ -11,7 +11,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .checkers import ALL_CHECKER_IDS, run_checkers
 from .diagnostics import Diagnostic, dedupe_and_sort, render_json, render_text
@@ -31,8 +31,7 @@ class BadRange(Exception):
     pass
 
 
-@dataclass
-class RunConfig:
+class RunConfig(NamedTuple):
     paths: list[str]
     lang_override: str | None = None
     checkers: tuple[str, ...] = ALL_CHECKER_IDS

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import json
 from typing import Iterable, NamedTuple, Sequence
 
 from .lexer import Position
@@ -63,4 +62,6 @@ def to_record(d: Diagnostic) -> dict:
 
 
 def render_json(diags: Sequence[Diagnostic]) -> str:
+    import json  # here, not at the top: a text-format run never pays for the import
+
     return json.dumps([to_record(d) for d in diags], indent=2)

@@ -2,10 +2,10 @@
 
 Turns raw source text into a stream of position-annotated tokens.
 Each profile's data (comment syntax, quotes and escape, preprocessor
-prefix, operators) is compiled into one regex scanner, cached on the
-profile.  Comments never produce tokens, string/char literals collapse
-into single tokens, and operators are matched with maximal munch (the
-longest operator in the profile wins at every position), so "++"
+prefix, operators) is compiled into one regex scanner, cached by the
+profile's value.  Comments never produce tokens, string/char literals
+collapse into single tokens, and operators are matched with maximal munch
+(the longest operator in the profile wins at every position), so "++"
 can never lex as "+", "+".
 
 Lexing never hard-fails and always terminates: every step consumes at
@@ -16,8 +16,8 @@ recorded on the stream as recoverable errors and scanning resumes.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
 from enum import Enum, auto
+from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
 
 if TYPE_CHECKING:
@@ -94,11 +94,39 @@ class LexError(NamedTuple):
     pos: Position
 
 
-@dataclass(slots=True)
-class TokenStream:
-    tokens: list[Token]
-    source_path: str = "<input>"
-    errors: list[LexError] = field(default_factory=list)
+class _Slotted:
+    """Value behaviour shared by the pipeline's mutable objects (the token
+    stream and the tree nodes), read from ``__slots__``, which names each
+    class's fields in constructor order.
+
+    They print as ``Name(field=value, ...)`` and equal only an object of
+    the same class with equal fields, so they are not hashable.  They are
+    plain slotted classes because ``dataclasses`` is slow to import and to
+    apply, and the CLI pays both on every run.
+    """
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self.__slots__
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
+
+
+class TokenStream(_Slotted):
+    __slots__ = ("tokens", "source_path", "errors")
+
+    def __init__(
+        self, tokens: list[Token], source_path: str = "<input>", errors: list[LexError] | None = None
+    ) -> None:
+        self.tokens, self.source_path = tokens, source_path
+        self.errors = [] if errors is None else errors
 
 
 # Identifier characters are ASCII letters, digits, "_", "$" and every code
@@ -122,15 +150,16 @@ def _quoted(name: str, quote: str, escape: str) -> str:
     return rf"(?P<{name}>{q}{plain}(?:{re.escape(escape)}[\s\S]?{plain})*(?P<{name}_end>{q})?)"
 
 
-def compile_scanner(profile: LanguageProfile) -> tuple[re.Pattern[str], re.Pattern[str]]:
-    """Compile ``profile`` into its two scanner patterns.
+@lru_cache(maxsize=32)
+def compile_scanner(profile: LanguageProfile, directives: bool = True) -> re.Pattern[str]:
+    """Compile ``profile`` into its scanner pattern, cached by the profile's value.
 
-    The first tries, in order: whitespace, line comment, block-comment
-    opener, preprocessor line, string and char literals, hex and decimal
-    numbers, identifiers, operators longest first (maximal munch), and any
-    single character.  The second is the same without the preprocessor
-    line, for a prefix that does not start its line.  Use the copy cached on
-    the profile, ``profile.scanner``.
+    The pattern tries, in order: whitespace, line comment, block-comment
+    opener, preprocessor line (left out when ``directives`` is false),
+    string and char literals, hex and decimal numbers, identifiers,
+    operators longest first (maximal munch), and any single character.
+    The lexer needs the pattern without directives only for a preprocessor
+    prefix that does not start its line, so it compiles that on first need.
     """
     string_quote, char_quote = profile.string_delims
     rules = [r"(?P<ws>[ \t\r\n\f\v]+)"]
@@ -138,12 +167,10 @@ def compile_scanner(profile: LanguageProfile) -> tuple[re.Pattern[str], re.Patte
         rules.append(rf"(?P<lc>{re.escape(profile.line_comment)}[^\n]*)")
     if profile.block_comment[0]:
         rules.append(f"(?P<bc>{re.escape(profile.block_comment[0])})")
-    preprocessor = None
-    if profile.preprocessor_prefix:
+    if profile.preprocessor_prefix and directives:
         # A trailing backslash continues the directive onto the next line.
         prefix = re.escape(profile.preprocessor_prefix)
-        preprocessor = rf"(?P<pp>(?={prefix})[^\\\n]*(?:\\\n?[^\\\n]*)*)"
-        rules.append(preprocessor)
+        rules.append(rf"(?P<pp>(?={prefix})[^\\\n]*(?:\\\n?[^\\\n]*)*)")
     rules.append(_quoted("str", string_quote, profile.escape_char))
     if char_quote != string_quote:
         rules.append(_quoted("chr", char_quote, profile.escape_char))
@@ -152,11 +179,7 @@ def compile_scanner(profile: LanguageProfile) -> tuple[re.Pattern[str], re.Patte
     if operators:
         rules.append(f"(?P<op>{'|'.join(map(re.escape, operators))})")
     rules.append(r"(?P<punct>[\s\S])")
-    master = re.compile("|".join(rules))
-    if preprocessor is None:
-        return master, master
-    rules.remove(preprocessor)
-    return master, re.compile("|".join(rules))
+    return re.compile("|".join(rules))
 
 
 def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>") -> TokenStream:
@@ -166,8 +189,7 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
     increasing offset order and contains nothing from comments or
     (C/C++) preprocessor lines.
     """
-    master, fallback = profile.scanner
-    match = master.match
+    match = compile_scanner(profile).match
     keywords = profile.keywords
     punctuation = profile.punctuation
     block_close = profile.block_comment[1]
@@ -203,7 +225,7 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
             if not source[line_start:pos].strip():
                 pos = m.end()
                 continue
-            m = fallback.match(source, pos)
+            m = compile_scanner(profile, False).match(source, pos)
             group = m.lastgroup
         text = m.group()
         if group == "ident":

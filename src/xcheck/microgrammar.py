@@ -28,10 +28,9 @@ the tree dump and the checkers' event walk all read that one declaration.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .lexer import Position, Token, TokenKind, TokenStream, _new, token_end
+from .lexer import Position, Token, TokenKind, TokenStream, _new, _Slotted, token_end
 from .profiles import LanguageProfile
 
 # Beyond this nesting depth, block interiors and wildcard refinements stay
@@ -62,79 +61,81 @@ class Span(NamedTuple):
 # ---------------------------------------------------------------------------
 
 
-class Expr:
+class Expr(_Slotted):
     """Base class for expression tree nodes."""
 
     __slots__ = ()
 
 
-@dataclass(slots=True)
 class Wildcard(Expr):
     """An uninterpreted, ordered run of tokens."""
 
-    tokens: tuple[Token, ...]
-    span: Span
-    incomplete: bool = False
+    __slots__ = ("tokens", "span", "incomplete")
+
+    def __init__(self, tokens: tuple[Token, ...], span: Span, incomplete: bool = False) -> None:
+        self.tokens, self.span, self.incomplete = tokens, span, incomplete
 
 
-@dataclass(slots=True)
 class Compare(Expr):
-    op: str  # < <= > >= == !=
-    lhs: Expr
-    rhs: Expr
-    tokens: tuple[Token, ...]
-    span: Span
+    __slots__ = ("op", "lhs", "rhs", "tokens", "span")
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr, tokens: tuple[Token, ...], span: Span) -> None:
+        self.op, self.lhs, self.rhs = op, lhs, rhs  # op: < <= > >= == !=
+        self.tokens, self.span = tokens, span
 
 
-@dataclass(slots=True)
 class Logical(Expr):
-    op: str  # && ||
-    lhs: Expr
-    rhs: Expr
-    tokens: tuple[Token, ...]
-    span: Span
+    __slots__ = ("op", "lhs", "rhs", "tokens", "span")
+
+    def __init__(self, op: str, lhs: Expr, rhs: Expr, tokens: tuple[Token, ...], span: Span) -> None:
+        self.op, self.lhs, self.rhs = op, lhs, rhs  # op: && ||
+        self.tokens, self.span = tokens, span
 
 
-@dataclass(slots=True)
 class Not(Expr):
-    operand: Expr
-    tokens: tuple[Token, ...]
-    span: Span
+    __slots__ = ("operand", "tokens", "span")
+
+    def __init__(self, operand: Expr, tokens: tuple[Token, ...], span: Span) -> None:
+        self.operand, self.tokens, self.span = operand, tokens, span
 
 
-@dataclass(slots=True)
 class Update(Expr):
-    op: str  # ++ -- += -=
-    target: Expr
-    tokens: tuple[Token, ...]
-    span: Span
-    value: Expr | None = None  # right side of += / -=
+    __slots__ = ("op", "target", "tokens", "span", "value")
+
+    def __init__(
+        self, op: str, target: Expr, tokens: tuple[Token, ...], span: Span, value: Expr | None = None
+    ) -> None:
+        self.op, self.target = op, target  # op: ++ -- += -=
+        self.tokens, self.span = tokens, span
+        self.value = value  # right side of += / -=
 
 
-@dataclass(slots=True)
 class Assign(Expr):
-    lhs: Expr
-    rhs: Expr
-    tokens: tuple[Token, ...]
-    span: Span
+    __slots__ = ("lhs", "rhs", "tokens", "span")
+
+    def __init__(self, lhs: Expr, rhs: Expr, tokens: tuple[Token, ...], span: Span) -> None:
+        self.lhs, self.rhs = lhs, rhs
+        self.tokens, self.span = tokens, span
 
 
-@dataclass(slots=True)
 class Call(Expr):
-    callee: Expr
-    args: tuple[Expr, ...]
-    tokens: tuple[Token, ...]
-    span: Span
+    __slots__ = ("callee", "args", "tokens", "span")
+
+    def __init__(self, callee: Expr, args: tuple[Expr, ...], tokens: tuple[Token, ...], span: Span) -> None:
+        self.callee, self.args = callee, args
+        self.tokens, self.span = tokens, span
 
 
-@dataclass(slots=True)
 class AccessPath(Expr):
     """identifier (deref_op identifier)+ — e.g. ``state->work``."""
 
-    root: Token
-    steps: tuple[tuple[str, Token], ...]
-    tokens: tuple[Token, ...]
-    span: Span
+    __slots__ = ("root", "steps", "tokens", "span")
+
+    def __init__(
+        self, root: Token, steps: tuple[tuple[str, Token], ...], tokens: tuple[Token, ...], span: Span
+    ) -> None:
+        self.root, self.steps = root, steps
+        self.tokens, self.span = tokens, span
 
     def path(self) -> tuple[str, ...]:
         """The flattened access chain: ``("state", "->", "work")``."""
@@ -144,11 +145,11 @@ class AccessPath(Expr):
         return tuple(flat)
 
 
-@dataclass(slots=True)
 class Atom(Expr):
-    token: Token
-    tokens: tuple[Token, ...]
-    span: Span
+    __slots__ = ("token", "tokens", "span")
+
+    def __init__(self, token: Token, tokens: tuple[Token, ...], span: Span) -> None:
+        self.token, self.tokens, self.span = token, tokens, span
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +165,7 @@ BODY = "body"  # a list[Stmt]
 Part = tuple[str, "Expr | list[Stmt] | None"]
 
 
-class Stmt:
+class Stmt(_Slotted):
     """Base class for statement tree nodes."""
 
     __slots__ = ()
@@ -175,34 +176,41 @@ class Stmt:
         raise NotImplementedError
 
 
-@dataclass(slots=True)
 class WildcardStmt(Stmt):
-    expr: Expr
-    span: Span
-    incomplete: bool = False
+    __slots__ = ("expr", "span", "incomplete")
+
+    def __init__(self, expr: Expr, span: Span, incomplete: bool = False) -> None:
+        self.expr, self.span, self.incomplete = expr, span, incomplete
 
     def parts(self) -> Sequence[Part]:
         return ((SLOT, self.expr),)
 
 
-@dataclass(slots=True)
 class Block(Stmt):
-    body: list[Stmt]
-    span: Span
-    incomplete: bool = False
+    __slots__ = ("body", "span", "incomplete")
+
+    def __init__(self, body: list[Stmt], span: Span, incomplete: bool = False) -> None:
+        self.body, self.span, self.incomplete = body, span, incomplete
 
     def parts(self) -> Sequence[Part]:
         return ((BODY, self.body),)
 
 
-@dataclass(slots=True)
 class If(Stmt):
-    cond: Expr
-    then_body: list[Stmt]
-    elifs: list[tuple[Expr, list[Stmt]]]  # flattened `else if` chain
-    else_body: list[Stmt] | None
-    span: Span
-    incomplete: bool = False
+    __slots__ = ("cond", "then_body", "elifs", "else_body", "span", "incomplete")
+
+    def __init__(
+        self,
+        cond: Expr,
+        then_body: list[Stmt],
+        elifs: list[tuple[Expr, list[Stmt]]],  # flattened `else if` chain
+        else_body: list[Stmt] | None,
+        span: Span,
+        incomplete: bool = False,
+    ) -> None:
+        self.cond, self.then_body = cond, then_body
+        self.elifs, self.else_body = elifs, else_body
+        self.span, self.incomplete = span, incomplete
 
     def parts(self) -> Sequence[Part]:
         parts: list[Part] = [(TEST, self.cond), (BODY, self.then_body)]
@@ -213,56 +221,64 @@ class If(Stmt):
         return parts
 
 
-@dataclass(slots=True)
 class While(Stmt):
-    cond: Expr
-    body: list[Stmt]
-    span: Span
-    incomplete: bool = False
+    __slots__ = ("cond", "body", "span", "incomplete")
+
+    def __init__(self, cond: Expr, body: list[Stmt], span: Span, incomplete: bool = False) -> None:
+        self.cond, self.body = cond, body
+        self.span, self.incomplete = span, incomplete
 
     def parts(self) -> Sequence[Part]:
         return ((TEST, self.cond), (BODY, self.body))
 
 
-@dataclass(slots=True)
 class DoWhile(Stmt):
-    body: list[Stmt]
-    cond: Expr
-    span: Span
-    incomplete: bool = False
+    __slots__ = ("body", "cond", "span", "incomplete")
+
+    def __init__(self, body: list[Stmt], cond: Expr, span: Span, incomplete: bool = False) -> None:
+        self.body, self.cond = body, cond
+        self.span, self.incomplete = span, incomplete
 
     def parts(self) -> Sequence[Part]:
         # a do-while condition is not a null-test position
         return ((BODY, self.body), (SLOT, self.cond))
 
 
-@dataclass(slots=True)
 class For(Stmt):
-    init: Expr | None
-    cond: Expr | None
-    update: Expr | None
-    body: list[Stmt]
-    header_span: Span
-    span: Span
-    incomplete: bool = False
+    __slots__ = ("init", "cond", "update", "body", "header_span", "span", "incomplete")
+
+    def __init__(
+        self,
+        init: Expr | None,
+        cond: Expr | None,
+        update: Expr | None,
+        body: list[Stmt],
+        header_span: Span,
+        span: Span,
+        incomplete: bool = False,
+    ) -> None:
+        self.init, self.cond, self.update = init, cond, update
+        self.body = body
+        self.header_span, self.span, self.incomplete = header_span, span, incomplete
 
     def parts(self) -> Sequence[Part]:
         return ((SLOT, self.init), (TEST, self.cond), (SLOT, self.update), (BODY, self.body))
 
 
-@dataclass(slots=True)
-class CaseArm:
-    label: Expr | None  # None marks a `default` arm
-    body: list[Stmt]
-    span: Span
+class CaseArm(_Slotted):
+    __slots__ = ("label", "body", "span")
+
+    def __init__(self, label: Expr | None, body: list[Stmt], span: Span) -> None:
+        self.label = label  # None marks a `default` arm
+        self.body, self.span = body, span
 
 
-@dataclass(slots=True)
 class Switch(Stmt):
-    scrutinee: Expr
-    cases: list[CaseArm]
-    span: Span
-    incomplete: bool = False
+    __slots__ = ("scrutinee", "cases", "span", "incomplete")
+
+    def __init__(self, scrutinee: Expr, cases: list[CaseArm], span: Span, incomplete: bool = False) -> None:
+        self.scrutinee, self.cases = scrutinee, cases
+        self.span, self.incomplete = span, incomplete
 
     def parts(self) -> Sequence[Part]:
         parts: list[Part] = [(SLOT, self.scrutinee)]
@@ -348,7 +364,6 @@ class _StructuralMismatch(Exception):
     """A statement shape did not pan out; the scanner slides one token."""
 
 
-@dataclass
 class ParseAccounting:
     """Bookkeeping for the totality/conservation properties.
 
@@ -357,8 +372,11 @@ class ParseAccounting:
     and tokens skipped over by sliding-window recovery.
     """
 
-    syntax_tokens: list[Token] = field(default_factory=list)
-    iterations: int = 0
+    __slots__ = ("syntax_tokens", "iterations")
+
+    def __init__(self) -> None:
+        self.syntax_tokens: list[Token] = []
+        self.iterations = 0
 
 
 class _Parser:
@@ -756,7 +774,8 @@ class _Parser:
         # keep the original token slice on the node.
         if first.text == "(" and self.same[lo] == hi - 1:
             inner = refine(lo + 1, hi - 1, depth, anchor)
-            return replace(inner, tokens=tokens, span=span)
+            inner.tokens, inner.span = tokens, span  # a node just built: nothing else holds it
+            return inner
 
         return Wildcard(tokens, span)
 

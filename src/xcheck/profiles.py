@@ -10,11 +10,7 @@ are read by the same :func:`parse_profile_text`.
 from __future__ import annotations
 
 import os
-import re
-from dataclasses import dataclass
-from functools import cached_property
-
-from .lexer import compile_scanner
+from typing import NamedTuple
 
 
 class ProfileError(Exception):
@@ -33,8 +29,11 @@ class MalformedProfile(ProfileError):
     pass
 
 
-@dataclass(frozen=True)
-class LanguageProfile:
+class LanguageProfile(NamedTuple):
+    """One language's lexical and syntactic data: an immutable value that
+    compares and hashes by value (a named tuple), so the lexer caches its
+    compiled scanner by value.  Derive a variant with ``profile._replace()``."""
+
     name: str
     file_extensions: frozenset[str]
     line_comment: str
@@ -52,17 +51,13 @@ class LanguageProfile:
     # like comments (with backslash continuation). None disables the rule.
     preprocessor_prefix: str | None = None
 
-    @cached_property
-    def scanner(self) -> tuple[re.Pattern[str], re.Pattern[str]]:
-        """The lexer's compiled patterns for this profile, built on first use.
-
-        Kept on the value itself, so they live and die with it.
-        """
-        return compile_scanner(self)
-
 
 def validate_profile(profile: LanguageProfile) -> None:
     """Raise MalformedProfile when the profile's own invariants fail."""
+    try:
+        hash(profile)  # the lexer caches its scanner by the profile's value
+    except TypeError:
+        raise MalformedProfile(f"profile {profile.name!r}: every field must be immutable") from None
     problems: list[str] = []
     if not profile.name:
         problems.append("name is empty")

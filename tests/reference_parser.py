@@ -11,7 +11,6 @@ the shipped module, so trees compare by ``repr``.
 
 from __future__ import annotations
 
-from dataclasses import replace
 from typing import Sequence
 
 from xcheck.lexer import Position, Token, TokenKind, TokenStream, token_end
@@ -529,7 +528,8 @@ def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anc
     # keep the original token slice on the node.
     if tokens[0].text == "(" and _matching_close(tokens, 0) == len(tokens) - 1:
         inner = sub(tokens[1:-1])
-        return replace(inner, tokens=tokens, span=span)
+        inner.tokens, inner.span = tokens, span  # a node just built: nothing else holds it
+        return inner
 
     return Wildcard(tokens, span)
 

@@ -8,7 +8,6 @@ accounting), never from the code path under test.
 
 from __future__ import annotations
 
-import dataclasses
 import json
 import random
 import time
@@ -96,7 +95,7 @@ def test_criterion_04_cross_language_port_is_profile_data_only():
     with criterion(4, "cross-language port via deref_ops only", budget_s=5.0):
         # One implementation, one configuration knob: two profiles that are
         # identical except for deref_ops must disagree on an arrow deref.
-        java_with_arrow = dataclasses.replace(JAVA, deref_ops=("->", "."))
+        java_with_arrow = JAVA._replace(deref_ops=("->", "."))
         src = "a->b;\nif (a) x();\n"
 
         def analyze(profile):

@@ -1,7 +1,6 @@
 """Wildcard refinement (the total expression parser) and structural equality."""
 
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -240,5 +239,7 @@ def test_statement_key_tells_apart_shapes_that_differ(a, b):
 def test_statement_key_tells_else_if_chain_from_nested_if_in_else():
     chain = parse_source("if (a) f(); else if (b) g();")[0]
     (cond, body), = chain.elifs
-    nested = replace(chain, elifs=[], else_body=[If(cond, body, [], None, chain.span)])
+    nested = If(
+        chain.cond, chain.then_body, [], [If(cond, body, [], None, chain.span)], chain.span, chain.incomplete
+    )
     assert stmt_key(chain) != stmt_key(nested)

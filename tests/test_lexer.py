@@ -1,6 +1,5 @@
 """Lexer behavior: token classes, maximal munch, comments, recovery."""
 
-import dataclasses
 import random
 
 import pytest
@@ -12,7 +11,7 @@ from support import (
     all_operator_tokenizations,
     greedy_operator_tokenization,
 )
-from xcheck.lexer import TokenKind, tokenize
+from xcheck.lexer import TokenKind, compile_scanner, tokenize
 
 
 def texts(stream):
@@ -105,6 +104,23 @@ def test_preprocessor_lines_are_skipped_with_continuation():
     stream = tokenize(src, C)
     assert texts(stream) == ["int", "x", ";"]
     assert stream.tokens[0].pos.line == 4
+
+
+@pytest.mark.parametrize("profile", [C, CPP], ids=lambda p: p.name)
+def test_prefix_inside_a_line_is_an_unknown_character(profile):
+    stream = tokenize("x = a # b;\n  #define Q 1\ny = c;", profile)
+    assert texts(stream) == ["x", "=", "a", "#", "b", ";", "y", "=", "c", ";"]
+    assert stream.tokens[3].kind is TokenKind.PUNCTUATION
+    assert [(e.kind, e.pos.line, e.pos.column) for e in stream.errors] == [("unknown-character", 1, 7)]
+
+
+def test_scanner_without_directives_is_compiled_on_first_need():
+    compile_scanner.cache_clear()
+    tokenize("#include <a.h>\nx = a;", C)
+    assert compile_scanner.cache_info().currsize == 1
+    tokenize("x = a # b;", C)
+    tokenize("y = c # d;", C)
+    assert compile_scanner.cache_info().currsize == 2
 
 
 def test_hash_is_not_special_in_java():
@@ -210,7 +226,7 @@ def test_fresh_profiles_never_share_a_stale_scanner():
     # id() would hand some of them the previous profile's operators.
     for i in range(40):
         operators = C.operators | {"++"} if i % 2 else C.operators - {"++"}
-        profile = dataclasses.replace(C, operators=operators)
+        profile = C._replace(operators=operators)
         expected = ["a", *greedy_operator_tokenization("++", operators), "b"]
         assert texts(tokenize("a++b", profile)) == expected, f"profile {i}"
         del profile

@@ -1,6 +1,5 @@
 """Registry behavior and the per-language data deltas."""
 
-import dataclasses
 
 import pytest
 
@@ -92,7 +91,7 @@ def test_register_duplicate_name_rejected():
 
 def test_register_extension_differing_only_in_case_rejected():
     registry = builtin_registry()
-    upper_c = dataclasses.replace(C, name="upper-c", file_extensions=frozenset({".C"}))
+    upper_c = C._replace(name="upper-c", file_extensions=frozenset({".C"}))
     with pytest.raises(DuplicateName):
         registry.register(upper_c)
     assert registry.resolve("x.c") is registry.resolve("c")
@@ -118,6 +117,13 @@ def test_register_empty_operator_set_rejected():
                 open_close_pairs=(("(", ")"),),
             )
         )
+
+
+def test_register_profile_with_a_mutable_field_rejected():
+    with pytest.raises(MalformedProfile, match="must be immutable"):
+        Registry().register(C._replace(operators=set(C.operators)))
+    with pytest.raises(MalformedProfile, match="must be immutable"):
+        Registry().register(C._replace(deref_ops=list(C.deref_ops)))
 
 
 def test_deref_ops_must_be_operators():

@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import bisect
 import random
-from dataclasses import fields
 
 import pytest
 
@@ -54,8 +53,8 @@ def _expressions(stmt):
     while todo:
         expr = todo.pop()
         yield expr
-        for f in fields(expr):
-            value = getattr(expr, f.name)
+        for name in type(expr).__slots__:
+            value = getattr(expr, name)
             children = value if isinstance(value, tuple) else (value,)
             todo += [child for child in children if isinstance(child, Expr)]
 
