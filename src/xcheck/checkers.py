@@ -38,7 +38,6 @@ from .microgrammar import (
     WildcardStmt,
     Key,
     expr_key,
-    expr_tokens,
     path_end,
     stmt_key,
     walk_statements,
@@ -69,13 +68,6 @@ Path = tuple[str, ...]
 
 def render_path(path: Path) -> str:
     return "".join(path)
-
-
-class NonNullEntry(NamedTuple):
-    """A path believed non-null because it was dereferenced (immutable named tuple)."""
-
-    path: Path
-    deref_pos: Position
 
 
 class DerefEvent(NamedTuple):
@@ -205,14 +197,14 @@ def _expr_events(e: Expr, profile: LanguageProfile, truth: bool) -> Iterator[Nul
         yield from _expr_events(e.rhs, profile, False)
         root = _lvalue_root(e.lhs)
         if root is not None:
-            yield KillEvent(root, e.span.start)
+            yield KillEvent(root, e.tokens[0].pos)
     elif isinstance(e, Update):
         yield from _expr_events(e.target, profile, False)
         if e.value is not None:
             yield from _expr_events(e.value, profile, False)
         root = _lvalue_root(e.target)
         if root is not None:
-            yield KillEvent(root, e.span.start)
+            yield KillEvent(root, e.tokens[0].pos)
     elif isinstance(e, Call):
         if isinstance(e.callee, AccessPath):
             yield from _deref_events(e.callee.path(), e.callee.root.pos, include_full=True)
@@ -251,14 +243,13 @@ def check_null_deref(
 ) -> list[Diagnostic]:
     """Report paths tested against null after already being dereferenced."""
     diags: list[Diagnostic] = []
-    nonnull: dict[Path, NonNullEntry] = {}
+    nonnull: dict[Path, Position] = {}  # each path's earliest dereference
     for ev in iter_null_events(stmts, profile):
         if isinstance(ev, DerefEvent):
-            if ev.path not in nonnull:  # earliest dereference wins
-                nonnull[ev.path] = NonNullEntry(ev.path, ev.pos)
+            nonnull.setdefault(ev.path, ev.pos)
         elif isinstance(ev, NullTestEvent):
-            entry = nonnull.pop(ev.path, None)  # one report per chain
-            if entry is not None:
+            deref_pos = nonnull.pop(ev.path, None)  # one report per chain
+            if deref_pos is not None:
                 name = render_path(ev.path)
                 diags.append(
                     Diagnostic(
@@ -266,7 +257,7 @@ def check_null_deref(
                         message=f"'{name}' checked for null here but dereferenced earlier",
                         file=path,
                         span=ev.span,
-                        related=(entry.deref_pos, f"'{name}' dereferenced"),
+                        related=(deref_pos, f"'{name}' dereferenced"),
                     )
                 )
         elif isinstance(ev, KillEvent):
@@ -290,15 +281,17 @@ def _body_span(body: Sequence[Stmt], fallback: Span) -> Span:
     return Span(body[0].span.start, body[-1].span.end)
 
 
-def _repeats(keys: Iterable[Key | None]) -> Iterator[tuple[int, int]]:
-    """``(later, first)`` index pairs: each key seen before, against its first
-    occurrence, in order.  ``None`` keys are never compared."""
+def _repeat_findings(
+    keys: Iterable[Key | None], spans: Sequence[Span], checker: CheckerId, message: str, note: str, path: str
+) -> Iterator[Diagnostic]:
+    """One finding per key seen before, at its span, citing the first
+    occurrence's start; ``None`` keys are never compared."""
     first: dict[Key, int] = {}
     for j, key in enumerate(keys):
         if key is not None:
             i = first.setdefault(key, j)
             if i != j:
-                yield j, i
+                yield Diagnostic(checker.value, message, path, spans[j], (spans[i].start, note))
 
 
 def check_redundant_conditions(
@@ -306,34 +299,22 @@ def check_redundant_conditions(
 ) -> list[Diagnostic]:
     """Duplicate conditions and duplicate branch bodies in if/else-if chains."""
     diags: list[Diagnostic] = []
+    checker = CheckerId.REDUNDANT_CONDITION
     for node in walk_statements(stmts):
         if not isinstance(node, If):
             continue
         conds: list[Expr] = [node.cond] + [c for c, _ in node.elifs]
-        for j, i in _repeats(expr_key(c) for c in conds):
-            diags.append(
-                Diagnostic(
-                    checker=CheckerId.REDUNDANT_CONDITION.value,
-                    message="condition repeats an earlier condition of the same chain",
-                    file=path,
-                    span=conds[j].span,
-                    related=(conds[i].span.start, "first tested here"),
-                )
-            )
+        diags += _repeat_findings(
+            map(expr_key, conds), [c.span for c in conds], checker,
+            "condition repeats an earlier condition of the same chain", "first tested here", path,
+        )
         bodies: list[Sequence[Stmt]] = [node.then_body] + [b for _, b in node.elifs]
         if node.else_body is not None:
             bodies.append(node.else_body)
-        spans = [_body_span(b, node.span) for b in bodies]
-        for j, i in _repeats(tuple(stmt_key(s) for s in b) for b in bodies):
-            diags.append(
-                Diagnostic(
-                    checker=CheckerId.REDUNDANT_CONDITION.value,
-                    message="branch body is identical to an earlier branch of the same chain",
-                    file=path,
-                    span=spans[j],
-                    related=(spans[i].start, "identical branch here"),
-                )
-            )
+        diags += _repeat_findings(
+            (tuple(map(stmt_key, b)) for b in bodies), [_body_span(b, node.span) for b in bodies], checker,
+            "branch body is identical to an earlier branch of the same chain", "identical branch here", path,
+        )
     return diags
 
 
@@ -342,41 +323,21 @@ def check_redundant_branches(
 ) -> list[Diagnostic]:
     """Duplicate labels and duplicate non-empty bodies across switch arms."""
     diags: list[Diagnostic] = []
+    checker = CheckerId.REDUNDANT_BRANCH
     for node in walk_statements(stmts):
         if not isinstance(node, Switch):
             continue
-        label_keys = (
-            expr_key(a.label) if a.label is not None else ("DefaultArm",)
-            for a in node.cases
+        arms = node.cases
+        diags += _repeat_findings(
+            (expr_key(a.label) if a.label is not None else ("DefaultArm",) for a in arms),
+            [a.label.span if a.label is not None else a.span for a in arms], checker,
+            "case label duplicates an earlier label of the same switch", "first labeled here", path,
         )
-        for j, i in _repeats(label_keys):
-            later = node.cases[j]
-            span = later.label.span if later.label is not None else later.span
-            earlier = node.cases[i]
-            rel = earlier.label.span.start if earlier.label is not None else earlier.span.start
-            diags.append(
-                Diagnostic(
-                    checker=CheckerId.REDUNDANT_BRANCH.value,
-                    message="case label duplicates an earlier label of the same switch",
-                    file=path,
-                    span=span,
-                    related=(rel, "first labeled here"),
-                )
-            )
         # empty fallthrough arms are exempt
-        body_keys = (
-            tuple(stmt_key(s) for s in a.body) if a.body else None for a in node.cases
+        diags += _repeat_findings(
+            (tuple(map(stmt_key, a.body)) if a.body else None for a in arms), [a.span for a in arms], checker,
+            "case body is identical to an earlier case of the same switch", "identical case here", path,
         )
-        for j, i in _repeats(body_keys):
-            diags.append(
-                Diagnostic(
-                    checker=CheckerId.REDUNDANT_BRANCH.value,
-                    message="case body is identical to an earlier case of the same switch",
-                    file=path,
-                    span=node.cases[j].span,
-                    related=(node.cases[i].span.start, "identical case here"),
-                )
-            )
     return diags
 
 
@@ -404,7 +365,7 @@ def check_loop_direction(
         var = _lvalue_root(node.update.target)
         if var is None:
             continue
-        cond_texts = {t.text for t in expr_tokens(node.cond)}
+        cond_texts = {t.text for t in node.cond.tokens}
         if var not in cond_texts:
             continue
         if (node.cond.op, node.update.op) in WARNING_PAIRS:

@@ -16,8 +16,11 @@ leaves the wildcard unchanged when nothing matches.
 Both steps find brackets in one table built per token list in a single
 pass (:func:`_bracket_table`) and work on index ranges of that list.
 
-Every tree node records the token slice it covers and its source span;
-structural equality and ordering deliberately ignore positions.
+Every expression node records the token slice it covers.  A refined node
+is never empty and reads its source span off that slice; a wildcard may be
+empty, so it stores its span, which for an empty slot sits at the slot's
+anchor.  Statement nodes store spans that also cover their keywords and
+brackets.  Structural equality and ordering deliberately ignore positions.
 
 Each statement class declares its shape once, in ``parts()``: its
 expression slots and bodies in source order, each tagged ``TEST`` (a
@@ -65,10 +68,17 @@ class Expr(_Slotted):
     """Base class for expression tree nodes."""
 
     __slots__ = ()
+    tokens: tuple[Token, ...]
+
+    @property
+    def span(self) -> Span:
+        """The extent of ``tokens``, which a refined node never leaves empty."""
+        return _new(Span, (self.tokens[0].pos, token_end(self.tokens[-1])))
 
 
 class Wildcard(Expr):
-    """An uninterpreted, ordered run of tokens."""
+    """An uninterpreted, ordered run of tokens; it may be empty, so its span
+    is stored (an empty slot's sits at the slot's anchor)."""
 
     __slots__ = ("tokens", "span", "incomplete")
 
@@ -77,65 +87,61 @@ class Wildcard(Expr):
 
 
 class Compare(Expr):
-    __slots__ = ("op", "lhs", "rhs", "tokens", "span")
+    __slots__ = ("op", "lhs", "rhs", "tokens")
 
-    def __init__(self, op: str, lhs: Expr, rhs: Expr, tokens: tuple[Token, ...], span: Span) -> None:
+    def __init__(self, op: str, lhs: Expr, rhs: Expr, tokens: tuple[Token, ...]) -> None:
         self.op, self.lhs, self.rhs = op, lhs, rhs  # op: < <= > >= == !=
-        self.tokens, self.span = tokens, span
+        self.tokens = tokens
 
 
 class Logical(Expr):
-    __slots__ = ("op", "lhs", "rhs", "tokens", "span")
+    __slots__ = ("op", "lhs", "rhs", "tokens")
 
-    def __init__(self, op: str, lhs: Expr, rhs: Expr, tokens: tuple[Token, ...], span: Span) -> None:
+    def __init__(self, op: str, lhs: Expr, rhs: Expr, tokens: tuple[Token, ...]) -> None:
         self.op, self.lhs, self.rhs = op, lhs, rhs  # op: && ||
-        self.tokens, self.span = tokens, span
+        self.tokens = tokens
 
 
 class Not(Expr):
-    __slots__ = ("operand", "tokens", "span")
+    __slots__ = ("operand", "tokens")
 
-    def __init__(self, operand: Expr, tokens: tuple[Token, ...], span: Span) -> None:
-        self.operand, self.tokens, self.span = operand, tokens, span
+    def __init__(self, operand: Expr, tokens: tuple[Token, ...]) -> None:
+        self.operand, self.tokens = operand, tokens
 
 
 class Update(Expr):
-    __slots__ = ("op", "target", "tokens", "span", "value")
+    __slots__ = ("op", "target", "tokens", "value")
 
-    def __init__(
-        self, op: str, target: Expr, tokens: tuple[Token, ...], span: Span, value: Expr | None = None
-    ) -> None:
+    def __init__(self, op: str, target: Expr, tokens: tuple[Token, ...], value: Expr | None = None) -> None:
         self.op, self.target = op, target  # op: ++ -- += -=
-        self.tokens, self.span = tokens, span
+        self.tokens = tokens
         self.value = value  # right side of += / -=
 
 
 class Assign(Expr):
-    __slots__ = ("lhs", "rhs", "tokens", "span")
+    __slots__ = ("lhs", "rhs", "tokens")
 
-    def __init__(self, lhs: Expr, rhs: Expr, tokens: tuple[Token, ...], span: Span) -> None:
+    def __init__(self, lhs: Expr, rhs: Expr, tokens: tuple[Token, ...]) -> None:
         self.lhs, self.rhs = lhs, rhs
-        self.tokens, self.span = tokens, span
+        self.tokens = tokens
 
 
 class Call(Expr):
-    __slots__ = ("callee", "args", "tokens", "span")
+    __slots__ = ("callee", "args", "tokens")
 
-    def __init__(self, callee: Expr, args: tuple[Expr, ...], tokens: tuple[Token, ...], span: Span) -> None:
+    def __init__(self, callee: Expr, args: tuple[Expr, ...], tokens: tuple[Token, ...]) -> None:
         self.callee, self.args = callee, args
-        self.tokens, self.span = tokens, span
+        self.tokens = tokens
 
 
 class AccessPath(Expr):
     """identifier (deref_op identifier)+ — e.g. ``state->work``."""
 
-    __slots__ = ("root", "steps", "tokens", "span")
+    __slots__ = ("root", "steps", "tokens")
 
-    def __init__(
-        self, root: Token, steps: tuple[tuple[str, Token], ...], tokens: tuple[Token, ...], span: Span
-    ) -> None:
+    def __init__(self, root: Token, steps: tuple[tuple[str, Token], ...], tokens: tuple[Token, ...]) -> None:
         self.root, self.steps = root, steps
-        self.tokens, self.span = tokens, span
+        self.tokens = tokens
 
     def path(self) -> tuple[str, ...]:
         """The flattened access chain: ``("state", "->", "work")``."""
@@ -146,10 +152,10 @@ class AccessPath(Expr):
 
 
 class Atom(Expr):
-    __slots__ = ("token", "tokens", "span")
+    __slots__ = ("token", "tokens")
 
-    def __init__(self, token: Token, tokens: tuple[Token, ...], span: Span) -> None:
-        self.token, self.tokens, self.span = token, tokens, span
+    def __init__(self, token: Token, tokens: tuple[Token, ...]) -> None:
+        self.token, self.tokens = token, tokens
 
 
 # ---------------------------------------------------------------------------
@@ -364,21 +370,6 @@ class _StructuralMismatch(Exception):
     """A statement shape did not pan out; the scanner slides one token."""
 
 
-class ParseAccounting:
-    """Bookkeeping for the totality/conservation properties.
-
-    ``syntax_tokens`` holds every consumed token that does not live inside
-    a tree node: statement keywords, brackets, terminators, case colons,
-    and tokens skipped over by sliding-window recovery.
-    """
-
-    __slots__ = ("syntax_tokens", "iterations")
-
-    def __init__(self) -> None:
-        self.syntax_tokens: list[Token] = []
-        self.iterations = 0
-
-
 class _Parser:
     """Both parsing steps over one token tuple and its bracket table.
 
@@ -388,11 +379,10 @@ class _Parser:
     token of the range being parsed and ``hi`` its end.
     """
 
-    def __init__(self, tokens: tuple[Token, ...], profile: LanguageProfile, acct: ParseAccounting):
+    def __init__(self, tokens: tuple[Token, ...], profile: LanguageProfile):
         self.toks = tokens
         self.same, self.any = _bracket_table(tokens, profile)
         self.profile = profile
-        self.acct = acct
         self.i = 0
         self.hi = len(tokens)
 
@@ -401,10 +391,9 @@ class _Parser:
     def _peek(self) -> Token | None:
         return self.toks[self.i] if self.i < self.hi else None
 
-    def _take_syntax(self) -> Token:
+    def _take(self) -> Token:
         tok = self.toks[self.i]
         self.i += 1
-        self.acct.syntax_tokens.append(tok)
         return tok
 
     def _end_pos(self) -> Position:
@@ -428,11 +417,9 @@ class _Parser:
         open_tok = self._peek()
         if open_tok is None or open_tok.text != open_text:
             raise _StructuralMismatch(f"expected {open_text!r}")
-        self._take_syntax()
-        lo, close = self.i, self.same[self.i - 1]
+        lo, close = self.i + 1, self.same[self.i]
         if close < self.hi:
-            self.i = close
-            self._take_syntax()
+            self.i = close + 1
             return lo, close, True, open_tok
         self.i = self.hi
         return lo, self.hi, False, open_tok
@@ -443,24 +430,18 @@ class _Parser:
         """The statements of ``toks[lo:hi]``; the caller's range is restored."""
         outer = self.i, self.hi
         self.i, self.hi = lo, hi
-        syntax = self.acct.syntax_tokens
         out: list[Stmt] = []
         while self.i < hi:
-            self.acct.iterations += 1
             start = self.i
-            mark = len(syntax)
             try:
                 stmt = self._statement(nesting)
             except _StructuralMismatch:
                 # Sliding window: emit nothing, advance one token, retry.
-                # Everything the failed attempt consumed is handed back.
-                del syntax[mark:]
-                self.i = start
-                self._take_syntax()
+                self.i = start + 1
                 continue
             out.append(stmt)
             if self.i == start:  # defensive: progress must always hold
-                self._take_syntax()
+                self.i += 1
         self.i, self.hi = outer
         return out
 
@@ -501,7 +482,7 @@ class _Parser:
         stop = min(k, hi)
         incomplete = stop == hi
         self.i = stop
-        terminator = self._take_syntax() if not incomplete and toks[stop].text == term else None
+        terminator = self._take() if not incomplete and toks[stop].text == term else None
         anchor = terminator.pos if terminator is not None else toks[lo].pos
         end = token_end(terminator) if terminator is not None else token_end(toks[stop - 1])
         span = _new(Span, (toks[lo].pos if stop > lo else anchor, end))
@@ -547,16 +528,16 @@ class _Parser:
         return [self._statement(depth + 1)], False
 
     def _if(self, depth: int) -> If:
-        if_tok = self._take_syntax()
+        if_tok = self._take()
         cond, ok = self._cond()
         then_body, inc = self._body(depth)
         incomplete = not ok or inc
         elifs: list[tuple[Expr, list[Stmt]]] = []
         else_body: list[Stmt] | None = None
         while self._is_kw(self._peek(), "else"):
-            self._take_syntax()
+            self._take()
             if self._is_kw(self._peek(), "if"):
-                self._take_syntax()
+                self._take()
                 c2, ok2 = self._cond()
                 b2, inc2 = self._body(depth)
                 elifs.append((c2, b2))
@@ -568,25 +549,25 @@ class _Parser:
         return If(cond, then_body, elifs, else_body, _new(Span, (if_tok.pos, self._end_pos())), incomplete)
 
     def _while(self, depth: int) -> While:
-        while_tok = self._take_syntax()
+        while_tok = self._take()
         cond, ok = self._cond()
         body, inc = self._body(depth)
         return While(cond, body, _new(Span, (while_tok.pos, self._end_pos())), not ok or inc)
 
     def _do_while(self, depth: int) -> DoWhile:
-        do_tok = self._take_syntax()
+        do_tok = self._take()
         body, inc = self._body(depth)
         if not self._is_kw(self._peek(), "while"):
             raise _StructuralMismatch("do-body not followed by while")
-        self._take_syntax()
+        self._take()
         cond, ok = self._cond()
         nxt = self._peek()
         if nxt is not None and nxt.text == self.profile.stmt_terminator:
-            self._take_syntax()
+            self._take()
         return DoWhile(body, cond, _new(Span, (do_tok.pos, self._end_pos())), not ok or inc)
 
     def _for(self, depth: int) -> For:
-        for_tok = self._take_syntax()
+        for_tok = self._take()
         lo, hi, ok, open_tok = self._balanced("(")
         header_span = _new(Span, (open_tok.pos, self._end_pos()))
         init, cond, update = self._split_for_header(lo, hi, open_tok.pos)
@@ -614,7 +595,6 @@ class _Parser:
                 return None, None, None
             return None, self._slot(lo, hi, anchor), None
         a, b = semis
-        self.acct.syntax_tokens.extend((toks[a], toks[b]))
         init, cond, update = (
             self._slot(x, y, anchor) if y > x else None
             for x, y in ((lo, a), (a + 1, b), (b + 1, hi))
@@ -622,7 +602,7 @@ class _Parser:
         return init, cond, update
 
     def _switch(self, depth: int) -> Switch:
-        sw_tok = self._take_syntax()
+        sw_tok = self._take()
         scrutinee, ok = self._cond()
         nxt = self._peek()
         if nxt is None or nxt.text != "{":
@@ -657,17 +637,12 @@ class _Parser:
         arms: list[CaseArm] = []
         for start, stop in zip(boundaries, boundaries[1:]):
             label_tok = toks[start]
-            self.acct.syntax_tokens.append(label_tok)
             # label tokens run to the first depth-zero ":"
             k = start + 1
             while k < stop and toks[k].text != ":":
                 k = match[k] + 1
             label_end = min(k, stop)
-            body_lo = label_end
-            if label_end < stop:
-                self.acct.syntax_tokens.append(toks[label_end])
-                body_lo += 1
-            body = self._subparse(body_lo, stop, depth + 1)
+            body = self._subparse(min(label_end + 1, stop), stop, depth + 1)
             label: Expr | None
             if label_tok.text == "default":
                 label = None
@@ -689,9 +664,8 @@ class _Parser:
         """
         toks = self.toks
         tokens = toks[lo:hi]
-        span = self._span(lo, hi, anchor)
         if lo == hi or depth > MAX_EXPR_DEPTH:
-            return Wildcard(tokens, span)
+            return Wildcard(tokens, self._span(lo, hi, anchor))
         depth += 1
         refine = self._refine
 
@@ -708,7 +682,7 @@ class _Parser:
             if tok.kind is _OP:
                 text = tok.text
                 if text == "=":
-                    return Assign(refine(lo, k, depth, anchor), refine(k + 1, hi, depth, anchor), tokens, span)
+                    return Assign(refine(lo, k, depth, anchor), refine(k + 1, hi, depth, anchor), tokens)
                 if text == "||":
                     or_at = k
                 elif text == "&&":
@@ -723,29 +697,29 @@ class _Parser:
         # Logical: split at the last top-level "||", else the last "&&".
         for op, idx in (("||", or_at), ("&&", and_at)):
             if idx >= 0:
-                return Logical(op, refine(lo, idx, depth, anchor), refine(idx + 1, hi, depth, anchor), tokens, span)
+                return Logical(op, refine(lo, idx, depth, anchor), refine(idx + 1, hi, depth, anchor), tokens)
 
         # Compare: exactly one top-level comparison operator.  Two or more
         # (template/generic angle brackets, chained comparisons) stay wildcard.
         if len(comparisons) == 1:
             idx = comparisons[0]
             op = toks[idx].text
-            return Compare(op, refine(lo, idx, depth, anchor), refine(idx + 1, hi, depth, anchor), tokens, span)
+            return Compare(op, refine(lo, idx, depth, anchor), refine(idx + 1, hi, depth, anchor), tokens)
 
         # Not: leading "!".
         first, last = toks[lo], toks[hi - 1]
         if first.text == "!" and hi - lo > 1:
-            return Not(refine(lo + 1, hi, depth, anchor), tokens, span)
+            return Not(refine(lo + 1, hi, depth, anchor), tokens)
 
         # Update: one top-level "+=" / "-=", or a leading/trailing "++" / "--".
         if len(bin_updates) == 1:
             idx = bin_updates[0]
             value = refine(idx + 1, hi, depth, anchor)
-            return Update(toks[idx].text, refine(lo, idx, depth, anchor), tokens, span, value=value)
+            return Update(toks[idx].text, refine(lo, idx, depth, anchor), tokens, value=value)
         if hi - lo >= 2 and last.text in _UNARY_UPDATE_OPS:
-            return Update(last.text, refine(lo, hi - 1, depth, anchor), tokens, span)
+            return Update(last.text, refine(lo, hi - 1, depth, anchor), tokens)
         if hi - lo >= 2 and first.text in _UNARY_UPDATE_OPS:
-            return Update(first.text, refine(lo + 1, hi, depth, anchor), tokens, span)
+            return Update(first.text, refine(lo + 1, hi, depth, anchor), tokens)
 
         # Call: access path (or bare identifier) + balanced "(...)" covering
         # the remainder; arguments split on depth-zero commas.
@@ -760,32 +734,33 @@ class _Parser:
                         start = j + 1
                     j = match[j] + 1
                 args.append(refine(start, hi - 1, depth, anchor))
-            return Call(self._path(lo, k, anchor), tuple(args), tokens, span)
+            return Call(self._path(lo, k), tuple(args), tokens)
 
         # AccessPath: the whole run is ident (deref_op ident)+ exactly.
         if k == hi and hi - lo >= 3:
-            return self._path(lo, hi, anchor)
+            return self._path(lo, hi)
 
         # Atom: any single token.
         if hi - lo == 1:
-            return Atom(first, tokens, span)
+            return Atom(first, tokens)
 
         # Fully covering parentheses: strip and re-refine the interior, but
         # keep the original token slice on the node.
         if first.text == "(" and self.same[lo] == hi - 1:
             inner = refine(lo + 1, hi - 1, depth, anchor)
-            inner.tokens, inner.span = tokens, span  # a node just built: nothing else holds it
+            inner.tokens = tokens  # a node just built: nothing else holds it
+            if isinstance(inner, Wildcard):
+                inner.span = self._span(lo, hi, anchor)
             return inner
 
-        return Wildcard(tokens, span)
+        return Wildcard(tokens, self._span(lo, hi, anchor))
 
-    def _path(self, lo: int, hi: int, anchor: Position) -> Expr:
+    def _path(self, lo: int, hi: int) -> Expr:
         toks = self.toks[lo:hi]
-        span = self._span(lo, hi, anchor)
         if len(toks) == 1:
-            return Atom(toks[0], toks, span)
+            return Atom(toks[0], toks)
         steps = tuple((toks[i].text, toks[i + 1]) for i in range(1, len(toks), 2))
-        return AccessPath(toks[0], steps, toks, span)
+        return AccessPath(toks[0], steps, toks)
 
 
 def parse_expression(wildcard: Expr, profile: LanguageProfile) -> Expr:
@@ -797,7 +772,7 @@ def parse_expression(wildcard: Expr, profile: LanguageProfile) -> Expr:
     if not isinstance(wildcard, Wildcard):
         return wildcard
     tokens = tuple(wildcard.tokens)
-    refined = _Parser(tokens, profile, ParseAccounting())._refine(0, len(tokens), 0, wildcard.span.start)
+    refined = _Parser(tokens, profile)._refine(0, len(tokens), 0, wildcard.span.start)
     if isinstance(refined, Wildcard):
         refined.incomplete = wildcard.incomplete
     return refined
@@ -811,18 +786,8 @@ def parse_expression(wildcard: Expr, profile: LanguageProfile) -> Expr:
 def parse_statements(
     stream: TokenStream | Sequence[Token], profile: LanguageProfile
 ) -> list[Stmt]:
-    stmts, _ = parse_statements_debug(stream, profile)
-    return stmts
-
-
-def parse_statements_debug(
-    stream: TokenStream | Sequence[Token], profile: LanguageProfile
-) -> tuple[list[Stmt], ParseAccounting]:
-    """Like :func:`parse_statements` but also returns consumption bookkeeping."""
     tokens = tuple(stream.tokens if isinstance(stream, TokenStream) else stream)
-    acct = ParseAccounting()
-    stmts = _Parser(tokens, profile, acct).parse(0, len(tokens), 0)
-    return stmts, acct
+    return _Parser(tokens, profile).parse(0, len(tokens), 0)
 
 # ---------------------------------------------------------------------------
 # Structural equality and total ordering (positions ignored)
@@ -884,29 +849,12 @@ def walk_statements(stmts: Iterable[Stmt]) -> Iterator[Stmt]:
         yield from walk_statements(child_statements(s))
 
 
-def expr_tokens(e: Expr) -> tuple[Token, ...]:
-    """The exact token slice a refined (or wild) expression covers."""
-    return e.tokens  # type: ignore[attr-defined]
-
-
-def stmt_tokens(s: Stmt) -> list[Token]:
-    """All non-syntax tokens reachable from a statement node, in source order."""
-    out: list[Token] = []
-    for role, part in s.parts():
-        if role is BODY:
-            for child in part:
-                out.extend(stmt_tokens(child))
-        elif part is not None:
-            out.extend(expr_tokens(part))
-    return out
-
-
 def _texts(e: Expr | None) -> str:
     import json as _json
 
     if e is None:
         return "[]"
-    return _json.dumps([t.text for t in expr_tokens(e)])
+    return _json.dumps([t.text for t in e.tokens])
 
 
 def dump_statements(stmts: Sequence[Stmt], indent: int = 0) -> str:

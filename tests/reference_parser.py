@@ -5,8 +5,12 @@ The structural pass (``_Parser``), the refinement (``_refine``) and the
 tree walk that refines every slot after the parse (``_refine_stmts``) are
 kept here verbatim, with the helpers they call, so that
 ``test_parser_oracle`` can require the shipped parser to build the same
-trees, spans, syntax tokens and findings.  Node classes are shared with
-the shipped module, so trees compare by ``repr``.
+trees, spans and findings.  Node classes are shared with the shipped
+module, so trees compare by ``repr``.
+
+The reference also keeps the syntax-token ledger (``ParseAccounting``)
+that the shipped parser does without: with it the tests check that every
+input token lands in exactly one tree node or in the ledger.
 """
 
 from __future__ import annotations
@@ -30,7 +34,6 @@ from xcheck.microgrammar import (
     If,
     Logical,
     Not,
-    ParseAccounting,
     Span,
     Stmt,
     Switch,
@@ -57,6 +60,20 @@ def _span_of(tokens: Sequence[Token], fallback: Position | None = None) -> Span:
 class _StructuralMismatch(Exception):
     """A statement shape did not pan out; the scanner slides one token."""
 
+
+class ParseAccounting:
+    """Bookkeeping for the totality/conservation properties.
+
+    ``syntax_tokens`` holds every consumed token that does not live inside
+    a tree node: statement keywords, brackets, terminators, case colons,
+    and tokens skipped over by sliding-window recovery.
+    """
+
+    __slots__ = ("syntax_tokens", "iterations")
+
+    def __init__(self) -> None:
+        self.syntax_tokens: list[Token] = []
+        self.iterations = 0
 
 
 class _Parser:
@@ -429,12 +446,12 @@ def _path_prefix_len(tokens: Sequence[Token], profile: LanguageProfile) -> int:
     return k
 
 
-def _path_expr(tokens: Sequence[Token], fallback: Position | None = None) -> Expr:
+def _path_expr(tokens: Sequence[Token]) -> Expr:
     toks = tuple(tokens)
     if len(toks) == 1:
-        return Atom(toks[0], toks, _span_of(toks, fallback))
+        return Atom(toks[0], toks)
     steps = tuple((toks[i].text, toks[i + 1]) for i in range(1, len(toks), 2))
-    return AccessPath(toks[0], steps, toks, _span_of(toks, fallback))
+    return AccessPath(toks[0], steps, toks)
 
 
 def parse_expression(wildcard: Expr, profile: LanguageProfile) -> Expr:
@@ -469,35 +486,35 @@ def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anc
     # Assign: first top-level bare "=" (right-associative chains nest in rhs).
     for idx, text in top:
         if text == "=":
-            return Assign(sub(tokens[:idx]), sub(tokens[idx + 1 :]), tokens, span)
+            return Assign(sub(tokens[:idx]), sub(tokens[idx + 1 :]), tokens)
 
     # Logical: split at the last top-level "||", else the last "&&".
     for op in ("||", "&&"):
         hits = [idx for idx, text in top if text == op]
         if hits:
             idx = hits[-1]
-            return Logical(op, sub(tokens[:idx]), sub(tokens[idx + 1 :]), tokens, span)
+            return Logical(op, sub(tokens[:idx]), sub(tokens[idx + 1 :]), tokens)
 
     # Compare: exactly one top-level comparison operator.  Two or more
     # (template/generic angle brackets, chained comparisons) stay wildcard.
     comparisons = [(idx, text) for idx, text in top if text in _COMPARE_OPS]
     if len(comparisons) == 1:
         idx, op = comparisons[0]
-        return Compare(op, sub(tokens[:idx]), sub(tokens[idx + 1 :]), tokens, span)
+        return Compare(op, sub(tokens[:idx]), sub(tokens[idx + 1 :]), tokens)
 
     # Not: leading "!".
     if tokens[0].text == "!" and len(tokens) > 1:
-        return Not(sub(tokens[1:]), tokens, span)
+        return Not(sub(tokens[1:]), tokens)
 
     # Update: one top-level "+=" / "-=", or a leading/trailing "++" / "--".
     bin_updates = [(idx, text) for idx, text in top if text in _BINARY_UPDATE_OPS]
     if len(bin_updates) == 1:
         idx, op = bin_updates[0]
-        return Update(op, sub(tokens[:idx]), tokens, span, value=sub(tokens[idx + 1 :]))
+        return Update(op, sub(tokens[:idx]), tokens, value=sub(tokens[idx + 1 :]))
     if len(tokens) >= 2 and tokens[-1].text in _UNARY_UPDATE_OPS:
-        return Update(tokens[-1].text, sub(tokens[:-1]), tokens, span)
+        return Update(tokens[-1].text, sub(tokens[:-1]), tokens)
     if len(tokens) >= 2 and tokens[0].text in _UNARY_UPDATE_OPS:
-        return Update(tokens[0].text, sub(tokens[1:]), tokens, span)
+        return Update(tokens[0].text, sub(tokens[1:]), tokens)
 
     # Call: access path (or bare identifier) + balanced "(...)" covering
     # the remainder; arguments split on depth-zero commas.
@@ -513,22 +530,24 @@ def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anc
                     args.append(sub(interior[start:idx]))
                     start = idx + 1
             args.append(sub(interior[start:]))
-        callee = _path_expr(tokens[:k], anchor)
-        return Call(callee, tuple(args), tokens, span)
+        callee = _path_expr(tokens[:k])
+        return Call(callee, tuple(args), tokens)
 
     # AccessPath: the whole run is ident (deref_op ident)+ exactly.
     if k == len(tokens) and k >= 3:
-        return _path_expr(tokens, anchor)
+        return _path_expr(tokens)
 
     # Atom: any single token.
     if len(tokens) == 1:
-        return Atom(tokens[0], tokens, span)
+        return Atom(tokens[0], tokens)
 
     # Fully covering parentheses: strip and re-refine the interior, but
     # keep the original token slice on the node.
     if tokens[0].text == "(" and _matching_close(tokens, 0) == len(tokens) - 1:
         inner = sub(tokens[1:-1])
-        inner.tokens, inner.span = tokens, span  # a node just built: nothing else holds it
+        inner.tokens = tokens  # a node just built: nothing else holds it
+        if isinstance(inner, Wildcard):
+            inner.span = span
         return inner
 
     return Wildcard(tokens, span)

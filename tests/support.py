@@ -16,6 +16,7 @@ from xcheck.checkers import (
 )
 from xcheck.lexer import Position, Token, TokenKind, tokenize
 from xcheck.microgrammar import (
+    BODY,
     AccessPath,
     Assign,
     Atom,
@@ -29,7 +30,6 @@ from xcheck.microgrammar import (
     If,
     Logical,
     Not,
-    ParseAccounting,
     Span,
     Stmt,
     Switch,
@@ -37,10 +37,10 @@ from xcheck.microgrammar import (
     While,
     Wildcard,
     WildcardStmt,
-    expr_tokens,
-    stmt_tokens,
 )
 from xcheck.profiles import LanguageProfile, profile_for
+
+from reference_parser import ParseAccounting
 
 C = profile_for("c")
 CPP = profile_for("cpp")
@@ -117,11 +117,11 @@ def expr_children(e: Expr) -> list[Expr]:
 def assert_refinement_sound(e: Expr) -> None:
     """Children cover disjoint, in-order sub-slices of the parent slice and
     no token is invented or permuted by refinement."""
-    parent = expr_tokens(e)
+    parent = e.tokens
     index_of = {id(t): i for i, t in enumerate(parent)}
     last_end = -1
     for child in expr_children(e):
-        child_toks = expr_tokens(child)
+        child_toks = child.tokens
         positions = []
         for t in child_toks:
             assert id(t) in index_of, f"child token {t!r} not drawn from parent slice"
@@ -148,10 +148,24 @@ def assert_spans_nest(stmts: Sequence[Stmt]) -> None:
         assert_spans_nest(kids)
 
 
+def stmt_tokens(s: Stmt) -> list[Token]:
+    """All tokens the tree nodes under a statement hold, in source order:
+    every token but the syntax (keywords, brackets, terminators, colons)."""
+    out: list[Token] = []
+    for role, part in s.parts():
+        if role is BODY:
+            for child in part:
+                out.extend(stmt_tokens(child))
+        elif part is not None:
+            out.extend(part.tokens)
+    return out
+
+
 def assert_token_conservation(
     tokens: Sequence[Token], stmts: Sequence[Stmt], acct: ParseAccounting
 ) -> None:
-    """Every input token lands in exactly one tree slot or the syntax sink."""
+    """Every input token lands in exactly one tree slot or the syntax sink
+    (the ledger of ``reference_parser``, which builds the same tree)."""
     reachable: list[Token] = []
     for s in stmts:
         reachable.extend(stmt_tokens(s))
@@ -237,7 +251,7 @@ class TreeGen:
         kind = self.rng.choice(kinds)
         if kind == "atom":
             t = self._tok(self.rng.choice(_IDENTS + _LITS))
-            return Atom(t, (t,), self._span())
+            return Atom(t, (t,))
         if kind == "wild":
             tokens = self._leaf_tokens(self.rng.randint(1, 4))
             return Wildcard(tokens, self._span())
@@ -248,23 +262,23 @@ class TreeGen:
                 for _ in range(self.rng.randint(1, 3))
             )
             flat = [root] + [t for _, t in steps]
-            return AccessPath(root, steps, tuple(flat), self._span())
+            return AccessPath(root, steps, tuple(flat))
         if kind == "compare":
             op = self.rng.choice(["<", "<=", ">", ">=", "==", "!="])
-            return Compare(op, self.expr(depth - 1), self.expr(depth - 1), (), self._span())
+            return Compare(op, self.expr(depth - 1), self.expr(depth - 1), ())
         if kind == "logical":
             op = self.rng.choice(["&&", "||"])
-            return Logical(op, self.expr(depth - 1), self.expr(depth - 1), (), self._span())
+            return Logical(op, self.expr(depth - 1), self.expr(depth - 1), ())
         if kind == "not":
-            return Not(self.expr(depth - 1), (), self._span())
+            return Not(self.expr(depth - 1), ())
         if kind == "update":
             op = self.rng.choice(["++", "--", "+=", "-="])
             value = self.expr(depth - 1) if op in ("+=", "-=") else None
-            return Update(op, self.expr(depth - 1), (), self._span(), value=value)
+            return Update(op, self.expr(depth - 1), (), value=value)
         if kind == "assign":
-            return Assign(self.expr(depth - 1), self.expr(depth - 1), (), self._span())
+            return Assign(self.expr(depth - 1), self.expr(depth - 1), ())
         args = tuple(self.expr(depth - 1) for _ in range(self.rng.randint(0, 3)))
-        return Call(self.expr(depth - 1), args, (), self._span())
+        return Call(self.expr(depth - 1), args, ())
 
     def body(self, depth: int, max_len: int = 3) -> list[Stmt]:
         return [self.stmt(depth) for _ in range(self.rng.randint(0, max_len))]

@@ -26,7 +26,6 @@ from xcheck.microgrammar import (
     Update,
     Wildcard,
     expr_key,
-    expr_tokens,
     parse_expression,
     parse_statements,
     stmt_key,
@@ -82,7 +81,7 @@ def test_logical_splits_and_parens_strip():
     assert isinstance(e.lhs, Compare) and e.lhs.op == "=="
     assert isinstance(e.rhs, Compare) and e.rhs.op == "<"
     # stripped-paren nodes keep the full covering slice
-    assert [t.text for t in expr_tokens(e.lhs)] == ["(", "a", "==", "NULL", ")"]
+    assert [t.text for t in e.lhs.tokens] == ["(", "a", "==", "NULL", ")"]
 
 
 def test_logical_precedence_over_and():
@@ -160,7 +159,7 @@ def test_refinement_never_fails_on_operator_soup():
         e = refine(texts)
         assert_refinement_sound(e)
         # identical leaf coverage: the node covers exactly the input run
-        assert [t.text for t in expr_tokens(e)] == texts
+        assert [t.text for t in e.tokens] == texts
 
 
 def test_refinement_soundness_on_real_statements():

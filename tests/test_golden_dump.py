@@ -7,7 +7,10 @@ dump format itself, which the parser oracle cannot (it renders both sides
 with the same ``dump_statements``).  ``all_forms.cpp`` has every statement
 form: do-while, ``for(;;)``, a range-for that degrades, if/elif/else
 chains, a switch with ``default`` and stray tokens before its ``:``,
-nested blocks, and input cut short.
+nested blocks, and input cut short.  ``empty_slots.c`` has empty
+conditions, case labels and assignment sides: its two findings are
+positioned at the anchors of empty wildcards (the open parenthesis of an
+empty condition, the ``case`` keyword of an empty label).
 """
 
 import io
@@ -27,6 +30,7 @@ CASES = [
     (FIXTURES, "InstCombineAddSub.cpp", 1),
     (FIXTURES, "CipherCore.java", 1),
     (GOLDEN, "all_forms.cpp", 1),
+    (GOLDEN, "empty_slots.c", 1),
 ]
 
 

@@ -2,6 +2,7 @@
 
 import pytest
 
+from reference_parser import reference_parse_statements_debug
 from support import (
     C,
     CPP,
@@ -29,7 +30,6 @@ from xcheck.microgrammar import (
     _bracket_table,
     dump_statements,
     parse_statements,
-    parse_statements_debug,
 )
 
 
@@ -37,8 +37,17 @@ def table(texts, profile=C):
     return _bracket_table(toks(texts, profile), profile)
 
 
+def parse_with_ledger(stream, profile=C):
+    """The tree and the syntax-token ledger of the reference parser, which
+    must build the same tree."""
+    stmts = parse_statements(stream, profile)
+    reference, acct = reference_parse_statements_debug(stream, profile)
+    assert stmts == reference
+    return stmts, acct
+
+
 def debug_parse(source, profile=C):
-    stmts, acct = parse_statements_debug(tokenize(source, profile), profile)
+    stmts, acct = parse_with_ledger(tokenize(source, profile), profile)
     return stmts, [t.text for t in acct.syntax_tokens], acct.iterations
 
 
@@ -252,7 +261,7 @@ def test_switch_with_leading_junk_slides_instead_of_guessing():
 def test_sliding_window_recovers_after_false_start():
     src = "if if (a) f();"
     stream = tokenize(src, C)
-    stmts, acct = parse_statements_debug(stream, C)
+    stmts, acct = parse_with_ledger(stream, C)
     ifs = [s for s in stmts if isinstance(s, If)]
     assert len(ifs) == 1
     assert isinstance(ifs[0].cond, Atom) and ifs[0].cond.token.text == "a"
@@ -286,7 +295,7 @@ def test_labels_stay_inside_wildcard_content():
 )
 def test_token_conservation_and_spans(src, profile):
     stream = tokenize(src, profile)
-    stmts, acct = parse_statements_debug(stream, profile)
+    stmts, acct = parse_with_ledger(stream, profile)
     assert_token_conservation(stream.tokens, stmts, acct)
     assert_spans_nest(stmts)
 

@@ -37,14 +37,14 @@ from xcheck.profiles import profile_for
 # Every node class with its fields in constructor order.
 FIELDS = {
     Wildcard: ("tokens", "span", "incomplete"),
-    Compare: ("op", "lhs", "rhs", "tokens", "span"),
-    Logical: ("op", "lhs", "rhs", "tokens", "span"),
-    Not: ("operand", "tokens", "span"),
-    Update: ("op", "target", "tokens", "span", "value"),
-    Assign: ("lhs", "rhs", "tokens", "span"),
-    Call: ("callee", "args", "tokens", "span"),
-    AccessPath: ("root", "steps", "tokens", "span"),
-    Atom: ("token", "tokens", "span"),
+    Compare: ("op", "lhs", "rhs", "tokens"),
+    Logical: ("op", "lhs", "rhs", "tokens"),
+    Not: ("operand", "tokens"),
+    Update: ("op", "target", "tokens", "value"),
+    Assign: ("lhs", "rhs", "tokens"),
+    Call: ("callee", "args", "tokens"),
+    AccessPath: ("root", "steps", "tokens"),
+    Atom: ("token", "tokens"),
     WildcardStmt: ("expr", "span", "incomplete"),
     Block: ("body", "span", "incomplete"),
     If: ("cond", "then_body", "elifs", "else_body", "span", "incomplete"),
@@ -54,6 +54,10 @@ FIELDS = {
     CaseArm: ("label", "body", "span"),
     Switch: ("scrutinee", "cases", "span", "incomplete"),
 }
+
+# The refined expression classes: never empty, they read their span off
+# their tokens instead of storing one.
+REFINED = [Compare, Logical, Not, Update, Assign, Call, AccessPath, Atom]
 
 # The trailing fields a constructor may leave out, with their defaults.
 DEFAULTS = {cls: {"incomplete": False} for cls in FIELDS if "incomplete" in FIELDS[cls]}
@@ -83,9 +87,9 @@ def test_repr_of_a_refined_tree():
     expr = parse_expression(Wildcard(tokens, Span(tokens[0].pos, Position(1, 4, 3))), c)
     assert repr(expr) == (
         "Atom(token=Token(IDENTIFIER, 'p', 1:2), tokens=(Token(PUNCTUATION, '(', 1:1), "
-        "Token(IDENTIFIER, 'p', 1:2), Token(PUNCTUATION, ')', 1:3)), "
-        "span=Span(start=Position(line=1, column=1, offset=0), end=Position(line=1, column=4, offset=3)))"
+        "Token(IDENTIFIER, 'p', 1:2), Token(PUNCTUATION, ')', 1:3)))"
     )
+    assert expr.span == Span(Position(1, 1, 0), Position(1, 4, 3))
     tokens = tuple(tokenize("(a, b", c).tokens)
     expr = parse_expression(Wildcard(tokens, Span(tokens[0].pos, Position(1, 6, 5)), incomplete=True), c)
     assert repr(expr) == (
@@ -152,6 +156,16 @@ def test_fields_are_assignable_and_no_others_exist(cls):
         assert getattr(node, name) == "new"
     with pytest.raises(AttributeError):
         node.not_a_field = 1  # slotted: no per-node dict
+
+
+@pytest.mark.parametrize("cls", REFINED, ids=lambda c: c.__name__)
+def test_refined_span_is_derived_from_tokens_and_read_only(cls):
+    c = profile_for("c")
+    node = cls(*_values(cls))
+    node.tokens = tuple(tokenize('a\n"x\\\nyz"', c).tokens)  # the last token spans a line break
+    assert node.span == Span(Position(1, 1, 0), Position(3, 4, 9))
+    with pytest.raises(AttributeError):
+        node.span = node.span
 
 
 @pytest.mark.parametrize("cls", [c for c in FIELDS if "incomplete" in FIELDS[c]], ids=lambda c: c.__name__)

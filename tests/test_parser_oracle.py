@@ -2,25 +2,25 @@
 as it is cut, against the old two-pass parser kept in ``reference_parser``.
 
 On every input the statement trees (spans and ``incomplete`` marks
-included, compared by ``repr``), the multiset of syntax tokens, the loop
-iteration count, the ``--dump-ast`` rendering and the rendered findings
-must be identical.
+included, compared by ``repr``), the ``--dump-ast`` rendering and the
+rendered findings must be identical.  Token conservation is checked too:
+the tokens the shipped tree holds plus the reference's syntax-token ledger
+are exactly the input tokens.
 """
 
 from __future__ import annotations
 
 import random
-from collections import Counter
 
 import pytest
 
 from reference_parser import reference_parse_statements_debug
-from support import C, CPP, JAVA, alphabet_for, random_micro_program
+from support import C, CPP, JAVA, alphabet_for, assert_token_conservation, random_micro_program
 from xcheck.checkers import run_checkers
 from xcheck.diagnostics import dedupe_and_sort, render_text
 from xcheck.fixtures import fixture_path
 from xcheck.lexer import tokenize
-from xcheck.microgrammar import dump_statements, parse_statements_debug
+from xcheck.microgrammar import dump_statements, parse_statements
 from xcheck.profiles import LanguageProfile, parse_profile_text
 
 BUILTIN = (C, CPP, JAVA)
@@ -42,17 +42,18 @@ null_literals = NULL
 )
 
 
-def _observed(tokens, profile: LanguageProfile, parse) -> tuple:
-    stmts, acct = parse(tokens, profile)
+def _observed(stmts, profile: LanguageProfile) -> tuple:
     findings = render_text(dedupe_and_sort(run_checkers(stmts, profile, path="t")))
-    return repr(stmts), Counter(acct.syntax_tokens), acct.iterations, dump_statements(stmts), findings
+    return repr(stmts), dump_statements(stmts), findings
 
 
 def _assert_same(source: str, profile: LanguageProfile) -> None:
     tokens = tokenize(source, profile).tokens
-    got = _observed(tokens, profile, parse_statements_debug)
-    want = _observed(tokens, profile, reference_parse_statements_debug)
+    stmts = parse_statements(tokens, profile)
+    reference, acct = reference_parse_statements_debug(tokens, profile)
+    got, want = _observed(stmts, profile), _observed(reference, profile)
     assert got == want, f"{profile.name}: parsers differ on {source!r}"
+    assert_token_conservation(tokens, stmts, acct)
 
 
 def _soups(seed: int, profiles, count: int) -> list[tuple[str, LanguageProfile]]:

@@ -1,15 +1,15 @@
 """Value semantics of the pipeline's small records.
 
 Tokens, positions, spans, lex errors, findings and the null-deref log's
-entries and events are immutable values: a field cannot be assigned, and
-equal records hash equal, so sets and dicts deduplicate them.
+events are immutable values: a field cannot be assigned, and equal
+records hash equal, so sets and dicts deduplicate them.
 """
 
 from __future__ import annotations
 
 import pytest
 
-from xcheck.checkers import DerefEvent, KillEvent, NonNullEntry, NullTestEvent, ResetEvent
+from xcheck.checkers import DerefEvent, KillEvent, NullTestEvent, ResetEvent
 from xcheck.diagnostics import Diagnostic, dedupe_and_sort
 from xcheck.lexer import LexError, Position, Token, TokenKind
 from xcheck.microgrammar import Span
@@ -34,7 +34,6 @@ RECORDS = {
     "LexError": lambda: LexError("unknown-character", "unexpected character '@'", _pos()),
     "Span": lambda: _span(),
     "Diagnostic": lambda: _diag(),
-    "NonNullEntry": lambda: NonNullEntry(("p", "->", "f"), _pos()),
     "DerefEvent": lambda: DerefEvent(("p",), _pos()),
     "NullTestEvent": lambda: NullTestEvent(("p",), _span()),
     "KillEvent": lambda: KillEvent("p", _pos()),

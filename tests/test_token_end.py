@@ -24,7 +24,6 @@ from xcheck.microgrammar import (
     For,
     Span,
     Switch,
-    expr_tokens,
     parse_statements,
     walk_statements,
 )
@@ -89,7 +88,7 @@ def _check(source: str, profile: LanguageProfile) -> int:
             ends_at_last_token(span)
         for expr in _expressions(stmt):
             assert type(expr.span) is Span
-            covered = expr_tokens(expr)
+            covered = expr.tokens
             if covered:
                 assert expr.span.end == token_end(covered[-1])
                 ends_at_last_token(expr.span)

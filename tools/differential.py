@@ -5,11 +5,14 @@ Run from anywhere::
     python3 tools/differential.py OLD_ROOT NEW_ROOT [--programs N] [--seeds S ...]
 
 Each ROOT is a checkout (the directory holding ``src/``).  One corpus is
-written to a temporary directory: the bundled regression fixtures, ``N``
-seeded ``random_micro_program``s from ``tests/support.py``, and, for each
-seed, the benchmark's three workloads (``tree_mixed``, ``docs_heavy`` and
-the six ``stress_shapes``) from ``bench/``.  The corpus comes from this
-checkout, so both sides see the same files.
+written to a temporary directory: the bundled regression fixtures, the
+golden-dump inputs under ``tests/golden/``, ``N`` seeded
+``random_micro_program``s and ``N`` seeded token soups
+(``random_token_source``, spread over C, C++ and Java) from
+``tests/support.py``, and, for each seed, the benchmark's three workloads
+(``tree_mixed``, ``docs_heavy`` and the six ``stress_shapes``) from
+``bench/``.  The corpus comes from this checkout, so both sides see the
+same files.
 
 The CLI then runs once per side, ``xcheck --dump-ast --format json DIR``
 with ``ROOT/src`` on ``PYTHONPATH``, and the exit codes, stdout and stderr
@@ -31,22 +34,37 @@ from itertools import zip_longest
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI_CODE = "from xcheck.cli import main; main()"
 FIXTURES = ("object.c", "InstCombineAddSub.cpp", "CipherCore.java")
+GOLDEN = os.path.join(ROOT, "tests", "golden")
+SOUP_LANGUAGES = (("c", ".c"), ("cpp", ".cpp"), ("java", ".java"))
+SOUP_MAX_TOKENS = 256
 WORKLOADS = ("tree_mixed", "docs_heavy", "stress_shapes")
 
 
 def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
     sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "tests", "bench")]
     import run as bench_run
-    from support import random_micro_program
+    from support import random_micro_program, random_token_source
+    from xcheck.profiles import profile_for
 
     os.makedirs(os.path.join(dest, "fixtures"))
     for name in FIXTURES:
         shutil.copy(os.path.join(ROOT, "src", "xcheck", "fixtures", name), os.path.join(dest, "fixtures"))
+    os.makedirs(os.path.join(dest, "golden"))
+    for name in sorted(os.listdir(GOLDEN)):
+        if not name.endswith(".out"):
+            shutil.copy(os.path.join(GOLDEN, name), os.path.join(dest, "golden"))
     os.makedirs(os.path.join(dest, "programs"))
     rng = random.Random(0)
     for i in range(programs):
         with open(os.path.join(dest, "programs", f"p{i:04d}.c"), "w", encoding="utf-8") as fh:
             fh.write(random_micro_program(rng))
+    os.makedirs(os.path.join(dest, "soups"))
+    rng = random.Random(1)
+    for i in range(programs):
+        language, extension = SOUP_LANGUAGES[i % len(SOUP_LANGUAGES)]
+        source = random_token_source(rng, profile_for(language), SOUP_MAX_TOKENS)
+        with open(os.path.join(dest, "soups", f"s{i:04d}{extension}"), "w", encoding="utf-8") as fh:
+            fh.write(source)
     for seed in seeds:
         for workload in WORKLOADS:
             files, _ = bench_run.build_workload(workload, seed)
