@@ -9,7 +9,7 @@ from .checkers import ALL_CHECKER_IDS, CheckerId, run_checkers
 from .diagnostics import Diagnostic, dedupe_and_sort, render_json, render_text
 from .lexer import Position, Token, TokenKind, TokenStream, tokenize
 from .microgrammar import parse_expression, parse_statements
-from .profiles import LanguageProfile, profile_for, register_profile
+from .profiles import LanguageProfile, profile_for
 
 __version__ = "0.1.0"
 
@@ -27,7 +27,6 @@ __all__ = [
     "parse_expression",
     "parse_statements",
     "profile_for",
-    "register_profile",
     "render_json",
     "render_text",
     "run_checkers",

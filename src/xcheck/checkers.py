@@ -212,30 +212,23 @@ def _expr_events(e: Expr, profile: LanguageProfile, truth: bool) -> Iterator[Nul
             yield from _expr_events(arg, profile, False)
 
 
-def _is_compound(s: Stmt) -> bool:
-    return not isinstance(s, WildcardStmt)
-
-
-def _stmt_events(s: Stmt, profile: LanguageProfile, depth: int) -> Iterator[NullEvent]:
+def _stmt_events(s: Stmt, profile: LanguageProfile) -> Iterator[NullEvent]:
     for role, part in s.parts():
         if role is BODY:
-            yield from _walk_events(part, profile, depth + 1)
+            for child in part:
+                yield from _stmt_events(child, profile)
         elif part is not None:
             yield from _expr_events(part, profile, role is TEST)
 
 
-def _walk_events(stmts: Sequence[Stmt], profile: LanguageProfile, depth: int) -> Iterator[NullEvent]:
+def iter_null_events(stmts: Sequence[Stmt], profile: LanguageProfile) -> Iterator[NullEvent]:
+    """The ordered event log the null-deref checker runs on."""
     for s in stmts:
-        yield from _stmt_events(s, profile, depth)
-        if depth == 0 and _is_compound(s):
+        yield from _stmt_events(s, profile)
+        if not isinstance(s, WildcardStmt):
             # Function-boundary heuristic: leaving a top-level compound
             # statement (typically a function body) clears tracked state.
             yield ResetEvent(s.span.end)
-
-
-def iter_null_events(stmts: Sequence[Stmt], profile: LanguageProfile) -> Iterator[NullEvent]:
-    """The ordered event log the null-deref checker runs on."""
-    yield from _walk_events(stmts, profile, 0)
 
 
 def check_null_deref(

@@ -15,6 +15,12 @@ leaves the wildcard unchanged when nothing matches.
 
 Both steps find brackets in one table built per token list in a single
 pass (:func:`_bracket_table`) and work on index ranges of that list.
+Every cut at bracket depth zero (statement ends, ``for`` header
+semicolons, switch labels and colons, call arguments) goes through one
+search that steps over whole bracket groups, :meth:`_Parser._find`.
+Refinement's operator scan is the one exception: it must also look at each
+group's closer, which can be an operator too (``pairs = ( ) < >`` makes
+``>`` close ``<``, and ``>`` is still a comparison).
 
 Every expression node records the token slice it covers.  A refined node
 is never empty and reads its source span off that slice; a wildcard may be
@@ -80,10 +86,10 @@ class Wildcard(Expr):
     """An uninterpreted, ordered run of tokens; it may be empty, so its span
     is stored (an empty slot's sits at the slot's anchor)."""
 
-    __slots__ = ("tokens", "span", "incomplete")
+    __slots__ = ("tokens", "span")
 
-    def __init__(self, tokens: tuple[Token, ...], span: Span, incomplete: bool = False) -> None:
-        self.tokens, self.span, self.incomplete = tokens, span, incomplete
+    def __init__(self, tokens: tuple[Token, ...], span: Span) -> None:
+        self.tokens, self.span = tokens, span
 
 
 class Compare(Expr):
@@ -424,6 +430,15 @@ class _Parser:
         self.i = self.hi
         return lo, self.hi, False, open_tok
 
+    def _find(self, lo: int, hi: int, texts: Sequence[str]) -> int:
+        """The first index of ``[lo, hi)`` at bracket depth zero whose text
+        is in ``texts``, else ``hi``; an opener is looked at, then its whole
+        group is stepped over."""
+        toks, match, k = self.toks, self.any, lo
+        while k < hi and toks[k].text not in texts:
+            k = match[k] + 1
+        return k if k < hi else hi
+
     # -- entry point ----------------------------------------------------------
 
     def parse(self, lo: int, hi: int, nesting: int) -> list[Stmt]:
@@ -471,38 +486,24 @@ class _Parser:
         brace region is recognized as a block; an input that ends first
         yields the run flagged as incomplete.
         """
-        toks, match, lo, hi = self.toks, self.any, self.i, self.hi
-        term = self.profile.stmt_terminator
-        k = lo
-        while k < hi:
-            text = toks[k].text
-            if text == term or text == "{":
-                break
-            k = match[k] + 1
-        stop = min(k, hi)
-        incomplete = stop == hi
-        self.i = stop
-        terminator = self._take() if not incomplete and toks[stop].text == term else None
-        anchor = terminator.pos if terminator is not None else toks[lo].pos
-        end = token_end(terminator) if terminator is not None else token_end(toks[stop - 1])
-        span = _new(Span, (toks[lo].pos if stop > lo else anchor, end))
-        return WildcardStmt(self._slot(lo, stop, anchor, incomplete), span, incomplete=incomplete)
+        lo, term = self.i, self.profile.stmt_terminator
+        self.i = stop = self._find(lo, self.hi, (term, "{"))
+        if stop < self.hi and self.toks[stop].text == term:
+            self._take()
+        anchor = self.toks[lo].pos  # an empty run stops at its terminator ("{" starts a block)
+        return WildcardStmt(self._slot(lo, stop, anchor), _new(Span, (anchor, self._end_pos())), stop == self.hi)
 
-    def _slot(self, lo: int, hi: int, fallback: Position, incomplete: bool = False) -> Expr:
+    def _slot(self, lo: int, hi: int, fallback: Position) -> Expr:
         """Refine the expression slot ``toks[lo:hi]`` as soon as it is cut.
 
-        ``fallback`` anchors an empty slot's span; a slot that stays a
-        wildcard keeps the ``incomplete`` mark of its cut.
+        ``fallback`` anchors an empty slot's span.
         """
         anchor = self.toks[lo].pos if hi > lo else fallback
-        expr = self._refine(lo, hi, 0, anchor)
-        if incomplete and isinstance(expr, Wildcard):
-            expr.incomplete = True
-        return expr
+        return self._refine(lo, hi, 0, anchor)
 
     def _cond(self) -> tuple[Expr, bool]:
         lo, hi, ok, open_tok = self._balanced("(")
-        return self._slot(lo, hi, open_tok.pos, incomplete=not ok), ok
+        return self._slot(lo, hi, open_tok.pos), ok
 
     def _subparse(self, lo: int, hi: int, depth: int) -> list[Stmt]:
         if depth >= MAX_NESTING:
@@ -582,19 +583,11 @@ class _Parser:
         Anything other than exactly two semicolons (range-for, for-each,
         malformed headers) degrades to a single wildcard condition.
         """
-        toks, match = self.toks, self.any
-        term = self.profile.stmt_terminator
-        semis: list[int] = []
-        k = lo
-        while k < hi:
-            if toks[k].text == term:
-                semis.append(k)
-            k = match[k] + 1
-        if len(semis) != 2:
-            if lo == hi:
-                return None, None, None
-            return None, self._slot(lo, hi, anchor), None
-        a, b = semis
+        semi = (self.profile.stmt_terminator,)
+        a = self._find(lo, hi, semi)
+        b = self._find(a + 1, hi, semi)
+        if b == hi or self._find(b + 1, hi, semi) < hi:
+            a, b = lo - 1, hi  # as if cut just outside the header: all condition
         init, cond, update = (
             self._slot(x, y, anchor) if y > x else None
             for x, y in ((lo, a), (a + 1, b), (b + 1, hi))
@@ -620,28 +613,22 @@ class _Parser:
         """
         if lo == hi:
             return []
-        toks, match = self.toks, self.any
-        first = toks[lo]
-        if not (first.kind is _KW and first.text in _LABELS):
-            raise _StructuralMismatch("switch body does not start with a label")
-
+        toks = self.toks
         boundaries: list[int] = []
-        k = lo
+        k = self._find(lo, hi, _LABELS)
         while k < hi:
-            tok = toks[k]
-            if tok.kind is _KW and tok.text in _LABELS:
+            if toks[k].kind is _KW:
                 boundaries.append(k)
-            k = match[k] + 1
+            k = self._find(k + 1, hi, _LABELS)
+        if not boundaries or boundaries[0] != lo:
+            raise _StructuralMismatch("switch body does not start with a label")
         boundaries.append(hi)
 
         arms: list[CaseArm] = []
         for start, stop in zip(boundaries, boundaries[1:]):
             label_tok = toks[start]
             # label tokens run to the first depth-zero ":"
-            k = start + 1
-            while k < stop and toks[k].text != ":":
-                k = match[k] + 1
-            label_end = min(k, stop)
+            label_end = self._find(start + 1, stop, (":",))
             body = self._subparse(min(label_end + 1, stop), stop, depth + 1)
             label: Expr | None
             if label_tok.text == "default":
@@ -726,14 +713,12 @@ class _Parser:
         k = path_end(toks, lo, hi, self.profile.deref_ops)
         if lo < k < hi and toks[k].text == "(" and self.same[k] == hi - 1:
             args: list[Expr] = []
-            start = j = k + 1
-            if start < hi - 1:
-                while j < hi - 1:
-                    if toks[j].text == ",":
-                        args.append(refine(start, j, depth, anchor))
-                        start = j + 1
-                    j = match[j] + 1
-                args.append(refine(start, hi - 1, depth, anchor))
+            if k + 1 < hi - 1:  # "()" has no arguments
+                cut = k  # the "(", then each depth-zero ","
+                while cut < hi - 1:
+                    j = self._find(cut + 1, hi - 1, (",",))
+                    args.append(refine(cut + 1, j, depth, anchor))
+                    cut = j
             return Call(self._path(lo, k), tuple(args), tokens)
 
         # AccessPath: the whole run is ident (deref_op ident)+ exactly.
@@ -772,10 +757,7 @@ def parse_expression(wildcard: Expr, profile: LanguageProfile) -> Expr:
     if not isinstance(wildcard, Wildcard):
         return wildcard
     tokens = tuple(wildcard.tokens)
-    refined = _Parser(tokens, profile)._refine(0, len(tokens), 0, wildcard.span.start)
-    if isinstance(refined, Wildcard):
-        refined.incomplete = wildcard.incomplete
-    return refined
+    return _Parser(tokens, profile)._refine(0, len(tokens), 0, wildcard.span.start)
 
 
 # ---------------------------------------------------------------------------

@@ -288,13 +288,9 @@ def profile_for(name_or_path: str, registry: Registry | None = None) -> Language
     return (registry or DEFAULT_REGISTRY).resolve(name_or_path)
 
 
-def register_profile(profile: LanguageProfile, registry: Registry | None = None) -> None:
-    (registry or DEFAULT_REGISTRY).register(profile)
-
-
 def load_profile_file(path: str, registry: Registry | None = None) -> LanguageProfile:
     """Parse a profile definition file and register it."""
     with open(path, encoding="utf-8") as fh:
         profile = parse_profile_text(fh.read())
-    register_profile(profile, registry)
+    (registry or DEFAULT_REGISTRY).register(profile)
     return profile

@@ -191,7 +191,7 @@ class _Parser:
             elif tok.text in self._closes:
                 depth = max(0, depth - 1)
         anchor = terminator.pos if terminator is not None else start_tok.pos
-        wild = Wildcard(tuple(collected), _span_of(collected, anchor), incomplete=incomplete)
+        wild = Wildcard(tuple(collected), _span_of(collected, anchor))
         end = token_end(terminator) if terminator is not None else self._end_pos()
         span = Span(collected[0].pos if collected else anchor, end)
         return WildcardStmt(wild, span, incomplete=incomplete)
@@ -219,7 +219,7 @@ class _Parser:
 
     def _cond(self) -> tuple[Wildcard, bool]:
         interior, ok, open_tok = self._balanced("(", ")")
-        return Wildcard(interior, _span_of(interior, open_tok.pos), incomplete=not ok), ok
+        return Wildcard(interior, _span_of(interior, open_tok.pos)), ok
 
     def _subparse(self, tokens: Sequence[Token], depth: int) -> list[Stmt]:
         if depth >= MAX_NESTING:
@@ -462,10 +462,7 @@ def parse_expression(wildcard: Expr, profile: LanguageProfile) -> Expr:
     """
     if not isinstance(wildcard, Wildcard):
         return wildcard
-    refined = _refine(wildcard.tokens, profile, 0, wildcard.span.start)
-    if isinstance(refined, Wildcard):
-        refined.incomplete = refined.incomplete or wildcard.incomplete
-    return refined
+    return _refine(wildcard.tokens, profile, 0, wildcard.span.start)
 
 
 def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anchor: Position) -> Expr:

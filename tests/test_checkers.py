@@ -257,9 +257,36 @@ def test_update_kills_tracking():
     assert check_null_deref(parse_source(src), C) == []
 
 
+# Known answers for the scope-reset rule: ``p->a(x);`` on line 1, ``if (p)``
+# on line 2.  Leaving a top-level compound statement clears what was
+# dereferenced; leaving a nested one, or a top-level plain statement, does not.
+RESETTING = [
+    "void f() { p->a(x); }\nvoid g() { if (p) h(); }",
+    "{ p->a(x); }\nif (p) h();",
+    "if (c) p->a(x);\nif (p) h();",
+    "while (c) p->a(x);\nif (p) h();",
+    "do p->a(x); while (c);\nif (p) h();",
+    "for (;;) p->a(x);\nif (p) h();",
+    "switch (c) { case 1: p->a(x); }\nif (p) h();",
+]
+KEEPING = [
+    "void f() { { p->a(x); }\n if (p) h(); }",
+    "void f() { if (c) p->a(x);\n if (p) h(); }",
+    "p->a(x);\nif (p) h();",
+]
+
+
 def test_top_level_compound_resets_state():
-    src = "void f() { p->a(x); }\nvoid g() { if (p) h(); }"
-    assert check_null_deref(parse_source(src), C) == []
+    for src in RESETTING:
+        assert check_null_deref(parse_source(src), C) == [], src
+    for src in KEEPING:
+        first, second = src.split("\n")
+        got = [
+            (d.span.start.line, d.span.start.column, d.related[0].line, d.related[0].column)
+            for d in check_null_deref(parse_source(src), C)
+        ]
+        # one finding, at the tested ``p``, citing the dereferenced ``p``
+        assert got == [(2, second.index("(p)") + 2, 1, first.index("p->") + 1)], src
 
 
 def test_checker_matches_brute_force_oracle_on_random_programs():

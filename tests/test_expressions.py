@@ -117,6 +117,17 @@ def test_call_args_split_on_depth_zero_commas():
     e = refine(["f", "(", "a", ",", "g", "(", "b", ",", "c", ")", ",", "d", ")"])
     assert isinstance(e, Call) and len(e.args) == 3
     assert isinstance(e.args[1], Call) and len(e.args[1].args) == 2
+    # empty parts: no argument for "()", an empty wildcard for each empty part
+    for texts, empty in (
+        ([], []),
+        (["a", ","], [False, True]),
+        ([",", "a"], [True, False]),
+        (["a", ",", ",", "b"], [False, True, False]),
+        ([","], [True, True]),
+    ):
+        e = refine(["f", "(", *texts, ")"])
+        assert isinstance(e, Call), texts
+        assert [isinstance(a, Wildcard) and a.tokens == () for a in e.args] == empty, texts
 
 
 def test_call_requires_parens_to_cover_remainder():

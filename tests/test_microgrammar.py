@@ -83,6 +83,8 @@ def test_skip_to_ignores_nested_terminators():
     assert len(stmts) == 1 and not stmts[0].incomplete
     assert [t.text for t in stmts[0].expr.tokens] == ["x", "=", "f", "(", "a", ";", "b", ")"]
     assert syntax == [";"]
+    stmts = parse_source("x = (a; b); y;")
+    assert [[t.text for t in s.expr.tokens] for s in stmts] == [["x", "=", "(", "a", ";", "b", ")"], ["y"]]
 
 
 def test_skip_to_empty_statement():
@@ -94,7 +96,7 @@ def test_skip_to_empty_statement():
 def test_skip_to_missing_suffix_flags_and_returns_tokens():
     stmts, syntax, _ = debug_parse("a b")
     assert len(stmts) == 1 and stmts[0].incomplete
-    assert isinstance(stmts[0].expr, Wildcard) and stmts[0].expr.incomplete
+    assert isinstance(stmts[0].expr, Wildcard)
     assert [t.text for t in stmts[0].expr.tokens] == ["a", "b"]
     assert syntax == []
 
@@ -170,6 +172,11 @@ def test_for_header_splits_into_three_parts():
     assert isinstance(loop.init.lhs, Atom)
     assert isinstance(loop.cond, Compare) and loop.cond.op == "<"
     assert isinstance(loop.update, Update) and loop.update.op == "++"
+    # a ";" inside brackets is not a header cut
+    loop = parse_source("for (f(a;b); c; d) g();")[0]
+    assert [[t.text for t in part.tokens] for part in (loop.init, loop.cond, loop.update)] == [
+        ["f", "(", "a", ";", "b", ")"], ["c"], ["d"],
+    ]
 
 
 def test_range_for_header_degrades_to_single_condition():
@@ -178,6 +185,11 @@ def test_range_for_header_degrades_to_single_condition():
     assert loop.init is None and loop.update is None
     assert isinstance(loop.cond, Wildcard)
     assert [t.text for t in loop.cond.tokens] == ["auto", "x", ":", "xs"]
+    # one or three depth-zero ";" degrade the same way
+    for header in ("a;b", "a;b;c;d"):
+        loop = parse_source(f"for ({header}) g();")[0]
+        assert isinstance(loop, For) and loop.init is None and loop.update is None, header
+        assert "".join(t.text for t in loop.cond.tokens) == header
 
 
 def test_else_if_chain_is_flattened():
@@ -238,11 +250,21 @@ def test_switch_case_arms_and_fallthrough():
     assert [t.text for t in one.label.tokens] == ["1"]
     assert len(two.body) == 2
     assert dflt.label is None and len(dflt.body) == 1
+    # tokens between `default` and ":" open the arm's body
+    dflt = parse_source("switch (x) { default y: g(); }")[0].cases[0]
+    assert dflt.label is None
+    assert [[t.text for t in s.expr.tokens] for s in dflt.body] == [["y"], ["g", "(", ")"]]
+    # a label with no ":" keeps every token of its arm
+    arm = parse_source("switch (x) { case 2 h(); }")[0].cases[0]
+    assert [t.text for t in arm.label.tokens] == ["2", "h", "(", ")", ";"] and arm.body == []
 
 
 def test_switch_scoped_label_colon_is_not_cut_short():
     node = parse_source("switch (x) { case Foo::bar: f(); }", CPP)[0]
     assert [t.text for t in node.cases[0].label.tokens] == ["Foo", "::", "bar"]
+    node = parse_source("switch (x) { case a[1 ? 2 : 3]: f(); }")[0]
+    assert [t.text for t in node.cases[0].label.tokens] == ["a", "[", "1", "?", "2", ":", "3", "]"]
+    assert len(node.cases[0].body) == 1
 
 
 def test_nested_switch_stays_nested():

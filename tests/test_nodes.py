@@ -1,7 +1,9 @@
 """Value semantics of the tree nodes.
 
 Unlike the immutable records in ``test_records``, tree nodes are mutable
-slotted objects: the parser sets ``incomplete`` after building a node.
+slotted objects: refinement's paren-strip re-points a node's ``tokens``
+after building it.  Only statements carry ``incomplete``, set when the
+parser builds them; a ``Wildcard`` is ``Wildcard(tokens, span)``.
 They compare equal only to a node of the same class with equal fields,
 are not hashable, and print as ``Name(field=value, ...)`` in field order.
 """
@@ -36,7 +38,7 @@ from xcheck.profiles import profile_for
 
 # Every node class with its fields in constructor order.
 FIELDS = {
-    Wildcard: ("tokens", "span", "incomplete"),
+    Wildcard: ("tokens", "span"),
     Compare: ("op", "lhs", "rhs", "tokens"),
     Logical: ("op", "lhs", "rhs", "tokens"),
     Not: ("operand", "tokens"),
@@ -91,12 +93,11 @@ def test_repr_of_a_refined_tree():
     )
     assert expr.span == Span(Position(1, 1, 0), Position(1, 4, 3))
     tokens = tuple(tokenize("(a, b", c).tokens)
-    expr = parse_expression(Wildcard(tokens, Span(tokens[0].pos, Position(1, 6, 5)), incomplete=True), c)
+    expr = parse_expression(Wildcard(tokens, Span(tokens[0].pos, Position(1, 6, 5))), c)
     assert repr(expr) == (
         "Wildcard(tokens=(Token(PUNCTUATION, '(', 1:1), Token(IDENTIFIER, 'a', 1:2), "
         "Token(PUNCTUATION, ',', 1:3), Token(IDENTIFIER, 'b', 1:5)), "
-        "span=Span(start=Position(line=1, column=1, offset=0), end=Position(line=1, column=6, offset=5)), "
-        "incomplete=True)"
+        "span=Span(start=Position(line=1, column=1, offset=0), end=Position(line=1, column=6, offset=5)))"
     )
 
 
