@@ -2,8 +2,8 @@
 
 Resolves inputs to (file, profile) pairs, runs the pipeline, renders
 findings to stdout, and exits 0 (clean), 1 (findings), or 2 (usage/IO
-error; an unreadable file is reported and skipped, the rest still run).
-Logs and errors go to stderr; stdout carries output only.
+error; an unreadable file or directory is reported and skipped, the rest
+still run).  Logs and errors go to stderr; stdout carries output only.
 """
 
 from __future__ import annotations
@@ -101,13 +101,18 @@ def parse_args(argv: list[str]) -> RunConfig:
     )
 
 
-def _collect_files(config: RunConfig, registry: Registry, err) -> list[tuple[str, str]]:
-    """Expand paths to (file, language-or-path) pairs in deterministic order."""
+def _collect_files(config: RunConfig, registry: Registry, err) -> tuple[list[tuple[str, str]], bool]:
+    """Expand paths to (file, language-or-path) pairs in deterministic order,
+    and whether some directory could not be read.  Unreadable directories and
+    the links to directories met in the walk (not followed) go to ``err``."""
     out: list[tuple[str, str]] = []
+    failed: list[OSError] = []
     for raw in config.paths:
         if os.path.isdir(raw):
-            for root, dirs, names in os.walk(raw):
+            for root, dirs, names in os.walk(raw, onerror=failed.append):
                 dirs.sort()
+                for link in filter(os.path.islink, (os.path.join(root, d) for d in dirs)):
+                    print(f"xcheck: skipping {link} (link to a directory, not followed)", file=err)
                 for name in sorted(names):
                     full = os.path.join(root, name)
                     try:
@@ -120,7 +125,9 @@ def _collect_files(config: RunConfig, registry: Registry, err) -> list[tuple[str
             out.append((raw, config.lang_override if config.lang_override else raw))
         else:
             raise FileNotFoundError(f"no such file or directory: {raw}")
-    return out
+    for exc in failed:
+        print(f"xcheck: error: {exc.filename}: {exc.strerror or exc}", file=err)
+    return out, bool(failed)
 
 
 def analyze_source(
@@ -172,12 +179,11 @@ def run(config: RunConfig, registry: Registry = DEFAULT_REGISTRY, out=None, err=
                 extended.register(registry.resolve(name))
             load_profile_file(config.profile_file, extended)
             registry = extended
-        files = _collect_files(config, registry, err)
+        files, unreadable = _collect_files(config, registry, err)
         if config.line_range is not None:
             if len(files) != 1 or not os.path.isfile(config.paths[0]):
                 raise BadRange("--line-range requires exactly one input file")
         all_diags: list[Diagnostic] = []
-        unreadable = False
         for path, lang in files:
             try:
                 diags, stmts = analyze_file(path, lang, config, registry, err)

@@ -20,7 +20,10 @@ semicolons, switch labels and colons, call arguments) goes through one
 search that steps over whole bracket groups, :meth:`_Parser._find`.
 Refinement's operator scan is the one exception: it must also look at each
 group's closer, which can be an operator too (``pairs = ( ) < >`` makes
-``>`` close ``<``, and ``>`` is still a comparison).
+``>`` close ``<``, and ``>`` is still a comparison).  It runs once per
+bracket level: a cut at a depth-zero operator never cuts a bracket group, so
+the long side of a split (a ``Logical`` lhs, a ``Not`` operand, an
+``++``/``--`` target) inherits its parent's operator lists, trimmed.
 
 Every expression node records the token slice it covers.  A refined node
 is never empty and reads its source span off that slice; a wildcard may be
@@ -37,6 +40,7 @@ the tree dump and the checkers' event walk all read that one declaration.
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .lexer import Position, Token, TokenKind, TokenStream, _new, _Slotted, token_end
@@ -644,10 +648,12 @@ class _Parser:
 
     # -- expression refinement ------------------------------------------------
 
-    def _refine(self, lo: int, hi: int, depth: int, anchor: Position) -> Expr:
+    def _refine(self, lo: int, hi: int, depth: int, anchor: Position, ops: tuple | None = None) -> Expr:
         """Refine ``toks[lo:hi]`` into a recognized shape, else a wildcard.
 
-        ``anchor`` is the slot's start, the span of any empty part.
+        ``anchor`` is the slot's start, the span of any empty part.  ``ops``
+        is the range's depth-zero ``||``, ``&&``, comparison and ``+=``/``-=``
+        indices (four lists in source order) when the caller's scan has them.
         """
         toks = self.toks
         tokens = toks[lo:hi]
@@ -660,31 +666,36 @@ class _Parser:
         # is at depth zero too).  Assign: the first bare "=" wins outright;
         # right-associative chains nest in the rhs.
         match = self.any
-        or_at = and_at = -1
-        comparisons: list[int] = []
-        bin_updates: list[int] = []
-        k = lo
-        while k < hi:
-            tok = toks[k]
-            if tok.kind is _OP:
-                text = tok.text
-                if text == "=":
-                    return Assign(refine(lo, k, depth, anchor), refine(k + 1, hi, depth, anchor), tokens)
-                if text == "||":
-                    or_at = k
-                elif text == "&&":
-                    and_at = k
-                elif text in _COMPARE_OPS:
-                    comparisons.append(k)
-                elif text in _BINARY_UPDATE_OPS:
-                    bin_updates.append(k)
-            m = match[k]
-            k = m if m > k else k + 1
+        if ops is None:
+            ops = ors, ands, comparisons, bin_updates = [], [], [], []
+            k = lo
+            while k < hi:
+                tok = toks[k]
+                if tok.kind is _OP:
+                    text = tok.text
+                    if text == "=":
+                        return Assign(refine(lo, k, depth, anchor), refine(k + 1, hi, depth, anchor), tokens)
+                    if text == "||":
+                        ors.append(k)
+                    elif text == "&&":
+                        ands.append(k)
+                    elif text in _COMPARE_OPS:
+                        comparisons.append(k)
+                    elif text in _BINARY_UPDATE_OPS:
+                        bin_updates.append(k)
+                m = match[k]
+                k = m if m > k else k + 1
+        else:
+            ors, ands, comparisons, bin_updates = ops
 
         # Logical: split at the last top-level "||", else the last "&&".
-        for op, idx in (("||", or_at), ("&&", and_at)):
-            if idx >= 0:
-                return Logical(op, refine(lo, idx, depth, anchor), refine(idx + 1, hi, depth, anchor), tokens)
+        at = ors or ands
+        if at:
+            idx = at[-1]
+            for x in ops:
+                del x[bisect_left(x, idx):]  # what is left is the lhs's
+            op = toks[idx].text
+            return Logical(op, refine(lo, idx, depth, anchor, ops), refine(idx + 1, hi, depth, anchor), tokens)
 
         # Compare: exactly one top-level comparison operator.  Two or more
         # (template/generic angle brackets, chained comparisons) stay wildcard.
@@ -693,10 +704,11 @@ class _Parser:
             op = toks[idx].text
             return Compare(op, refine(lo, idx, depth, anchor), refine(idx + 1, hi, depth, anchor), tokens)
 
-        # Not: leading "!".
+        # Not: leading "!".  Its operand, like a "++"/"--" target below, keeps
+        # the lists unless a profile pairs the token cut off as an opener.
         first, last = toks[lo], toks[hi - 1]
         if first.text == "!" and hi - lo > 1:
-            return Not(refine(lo + 1, hi, depth, anchor), tokens)
+            return Not(refine(lo + 1, hi, depth, anchor, ops if match[lo] == lo else None), tokens)
 
         # Update: one top-level "+=" / "-=", or a leading/trailing "++" / "--".
         if len(bin_updates) == 1:
@@ -704,9 +716,9 @@ class _Parser:
             value = refine(idx + 1, hi, depth, anchor)
             return Update(toks[idx].text, refine(lo, idx, depth, anchor), tokens, value=value)
         if hi - lo >= 2 and last.text in _UNARY_UPDATE_OPS:
-            return Update(last.text, refine(lo, hi - 1, depth, anchor), tokens)
+            return Update(last.text, refine(lo, hi - 1, depth, anchor, ops), tokens)
         if hi - lo >= 2 and first.text in _UNARY_UPDATE_OPS:
-            return Update(first.text, refine(lo + 1, hi, depth, anchor), tokens)
+            return Update(first.text, refine(lo + 1, hi, depth, anchor, ops if match[lo] == lo else None), tokens)
 
         # Call: access path (or bare identifier) + balanced "(...)" covering
         # the remainder; arguments split on depth-zero commas.

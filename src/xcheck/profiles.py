@@ -156,6 +156,14 @@ _SCALAR_KEYS = {"name", "line_comment", "escape", "stmt_terminator", "preprocess
 
 
 def parse_profile_text(text: str) -> LanguageProfile:
+    """Read a profile in the profile-file format and validate it."""
+    profile = _read_profile_text(text)
+    validate_profile(profile)
+    return profile
+
+
+def _read_profile_text(text: str) -> LanguageProfile:
+    """A profile from the profile-file format, not validated (each caller validates once)."""
     values: dict[str, list[str] | str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
@@ -201,7 +209,7 @@ def parse_profile_text(text: str) -> LanguageProfile:
     pairs = tuple(
         (pair_tokens[i], pair_tokens[i + 1]) for i in range(0, len(pair_tokens), 2)
     )
-    profile = LanguageProfile(
+    return LanguageProfile(
         name=scalar("name"),
         file_extensions=frozenset(listval("extensions", [])),
         line_comment=scalar("line_comment", "//"),
@@ -217,8 +225,6 @@ def parse_profile_text(text: str) -> LanguageProfile:
         open_close_pairs=pairs,
         preprocessor_prefix=values.get("preprocessor") or None,  # type: ignore[arg-type]
     )
-    validate_profile(profile)
-    return profile
 
 
 # --------------------------------------------------------------------------
@@ -277,7 +283,7 @@ def builtin_registry() -> Registry:
     """A fresh registry holding the built-in C, C++, and Java profiles."""
     registry = Registry()
     for text in (_C_TEXT, _CPP_TEXT, _JAVA_TEXT):
-        registry.register(parse_profile_text(text))
+        registry.register(_read_profile_text(text))
     return registry
 
 
@@ -291,6 +297,6 @@ def profile_for(name_or_path: str, registry: Registry | None = None) -> Language
 def load_profile_file(path: str, registry: Registry | None = None) -> LanguageProfile:
     """Parse a profile definition file and register it."""
     with open(path, encoding="utf-8") as fh:
-        profile = parse_profile_text(fh.read())
+        profile = _read_profile_text(fh.read())
     (registry or DEFAULT_REGISTRY).register(profile)
     return profile

@@ -339,6 +339,62 @@ def random_token_source(rng: random.Random, profile: LanguageProfile, max_len: i
 
 
 # ---------------------------------------------------------------------------
+# Long operator chains: refinement at and past its depth cap
+# ---------------------------------------------------------------------------
+
+_CHAIN_OPS = ("&&", "||", "=", "+=", "==", "<", ">")
+
+
+def random_chain(rng: random.Random, terms: int, nested: bool = True) -> str:
+    """``terms`` operands, joined mostly by one operator of ``_CHAIN_OPS``
+    and one time in twenty by another.  An operand may carry a leading
+    ``!``, ``++`` or a trailing ``++``, be an access path, or (when
+    ``nested``) a parenthesized chain or a call whose arguments are short
+    chains."""
+
+    def operand() -> str:
+        roll = rng.random()
+        if nested and roll < 0.06:
+            return f"( {random_chain(rng, rng.randint(1, 6), nested=False)} )"
+        if nested and roll < 0.12:
+            args = (random_chain(rng, rng.randint(1, 3), nested=False) for _ in range(rng.randint(0, 3)))
+            return f"f ( {' , '.join(args)} )"
+        if roll < 0.22:
+            return f"! {operand()}"
+        if roll < 0.27:
+            return f"++ {rng.choice(_IDENTS)}"
+        if roll < 0.32:
+            return f"{rng.choice(_IDENTS)} ++"
+        if roll < 0.40:
+            return f"{rng.choice(_IDENTS)} -> {rng.choice(_IDENTS)}"
+        return rng.choice(_IDENTS + _LITS + ["NULL"])
+
+    main = rng.choice(_CHAIN_OPS)
+    words = [operand()]
+    for _ in range(terms - 1):
+        words += main if rng.random() < 0.95 else rng.choice(_CHAIN_OPS), operand()
+    return " ".join(words)
+
+
+def long_chain_program(rng: random.Random) -> str:
+    """Statements around chains of 100-300 terms, which cross the parser's
+    ``MAX_EXPR_DEPTH`` of 128 levels, and runs of one prefix operator."""
+
+    def chain() -> str:
+        return random_chain(rng, rng.randint(100, 300))
+
+    forms = [
+        lambda: f"if ( {chain()} ) f ( ) ;",
+        lambda: f"{chain()} ;",
+        lambda: f"while ( {chain()} ) {{ g ( p ) ; }}",
+        lambda: f"for ( i = 0 ; {chain()} ; i ++ ) ;",
+        lambda: f"p -> a ; if ( p && {chain()} ) h ( ) ;",
+        lambda: f"x = {(rng.choice(('!', '++', '--')) + ' ') * rng.randint(100, 300)}{rng.choice(_IDENTS)} ;",
+    ]
+    return "\n".join(rng.choice(forms)() for _ in range(rng.randint(1, 3)))
+
+
+# ---------------------------------------------------------------------------
 # Random micro-programs and the brute-force null-deref oracle
 # ---------------------------------------------------------------------------
 

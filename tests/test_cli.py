@@ -161,6 +161,43 @@ def test_unreadable_file_is_reported_and_the_rest_still_analyzed(tmp_path):
     assert err.splitlines() == [f"xcheck: error: {tmp_path / 'b.c'}: {os.strerror(errno.ENOENT)}"]
 
 
+def test_link_to_a_directory_is_reported_and_not_followed(tmp_path):
+    (tmp_path / "real").mkdir()
+    (tmp_path / "real" / "bad.c").write_text("p->f(x);\nif (p) q();\n")
+    (tmp_path / "dir").mkdir()
+    link = tmp_path / "dir" / "l"
+    os.symlink(os.path.join("..", "real"), link)
+    code, out, err = invoke([str(tmp_path / "dir")])
+    assert (code, out) == (0, "")
+    assert err.splitlines() == [f"xcheck: skipping {link} (link to a directory, not followed)"]
+    # A link named on the command line is followed.
+    code, out, err = invoke([str(link)])
+    assert code == 1 and out.startswith(f"{link / 'bad.c'}:2:5: warning [null-deref]:")
+    assert err == ""
+
+
+@pytest.mark.parametrize("locked", ["sub", "."])
+def test_unreadable_directory_is_reported_and_the_rest_still_analyzed(tmp_path, monkeypatch, locked):
+    (tmp_path / "a.c").write_text("p->f(x);\nif (p) q();\n")
+    (tmp_path / "sub").mkdir()
+    (tmp_path / "sub" / "b.c").write_text("q->f(x);\nif (q) r();\n")
+    (tmp_path / "z.c").write_text("r->f(x);\nif (r) s();\n")
+    denied = os.path.normpath(tmp_path / locked)
+    real_scandir = os.scandir
+
+    def scandir(path):  # a permission check that holds even for root
+        if os.path.normpath(path) == denied:
+            raise PermissionError(errno.EACCES, os.strerror(errno.EACCES), path)
+        return real_scandir(path)
+
+    monkeypatch.setattr(os, "scandir", scandir)
+    code, out, err = invoke([str(tmp_path)])
+    assert code == 2
+    assert err.splitlines() == [f"xcheck: error: {denied}: {os.strerror(errno.EACCES)}"]
+    analyzed = [line.split(":")[0] for line in out.splitlines() if "warning" in line]
+    assert analyzed == ([] if locked == "." else [str(tmp_path / "a.c"), str(tmp_path / "z.c")])
+
+
 def test_line_range_requires_single_file(tmp_path):
     (tmp_path / "a.c").write_text("x;\n")
     config = parse_args(["--line-range", "1:5", str(tmp_path)])

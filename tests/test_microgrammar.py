@@ -28,6 +28,7 @@ from xcheck.microgrammar import (
     Wildcard,
     WildcardStmt,
     _bracket_table,
+    _Parser,
     dump_statements,
     parse_statements,
 )
@@ -339,3 +340,37 @@ def test_parse_accepts_stream_or_token_list():
     a = parse_statements(stream, C)
     b = parse_statements(stream.tokens, C)
     assert len(a) == len(b) == 1
+
+
+# -- refinement cost: one operator scan per bracket level ----------------------
+
+
+class _CountingList(list):
+    """A list that counts its reads by index."""
+
+    reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return super().__getitem__(i)
+
+
+CHAINS = {
+    "&&": lambda n: "if (" + " && ".join(f"a{j}" for j in range(n)) + ") f();",
+    "||": lambda n: "if (" + " || ".join(f"a{j}" for j in range(n)) + ") f();",
+    "!": lambda n: "if (" + "! " * n + "a) f();",
+    "++": lambda n: "x = " + "++ " * n + "a;",
+    "=": lambda n: " = ".join(f"a{j}" for j in range(n)) + ";",
+}
+
+
+@pytest.mark.parametrize("n", (1000, 2000))
+@pytest.mark.parametrize("op", sorted(CHAINS))
+def test_refinement_reads_each_bracket_match_a_bounded_number_of_times(op, n):
+    # Rescanning a chain's long side at each of its 128 levels would read
+    # the bracket table about 120 times per token; no clock is needed.
+    tokens = tuple(tokenize(CHAINS[op](n), C).tokens)
+    parser = _Parser(tokens, C)
+    parser.any = counting = _CountingList(parser.any)
+    assert parser.parse(0, len(tokens), 0) == parse_statements(tokens, C)
+    assert counting.reads <= 4 * len(tokens), counting.reads / len(tokens)

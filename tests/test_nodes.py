@@ -65,7 +65,11 @@ REFINED = [Compare, Logical, Not, Update, Assign, Call, AccessPath, Atom]
 DEFAULTS = {cls: {"incomplete": False} for cls in FIELDS if "incomplete" in FIELDS[cls]}
 DEFAULTS[Update] = {"value": None}
 
-# Classes whose fields have the same names in the same order.
+# Pairs of classes whose constructors take the same positional values.
+# Compare and Logical also have the same field names in the same order, so
+# only the class tells them apart; WildcardStmt and Block differ in the name
+# of their first field (expr, body), and Wildcard (tokens, span) fills only
+# the first two of Block's fields and leaves incomplete at its default.
 SAME_SHAPE = [(Compare, Logical), (WildcardStmt, Block), (Wildcard, Block)]
 
 

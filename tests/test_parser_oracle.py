@@ -15,7 +15,15 @@ import random
 import pytest
 
 from reference_parser import reference_parse_statements_debug
-from support import C, CPP, JAVA, alphabet_for, assert_token_conservation, random_micro_program
+from support import (
+    C,
+    CPP,
+    JAVA,
+    alphabet_for,
+    assert_token_conservation,
+    long_chain_program,
+    random_micro_program,
+)
 from xcheck.checkers import run_checkers
 from xcheck.diagnostics import dedupe_and_sort, render_text
 from xcheck.fixtures import fixture_path
@@ -36,6 +44,21 @@ operators = < <= > >= == != = += -= ++ -- && || ! -> . + - * ::
 keywords = if else while do for switch case default break return
 punctuation = ( ) { } [ ] ; , : ?
 pairs = ( ) { } < >
+deref_ops = -> .
+null_literals = NULL
+"""
+)
+
+# "!" and "++" open bracket groups here, so a cut just after a leading "!"
+# or "++" cuts a group open: refining what follows needs a scan of its own.
+PREFIX_PAIRS_PROFILE = parse_profile_text(
+    """\
+name = prefix-pairs
+extensions = .pp
+operators = < <= > >= == != = += -= ++ -- && || ! -> . + - * ::
+keywords = if else while do for switch case default break return
+punctuation = ( ) { } [ ] ; , : ?
+pairs = ( ) { } ! ? ++ ?
 deref_ops = -> .
 null_literals = NULL
 """
@@ -139,3 +162,11 @@ def test_profile_with_other_pairs_matches_reference():
     rng = random.Random(910)
     for _ in range(500):
         _assert_same(random_micro_program(rng), ANGLE_PROFILE)
+
+
+def test_long_operator_chains_match_reference():
+    """Chains of 100-300 terms cross the refinement depth cap of 128 levels."""
+    rng = random.Random(1128)
+    profiles = BUILTIN + (ANGLE_PROFILE, PREFIX_PAIRS_PROFILE)
+    for i in range(40):
+        _assert_same(long_chain_program(rng), profiles[i % 5])

@@ -131,6 +131,21 @@ def test_deref_ops_must_be_operators():
         parse_profile_text(MINI_PROFILE_TEXT.replace("deref_ops = .", "deref_ops = =>"))
 
 
+@pytest.mark.parametrize(
+    "old, new",
+    [
+        ("name = mini", "name ="),
+        ("operators = . == != < > = ! && || ++ --", "operators ="),
+        ("extensions = .mini .mn", "extensions = mini .mn"),
+        ("stmt_terminator = ;", "stmt_terminator = ;\nescape = ab\npairs = ( ) ( ]"),
+    ],
+)
+def test_parse_profile_text_alone_rejects_an_invalid_profile(old, new):
+    # Each text parses into a profile; only its validation finds the fault.
+    with pytest.raises(MalformedProfile, match=r"^profile '"):
+        parse_profile_text(MINI_PROFILE_TEXT.replace(old, new))
+
+
 def test_unknown_profile_key_rejected():
     with pytest.raises(MalformedProfile):
         parse_profile_text(MINI_PROFILE_TEXT + "color = blue\n")

@@ -7,12 +7,13 @@ Run from anywhere::
 Each ROOT is a checkout (the directory holding ``src/``).  One corpus is
 written to a temporary directory: the bundled regression fixtures, the
 golden-dump inputs under ``tests/golden/``, ``N`` seeded
-``random_micro_program``s and ``N`` seeded token soups
-(``random_token_source``, spread over C, C++ and Java) from
-``tests/support.py``, and, for each seed, the benchmark's three workloads
-(``tree_mixed``, ``docs_heavy`` and the six ``stress_shapes``) from
-``bench/``.  The corpus comes from this checkout, so both sides see the
-same files.
+``random_micro_program``s, ``N`` seeded token soups
+(``random_token_source``) and ``N // 10`` seeded ``long_chain_program``s
+(operator chains that cross the refinement depth cap), the last two spread
+over C, C++ and Java, from ``tests/support.py``, and, for each seed, the
+benchmark's three workloads (``tree_mixed``, ``docs_heavy`` and the six
+``stress_shapes``) from ``bench/``.  The corpus comes from this checkout,
+so both sides see the same files.
 
 The CLI then runs once per side, ``xcheck --dump-ast --format json DIR``
 with ``ROOT/src`` on ``PYTHONPATH``, and the exit codes, stdout and stderr
@@ -43,7 +44,7 @@ WORKLOADS = ("tree_mixed", "docs_heavy", "stress_shapes")
 def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
     sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "tests", "bench")]
     import run as bench_run
-    from support import random_micro_program, random_token_source
+    from support import long_chain_program, random_micro_program, random_token_source
     from xcheck.profiles import profile_for
 
     os.makedirs(os.path.join(dest, "fixtures"))
@@ -65,6 +66,12 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
         source = random_token_source(rng, profile_for(language), SOUP_MAX_TOKENS)
         with open(os.path.join(dest, "soups", f"s{i:04d}{extension}"), "w", encoding="utf-8") as fh:
             fh.write(source)
+    os.makedirs(os.path.join(dest, "chains"))
+    rng = random.Random(2)
+    for i in range(programs // 10):
+        _, extension = SOUP_LANGUAGES[i % len(SOUP_LANGUAGES)]
+        with open(os.path.join(dest, "chains", f"c{i:04d}{extension}"), "w", encoding="utf-8") as fh:
+            fh.write(long_chain_program(rng))
     for seed in seeds:
         for workload in WORKLOADS:
             files, _ = bench_run.build_workload(workload, seed)
