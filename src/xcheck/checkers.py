@@ -2,7 +2,7 @@
 
 Each checker is an independent function from a refined statement list to
 diagnostics; none of them ever consults token positions to make a decision
-(positions are carried along for reporting only).
+(offsets are carried along for reporting, and resolved only for a finding).
 
 The null-dereference checker works from a linear event log (dereferences,
 null tests, assignments that invalidate tracked paths, scope resets)
@@ -16,7 +16,7 @@ from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .diagnostics import Diagnostic, sort_key
-from .lexer import Position, TokenKind
+from .lexer import TokenKind, position
 from .microgrammar import (
     BODY,
     TEST,
@@ -26,11 +26,11 @@ from .microgrammar import (
     Call,
     Compare,
     Expr,
+    Extent,
     For,
     If,
     Logical,
     Not,
-    Span,
     Stmt,
     Switch,
     Update,
@@ -71,30 +71,30 @@ def render_path(path: Path) -> str:
 
 
 class DerefEvent(NamedTuple):
-    """A path dereferenced at ``pos`` (immutable named tuple)."""
+    """A path dereferenced at source ``offset`` (immutable named tuple)."""
 
     path: Path
-    pos: Position
+    offset: int
 
 
 class NullTestEvent(NamedTuple):
     """A path compared against null or used bare as a truth value (immutable named tuple)."""
 
     path: Path
-    span: Span
+    span: Extent
 
 
 class KillEvent(NamedTuple):
     """Assignment/update to a root: every path from it is invalidated (immutable named tuple)."""
 
     root: str
-    pos: Position
+    offset: int
 
 
 class ResetEvent(NamedTuple):
     """Tracking state cleared (top-level compound statement finished); immutable named tuple."""
 
-    pos: Position
+    offset: int
 
 
 NullEvent = DerefEvent | NullTestEvent | KillEvent | ResetEvent
@@ -113,7 +113,7 @@ def _lvalue_root(e: Expr) -> str | None:
     return path[0] if path is not None else None
 
 
-def _deref_events(path: Path, pos: Position, include_full: bool) -> Iterator[DerefEvent]:
+def _deref_events(path: Path, offset: int, include_full: bool) -> Iterator[DerefEvent]:
     """Paths a dereference of ``path`` proves non-null.
 
     Reading ``a->b->c`` proves every proper prefix (``a``, ``a->b``);
@@ -121,9 +121,9 @@ def _deref_events(path: Path, pos: Position, include_full: bool) -> Iterator[Der
     the full callee path.
     """
     for k in range(1, len(path), 2):
-        yield DerefEvent(path[:k], pos)
+        yield DerefEvent(path[:k], offset)
     if include_full:
-        yield DerefEvent(path, pos)
+        yield DerefEvent(path, offset)
 
 
 def _wildcard_deref_events(w: Wildcard, profile: LanguageProfile) -> Iterator[DerefEvent]:
@@ -143,7 +143,7 @@ def _wildcard_deref_events(w: Wildcard, profile: LanguageProfile) -> Iterator[De
         k = path_end(toks, i, n, deref_ops)
         if k - i >= 3:
             path = tuple(t.text for t in toks[i:k])
-            yield from _deref_events(path, toks[i].pos, k < n and toks[k].text == "(")
+            yield from _deref_events(path, toks[i].offset, k < n and toks[k].text == "(")
         i = k
 
 
@@ -179,7 +179,7 @@ def _expr_events(e: Expr, profile: LanguageProfile, truth: bool) -> Iterator[Nul
         path = e.path()
         if truth:
             yield NullTestEvent(path, e.span)
-        yield from _deref_events(path, e.root.pos, include_full=False)
+        yield from _deref_events(path, e.root.offset, include_full=False)
     elif isinstance(e, Compare):
         if truth and e.op in ("==", "!="):
             tested = _null_test_path(e, profile)
@@ -197,17 +197,17 @@ def _expr_events(e: Expr, profile: LanguageProfile, truth: bool) -> Iterator[Nul
         yield from _expr_events(e.rhs, profile, False)
         root = _lvalue_root(e.lhs)
         if root is not None:
-            yield KillEvent(root, e.tokens[0].pos)
+            yield KillEvent(root, e.tokens[0].offset)
     elif isinstance(e, Update):
         yield from _expr_events(e.target, profile, False)
         if e.value is not None:
             yield from _expr_events(e.value, profile, False)
         root = _lvalue_root(e.target)
         if root is not None:
-            yield KillEvent(root, e.tokens[0].pos)
+            yield KillEvent(root, e.tokens[0].offset)
     elif isinstance(e, Call):
         if isinstance(e.callee, AccessPath):
-            yield from _deref_events(e.callee.path(), e.callee.root.pos, include_full=True)
+            yield from _deref_events(e.callee.path(), e.callee.root.offset, include_full=True)
         for arg in e.args:
             yield from _expr_events(arg, profile, False)
 
@@ -228,7 +228,7 @@ def iter_null_events(stmts: Sequence[Stmt], profile: LanguageProfile) -> Iterato
         if not isinstance(s, WildcardStmt):
             # Function-boundary heuristic: leaving a top-level compound
             # statement (typically a function body) clears tracked state.
-            yield ResetEvent(s.span.end)
+            yield ResetEvent(s.span.hi)
 
 
 def check_null_deref(
@@ -236,21 +236,21 @@ def check_null_deref(
 ) -> list[Diagnostic]:
     """Report paths tested against null after already being dereferenced."""
     diags: list[Diagnostic] = []
-    nonnull: dict[Path, Position] = {}  # each path's earliest dereference
+    nonnull: dict[Path, int] = {}  # each path's earliest dereference offset
     for ev in iter_null_events(stmts, profile):
         if isinstance(ev, DerefEvent):
-            nonnull.setdefault(ev.path, ev.pos)
+            nonnull.setdefault(ev.path, ev.offset)
         elif isinstance(ev, NullTestEvent):
-            deref_pos = nonnull.pop(ev.path, None)  # one report per chain
-            if deref_pos is not None:
+            deref_at = nonnull.pop(ev.path, None)  # one report per chain
+            if deref_at is not None:
                 name = render_path(ev.path)
                 diags.append(
                     Diagnostic(
                         checker=CheckerId.NULL_DEREF.value,
                         message=f"'{name}' checked for null here but dereferenced earlier",
                         file=path,
-                        span=ev.span,
-                        related=(deref_pos, f"'{name}' dereferenced"),
+                        span=ev.span.resolve(),
+                        related=(position(ev.span.source, deref_at), f"'{name}' dereferenced"),
                     )
                 )
         elif isinstance(ev, KillEvent):
@@ -268,14 +268,12 @@ def check_null_deref(
 # ---------------------------------------------------------------------------
 
 
-def _body_span(body: Sequence[Stmt], fallback: Span) -> Span:
-    if not body:
-        return fallback
-    return Span(body[0].span.start, body[-1].span.end)
+def _body_span(body: Sequence[Stmt], fallback: Extent) -> Extent:
+    return Extent(body[0].span.lo, body[-1].span.hi, fallback.source) if body else fallback
 
 
 def _repeat_findings(
-    keys: Iterable[Key | None], spans: Sequence[Span], checker: CheckerId, message: str, note: str, path: str
+    keys: Iterable[Key | None], spans: Sequence[Extent], checker: CheckerId, message: str, note: str, path: str
 ) -> Iterator[Diagnostic]:
     """One finding per key seen before, at its span, citing the first
     occurrence's start; ``None`` keys are never compared."""
@@ -284,7 +282,7 @@ def _repeat_findings(
         if key is not None:
             i = first.setdefault(key, j)
             if i != j:
-                yield Diagnostic(checker.value, message, path, spans[j], (spans[i].start, note))
+                yield Diagnostic(checker.value, message, path, spans[j].resolve(), (spans[i].start, note))
 
 
 def check_redundant_conditions(
@@ -370,7 +368,7 @@ def check_loop_direction(
                         f"but bounded by '{node.cond.op}'"
                     ),
                     file=path,
-                    span=node.header_span,
+                    span=node.header_span.resolve(),
                 )
             )
     return diags

@@ -15,7 +15,7 @@ from typing import NamedTuple
 
 from .checkers import ALL_CHECKER_IDS, run_checkers
 from .diagnostics import Diagnostic, dedupe_and_sort, render_json, render_text
-from .lexer import LexError, tokenize
+from .lexer import LexError, line_starts, tokenize
 from .microgrammar import Stmt, dump_statements, parse_statements
 from .profiles import (
     DEFAULT_REGISTRY,
@@ -137,13 +137,14 @@ def analyze_source(
     line_range: tuple[int, int] | None,
     checkers: tuple[str, ...],
 ) -> tuple[list[LexError], list[Stmt], list[Diagnostic]]:
-    """One file through the pipeline: lex, keep the 1-based ``line_range``
-    window of tokens (all of them when ``None``), parse, run ``checkers``."""
+    """One file through the pipeline: lex, keep the tokens that start in the
+    1-based ``line_range`` (all of them when ``None``), parse, run ``checkers``."""
     stream = tokenize(source, profile, source_path=path)
     tokens = stream.tokens
-    if line_range is not None:
-        first, last = line_range
-        tokens = [t for t in tokens if first <= t.pos.line <= last]
+    if line_range is not None:  # the window as offsets, found once
+        starts = (*line_starts(source), len(source))
+        lo, hi = (starts[min(n, len(starts)) - 1] for n in (line_range[0], line_range[1] + 1))
+        tokens = [t for t in tokens if lo <= t.offset < hi]
     stmts = parse_statements(tokens, profile)
     return stream.errors, stmts, run_checkers(stmts, profile, checkers, path=path)
 
@@ -172,13 +173,10 @@ def run(config: RunConfig, registry: Registry = DEFAULT_REGISTRY, out=None, err=
     err = err if err is not None else sys.stderr
     try:
         if config.profile_file is not None:
-            # extend a copy: the caller's registry (by default the
-            # process-wide one) must read the same after the run
-            extended = Registry()
-            for name in registry.names():
-                extended.register(registry.resolve(name))
-            load_profile_file(config.profile_file, extended)
-            registry = extended
+            # extend a copy (of already validated profiles): the caller's
+            # registry, by default the process-wide one, must read the same
+            registry = Registry(registry)
+            load_profile_file(config.profile_file, registry)
         files, unreadable = _collect_files(config, registry, err)
         if config.line_range is not None:
             if len(files) != 1 or not os.path.isfile(config.paths[0]):

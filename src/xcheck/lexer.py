@@ -1,12 +1,12 @@
 """Profile-driven tokenizer.
 
-Turns raw source text into a stream of position-annotated tokens.
-Each profile's data (comment syntax, quotes and escape, preprocessor
-prefix, operators) is compiled into one regex scanner, cached by the
-profile's value.  Comments never produce tokens, string/char literals
-collapse into single tokens, and operators are matched with maximal munch
-(the longest operator in the profile wins at every position), so "++"
-can never lex as "+", "+".
+Turns raw source text into a stream of tokens that hold offsets, not lines
+(``tok.pos`` finds line and column when read).  Each profile's data
+(comment syntax, quotes and escape, preprocessor prefix, operators) is
+compiled into one regex scanner, cached by the profile's value.  Comments
+never produce tokens, string/char literals collapse into single tokens, and
+operators are matched with maximal munch (the longest operator in the
+profile wins at every position), so "++" can never lex as "+", "+".
 
 Lexing never hard-fails and always terminates: every step consumes at
 least one character.  Unterminated literals and unknown characters are
@@ -16,6 +16,7 @@ recorded on the stream as recoverable errors and scanning resumes.
 from __future__ import annotations
 
 import re
+from bisect import bisect_right
 from enum import Enum, auto
 from functools import lru_cache
 from typing import TYPE_CHECKING, NamedTuple
@@ -52,12 +53,12 @@ _new = tuple.__new__
 
 
 class Position(NamedTuple):
-    """A point in a source file: 1-based line/column, 0-based byte offset.
+    """A point in a source file: 1-based line/column, 0-based offset, all in characters.
 
     Immutable named tuple, like the pipeline's other per-token, per-node and
     per-event records: it builds about twice as fast as a frozen dataclass.
-    The lexer's and parser's hot loops build positions, tokens and spans
-    with ``tuple.__new__``; they are still instances of these classes.
+    The lexer's and parser's hot loops build tokens and spans with
+    ``tuple.__new__``; they are still instances of these classes.
     """
 
     line: int
@@ -65,12 +66,33 @@ class Position(NamedTuple):
     offset: int
 
 
+@lru_cache(maxsize=4)
+def line_starts(source: str) -> tuple[int, ...]:
+    """Where each line of ``source`` starts: one C-level pass per source read."""
+    return (0, *map(re.Match.end, re.finditer("\n", source)))
+
+
+def position(source: str, offset: int, since: Position = Position(1, 1, 0)) -> Position:
+    """Line, column and offset of ``offset`` in ``source``: up to 8K characters past a known
+    ``since``, counting the newlines in between is cheaper than the table of line starts."""
+    if 0 <= offset - since.offset < 8192:
+        newline = source.rfind("\n", since.offset, offset)
+        column = offset - newline if newline >= 0 else since.column + offset - since.offset
+        return _new(Position, (since.line + source.count("\n", since.offset, offset), column, offset))
+    starts = line_starts(source)
+    line = bisect_right(starts, offset)
+    return _new(Position, (line, offset - starts[line - 1] + 1, offset))
+
+
 class Token(NamedTuple):
-    """One lexed token (immutable named tuple)."""
+    """One lexed token (immutable named tuple): ``text`` at ``offset`` in ``source``."""
 
     kind: TokenKind
     text: str
-    pos: Position
+    offset: int
+    source: str
+
+    pos = property(lambda self: position(self.source, self.offset))
 
     def __repr__(self) -> str:  # compact, for test failure output
         return f"Token({self.kind.name}, {self.text!r}, {self.pos.line}:{self.pos.column})"
@@ -78,12 +100,7 @@ class Token(NamedTuple):
 
 def token_end(tok: Token) -> Position:
     """Position one past the last character of ``tok``."""
-    text = tok.text
-    newlines = text.count("\n")
-    if newlines:
-        tail = len(text) - text.rfind("\n") - 1
-        return _new(Position, (tok.pos.line + newlines, tail + 1, tok.pos.offset + len(text)))
-    return _new(Position, (tok.pos.line, tok.pos.column + len(text), tok.pos.offset + len(text)))
+    return position(tok.source, tok.offset + len(tok.text))
 
 
 class LexError(NamedTuple):
@@ -196,10 +213,6 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
     tokens: list[Token] = []
     errors: list[LexError] = []
     append = tokens.append
-    # ``line`` and ``line_start`` (offset where that line begins) hold for
-    # offset ``synced``; each token catches them up from there, so newlines
-    # are counted once each.
-    line, line_start, synced = 1, 0, 0
     pos, size = 0, len(source)
     while pos < size:
         m = match(source, pos)
@@ -207,22 +220,16 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
         if group == "ws" or group == "lc":
             pos = m.end()
             continue
-        newlines = source.count("\n", synced, pos)
-        if newlines:
-            line += newlines
-            line_start = source.rfind("\n", synced, pos) + 1
-        synced = pos
-        start = _new(Position, (line, pos - line_start + 1, pos))
         if group == "bc":
             close = source.find(block_close, m.end()) if block_close else -1
             if close < 0:
                 message = "block comment is never closed"
-                errors.append(LexError("unterminated-block-comment", message, start))
+                errors.append(LexError("unterminated-block-comment", message, position(source, pos)))
                 break
             pos = close + len(block_close)
             continue
         if group == "pp":
-            if not source[line_start:pos].strip():
+            if not source[source.rfind("\n", 0, pos) + 1 : pos].strip():
                 pos = m.end()
                 continue
             m = compile_scanner(profile, False).match(source, pos)
@@ -235,7 +242,7 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
         elif group == "punct":
             kind = _PUNCT
             if text not in punctuation:
-                errors.append(LexError("unknown-character", f"unexpected character {text!r}", start))
+                errors.append(LexError("unknown-character", f"unexpected character {text!r}", position(source, pos)))
         elif group == "num":
             floaty = "." in text or "e" in text[1:] or "E" in text[1:]
             kind = _FLOAT if floaty else _INT
@@ -246,7 +253,7 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
             kind = _STR if group == "str" else _CHAR
             if m.group(f"{group}_end") is None:
                 what = "string" if group == "str" else "char"
-                errors.append(LexError("unterminated-string", f"unterminated {what} literal", start))
-        append(_new(Token, (kind, text, start)))
+                errors.append(LexError("unterminated-string", f"unterminated {what} literal", position(source, pos)))
+        append(_new(Token, (kind, text, pos, source)))
         pos = m.end()
     return TokenStream(tokens, source_path, errors)

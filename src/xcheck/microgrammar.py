@@ -29,7 +29,8 @@ Every expression node records the token slice it covers.  A refined node
 is never empty and reads its source span off that slice; a wildcard may be
 empty, so it stores its span, which for an empty slot sits at the slot's
 anchor.  Statement nodes store spans that also cover their keywords and
-brackets.  Structural equality and ordering deliberately ignore positions.
+brackets.  Spans are offsets, resolved only when read (:class:`Extent`).
+Structural equality and ordering deliberately ignore positions.
 
 Each statement class declares its shape once, in ``parts()``: its
 expression slots and bodies in source order, each tagged ``TEST`` (a
@@ -43,7 +44,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .lexer import Position, Token, TokenKind, TokenStream, _new, _Slotted, token_end
+from .lexer import Position, Token, TokenKind, TokenStream, _new, _Slotted, position
 from .profiles import LanguageProfile
 
 # Beyond this nesting depth, block interiors and wildcard refinements stay
@@ -63,10 +64,30 @@ _IDENT, _KW, _OP = TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.OPERATOR
 
 
 class Span(NamedTuple):
-    """A node's source extent, up to one past its last token (immutable named tuple)."""
+    """A finding's span: two resolved positions, up to one past the last token (immutable named tuple)."""
 
     start: Position
     end: Position
+
+
+class Extent(NamedTuple):
+    """A node's span as offsets into ``source`` (immutable named tuple); its
+    positions resolve when read, and it prints as the ``Span`` they make."""
+
+    lo: int
+    hi: int
+    source: str
+
+    start = property(lambda self: position(self.source, self.lo))
+    end = property(lambda self: position(self.source, self.hi))
+
+    def resolve(self) -> Span:
+        """Both positions, the end counted on from the start."""
+        start = self.start
+        return _new(Span, (start, position(self.source, self.hi, start)))
+
+    def __repr__(self) -> str:
+        return repr(self.resolve())
 
 
 # ---------------------------------------------------------------------------
@@ -81,9 +102,10 @@ class Expr(_Slotted):
     tokens: tuple[Token, ...]
 
     @property
-    def span(self) -> Span:
+    def span(self) -> Extent:
         """The extent of ``tokens``, which a refined node never leaves empty."""
-        return _new(Span, (self.tokens[0].pos, token_end(self.tokens[-1])))
+        first, last = self.tokens[0], self.tokens[-1]
+        return _new(Extent, (first.offset, last.offset + len(last.text), first.source))
 
 
 class Wildcard(Expr):
@@ -92,7 +114,7 @@ class Wildcard(Expr):
 
     __slots__ = ("tokens", "span")
 
-    def __init__(self, tokens: tuple[Token, ...], span: Span) -> None:
+    def __init__(self, tokens: tuple[Token, ...], span: Extent) -> None:
         self.tokens, self.span = tokens, span
 
 
@@ -195,7 +217,7 @@ class Stmt(_Slotted):
 class WildcardStmt(Stmt):
     __slots__ = ("expr", "span", "incomplete")
 
-    def __init__(self, expr: Expr, span: Span, incomplete: bool = False) -> None:
+    def __init__(self, expr: Expr, span: Extent, incomplete: bool = False) -> None:
         self.expr, self.span, self.incomplete = expr, span, incomplete
 
     def parts(self) -> Sequence[Part]:
@@ -205,7 +227,7 @@ class WildcardStmt(Stmt):
 class Block(Stmt):
     __slots__ = ("body", "span", "incomplete")
 
-    def __init__(self, body: list[Stmt], span: Span, incomplete: bool = False) -> None:
+    def __init__(self, body: list[Stmt], span: Extent, incomplete: bool = False) -> None:
         self.body, self.span, self.incomplete = body, span, incomplete
 
     def parts(self) -> Sequence[Part]:
@@ -221,7 +243,7 @@ class If(Stmt):
         then_body: list[Stmt],
         elifs: list[tuple[Expr, list[Stmt]]],  # flattened `else if` chain
         else_body: list[Stmt] | None,
-        span: Span,
+        span: Extent,
         incomplete: bool = False,
     ) -> None:
         self.cond, self.then_body = cond, then_body
@@ -240,7 +262,7 @@ class If(Stmt):
 class While(Stmt):
     __slots__ = ("cond", "body", "span", "incomplete")
 
-    def __init__(self, cond: Expr, body: list[Stmt], span: Span, incomplete: bool = False) -> None:
+    def __init__(self, cond: Expr, body: list[Stmt], span: Extent, incomplete: bool = False) -> None:
         self.cond, self.body = cond, body
         self.span, self.incomplete = span, incomplete
 
@@ -251,7 +273,7 @@ class While(Stmt):
 class DoWhile(Stmt):
     __slots__ = ("body", "cond", "span", "incomplete")
 
-    def __init__(self, body: list[Stmt], cond: Expr, span: Span, incomplete: bool = False) -> None:
+    def __init__(self, body: list[Stmt], cond: Expr, span: Extent, incomplete: bool = False) -> None:
         self.body, self.cond = body, cond
         self.span, self.incomplete = span, incomplete
 
@@ -269,8 +291,8 @@ class For(Stmt):
         cond: Expr | None,
         update: Expr | None,
         body: list[Stmt],
-        header_span: Span,
-        span: Span,
+        header_span: Extent,
+        span: Extent,
         incomplete: bool = False,
     ) -> None:
         self.init, self.cond, self.update = init, cond, update
@@ -284,7 +306,7 @@ class For(Stmt):
 class CaseArm(_Slotted):
     __slots__ = ("label", "body", "span")
 
-    def __init__(self, label: Expr | None, body: list[Stmt], span: Span) -> None:
+    def __init__(self, label: Expr | None, body: list[Stmt], span: Extent) -> None:
         self.label = label  # None marks a `default` arm
         self.body, self.span = body, span
 
@@ -292,7 +314,7 @@ class CaseArm(_Slotted):
 class Switch(Stmt):
     __slots__ = ("scrutinee", "cases", "span", "incomplete")
 
-    def __init__(self, scrutinee: Expr, cases: list[CaseArm], span: Span, incomplete: bool = False) -> None:
+    def __init__(self, scrutinee: Expr, cases: list[CaseArm], span: Extent, incomplete: bool = False) -> None:
         self.scrutinee, self.cases = scrutinee, cases
         self.span, self.incomplete = span, incomplete
 
@@ -391,6 +413,7 @@ class _Parser:
 
     def __init__(self, tokens: tuple[Token, ...], profile: LanguageProfile):
         self.toks = tokens
+        self.source = tokens[0].source if tokens else ""
         self.same, self.any = _bracket_table(tokens, profile)
         self.profile = profile
         self.i = 0
@@ -406,14 +429,13 @@ class _Parser:
         self.i += 1
         return tok
 
-    def _end_pos(self) -> Position:
-        """End of the last token taken."""
-        return token_end(self.toks[self.i - 1])
+    def _since(self, start: int, k: int = 0) -> Extent:
+        """From offset ``start`` to the end of token ``k - 1``, by default the last one taken."""
+        last = self.toks[(k or self.i) - 1]
+        return _new(Extent, (start, last.offset + len(last.text), self.source))
 
-    def _span(self, lo: int, hi: int, fallback: Position) -> Span:
-        if hi > lo:
-            return _new(Span, (self.toks[lo].pos, token_end(self.toks[hi - 1])))
-        return _new(Span, (fallback, fallback))
+    def _span(self, lo: int, hi: int, fallback: int) -> Extent:
+        return self._since(self.toks[lo].offset, hi) if hi > lo else _new(Extent, (fallback, fallback, self.source))
 
     def _is_kw(self, tok: Token | None, text: str) -> bool:
         return tok is not None and tok.kind is _KW and tok.text == text
@@ -494,33 +516,33 @@ class _Parser:
         self.i = stop = self._find(lo, self.hi, (term, "{"))
         if stop < self.hi and self.toks[stop].text == term:
             self._take()
-        anchor = self.toks[lo].pos  # an empty run stops at its terminator ("{" starts a block)
-        return WildcardStmt(self._slot(lo, stop, anchor), _new(Span, (anchor, self._end_pos())), stop == self.hi)
+        anchor = self.toks[lo].offset  # an empty run stops at its terminator ("{" starts a block)
+        return WildcardStmt(self._slot(lo, stop, anchor), self._since(anchor), stop == self.hi)
 
-    def _slot(self, lo: int, hi: int, fallback: Position) -> Expr:
+    def _slot(self, lo: int, hi: int, fallback: int) -> Expr:
         """Refine the expression slot ``toks[lo:hi]`` as soon as it is cut.
 
         ``fallback`` anchors an empty slot's span.
         """
-        anchor = self.toks[lo].pos if hi > lo else fallback
+        anchor = self.toks[lo].offset if hi > lo else fallback
         return self._refine(lo, hi, 0, anchor)
 
     def _cond(self) -> tuple[Expr, bool]:
         lo, hi, ok, open_tok = self._balanced("(")
-        return self._slot(lo, hi, open_tok.pos), ok
+        return self._slot(lo, hi, open_tok.offset), ok
 
     def _subparse(self, lo: int, hi: int, depth: int) -> list[Stmt]:
         if depth >= MAX_NESTING:
             if hi == lo:
                 return []
-            pos = self.toks[lo].pos
+            pos = self.toks[lo].offset
             return [WildcardStmt(self._slot(lo, hi, pos), self._span(lo, hi, pos))]
         return self.parse(lo, hi, depth)
 
     def _block(self, depth: int) -> Block:
         lo, hi, ok, open_tok = self._balanced("{")
         body = self._subparse(lo, hi, depth + 1)
-        return Block(body, _new(Span, (open_tok.pos, self._end_pos())), incomplete=not ok)
+        return Block(body, self._since(open_tok.offset), incomplete=not ok)
 
     def _body(self, depth: int) -> tuple[list[Stmt], bool]:
         """Either a braced statement list or exactly one statement."""
@@ -551,13 +573,13 @@ class _Parser:
                 else_body, inc3 = self._body(depth)
                 incomplete = incomplete or inc3
                 break
-        return If(cond, then_body, elifs, else_body, _new(Span, (if_tok.pos, self._end_pos())), incomplete)
+        return If(cond, then_body, elifs, else_body, self._since(if_tok.offset), incomplete)
 
     def _while(self, depth: int) -> While:
         while_tok = self._take()
         cond, ok = self._cond()
         body, inc = self._body(depth)
-        return While(cond, body, _new(Span, (while_tok.pos, self._end_pos())), not ok or inc)
+        return While(cond, body, self._since(while_tok.offset), not ok or inc)
 
     def _do_while(self, depth: int) -> DoWhile:
         do_tok = self._take()
@@ -569,18 +591,18 @@ class _Parser:
         nxt = self._peek()
         if nxt is not None and nxt.text == self.profile.stmt_terminator:
             self._take()
-        return DoWhile(body, cond, _new(Span, (do_tok.pos, self._end_pos())), not ok or inc)
+        return DoWhile(body, cond, self._since(do_tok.offset), not ok or inc)
 
     def _for(self, depth: int) -> For:
         for_tok = self._take()
         lo, hi, ok, open_tok = self._balanced("(")
-        header_span = _new(Span, (open_tok.pos, self._end_pos()))
-        init, cond, update = self._split_for_header(lo, hi, open_tok.pos)
+        header_span = self._since(open_tok.offset)
+        init, cond, update = self._split_for_header(lo, hi, open_tok.offset)
         body, inc = self._body(depth)
-        return For(init, cond, update, body, header_span, _new(Span, (for_tok.pos, self._end_pos())), not ok or inc)
+        return For(init, cond, update, body, header_span, self._since(for_tok.offset), not ok or inc)
 
     def _split_for_header(
-        self, lo: int, hi: int, anchor: Position
+        self, lo: int, hi: int, anchor: int
     ) -> tuple[Expr | None, Expr | None, Expr | None]:
         """Split on depth-zero ";" into init/cond/update.
 
@@ -606,7 +628,7 @@ class _Parser:
             raise _StructuralMismatch("switch without a braced body")
         lo, hi, ok2, _ = self._balanced("{")
         cases = self._split_cases(lo, hi, depth)
-        return Switch(scrutinee, cases, _new(Span, (sw_tok.pos, self._end_pos())), not ok or not ok2)
+        return Switch(scrutinee, cases, self._since(sw_tok.offset), not ok or not ok2)
 
     def _split_cases(self, lo: int, hi: int, depth: int) -> list[CaseArm]:
         """Cut the switch body into case/default arms at depth zero.
@@ -639,19 +661,19 @@ class _Parser:
                 label = None
                 # stray tokens between `default` and ":" go into the body
                 if label_end > start + 1:
-                    stray = self._slot(start + 1, label_end, label_tok.pos)
-                    body.insert(0, WildcardStmt(stray, self._span(start + 1, label_end, label_tok.pos)))
+                    stray = self._slot(start + 1, label_end, label_tok.offset)
+                    body.insert(0, WildcardStmt(stray, self._span(start + 1, label_end, label_tok.offset)))
             else:
-                label = self._slot(start + 1, label_end, label_tok.pos)
-            arms.append(CaseArm(label, body, _new(Span, (label_tok.pos, token_end(toks[stop - 1])))))
+                label = self._slot(start + 1, label_end, label_tok.offset)
+            arms.append(CaseArm(label, body, self._span(start, stop, label_tok.offset)))
         return arms
 
     # -- expression refinement ------------------------------------------------
 
-    def _refine(self, lo: int, hi: int, depth: int, anchor: Position, ops: tuple | None = None) -> Expr:
+    def _refine(self, lo: int, hi: int, depth: int, anchor: int, ops: tuple | None = None) -> Expr:
         """Refine ``toks[lo:hi]`` into a recognized shape, else a wildcard.
 
-        ``anchor`` is the slot's start, the span of any empty part.  ``ops``
+        ``anchor`` is the slot's start offset, the span of any empty part.  ``ops``
         is the range's depth-zero ``||``, ``&&``, comparison and ``+=``/``-=``
         indices (four lists in source order) when the caller's scan has them.
         """
@@ -763,13 +785,13 @@ class _Parser:
 def parse_expression(wildcard: Expr, profile: LanguageProfile) -> Expr:
     """Refine a wildcard into a recognized shape; never fails.
 
-    Already-refined expressions pass through untouched, and a wildcard no
-    rule matches is returned unchanged.
+    Already-refined expressions and empty wildcards pass through untouched,
+    and a wildcard no rule matches is returned unchanged.
     """
-    if not isinstance(wildcard, Wildcard):
+    if not isinstance(wildcard, Wildcard) or not wildcard.tokens:
         return wildcard
     tokens = tuple(wildcard.tokens)
-    return _Parser(tokens, profile)._refine(0, len(tokens), 0, wildcard.span.start)
+    return _Parser(tokens, profile)._refine(0, len(tokens), 0, tokens[0].offset)
 
 
 # ---------------------------------------------------------------------------
@@ -861,7 +883,7 @@ def dump_statements(stmts: Sequence[Stmt], indent: int = 0) -> str:
     lines: list[str] = []
     pad = "  " * indent
 
-    def at(span: Span) -> str:
+    def at(span: Extent) -> str:
         return f"@{span.start.line}:{span.start.column}"
 
     for s in stmts:

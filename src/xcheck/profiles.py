@@ -92,9 +92,9 @@ class Registry:
     analysis begins, after which reads are safe from any thread.
     """
 
-    def __init__(self) -> None:
-        self._by_name: dict[str, LanguageProfile] = {}
-        self._by_ext: dict[str, LanguageProfile] = {}
+    def __init__(self, base: Registry | None = None) -> None:
+        self._by_name: dict[str, LanguageProfile] = dict(base._by_name) if base else {}
+        self._by_ext: dict[str, LanguageProfile] = dict(base._by_ext) if base else {}
 
     def register(self, profile: LanguageProfile) -> None:
         validate_profile(profile)

@@ -3,18 +3,35 @@ compiled each profile into one regex, kept as a test-only oracle.
 
 ``tests/test_lexer_oracle.py`` requires the production lexer to produce
 exactly the tokens and errors this scanner produces.  The scanner is the
-old one unchanged with two exceptions.  Its operator table is built per
+old one unchanged with three exceptions.  Its operator table is built per
 scanner instead of being cached by ``id(profile)``, which could hand a new
 profile the table of a freed one.  And one known defect is left in on
 purpose: a non-ASCII digit outside an identifier (``x = ²;``) makes it loop
 forever, because ``scan_number`` emits an empty token and never advances,
-so differential inputs must not contain one.
+so differential inputs must not contain one.  And it records its tokens
+and errors with the line and column it tracks, in records of its own,
+since the shipped ones carry an offset and resolve the rest when read.
 """
 
 from __future__ import annotations
 
-from xcheck.lexer import LexError, Position, Token, TokenKind, TokenStream
+from typing import NamedTuple
+
+from xcheck.lexer import Position, TokenKind, TokenStream
 from xcheck.profiles import LanguageProfile
+
+
+class Token(NamedTuple):
+    kind: TokenKind
+    text: str
+    pos: Position
+
+
+class LexError(NamedTuple):
+    kind: str
+    message: str
+    pos: Position
+
 
 _IDENT_START_EXTRA = "_$"
 _NUMBER_BODY = set("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_.")

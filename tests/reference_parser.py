@@ -8,6 +8,10 @@ kept here verbatim, with the helpers they call, so that
 trees, spans and findings.  Node classes are shared with the shipped
 module, so trees compare by ``repr``.
 
+It builds its spans from positions, as it always did, and stores each
+as the shipped parser's ``Extent`` of the two offsets (see ``Span`` below),
+so that the shipped checkers, which read offsets, run on its trees too.
+
 The reference also keeps the syntax-token ledger (``ParseAccounting``)
 that the shipped parser does without: with it the tests check that every
 input token lands in exactly one tree node or in the ledger.
@@ -30,11 +34,11 @@ from xcheck.microgrammar import (
     Compare,
     DoWhile,
     Expr,
+    Extent,
     For,
     If,
     Logical,
     Not,
-    Span,
     Stmt,
     Switch,
     Update,
@@ -50,7 +54,15 @@ _BINARY_UPDATE_OPS = frozenset({"+=", "-="})
 _STARTERS = frozenset({"if", "while", "do", "for", "switch"})
 
 
-def _span_of(tokens: Sequence[Token], fallback: Position | None = None) -> Span:
+# The source of the token list being parsed, set on entry.
+_source = ""
+
+
+def Span(start: Position, end: Position) -> Extent:
+    return Extent(start.offset, end.offset, _source)
+
+
+def _span_of(tokens: Sequence[Token], fallback: Position | None = None) -> Extent:
     if tokens:
         return Span(tokens[0].pos, token_end(tokens[-1]))
     pos = fallback or Position(1, 1, 0)
@@ -554,7 +566,9 @@ def reference_parse_statements_debug(
     stream: TokenStream | Sequence[Token], profile: LanguageProfile
 ) -> tuple[list[Stmt], ParseAccounting]:
     """The old ``parse_statements_debug``: structural pass, then refinement."""
+    global _source
     tokens = stream.tokens if isinstance(stream, TokenStream) else list(stream)
+    _source = tokens[0].source if tokens else ""
     acct = ParseAccounting()
     stmts = _Parser(tokens, profile, acct).parse()
     _refine_stmts(stmts, profile)

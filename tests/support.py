@@ -14,7 +14,7 @@ from xcheck.checkers import (
     ResetEvent,
     NullTestEvent,
 )
-from xcheck.lexer import Position, Token, TokenKind, tokenize
+from xcheck.lexer import Position, Token, TokenKind, position, tokenize
 from xcheck.microgrammar import (
     BODY,
     AccessPath,
@@ -26,6 +26,7 @@ from xcheck.microgrammar import (
     Compare,
     DoWhile,
     Expr,
+    Extent,
     For,
     If,
     Logical,
@@ -68,15 +69,20 @@ def guess_kind(text: str, profile: LanguageProfile = C) -> TokenKind:
     return TokenKind.PUNCTUATION
 
 
-def tok(text: str, offset: int = 0, line: int = 1, col: int = 1, profile: LanguageProfile = C) -> Token:
-    return Token(guess_kind(text, profile), text, Position(line, col, offset))
+# The source of hand-built tokens: an empty text puts a token at offset k
+# on line 1, column k + 1.
+HAND_SOURCE = ""
+
+
+def tok(text: str, offset: int = 0, profile: LanguageProfile = C) -> Token:
+    return Token(guess_kind(text, profile), text, offset, HAND_SOURCE)
 
 
 def toks(texts: Iterable[str], profile: LanguageProfile = C, base: int = 0) -> tuple[Token, ...]:
     out = []
     offset = base
     for text in texts:
-        out.append(tok(text, offset=offset, line=1 + offset, col=1, profile=profile))
+        out.append(tok(text, offset=offset, profile=profile))
         offset += len(text) + 1
     return tuple(out)
 
@@ -228,17 +234,16 @@ class TreeGen:
         self.pos_base = pos_base
         self.seq = 0
 
-    def _pos(self) -> Position:
+    def _offset(self) -> int:
         self.seq += 1
-        n = self.pos_base + self.seq
-        return Position(n, 1 + (n % 7), n * 3)
+        return (self.pos_base + self.seq) * 3
 
     def _tok(self, text: str) -> Token:
-        return Token(guess_kind(text), text, self._pos())
+        return Token(guess_kind(text), text, self._offset(), HAND_SOURCE)
 
-    def _span(self) -> Span:
-        p = self._pos()
-        return Span(p, p)
+    def _span(self) -> Extent:
+        p = self._offset()
+        return Extent(p, p, HAND_SOURCE)
 
     def _leaf_tokens(self, k: int) -> tuple[Token, ...]:
         pool = _IDENTS + _LITS + ["+", "-", "?", ":"]
@@ -505,6 +510,6 @@ def null_oracle(events: Sequence[NullEvent]) -> list[tuple[int, int, int]]:
         if candidates:
             earliest = evs[min(candidates)]
             assert isinstance(earliest, DerefEvent)
-            found.append((ev.span.start.line, ev.span.start.column, earliest.pos.line))
+            found.append((ev.span.start.line, ev.span.start.column, position(ev.span.source, earliest.offset).line))
             consumed.update(candidates)
     return found

@@ -352,3 +352,48 @@ def test_checker_ids_are_stable_strings():
         "null-deref",
     }
     assert CheckerId.NULL_DEREF.value == "null-deref"
+
+
+# -- findings hold resolved positions -------------------------------------------
+
+# One finding from each checker, in a source whose text is easy to spot.
+ALL_FOUR = """\
+void f(struct s *p, int i, int a) {
+  use(p->x);
+  if (p == NULL) return;
+  if (a > 0) g(); else if (a > 0) h();
+  switch (a) { case 1: g(); break; case 1: h(); break; }
+  for (i = 0; i < 10; i--) g();
+}
+"""
+
+
+def _reachable(value, seen=None):
+    """``value`` and everything inside it through tuples."""
+    seen = [] if seen is None else seen
+    seen.append(value)
+    if isinstance(value, tuple):
+        for item in value:
+            _reachable(item, seen)
+    return seen
+
+
+def test_findings_hold_resolved_positions_and_no_source():
+    from xcheck.lexer import Position
+    from xcheck.microgrammar import Span
+
+    diags = run_checkers(parse_source(ALL_FOUR), C, path="t.c")
+    assert sorted({d.checker for d in diags}) == sorted(ALL_CHECKER_IDS)
+    for d in diags:
+        assert type(d.span) is Span
+        positions = [d.span.start, d.span.end] + ([d.related[0]] if d.related else [])
+        for pos in positions:
+            assert type(pos) is Position
+            line = ALL_FOUR.count("\n", 0, pos.offset) + 1
+            column = pos.offset - ALL_FOUR.rfind("\n", 0, pos.offset)
+            assert tuple(pos) == (line, column, pos.offset)
+        assert not any(item is ALL_FOUR or item == ALL_FOUR for item in _reachable(d))
+        assert ALL_FOUR not in repr(d) and "source" not in repr(d)
+    null = next(d for d in diags if d.checker == CheckerId.NULL_DEREF.value)
+    assert (tuple(null.span.start), tuple(null.span.end)) == ((3, 7, 55), (3, 16, 64))
+    assert tuple(null.related[0]) == (2, 7, 42)

@@ -222,6 +222,39 @@ def test_line_range_filters_but_keeps_original_positions():
     assert target and {**target[0], "file": "x"} == {**windowed[0], "file": "x"}
 
 
+# Window edges here cut through a block comment over lines 2-3, a string
+# whose escaped newline runs from line 4 into 5, and a directive continued
+# from line 6 onto 7.
+LINE_RANGE_SOURCE = (
+    "int a = 1;\n"
+    "/* a comment\n"
+    "   over two lines */ b = 2;\n"
+    'char *s = "one\\\n'
+    'two"; c = 3;\n'
+    "#define M(x) \\\n"
+    "    (x + 1)\n"
+    "if (p) d = p->e;\n"
+    "if (p == NULL) f = 5;"
+)
+
+
+def test_line_range_keeps_the_tokens_that_start_inside_the_window(monkeypatch):
+    from xcheck import cli
+    from xcheck.checkers import ALL_CHECKER_IDS
+    from xcheck.lexer import tokenize
+    from xcheck.profiles import profile_for
+
+    c = profile_for("c")
+    all_tokens = tokenize(LINE_RANGE_SOURCE, c).tokens
+    assert {t.pos.line for t in all_tokens} == {1, 3, 4, 5, 8, 9}
+    kept = []
+    monkeypatch.setattr(cli, "parse_statements", lambda tokens, profile: kept.append(tokens) or [])
+    for first in range(1, 12):
+        for last in range(first, 12):
+            cli.analyze_source(LINE_RANGE_SOURCE, c, "t.c", (first, last), ALL_CHECKER_IDS)
+            assert kept.pop() == [t for t in all_tokens if first <= t.pos.line <= last], (first, last)
+
+
 def test_dump_ast_prints_tree_before_findings(tmp_path):
     path = tmp_path / "bad.c"
     path.write_text("p->f(x);\nif (p) q();\n")
@@ -239,6 +272,23 @@ def test_profile_flag_registers_language(tmp_path):
     source.write_text("x = p.f;\nif (p == nil) g();\n")
     code, out, _ = invoke(["--profile", str(profile_file), str(source)])
     assert code == 1 and "null-deref" in out
+
+
+def test_profile_flag_validates_only_the_loaded_profile(tmp_path, monkeypatch):
+    from xcheck import profiles
+
+    registry = builtin_registry()  # its profiles were validated when registered
+    calls = []
+    validate = profiles.validate_profile
+    monkeypatch.setattr(profiles, "validate_profile", lambda p: calls.append(p.name) or validate(p))
+    profile_file = tmp_path / "mini.profile"
+    profile_file.write_text(MINI_PROFILE_TEXT)
+    source = tmp_path / "demo.mini"
+    source.write_text("x = p.f;\nif (p == nil) g();\n")
+    code, out, _ = invoke(["--profile", str(profile_file), str(source)], registry=registry)
+    assert code == 1 and "null-deref" in out
+    assert calls == ["mini"]
+    assert registry.names() == ["c", "cpp", "java"]
 
 
 def test_profile_flag_leaves_the_default_registry_untouched(tmp_path, monkeypatch):

@@ -27,3 +27,14 @@ def test_a_changed_dump_is_reported(tmp_path):
     proc = differential(ROOT, str(tmp_path))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "stdout line 1:" in proc.stdout and "// TREE" in proc.stdout
+
+
+def test_a_changed_line_range_window_is_reported(tmp_path):
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    cli = tmp_path / "src" / "xcheck" / "cli.py"
+    source = cli.read_text()
+    assert "if line_range is not None:" in source
+    cli.write_text(source.replace("if line_range is not None:", "if False:"))  # the window is ignored
+    proc = differential(ROOT, str(tmp_path))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "differ with --line-range" in proc.stdout

@@ -12,7 +12,9 @@ import pytest
 from xcheck.checkers import DerefEvent, KillEvent, NullTestEvent, ResetEvent
 from xcheck.diagnostics import Diagnostic, dedupe_and_sort
 from xcheck.lexer import LexError, Position, Token, TokenKind
-from xcheck.microgrammar import Span
+from xcheck.microgrammar import Extent, Span
+
+SOURCE = "x = p;\nif (p) y;\n"
 
 
 def _pos(line: int = 1) -> Position:
@@ -30,14 +32,15 @@ def _diag(line: int = 1, message: str = "m") -> Diagnostic:
 # Each builder returns a fresh, equal instance on every call.
 RECORDS = {
     "Position": lambda: _pos(2),
-    "Token": lambda: Token(TokenKind.IDENTIFIER, "x", _pos()),
+    "Token": lambda: Token(TokenKind.IDENTIFIER, "x", 0, SOURCE),
     "LexError": lambda: LexError("unknown-character", "unexpected character '@'", _pos()),
     "Span": lambda: _span(),
+    "Extent": lambda: Extent(11, 12, SOURCE),
     "Diagnostic": lambda: _diag(),
-    "DerefEvent": lambda: DerefEvent(("p",), _pos()),
-    "NullTestEvent": lambda: NullTestEvent(("p",), _span()),
-    "KillEvent": lambda: KillEvent("p", _pos()),
-    "ResetEvent": lambda: ResetEvent(_pos()),
+    "DerefEvent": lambda: DerefEvent(("p",), 4),
+    "NullTestEvent": lambda: NullTestEvent(("p",), Extent(11, 12, SOURCE)),
+    "KillEvent": lambda: KillEvent("p", 0),
+    "ResetEvent": lambda: ResetEvent(17),
 }
 
 
@@ -63,7 +66,7 @@ def test_diagnostic_defaults():
 
 
 def test_token_repr_is_compact():
-    assert repr(Token(TokenKind.IDENTIFIER, "x", Position(1, 1, 0))) == "Token(IDENTIFIER, 'x', 1:1)"
+    assert repr(Token(TokenKind.IDENTIFIER, "x", 0, SOURCE)) == "Token(IDENTIFIER, 'x', 1:1)"
 
 
 def test_dedupe_and_sort_drops_exact_duplicates():

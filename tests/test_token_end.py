@@ -5,7 +5,7 @@
 each token's end is recomputed from the text alone: the line, column and
 offset of ``offset + len(text)``.  Every parsed node's span must end where
 its last token does, and the records the lexer and parser build must be
-instances of the named classes.
+instances of the named classes (a node's span is an ``Extent`` of offsets).
 """
 
 from __future__ import annotations
@@ -21,6 +21,7 @@ from xcheck.lexer import Position, Token, token_end, tokenize
 from xcheck.microgrammar import (
     BODY,
     Expr,
+    Extent,
     For,
     Span,
     Switch,
@@ -69,9 +70,9 @@ def _check(source: str, profile: LanguageProfile) -> int:
 
     offsets = [t.pos.offset for t in tokens]
 
-    def ends_at_last_token(span: Span) -> None:
+    def ends_at_last_token(span: Extent) -> None:
         # The last token that starts inside the span must end where it ends.
-        assert type(span) is Span
+        assert type(span) is Extent
         if span.start == span.end:
             return
         last = tokens[bisect.bisect_left(offsets, span.end.offset) - 1]
@@ -87,7 +88,7 @@ def _check(source: str, profile: LanguageProfile) -> int:
         for span in spans:
             ends_at_last_token(span)
         for expr in _expressions(stmt):
-            assert type(expr.span) is Span
+            assert type(expr.span) is Extent
             covered = expr.tokens
             if covered:
                 assert expr.span.end == token_end(covered[-1])
@@ -114,3 +115,17 @@ def test_escaped_newline_end_positions_match_the_source(source, language):
     _check(source, PROFILES[language])
     strings = [t for t in tokenize(source, PROFILES[language]).tokens if "\n" in t.text]
     assert strings and all(token_end(t).line > t.pos.line for t in strings)
+
+
+@pytest.mark.parametrize("filename", FIXTURES)
+def test_positions_past_the_counted_prefix_match_the_source(filename):
+    # Positions within 8K characters of a known one are counted, later ones
+    # are looked up in the table of line starts: cover both, and a resolved
+    # span's end counted on from its start.
+    with open(fixture_path(filename), encoding="utf-8") as fh:
+        source = "\n".join([fh.read()] * 16)
+    language = {".c": "c", ".cpp": "cpp", ".java": "java"}[filename[filename.rindex("."):]]
+    assert len(source) > 3 * 8192
+    assert _check(source, PROFILES[language]) > 0
+    for stmt in walk_statements(parse_statements(tokenize(source, PROFILES[language]), PROFILES[language])):
+        assert stmt.span.resolve() == Span(stmt.span.start, stmt.span.end)

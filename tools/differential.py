@@ -15,10 +15,12 @@ benchmark's three workloads (``tree_mixed``, ``docs_heavy`` and the six
 ``stress_shapes``) from ``bench/``.  The corpus comes from this checkout,
 so both sides see the same files.
 
-The CLI then runs once per side, ``xcheck --dump-ast --format json DIR``
-with ``ROOT/src`` on ``PYTHONPATH``, and the exit codes, stdout and stderr
-are compared.  The first difference is printed and the exit status is 1;
-when the two sides agree the status is 0.
+The CLI then runs on each side, with ``ROOT/src`` on ``PYTHONPATH``: once as
+``xcheck --dump-ast --format json DIR``, and once per fixture and golden
+input with ``--line-range`` set to the middle third of that file's lines.
+The exit codes, stdout and stderr of each run are compared.  The first
+difference is printed and the exit status is 1; when the two sides agree
+the status is 0.
 """
 
 from __future__ import annotations
@@ -78,10 +80,24 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
             bench_run.write_tree(os.path.join(dest, f"{workload}-{seed}"), files)
 
 
-def run_side(root: str, corpus: str) -> subprocess.CompletedProcess:
+def line_range_runs(corpus: str) -> list[list[str]]:
+    """``--line-range FIRST:LAST FILE`` for each fixture and golden input,
+    FIRST:LAST being the middle third of the file's lines."""
+    runs = []
+    for group in ("fixtures", "golden"):
+        for name in sorted(os.listdir(os.path.join(corpus, group))):
+            path = os.path.join(corpus, group, name)
+            with open(path, encoding="utf-8") as fh:
+                lines = fh.read().count("\n") + 1
+            first = lines // 3 + 1
+            runs.append(["--line-range", f"{first}:{max(first, 2 * lines // 3)}", path])
+    return runs
+
+
+def run_side(root: str, args: list[str]) -> subprocess.CompletedProcess:
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(root), "src")}
     return subprocess.run(
-        [sys.executable, "-c", CLI_CODE, "--dump-ast", "--format", "json", corpus],
+        [sys.executable, "-c", CLI_CODE, "--dump-ast", "--format", "json", *args],
         capture_output=True,
         text=True,
         env=env,
@@ -110,15 +126,19 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="xcheck-diff-") as corpus:
         write_corpus(corpus, args.programs, args.seeds)
         files = sum(len(names) for _, _, names in os.walk(corpus))
-        old, new = run_side(args.old_root, corpus), run_side(args.new_root, corpus)
-    diff = first_difference(old, new)
-    if diff is not None:
-        print(f"differential: {files} files differ at {diff}")
-        return 1
+        runs = [[corpus]] + line_range_runs(corpus)
+        results = [(run_side(args.old_root, run), run_side(args.new_root, run)) for run in runs]
+    for run, (old, new) in zip(runs, results):
+        diff = first_difference(old, new)
+        if diff is not None:
+            where = f" with {run[0]} {run[1]} {os.path.relpath(run[2], corpus)}," if len(run) > 1 else ""
+            print(f"differential: {files} files differ{where} at {diff}")
+            return 1
+    whole = results[0][0]
     print(
-        f"differential: {files} files, no difference "
-        f"(exit {old.returncode}, {len(old.stdout.splitlines())} stdout lines, "
-        f"{len(old.stderr.splitlines())} stderr lines)"
+        f"differential: {files} files and {len(runs) - 1} line-range windows, no difference "
+        f"(exit {whole.returncode}, {len(whole.stdout.splitlines())} stdout lines, "
+        f"{len(whole.stderr.splitlines())} stderr lines)"
     )
     return 0
 
