@@ -1,9 +1,12 @@
 """Command-line entry point.
 
-Resolves inputs to (file, profile) pairs, runs the pipeline, renders
-findings to stdout, and exits 0 (clean), 1 (findings), or 2 (usage/IO
-error; an unreadable file or directory is reported and skipped, the rest
-still run).  Logs and errors go to stderr; stdout carries output only.
+Setup checks all the command line names (the ``--line-range`` shape,
+``--profile``, ``--lang``, each path as (file, profile) pairs); a problem
+there prints ``xcheck: error: ...`` to stderr and exits 2, nothing analyzed.
+Then each file runs through the pipeline and findings go to stdout.  What a
+walk skips and what cannot be read are reported on stderr; the rest still run:
+exit 2 if something could not be read, else 1 (findings) or 0 (clean).
+``--lang`` forces the profile but does not widen a directory walk.
 """
 
 from __future__ import annotations
@@ -11,7 +14,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from typing import NamedTuple
 
 from .checkers import ALL_CHECKER_IDS, run_checkers
 from .diagnostics import Diagnostic, dedupe_and_sort, render_json, render_text
@@ -25,20 +27,6 @@ from .profiles import (
     UnknownLanguage,
     load_profile_file,
 )
-
-
-class BadRange(Exception):
-    pass
-
-
-class RunConfig(NamedTuple):
-    paths: list[str]
-    lang_override: str | None = None
-    checkers: tuple[str, ...] = ALL_CHECKER_IDS
-    format: str = "text"  # "text" | "json"
-    line_range: tuple[int, int] | None = None
-    dump_ast: bool = False
-    profile_file: str | None = None
 
 
 def _parse_line_range(value: str) -> tuple[int, int]:
@@ -62,13 +50,13 @@ def _parse_checkers(value: str) -> tuple[str, ...]:
     return ids
 
 
-def build_arg_parser() -> argparse.ArgumentParser:
+def parse_args(argv: list[str]) -> argparse.Namespace:
     parser = argparse.ArgumentParser(
         prog="xcheck",
         description="Lightweight static bug finder for C, C++, and Java.",
     )
     parser.add_argument("paths", nargs="+", help="source files or directories")
-    parser.add_argument("--lang", dest="lang", help="force a language profile by name")
+    parser.add_argument("--lang", dest="lang_override", help="force a language profile by name")
     parser.add_argument(
         "--checkers",
         type=_parse_checkers,
@@ -85,29 +73,18 @@ def build_arg_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--dump-ast", action="store_true", help="print the parsed statement tree")
     parser.add_argument("--profile", dest="profile_file", help="register an extra language profile file")
-    return parser
+    return parser.parse_args(argv)
 
 
-def parse_args(argv: list[str]) -> RunConfig:
-    ns = build_arg_parser().parse_args(argv)
-    return RunConfig(
-        paths=ns.paths,
-        lang_override=ns.lang,
-        checkers=ns.checkers,
-        format=ns.format,
-        line_range=ns.line_range,
-        dump_ast=ns.dump_ast,
-        profile_file=ns.profile_file,
-    )
-
-
-def _collect_files(config: RunConfig, registry: Registry, err) -> tuple[list[tuple[str, str]], bool]:
-    """Expand paths to (file, language-or-path) pairs in deterministic order,
-    and whether some directory could not be read.  Unreadable directories and
-    the links to directories met in the walk (not followed) go to ``err``."""
-    out: list[tuple[str, str]] = []
+def _collect_files(
+    paths: list[str], registry: Registry, forced: LanguageProfile | None, err
+) -> tuple[list[tuple[str, LanguageProfile]], bool]:
+    """Expand paths to (file, profile) pairs in deterministic order, and whether
+    some directory could not be read.  A walked file needs a profile for its
+    extension, ``forced`` or not; what is skipped or unreadable goes to ``err``."""
+    out: list[tuple[str, LanguageProfile]] = []
     failed: list[OSError] = []
-    for raw in config.paths:
+    for raw in paths:
         if os.path.isdir(raw):
             for root, dirs, names in os.walk(raw, onerror=failed.append):
                 dirs.sort()
@@ -116,13 +93,13 @@ def _collect_files(config: RunConfig, registry: Registry, err) -> tuple[list[tup
                 for name in sorted(names):
                     full = os.path.join(root, name)
                     try:
-                        registry.resolve(full)
+                        profile = registry.resolve(full)
                     except UnknownLanguage:
                         print(f"xcheck: skipping {full} (no profile for extension)", file=err)
                         continue
-                    out.append((full, config.lang_override or full))
+                    out.append((full, forced or profile))
         elif os.path.isfile(raw):
-            out.append((raw, config.lang_override if config.lang_override else raw))
+            out.append((raw, forced or registry.resolve(raw)))
         else:
             raise FileNotFoundError(f"no such file or directory: {raw}")
     for exc in failed:
@@ -149,57 +126,43 @@ def analyze_source(
     return stream.errors, stmts, run_checkers(stmts, profile, checkers, path=path)
 
 
-def analyze_file(
-    path: str,
-    lang: str,
-    config: RunConfig,
-    registry: Registry,
-    err,
-) -> tuple[list[Diagnostic], list[Stmt]]:
-    profile = registry.resolve(lang)
-    with open(path, encoding="utf-8", errors="replace") as fh:
-        source = fh.read()
-    lex_errors, stmts, diags = analyze_source(source, profile, path, config.line_range, config.checkers)
-    for lex_err in lex_errors:
-        print(
-            f"{path}:{lex_err.pos.line}:{lex_err.pos.column}: lex-warning: {lex_err.message}",
-            file=err,
-        )
-    return diags, stmts
-
-
-def run(config: RunConfig, registry: Registry = DEFAULT_REGISTRY, out=None, err=None) -> int:
+def run(args: argparse.Namespace, registry: Registry = DEFAULT_REGISTRY, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
     try:
-        if config.profile_file is not None:
+        if args.line_range is not None and (len(args.paths) != 1 or os.path.isdir(args.paths[0])):
+            raise ValueError("--line-range requires exactly one input file")
+        if args.profile_file is not None:
             # extend a copy (of already validated profiles): the caller's
             # registry, by default the process-wide one, must read the same
             registry = Registry(registry)
-            load_profile_file(config.profile_file, registry)
-        files, unreadable = _collect_files(config, registry, err)
-        if config.line_range is not None:
-            if len(files) != 1 or not os.path.isfile(config.paths[0]):
-                raise BadRange("--line-range requires exactly one input file")
-        all_diags: list[Diagnostic] = []
-        for path, lang in files:
-            try:
-                diags, stmts = analyze_file(path, lang, config, registry, err)
-            except OSError as exc:
-                print(f"xcheck: error: {path}: {exc.strerror or exc}", file=err)
-                unreadable = True
-                continue
-            if config.dump_ast:
-                print(f"// AST {path}", file=out)
-                tree = dump_statements(stmts)
-                if tree:
-                    print(tree, file=out)
-            all_diags.extend(diags)
-    except (FileNotFoundError, OSError, ProfileError, BadRange, ValueError) as exc:
+            load_profile_file(args.profile_file, registry)
+        forced = registry.resolve(args.lang_override) if args.lang_override else None
+        files, unreadable = _collect_files(args.paths, registry, forced, err)
+    except (OSError, ProfileError, ValueError) as exc:
         print(f"xcheck: error: {exc}", file=err)
         return 2
+    all_diags: list[Diagnostic] = []
+    for path, profile in files:
+        try:
+            with open(path, encoding="utf-8", errors="replace") as fh:
+                source = fh.read()
+        except OSError as exc:
+            print(f"xcheck: error: {path}: {exc.strerror or exc}", file=err)
+            unreadable = True
+            continue
+        lex_errors, stmts, diags = analyze_source(source, profile, path, args.line_range, args.checkers)
+        for lex_err in lex_errors:
+            where = f"{path}:{lex_err.pos.line}:{lex_err.pos.column}"
+            print(f"{where}: lex-warning: {lex_err.message}", file=err)
+        if args.dump_ast:
+            print(f"// AST {path}", file=out)
+            tree = dump_statements(stmts)
+            if tree:
+                print(tree, file=out)
+        all_diags.extend(diags)
     all_diags = dedupe_and_sort(all_diags)
-    if config.format == "json":
+    if args.format == "json":
         print(render_json(all_diags), file=out)
     else:
         text = render_text(all_diags)
@@ -209,6 +172,4 @@ def run(config: RunConfig, registry: Registry = DEFAULT_REGISTRY, out=None, err=
 
 
 def main(argv: list[str] | None = None) -> int:
-    config = parse_args(sys.argv[1:] if argv is None else argv)
-    code = run(config)
-    sys.exit(code)
+    sys.exit(run(parse_args(sys.argv[1:] if argv is None else argv)))

@@ -1,5 +1,6 @@
 """CLI contract: flag parsing, exit codes, output channels."""
 
+import argparse
 import errno
 import io
 import json
@@ -10,9 +11,9 @@ import sys
 import pytest
 
 import xcheck
-from xcheck.cli import BadRange, RunConfig, parse_args, run
+from xcheck.cli import parse_args, run
 from xcheck.fixtures import case_by_name, fixture_path, load_source
-from xcheck.profiles import DEFAULT_REGISTRY, builtin_registry
+from xcheck.profiles import DEFAULT_REGISTRY, Registry, builtin_registry
 
 MINI_PROFILE_TEXT = """\
 name = mini
@@ -26,7 +27,7 @@ null_literals = nil
 
 def invoke(argv_or_config, registry=None):
     out, err = io.StringIO(), io.StringIO()
-    config = argv_or_config if isinstance(argv_or_config, RunConfig) else parse_args(argv_or_config)
+    config = argv_or_config if isinstance(argv_or_config, argparse.Namespace) else parse_args(argv_or_config)
     code = run(config, registry=registry or builtin_registry(), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
@@ -196,6 +197,43 @@ def test_unreadable_directory_is_reported_and_the_rest_still_analyzed(tmp_path, 
     assert err.splitlines() == [f"xcheck: error: {denied}: {os.strerror(errno.EACCES)}"]
     analyzed = [line.split(":")[0] for line in out.splitlines() if "warning" in line]
     assert analyzed == ([] if locked == "." else [str(tmp_path / "a.c"), str(tmp_path / "z.c")])
+
+
+GOOD_C = "p->f(x);\nif (p) q();\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["--dump-ast", "GOOD.c", "notes.xyz"],
+        ["--dump-ast", "--lang", "nosuch", "GOOD.c"],
+        ["--dump-ast", "GOOD.c", "missing.c"],
+        ["--line-range", "1:5", "DIR"],
+    ],
+)
+def test_usage_error_prints_nothing_to_stdout_and_analyzes_nothing(tmp_path, argv):
+    (tmp_path / "GOOD.c").write_text(GOOD_C)
+    (tmp_path / "notes.xyz").write_text("if (p) q();")
+    (tmp_path / "DIR").mkdir()
+    (tmp_path / "DIR" / "notes.xyz").write_text("if (p) q();")
+    names = {"GOOD.c", "notes.xyz", "missing.c", "DIR"}
+    code, out, err = invoke([str(tmp_path / a) if a in names else a for a in argv])
+    assert (code, out) == (2, "")
+    assert len(err.splitlines()) == 1 and err.startswith("xcheck: error: ")
+
+
+@pytest.mark.parametrize("lang, lookups", [([], 4), (["--lang", "c"], 5)])
+def test_each_file_profile_is_looked_up_once(tmp_path, monkeypatch, lang, lookups):
+    for name in ("a.c", "b.c", "c.c"):
+        (tmp_path / name).write_text(GOOD_C)
+    (tmp_path / "notes.xyz").write_text("p->f(x);\nif (p) q();\n")
+    calls = []
+    resolve = Registry.resolve
+    monkeypatch.setattr(Registry, "resolve", lambda self, name: calls.append(name) or resolve(self, name))
+    code, out, err = invoke([*lang, str(tmp_path)])
+    assert len(calls) == lookups
+    assert code == 1 and out.count("null-deref") == 3 and "notes.xyz" not in out
+    assert err.splitlines() == [f"xcheck: skipping {tmp_path / 'notes.xyz'} (no profile for extension)"]
 
 
 def test_line_range_requires_single_file(tmp_path):

@@ -5,12 +5,15 @@ or (where no literal or directive can be split) inline block comments must
 keep the ``(checker, message)`` sequence of the findings.  They compare
 names only with each other, so renaming identifiers consistently keeps the
 findings too, with the new names in the messages.  A ``--line-range`` that
-covers the whole file is the same as none.
+covers the whole file is the same as none, and one run naming several inputs
+is the same as running each alone.
 """
 
 from __future__ import annotations
 
 import io
+import json
+import os
 import random
 import re
 
@@ -160,3 +163,22 @@ def test_full_file_line_range_equals_no_range(filename):
         last = len(fh.read().splitlines())
     whole = _cli(["--format", "json", path])
     assert _cli(["--format", "json", "--line-range", f"1:{last}", path]) == whole
+
+
+@pytest.mark.parametrize("dangling", [False, True])
+def test_several_inputs_print_the_union_of_single_input_runs(tmp_path, dangling):
+    rng = random.Random(7)
+    tree = tmp_path / "tree"
+    tree.mkdir()
+    for i in range(6):
+        (tree / f"p{i}.c").write_text(random_micro_program(rng))
+    if dangling:  # unreadable: the tree's run, and so the combined one, exits 2
+        os.symlink(tree / "missing.c", tree / "q.c")
+    # p2.c, inside the tree too, has a finding: the union drops its duplicate
+    inputs = [fixture_path("CipherCore.java"), str(tree), str(tree / "p2.c")]
+    singles = [_cli(["--format", "json", path]) for path in inputs]
+    union = {json.dumps(r, sort_keys=True): r for _, out in singles for r in json.loads(out)}
+    want = sorted(union.values(), key=lambda r: (r["file"], r["start_line"], r["start_col"], r["checker"]))
+    code, out = _cli(["--format", "json", *inputs])
+    assert json.loads(out) == want and len(want) > 1
+    assert code == max(code for code, _ in singles) == (2 if dangling else 1)

@@ -16,8 +16,10 @@ benchmark's three workloads (``tree_mixed``, ``docs_heavy`` and the six
 so both sides see the same files.
 
 The CLI then runs on each side, with ``ROOT/src`` on ``PYTHONPATH``: once as
-``xcheck --dump-ast --format json DIR``, and once per fixture and golden
-input with ``--line-range`` set to the middle third of that file's lines.
+``xcheck --dump-ast --format json DIR``, once naming several inputs (a
+fixture file, the golden directory and the generated-programs directory), and
+once per fixture and golden input with ``--line-range`` set to the middle
+third of that file's lines.
 The exit codes, stdout and stderr of each run are compared.  The first
 difference is printed and the exit status is 1; when the two sides agree
 the status is 0.
@@ -126,17 +128,20 @@ def main(argv: list[str] | None = None) -> int:
     with tempfile.TemporaryDirectory(prefix="xcheck-diff-") as corpus:
         write_corpus(corpus, args.programs, args.seeds)
         files = sum(len(names) for _, _, names in os.walk(corpus))
-        runs = [[corpus]] + line_range_runs(corpus)
+        several = [os.path.join(corpus, d) for d in (os.path.join("fixtures", FIXTURES[-1]), "golden", "programs")]
+        runs = [[corpus], several] + line_range_runs(corpus)
         results = [(run_side(args.old_root, run), run_side(args.new_root, run)) for run in runs]
     for run, (old, new) in zip(runs, results):
         diff = first_difference(old, new)
         if diff is not None:
-            where = f" with {run[0]} {run[1]} {os.path.relpath(run[2], corpus)}," if len(run) > 1 else ""
+            named = " ".join(os.path.relpath(a, corpus) if a.startswith(corpus) else a for a in run)
+            where = f" with {named}," if len(run) > 1 else ""
             print(f"differential: {files} files differ{where} at {diff}")
             return 1
     whole = results[0][0]
     print(
-        f"differential: {files} files and {len(runs) - 1} line-range windows, no difference "
+        f"differential: {files} files, one multi-input run and {len(runs) - 2} "
+        f"line-range windows, no difference "
         f"(exit {whole.returncode}, {len(whole.stdout.splitlines())} stdout lines, "
         f"{len(whole.stderr.splitlines())} stderr lines)"
     )
