@@ -113,20 +113,20 @@ def _lvalue_root(e: Expr) -> str | None:
     return path[0] if path is not None else None
 
 
-def _deref_events(path: Path, offset: int, include_full: bool) -> Iterator[DerefEvent]:
-    """Paths a dereference of ``path`` proves non-null.
+def _deref_events(path: Path, offset: int, out: list[NullEvent], include_full: bool) -> None:
+    """Append the paths a dereference of ``path`` proves non-null.
 
     Reading ``a->b->c`` proves every proper prefix (``a``, ``a->b``);
     calling through the path (``state->work(...)``) additionally proves
     the full callee path.
     """
     for k in range(1, len(path), 2):
-        yield DerefEvent(path[:k], offset)
+        out.append(DerefEvent(path[:k], offset))
     if include_full:
-        yield DerefEvent(path, offset)
+        out.append(DerefEvent(path, offset))
 
 
-def _wildcard_deref_events(w: Wildcard, profile: LanguageProfile) -> Iterator[DerefEvent]:
+def _wildcard_deref_events(w: Wildcard, profile: LanguageProfile, out: list[NullEvent]) -> None:
     """Scan raw wildcard tokens for access-path runs.
 
     Refinement leaves most statement content uninterpreted (``x = p->q + 1``
@@ -143,7 +143,7 @@ def _wildcard_deref_events(w: Wildcard, profile: LanguageProfile) -> Iterator[De
         k = path_end(toks, i, n, deref_ops)
         if k - i >= 3:
             path = tuple(t.text for t in toks[i:k])
-            yield from _deref_events(path, toks[i].offset, k < n and toks[k].text == "(")
+            _deref_events(path, toks[i].offset, out, k < n and toks[k].text == "(")
         i = k
 
 
@@ -159,76 +159,79 @@ def _null_test_path(e: Compare, profile: LanguageProfile) -> Path | None:
     return _path_of(e.rhs if left_null else e.lhs)
 
 
-def _expr_events(e: Expr, profile: LanguageProfile, truth: bool) -> Iterator[NullEvent]:
-    """Events of one expression, depth-first, left to right.
+def _expr_events(e: Expr, profile: LanguageProfile, truth: bool, out: list[NullEvent]) -> None:
+    """Append the events of one expression, depth-first, left to right.
 
     ``truth`` marks truth-value operand positions inside an If/While/For
     condition (the condition itself, operands of logical connectives and
     negation); only those positions produce bare null-test events.
     """
     if isinstance(e, Wildcard):
-        yield from _wildcard_deref_events(e, profile)
+        _wildcard_deref_events(e, profile, out)
     elif isinstance(e, Atom):
         if (
             truth
             and e.token.kind is _IDENT
             and e.token.text not in profile.null_literals
         ):
-            yield NullTestEvent((e.token.text,), e.span)
+            out.append(NullTestEvent((e.token.text,), e.span))
     elif isinstance(e, AccessPath):
         path = e.path()
         if truth:
-            yield NullTestEvent(path, e.span)
-        yield from _deref_events(path, e.root.offset, include_full=False)
+            out.append(NullTestEvent(path, e.span))
+        _deref_events(path, e.root.offset, out, include_full=False)
     elif isinstance(e, Compare):
         if truth and e.op in ("==", "!="):
             tested = _null_test_path(e, profile)
             if tested is not None:
-                yield NullTestEvent(tested, e.span)
-        yield from _expr_events(e.lhs, profile, False)
-        yield from _expr_events(e.rhs, profile, False)
+                out.append(NullTestEvent(tested, e.span))
+        _expr_events(e.lhs, profile, False, out)
+        _expr_events(e.rhs, profile, False, out)
     elif isinstance(e, Logical):
-        yield from _expr_events(e.lhs, profile, truth)
-        yield from _expr_events(e.rhs, profile, truth)
+        _expr_events(e.lhs, profile, truth, out)
+        _expr_events(e.rhs, profile, truth, out)
     elif isinstance(e, Not):
-        yield from _expr_events(e.operand, profile, truth)
+        _expr_events(e.operand, profile, truth, out)
     elif isinstance(e, Assign):
-        yield from _expr_events(e.lhs, profile, False)
-        yield from _expr_events(e.rhs, profile, False)
+        _expr_events(e.lhs, profile, False, out)
+        _expr_events(e.rhs, profile, False, out)
         root = _lvalue_root(e.lhs)
         if root is not None:
-            yield KillEvent(root, e.tokens[0].offset)
+            out.append(KillEvent(root, e.tokens[0].offset))
     elif isinstance(e, Update):
-        yield from _expr_events(e.target, profile, False)
+        _expr_events(e.target, profile, False, out)
         if e.value is not None:
-            yield from _expr_events(e.value, profile, False)
+            _expr_events(e.value, profile, False, out)
         root = _lvalue_root(e.target)
         if root is not None:
-            yield KillEvent(root, e.tokens[0].offset)
+            out.append(KillEvent(root, e.tokens[0].offset))
     elif isinstance(e, Call):
         if isinstance(e.callee, AccessPath):
-            yield from _deref_events(e.callee.path(), e.callee.root.offset, include_full=True)
+            _deref_events(e.callee.path(), e.callee.root.offset, out, include_full=True)
         for arg in e.args:
-            yield from _expr_events(arg, profile, False)
+            _expr_events(arg, profile, False, out)
 
 
-def _stmt_events(s: Stmt, profile: LanguageProfile) -> Iterator[NullEvent]:
+def _stmt_events(s: Stmt, profile: LanguageProfile, out: list[NullEvent]) -> None:
     for role, part in s.parts():
         if role is BODY:
             for child in part:
-                yield from _stmt_events(child, profile)
+                _stmt_events(child, profile, out)
         elif part is not None:
-            yield from _expr_events(part, profile, role is TEST)
+            _expr_events(part, profile, role is TEST, out)
 
 
 def iter_null_events(stmts: Sequence[Stmt], profile: LanguageProfile) -> Iterator[NullEvent]:
-    """The ordered event log the null-deref checker runs on."""
+    """The ordered event log the null-deref checker runs on, built in full
+    before the first event is read: one call per tree node."""
+    out: list[NullEvent] = []
     for s in stmts:
-        yield from _stmt_events(s, profile)
+        _stmt_events(s, profile, out)
         if not isinstance(s, WildcardStmt):
             # Function-boundary heuristic: leaving a top-level compound
             # statement (typically a function body) clears tracked state.
-            yield ResetEvent(s.span.hi)
+            out.append(ResetEvent(s.span.hi))
+    return iter(out)
 
 
 def check_null_deref(

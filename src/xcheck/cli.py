@@ -2,7 +2,7 @@
 
 Setup checks all the command line names (the ``--line-range`` shape,
 ``--profile``, ``--lang``, each path as (file, profile) pairs); a problem
-there prints ``xcheck: error: ...`` to stderr and exits 2, nothing analyzed.
+there prints just ``xcheck: error: ...`` to stderr and exits 2, nothing analyzed.
 Then each file runs through the pipeline and findings go to stdout.  What a
 walk skips and what cannot be read are reported on stderr; the rest still run:
 exit 2 if something could not be read, else 1 (findings) or 0 (clean).
@@ -77,11 +77,12 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
 
 
 def _collect_files(
-    paths: list[str], registry: Registry, forced: LanguageProfile | None, err
+    paths: list[str], registry: Registry, forced: LanguageProfile | None, notes: list[str]
 ) -> tuple[list[tuple[str, LanguageProfile]], bool]:
     """Expand paths to (file, profile) pairs in deterministic order, and whether
     some directory could not be read.  A walked file needs a profile for its
-    extension, ``forced`` or not; what is skipped or unreadable goes to ``err``."""
+    extension, ``forced`` or not; what is skipped or unreadable is noted in
+    ``notes``, for the caller to print once every path has been expanded."""
     out: list[tuple[str, LanguageProfile]] = []
     failed: list[OSError] = []
     for raw in paths:
@@ -89,13 +90,13 @@ def _collect_files(
             for root, dirs, names in os.walk(raw, onerror=failed.append):
                 dirs.sort()
                 for link in filter(os.path.islink, (os.path.join(root, d) for d in dirs)):
-                    print(f"xcheck: skipping {link} (link to a directory, not followed)", file=err)
+                    notes.append(f"xcheck: skipping {link} (link to a directory, not followed)")
                 for name in sorted(names):
                     full = os.path.join(root, name)
                     try:
                         profile = registry.resolve(full)
                     except UnknownLanguage:
-                        print(f"xcheck: skipping {full} (no profile for extension)", file=err)
+                        notes.append(f"xcheck: skipping {full} (no profile for extension)")
                         continue
                     out.append((full, forced or profile))
         elif os.path.isfile(raw):
@@ -103,7 +104,7 @@ def _collect_files(
         else:
             raise FileNotFoundError(f"no such file or directory: {raw}")
     for exc in failed:
-        print(f"xcheck: error: {exc.filename}: {exc.strerror or exc}", file=err)
+        notes.append(f"xcheck: error: {exc.filename}: {exc.strerror or exc}")
     return out, bool(failed)
 
 
@@ -138,10 +139,13 @@ def run(args: argparse.Namespace, registry: Registry = DEFAULT_REGISTRY, out=Non
             registry = Registry(registry)
             load_profile_file(args.profile_file, registry)
         forced = registry.resolve(args.lang_override) if args.lang_override else None
-        files, unreadable = _collect_files(args.paths, registry, forced, err)
+        notes: list[str] = []
+        files, unreadable = _collect_files(args.paths, registry, forced, notes)
     except (OSError, ProfileError, ValueError) as exc:
         print(f"xcheck: error: {exc}", file=err)
         return 2
+    for note in notes:
+        print(note, file=err)
     all_diags: list[Diagnostic] = []
     for path, profile in files:
         try:

@@ -171,17 +171,21 @@ def _quoted(name: str, quote: str, escape: str) -> str:
 def compile_scanner(profile: LanguageProfile, directives: bool = True) -> re.Pattern[str]:
     """Compile ``profile`` into its scanner pattern, cached by the profile's value.
 
-    The pattern tries, in order: whitespace, line comment, block-comment
-    opener, preprocessor line (left out when ``directives`` is false),
-    string and char literals, hex and decimal numbers, identifiers,
-    operators longest first (maximal munch), and any single character.
+    One match takes one token: it skips a run of whitespace and line
+    comments, then tries, in order: block-comment opener, preprocessor line
+    (left out when ``directives`` is false), string and char literals, hex
+    and decimal numbers, identifiers, operators longest first (maximal
+    munch), and any single character.  Only at the end of input does no
+    group match.  The skipped run is never given back, as one of these
+    always matches a character that is left.
     The lexer needs the pattern without directives only for a preprocessor
     prefix that does not start its line, so it compiles that on first need.
     """
     string_quote, char_quote = profile.string_delims
-    rules = [r"(?P<ws>[ \t\r\n\f\v]+)"]
+    skip = [r"[ \t\r\n\f\v]+"]
     if profile.line_comment:
-        rules.append(rf"(?P<lc>{re.escape(profile.line_comment)}[^\n]*)")
+        skip.append(rf"{re.escape(profile.line_comment)}[^\n]*")
+    rules = []
     if profile.block_comment[0]:
         rules.append(f"(?P<bc>{re.escape(profile.block_comment[0])})")
     if profile.preprocessor_prefix and directives:
@@ -196,7 +200,7 @@ def compile_scanner(profile: LanguageProfile, directives: bool = True) -> re.Pat
     if operators:
         rules.append(f"(?P<op>{'|'.join(map(re.escape, operators))})")
     rules.append(r"(?P<punct>[\s\S])")
-    return re.compile("|".join(rules))
+    return re.compile(f"(?:{'|'.join(skip)})*(?:{'|'.join(rules)})?")
 
 
 def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>") -> TokenStream:
@@ -217,24 +221,26 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
     while pos < size:
         m = match(source, pos)
         group = m.lastgroup
-        if group == "ws" or group == "lc":
-            pos = m.end()
-            continue
+        if group is None:  # only whitespace and line comments were left
+            break
+        pos = m.end()
+        text = m[group]
+        start = pos - len(text)
         if group == "bc":
-            close = source.find(block_close, m.end()) if block_close else -1
+            close = source.find(block_close, pos) if block_close else -1
             if close < 0:
                 message = "block comment is never closed"
-                errors.append(LexError("unterminated-block-comment", message, position(source, pos)))
+                errors.append(LexError("unterminated-block-comment", message, position(source, start)))
                 break
             pos = close + len(block_close)
             continue
         if group == "pp":
-            if not source[source.rfind("\n", 0, pos) + 1 : pos].strip():
-                pos = m.end()
+            if not source[source.rfind("\n", 0, start) + 1 : start].strip():
                 continue
-            m = compile_scanner(profile, False).match(source, pos)
+            m = compile_scanner(profile, False).match(source, start)
             group = m.lastgroup
-        text = m.group()
+            pos = m.end()
+            text = m[group]
         if group == "ident":
             kind = _KW if text in keywords else _IDENT
         elif group == "op":
@@ -242,7 +248,7 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
         elif group == "punct":
             kind = _PUNCT
             if text not in punctuation:
-                errors.append(LexError("unknown-character", f"unexpected character {text!r}", position(source, pos)))
+                errors.append(LexError("unknown-character", f"unexpected character {text!r}", position(source, start)))
         elif group == "num":
             floaty = "." in text or "e" in text[1:] or "E" in text[1:]
             kind = _FLOAT if floaty else _INT
@@ -253,7 +259,6 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
             kind = _STR if group == "str" else _CHAR
             if m.group(f"{group}_end") is None:
                 what = "string" if group == "str" else "char"
-                errors.append(LexError("unterminated-string", f"unterminated {what} literal", position(source, pos)))
-        append(_new(Token, (kind, text, pos, source)))
-        pos = m.end()
+                errors.append(LexError("unterminated-string", f"unterminated {what} literal", position(source, start)))
+        append(_new(Token, (kind, text, start, source)))
     return TokenStream(tokens, source_path, errors)

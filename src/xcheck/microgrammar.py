@@ -35,8 +35,8 @@ Structural equality and ordering deliberately ignore positions.
 Each statement class declares its shape once, in ``parts()``: its
 expression slots and bodies in source order, each tagged ``TEST`` (a
 condition whose truth picks a path), ``SLOT`` (any other expression slot)
-or ``BODY`` (a statement list).  Equality keys, child and token listing,
-the tree dump and the checkers' event walk all read that one declaration.
+or ``BODY`` (a statement list).  Equality keys, the tree walk, the tree
+dump and the checkers' event log all read that one declaration.
 """
 
 from __future__ import annotations
@@ -56,6 +56,8 @@ MAX_EXPR_DEPTH = 128
 _COMPARE_OPS = frozenset({"<", "<=", ">", ">=", "==", "!="})
 _UNARY_UPDATE_OPS = frozenset({"++", "--"})
 _BINARY_UPDATE_OPS = frozenset({"+=", "-="})
+# The operators refinement splits at: a lone one still makes a shape, of empty parts.
+_SPLIT_OPS = _COMPARE_OPS | _BINARY_UPDATE_OPS | {"=", "||", "&&"}
 _STARTERS = frozenset({"if", "while", "do", "for", "switch"})
 _LABELS = ("case", "default")
 
@@ -678,6 +680,10 @@ class _Parser:
         indices (four lists in source order) when the caller's scan has them.
         """
         toks = self.toks
+        if hi - lo == 1 and depth <= MAX_EXPR_DEPTH:  # Atom: one token, unless a split operator
+            first = toks[lo]
+            if first.kind is not _OP or first.text not in _SPLIT_OPS:
+                return Atom(first, (first,))
         tokens = toks[lo:hi]
         if lo == hi or depth > MAX_EXPR_DEPTH:
             return Wildcard(tokens, self._span(lo, hi, anchor))
@@ -758,10 +764,6 @@ class _Parser:
         # AccessPath: the whole run is ident (deref_op ident)+ exactly.
         if k == hi and hi - lo >= 3:
             return self._path(lo, hi)
-
-        # Atom: any single token.
-        if hi - lo == 1:
-            return Atom(first, tokens)
 
         # Fully covering parentheses: strip and re-refine the interior, but
         # keep the original token slice on the node.
@@ -852,17 +854,16 @@ def stmt_key(s: Stmt) -> Key:
 # ---------------------------------------------------------------------------
 
 
-def child_statements(s: Stmt) -> Iterator[Stmt]:
-    for role, part in s.parts():
-        if role is BODY:
-            yield from part
-
-
 def walk_statements(stmts: Iterable[Stmt]) -> Iterator[Stmt]:
-    """Every statement in the tree, pre-order, source order."""
-    for s in stmts:
+    """Every statement in the tree, pre-order, source order: one step per
+    node, off one stack that holds the statements still to visit, last first."""
+    stack = list(stmts)[::-1]
+    while stack:
+        s = stack.pop()
         yield s
-        yield from walk_statements(child_statements(s))
+        for role, part in reversed(s.parts()):
+            if role is BODY:
+                stack += reversed(part)
 
 
 def _texts(e: Expr | None) -> str:

@@ -140,14 +140,12 @@ def assert_refinement_sound(e: Expr) -> None:
 
 
 def assert_spans_nest(stmts: Sequence[Stmt]) -> None:
-    from xcheck.microgrammar import child_statements
-
     prev_end = -1
     for s in stmts:
         assert s.span.start.offset <= s.span.end.offset
         assert s.span.start.offset >= prev_end, "sibling spans overlap"
         prev_end = s.span.end.offset
-        kids = list(child_statements(s))
+        kids = [kid for role, part in s.parts() if role is BODY for kid in part]
         for kid in kids:
             assert kid.span.start.offset >= s.span.start.offset
             assert kid.span.end.offset <= s.span.end.offset, "child span escapes parent"

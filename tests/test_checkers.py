@@ -1,6 +1,7 @@
 """Checker behavior, including the event-log oracle for derived cases."""
 
 import random
+import sys
 from collections import Counter
 
 import pytest
@@ -300,6 +301,37 @@ def test_checker_matches_brute_force_oracle_on_random_programs():
         }
         want = set(null_oracle(list(iter_null_events(stmts, C))))
         assert got == want, f"divergence on:\n{src}"
+
+
+def _tree_module_calls(fn):
+    """How many Python calls (and generator resumptions) ``fn()`` makes in
+    ``microgrammar`` and ``checkers``: a clock-free measure of its steps."""
+    files = {microgrammar.__file__, checkers.__file__}
+    calls = 0
+
+    def count(frame, event, arg):
+        nonlocal calls
+        calls += event == "call" and frame.f_code.co_filename in files
+
+    sys.setprofile(count)
+    try:
+        fn()
+    finally:
+        sys.setprofile(None)
+    return calls
+
+
+def test_walks_and_the_event_log_take_one_step_per_node_at_any_depth():
+    # Handing each node up through every enclosing level would make the
+    # cost of a nest grow with the square of its depth.
+    def costs(depth):
+        stmts = parse_source("void f(void) {" + " if (p) { p->x = 1;" * depth + " }" * (depth + 1))
+        walk = _tree_module_calls(lambda: list(microgrammar.walk_statements(stmts)))
+        return walk, _tree_module_calls(lambda: list(iter_null_events(stmts, C)))
+
+    (walk30, events30), (walk60, events60) = costs(30), costs(60)
+    assert walk60 <= 2.2 * walk30, (walk30, walk60)
+    assert events60 <= 2.2 * events30, (events30, events60)
 
 
 # -- driver ------------------------------------------------------------------------

@@ -209,6 +209,7 @@ GOOD_C = "p->f(x);\nif (p) q();\n"
         ["--dump-ast", "--lang", "nosuch", "GOOD.c"],
         ["--dump-ast", "GOOD.c", "missing.c"],
         ["--line-range", "1:5", "DIR"],
+        ["DIR", "missing.c"],
     ],
 )
 def test_usage_error_prints_nothing_to_stdout_and_analyzes_nothing(tmp_path, argv):

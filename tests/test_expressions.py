@@ -10,6 +10,7 @@ from support import (
     JAVA,
     TreeGen,
     assert_refinement_sound,
+    expr_children,
     parse_source,
     wild,
 )
@@ -58,6 +59,17 @@ def test_method_call_through_arrow_path():
 def test_single_token_refines_to_atom():
     e = refine(["x"])
     assert isinstance(e, Atom) and e.token.text == "x"
+
+
+@pytest.mark.parametrize("profile", [C, CPP, JAVA], ids=lambda p: p.name)
+@pytest.mark.parametrize("op", ["=", "||", "&&", "<", "<=", ">", ">=", "==", "!=", "+=", "-="])
+def test_a_lone_split_operator_is_its_shape_of_two_empty_parts(op, profile):
+    (stmt,) = parse_source(f"if ({op}) f();", profile)
+    shape = {"=": ("Assign",), "+=": ("Update", op), "-=": ("Update", op)}.get(op)
+    shape = shape or (("Logical", op) if op in ("||", "&&") else ("Compare", op))
+    assert expr_key(stmt.cond) == (*shape, ("Wildcard",), ("Wildcard",))
+    # both parts are empty wildcards anchored at the slot, the operator's offset
+    assert [(p.tokens, p.span.lo, p.span.hi) for p in expr_children(stmt.cond)] == [((), 4, 4)] * 2
 
 
 def test_ternary_stays_wildcard():

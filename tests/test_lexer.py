@@ -11,6 +11,7 @@ from support import (
     all_operator_tokenizations,
     greedy_operator_tokenization,
 )
+from xcheck import lexer
 from xcheck.lexer import TokenKind, compile_scanner, tokenize
 
 
@@ -121,6 +122,30 @@ def test_scanner_without_directives_is_compiled_on_first_need():
     tokenize("x = a # b;", C)
     tokenize("y = c # d;", C)
     assert compile_scanner.cache_info().currsize == 2
+
+
+def test_the_scanner_is_entered_once_per_token(monkeypatch):
+    # Whitespace and line comments are skipped inside the next token's
+    # match; a block comment, a directive and the end of input take one each.
+    class CountingPattern:
+        matches = 0
+
+        def __init__(self, pattern):
+            self.pattern = pattern
+
+        def match(self, *args):
+            CountingPattern.matches += 1
+            return self.pattern.match(*args)
+
+    compile = lexer.compile_scanner
+    monkeypatch.setattr(lexer, "compile_scanner", lambda *args: CountingPattern(compile(*args)))
+    rng = random.Random(5)
+    gaps = [" ", "\t\f\v", "\r\n  ", " // note\n", "\n\n// a\n//\n \t"]
+    words = ["if", "(", "p", ")", "x", "=", "1", ";"] * 20
+    source = "#define Q 1\n" + "".join(w + rng.choice(gaps) for w in words) + "/* block */ y;\n"
+    stream = tokenize(source, C)
+    assert texts(stream) == words + ["y", ";"]
+    assert CountingPattern.matches <= len(stream.tokens) + 3
 
 
 def test_hash_is_not_special_in_java():

@@ -9,8 +9,13 @@ written to a temporary directory: the bundled regression fixtures, the
 golden-dump inputs under ``tests/golden/``, ``N`` seeded
 ``random_micro_program``s, ``N`` seeded token soups
 (``random_token_source``) and ``N // 10`` seeded ``long_chain_program``s
-(operator chains that cross the refinement depth cap), the last two spread
-over C, C++ and Java, from ``tests/support.py``, and, for each seed, the
+(operator chains that cross the refinement depth cap), from
+``tests/support.py``; ``N // 10`` seeded deep nests (``if``/``while``/``for``/
+``switch``/block nests that cross the parser's nesting cap, dereferencing and
+testing for null at each level) and ``N // 10`` comment-dense soups (words
+joined by runs of whitespace, line comments and block comments in each
+profile's own delimiters); all but the programs spread over C, C++ and
+Java; and, for each seed, the
 benchmark's three workloads (``tree_mixed``, ``docs_heavy`` and the six
 ``stress_shapes``) from ``bench/``.  The corpus comes from this checkout,
 so both sides see the same files.
@@ -42,7 +47,46 @@ FIXTURES = ("object.c", "InstCombineAddSub.cpp", "CipherCore.java")
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 SOUP_LANGUAGES = (("c", ".c"), ("cpp", ".cpp"), ("java", ".java"))
 SOUP_MAX_TOKENS = 256
+NEST_DEPTHS = (40, 100)  # around the parser's MAX_NESTING of 64
 WORKLOADS = ("tree_mixed", "docs_heavy", "stress_shapes")
+
+
+def deep_nest(rng: random.Random, profile) -> str:
+    """A function body of nested control statements, each level dereferencing
+    a pointer and testing one for null before the next level opens."""
+    null, arrow = min(profile.null_literals), profile.deref_ops[0]
+    depth = rng.randint(*NEST_DEPTHS)
+    words = ["f ( ) {"]
+    for _ in range(depth):
+        p, q = rng.choice("pqr"), rng.choice("pqr")
+        words.append(f"{p}{arrow}f = {q}{arrow}g ;")
+        words.append(rng.choice((
+            f"if ( {p} != {null} ) {{",
+            f"while ( {p} ) {{",
+            f"for ( i = 0 ; {p} ; i ++ ) {{",
+            f"switch ( {p}{arrow}k ) {{ case 1 : if ( {q} == {null} ) g ( ) ;",
+            f"{{ if ( ! {p} ) h ( ) ; else if ( {q} ) {q}{arrow}h ( ) ;",
+        )))
+    return " ".join(words) + " }" * (depth + 1)
+
+
+def commented_soup(rng: random.Random, profile, words: list[str]) -> str:
+    """``words`` joined by runs of whitespace, line comments and block comments."""
+    line, (opener, closer) = profile.line_comment, profile.block_comment
+
+    def gap() -> str:
+        pieces = []
+        for _ in range(rng.randint(1, 4)):
+            roll = rng.random()
+            if roll < 0.5:
+                pieces.append("".join(rng.choice(" \t\f\v\r\n") for _ in range(rng.randint(1, 6))))
+            elif roll < 0.75:
+                pieces.append(f"{line} note {rng.choice(words)}\n")
+            else:
+                pieces.append(f"{opener} note" + rng.choice(" \n") + f"{rng.choice(words)} {closer}")
+        return "".join(pieces)
+
+    return "".join(word + gap() for word in words)
 
 
 def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
@@ -76,6 +120,20 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
         _, extension = SOUP_LANGUAGES[i % len(SOUP_LANGUAGES)]
         with open(os.path.join(dest, "chains", f"c{i:04d}{extension}"), "w", encoding="utf-8") as fh:
             fh.write(long_chain_program(rng))
+    os.makedirs(os.path.join(dest, "nests"))
+    rng = random.Random(3)
+    for i in range(programs // 10):
+        language, extension = SOUP_LANGUAGES[i % len(SOUP_LANGUAGES)]
+        with open(os.path.join(dest, "nests", f"n{i:04d}{extension}"), "w", encoding="utf-8") as fh:
+            fh.write(deep_nest(rng, profile_for(language)))
+    os.makedirs(os.path.join(dest, "comments"))
+    rng = random.Random(4)
+    for i in range(programs // 10):
+        language, extension = SOUP_LANGUAGES[i % len(SOUP_LANGUAGES)]
+        profile = profile_for(language)
+        words = random_token_source(rng, profile, SOUP_MAX_TOKENS).split()
+        with open(os.path.join(dest, "comments", f"k{i:04d}{extension}"), "w", encoding="utf-8") as fh:
+            fh.write(commented_soup(rng, profile, words))
     for seed in seeds:
         for workload in WORKLOADS:
             files, _ = bench_run.build_workload(workload, seed)
