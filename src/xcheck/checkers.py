@@ -12,6 +12,7 @@ suite's brute-force oracle consumes.
 
 from __future__ import annotations
 
+from collections import Counter
 from enum import Enum
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
@@ -275,6 +276,13 @@ def _body_span(body: Sequence[Stmt], fallback: Extent) -> Extent:
     return Extent(body[0].span.lo, body[-1].span.hi, fallback.source) if body else fallback
 
 
+def _body_keys(bodies: Sequence[Sequence[Stmt]]) -> list[Key | None]:
+    """Each body's key, or ``None`` if no other body has as many statements (it cannot
+    repeat one): keying every body would key a nest's inner statements once per level."""
+    sizes = Counter(map(len, bodies))
+    return [tuple(map(stmt_key, b)) if sizes[len(b)] > 1 else None for b in bodies]
+
+
 def _repeat_findings(
     keys: Iterable[Key | None], spans: Sequence[Extent], checker: CheckerId, message: str, note: str, path: str
 ) -> Iterator[Diagnostic]:
@@ -306,7 +314,7 @@ def check_redundant_conditions(
         if node.else_body is not None:
             bodies.append(node.else_body)
         diags += _repeat_findings(
-            (tuple(map(stmt_key, b)) for b in bodies), [_body_span(b, node.span) for b in bodies], checker,
+            _body_keys(bodies), [_body_span(b, node.span) for b in bodies], checker,
             "branch body is identical to an earlier branch of the same chain", "identical branch here", path,
         )
     return diags
@@ -327,9 +335,9 @@ def check_redundant_branches(
             [a.label.span if a.label is not None else a.span for a in arms], checker,
             "case label duplicates an earlier label of the same switch", "first labeled here", path,
         )
-        # empty fallthrough arms are exempt
+        # empty fallthrough arms are exempt: their key is the empty tuple
         diags += _repeat_findings(
-            (tuple(map(stmt_key, a.body)) if a.body else None for a in arms), [a.span for a in arms], checker,
+            (key or None for key in _body_keys([a.body for a in arms])), [a.span for a in arms], checker,
             "case body is identical to an earlier case of the same switch", "identical case here", path,
         )
     return diags

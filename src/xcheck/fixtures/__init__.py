@@ -20,13 +20,6 @@ from ..profiles import profile_for
 
 
 @dataclass(frozen=True)
-class ExpectedFinding:
-    checker: str
-    line: int
-    related_line: int | None
-
-
-@dataclass(frozen=True)
 class FixtureCase:
     name: str
     filename: str  # bundled source file and the `file` field of findings
@@ -129,13 +122,6 @@ def load_source(case: FixtureCase) -> str:
 
 def expected_records(case: FixtureCase) -> list[dict]:
     return json.loads(_read(case.golden))
-
-
-def expected_findings(case: FixtureCase) -> list[ExpectedFinding]:
-    return [
-        ExpectedFinding(r["checker"], r["start_line"], r.get("related_line"))
-        for r in expected_records(case)
-    ]
 
 
 def verify_line_anchors(case: FixtureCase) -> None:

@@ -116,6 +116,10 @@ class _Slotted:
     stream and the tree nodes), read from ``__slots__``, which names each
     class's fields in constructor order.
 
+    A subclass with fields and without its own ``__init__`` gets one taking them
+    in that order, trailing ones defaulting as ``_defaults`` says; like ``namedtuple``'s,
+    its source is compiled once per class, so building runs one assignment per field.
+
     They print as ``Name(field=value, ...)`` and equal only an object of
     the same class with equal fields, so they are not hashable.  They are
     plain slotted classes because ``dataclasses`` is slow to import and to
@@ -124,6 +128,18 @@ class _Slotted:
 
     __slots__ = ()
     __hash__ = None  # type: ignore[assignment]
+    _defaults: dict[str, object] = {}
+
+    def __init_subclass__(cls) -> None:
+        names = cls.__slots__
+        if "__init__" in cls.__dict__ or not names:
+            return
+        params = "".join(f", {n}=_defaults[{n!r}]" if n in cls._defaults else f", {n}" for n in names)
+        body = "".join(f"\n    self.{n} = {n}" for n in names)
+        scope = {"_defaults": cls._defaults, "__name__": cls.__module__}
+        exec(f"def __init__(self{params}):{body}", scope)
+        cls.__init__ = scope["__init__"]  # type: ignore[misc]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)

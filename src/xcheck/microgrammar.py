@@ -32,11 +32,13 @@ anchor.  Statement nodes store spans that also cover their keywords and
 brackets.  Spans are offsets, resolved only when read (:class:`Extent`).
 Structural equality and ordering deliberately ignore positions.
 
-Each statement class declares its shape once, in ``parts()``: its
-expression slots and bodies in source order, each tagged ``TEST`` (a
-condition whose truth picks a path), ``SLOT`` (any other expression slot)
-or ``BODY`` (a statement list).  Equality keys, the tree walk, the tree
-dump and the checkers' event log all read that one declaration.
+Each class declares its fields once, in ``__slots__``, from which it gets
+its constructor, ``repr`` and ``==``.  Each statement class declares its
+shape once, in ``parts()``: its expression slots and bodies in source
+order, each tagged ``TEST`` (a condition whose truth picks a path),
+``SLOT`` (any other expression slot) or ``BODY`` (a statement list).
+Equality keys, the tree walk, the tree dump and the checkers' event log all
+read that one declaration.
 """
 
 from __future__ import annotations
@@ -116,66 +118,37 @@ class Wildcard(Expr):
 
     __slots__ = ("tokens", "span")
 
-    def __init__(self, tokens: tuple[Token, ...], span: Extent) -> None:
-        self.tokens, self.span = tokens, span
-
 
 class Compare(Expr):
-    __slots__ = ("op", "lhs", "rhs", "tokens")
-
-    def __init__(self, op: str, lhs: Expr, rhs: Expr, tokens: tuple[Token, ...]) -> None:
-        self.op, self.lhs, self.rhs = op, lhs, rhs  # op: < <= > >= == !=
-        self.tokens = tokens
+    __slots__ = ("op", "lhs", "rhs", "tokens")  # op: < <= > >= == !=
 
 
 class Logical(Expr):
-    __slots__ = ("op", "lhs", "rhs", "tokens")
-
-    def __init__(self, op: str, lhs: Expr, rhs: Expr, tokens: tuple[Token, ...]) -> None:
-        self.op, self.lhs, self.rhs = op, lhs, rhs  # op: && ||
-        self.tokens = tokens
+    __slots__ = ("op", "lhs", "rhs", "tokens")  # op: && ||
 
 
 class Not(Expr):
     __slots__ = ("operand", "tokens")
 
-    def __init__(self, operand: Expr, tokens: tuple[Token, ...]) -> None:
-        self.operand, self.tokens = operand, tokens
-
 
 class Update(Expr):
+    # op: ++ -- += -=; value is the right side of += / -=
     __slots__ = ("op", "target", "tokens", "value")
-
-    def __init__(self, op: str, target: Expr, tokens: tuple[Token, ...], value: Expr | None = None) -> None:
-        self.op, self.target = op, target  # op: ++ -- += -=
-        self.tokens = tokens
-        self.value = value  # right side of += / -=
+    _defaults = {"value": None}
 
 
 class Assign(Expr):
     __slots__ = ("lhs", "rhs", "tokens")
 
-    def __init__(self, lhs: Expr, rhs: Expr, tokens: tuple[Token, ...]) -> None:
-        self.lhs, self.rhs = lhs, rhs
-        self.tokens = tokens
-
 
 class Call(Expr):
     __slots__ = ("callee", "args", "tokens")
-
-    def __init__(self, callee: Expr, args: tuple[Expr, ...], tokens: tuple[Token, ...]) -> None:
-        self.callee, self.args = callee, args
-        self.tokens = tokens
 
 
 class AccessPath(Expr):
     """identifier (deref_op identifier)+ — e.g. ``state->work``."""
 
     __slots__ = ("root", "steps", "tokens")
-
-    def __init__(self, root: Token, steps: tuple[tuple[str, Token], ...], tokens: tuple[Token, ...]) -> None:
-        self.root, self.steps = root, steps
-        self.tokens = tokens
 
     def path(self) -> tuple[str, ...]:
         """The flattened access chain: ``("state", "->", "work")``."""
@@ -187,9 +160,6 @@ class AccessPath(Expr):
 
 class Atom(Expr):
     __slots__ = ("token", "tokens")
-
-    def __init__(self, token: Token, tokens: tuple[Token, ...]) -> None:
-        self.token, self.tokens = token, tokens
 
 
 # ---------------------------------------------------------------------------
@@ -209,6 +179,7 @@ class Stmt(_Slotted):
     """Base class for statement tree nodes."""
 
     __slots__ = ()
+    _defaults = {"incomplete": False}
 
     def parts(self) -> Sequence[Part]:
         """The node's expression slots and bodies in source order, each
@@ -219,9 +190,6 @@ class Stmt(_Slotted):
 class WildcardStmt(Stmt):
     __slots__ = ("expr", "span", "incomplete")
 
-    def __init__(self, expr: Expr, span: Extent, incomplete: bool = False) -> None:
-        self.expr, self.span, self.incomplete = expr, span, incomplete
-
     def parts(self) -> Sequence[Part]:
         return ((SLOT, self.expr),)
 
@@ -229,28 +197,13 @@ class WildcardStmt(Stmt):
 class Block(Stmt):
     __slots__ = ("body", "span", "incomplete")
 
-    def __init__(self, body: list[Stmt], span: Extent, incomplete: bool = False) -> None:
-        self.body, self.span, self.incomplete = body, span, incomplete
-
     def parts(self) -> Sequence[Part]:
         return ((BODY, self.body),)
 
 
 class If(Stmt):
+    # elifs: the flattened `else if` chain, as (cond, body) pairs; else_body may be None
     __slots__ = ("cond", "then_body", "elifs", "else_body", "span", "incomplete")
-
-    def __init__(
-        self,
-        cond: Expr,
-        then_body: list[Stmt],
-        elifs: list[tuple[Expr, list[Stmt]]],  # flattened `else if` chain
-        else_body: list[Stmt] | None,
-        span: Extent,
-        incomplete: bool = False,
-    ) -> None:
-        self.cond, self.then_body = cond, then_body
-        self.elifs, self.else_body = elifs, else_body
-        self.span, self.incomplete = span, incomplete
 
     def parts(self) -> Sequence[Part]:
         parts: list[Part] = [(TEST, self.cond), (BODY, self.then_body)]
@@ -264,20 +217,12 @@ class If(Stmt):
 class While(Stmt):
     __slots__ = ("cond", "body", "span", "incomplete")
 
-    def __init__(self, cond: Expr, body: list[Stmt], span: Extent, incomplete: bool = False) -> None:
-        self.cond, self.body = cond, body
-        self.span, self.incomplete = span, incomplete
-
     def parts(self) -> Sequence[Part]:
         return ((TEST, self.cond), (BODY, self.body))
 
 
 class DoWhile(Stmt):
     __slots__ = ("body", "cond", "span", "incomplete")
-
-    def __init__(self, body: list[Stmt], cond: Expr, span: Extent, incomplete: bool = False) -> None:
-        self.body, self.cond = body, cond
-        self.span, self.incomplete = span, incomplete
 
     def parts(self) -> Sequence[Part]:
         # a do-while condition is not a null-test position
@@ -287,38 +232,16 @@ class DoWhile(Stmt):
 class For(Stmt):
     __slots__ = ("init", "cond", "update", "body", "header_span", "span", "incomplete")
 
-    def __init__(
-        self,
-        init: Expr | None,
-        cond: Expr | None,
-        update: Expr | None,
-        body: list[Stmt],
-        header_span: Extent,
-        span: Extent,
-        incomplete: bool = False,
-    ) -> None:
-        self.init, self.cond, self.update = init, cond, update
-        self.body = body
-        self.header_span, self.span, self.incomplete = header_span, span, incomplete
-
     def parts(self) -> Sequence[Part]:
         return ((SLOT, self.init), (TEST, self.cond), (SLOT, self.update), (BODY, self.body))
 
 
 class CaseArm(_Slotted):
-    __slots__ = ("label", "body", "span")
-
-    def __init__(self, label: Expr | None, body: list[Stmt], span: Extent) -> None:
-        self.label = label  # None marks a `default` arm
-        self.body, self.span = body, span
+    __slots__ = ("label", "body", "span")  # label is None for a `default` arm
 
 
 class Switch(Stmt):
-    __slots__ = ("scrutinee", "cases", "span", "incomplete")
-
-    def __init__(self, scrutinee: Expr, cases: list[CaseArm], span: Extent, incomplete: bool = False) -> None:
-        self.scrutinee, self.cases = scrutinee, cases
-        self.span, self.incomplete = span, incomplete
+    __slots__ = ("scrutinee", "cases", "span", "incomplete")  # cases: a list of CaseArm
 
     def parts(self) -> Sequence[Part]:
         parts: list[Part] = [(SLOT, self.scrutinee)]

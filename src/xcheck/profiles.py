@@ -183,45 +183,34 @@ def _read_profile_text(text: str) -> LanguageProfile:
         else:
             raise MalformedProfile(f"profile file line {lineno}: unknown key {key!r}")
 
-    def scalar(key: str, default: str | None = None) -> str:
-        got = values.get(key, default)
-        if got is None:
-            raise MalformedProfile(f"profile file is missing required key {key!r}")
-        assert isinstance(got, str)
-        return got
-
-    def listval(key: str, default: list[str] | None = None) -> list[str]:
-        got = values.get(key, default)
-        if got is None:
-            raise MalformedProfile(f"profile file is missing required key {key!r}")
-        assert isinstance(got, list)
-        return got
-
-    block = listval("block_comment", ["/*", "*/"])
+    block = values.get("block_comment", ["/*", "*/"])
     if len(block) != 2:
         raise MalformedProfile("block_comment needs exactly two tokens (open close)")
-    quotes = listval("string_delims", ['"', "'"])
+    quotes = values.get("string_delims", ['"', "'"])
     if len(quotes) != 2:
         raise MalformedProfile("string_delims needs exactly two tokens (string char)")
-    pair_tokens = listval("pairs", ["(", ")", "{", "}", "[", "]"])
+    pair_tokens = values.get("pairs", ["(", ")", "{", "}", "[", "]"])
     if len(pair_tokens) % 2:
         raise MalformedProfile("pairs needs an even number of tokens")
+    for key in ("name", "operators"):
+        if key not in values:
+            raise MalformedProfile(f"profile file is missing required key {key!r}")
     pairs = tuple(
         (pair_tokens[i], pair_tokens[i + 1]) for i in range(0, len(pair_tokens), 2)
     )
     return LanguageProfile(
-        name=scalar("name"),
-        file_extensions=frozenset(listval("extensions", [])),
-        line_comment=scalar("line_comment", "//"),
+        name=values["name"],
+        file_extensions=frozenset(values.get("extensions", [])),
+        line_comment=values.get("line_comment", "//"),
         block_comment=(block[0], block[1]),
         string_delims=(quotes[0], quotes[1]),
-        escape_char=scalar("escape", "\\"),
-        operators=frozenset(listval("operators")),
-        keywords=frozenset(listval("keywords", [])),
-        punctuation=frozenset(listval("punctuation", list("(){}[];,:?"))),
-        stmt_terminator=scalar("stmt_terminator", ";"),
-        deref_ops=tuple(listval("deref_ops", [])),
-        null_literals=frozenset(listval("null_literals", [])),
+        escape_char=values.get("escape", "\\"),
+        operators=frozenset(values["operators"]),
+        keywords=frozenset(values.get("keywords", [])),
+        punctuation=frozenset(values.get("punctuation", list("(){}[];,:?"))),
+        stmt_terminator=values.get("stmt_terminator", ";"),
+        deref_ops=tuple(values.get("deref_ops", [])),
+        null_literals=frozenset(values.get("null_literals", [])),
         open_close_pairs=pairs,
         preprocessor_prefix=values.get("preprocessor") or None,  # type: ignore[arg-type]
     )

@@ -334,6 +334,27 @@ def test_walks_and_the_event_log_take_one_step_per_node_at_any_depth():
     assert events60 <= 2.2 * events30, (events30, events60)
 
 
+@pytest.mark.parametrize(
+    "level, close, check",
+    [
+        (" if (p) { p->x = 1;", " }", check_redundant_conditions),
+        (" if (p) { p->x = 1;", " } else { q(); }", check_redundant_conditions),
+        (" switch (p) { case 1: p->x = 1;", " }", check_redundant_branches),
+    ],
+    ids=["if", "if-else", "switch"],
+)
+def test_redundancy_checkers_key_a_nest_once_per_level(level, close, check):
+    # A body no other arm matches in length cannot repeat one, so the
+    # enclosing chains need not key it; keying it anyway would grow the cost
+    # of a nest with the square of its depth.
+    def cost(depth):
+        stmts = parse_source("void f(void) {" + level * depth + close * depth + " }")
+        return _tree_module_calls(lambda: check(stmts))
+
+    cost30, cost60 = cost(30), cost(60)
+    assert cost60 <= 2.2 * cost30, (cost30, cost60)
+
+
 # -- driver ------------------------------------------------------------------------
 
 

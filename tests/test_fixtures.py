@@ -5,7 +5,7 @@ import pytest
 from xcheck.fixtures import (
     builtin_cases,
     case_by_name,
-    expected_findings,
+    expected_records,
     load_source,
     run_fixture,
     verify_line_anchors,
@@ -23,20 +23,21 @@ def test_line_anchors_hold(case):
     verify_line_anchors(case)
 
 
+def _expected(name):
+    return [(r["checker"], r["start_line"], r.get("related_line")) for r in expected_records(case_by_name(name))]
+
+
 def test_ciphercore_expectations():
-    findings = expected_findings(case_by_name("ciphercore"))
-    assert [(f.checker, f.line, f.related_line) for f in findings] == [("null-deref", 888, 886)]
+    assert _expected("ciphercore") == [("null-deref", 888, 886)]
 
 
 def test_instcombine_expectations():
-    findings = expected_findings(case_by_name("instcombine"))
-    assert [(f.checker, f.line, f.related_line) for f in findings] == [("null-deref", 490, 456)]
+    assert _expected("instcombine") == [("null-deref", 490, 456)]
 
 
 def test_object_expectations():
-    assert expected_findings(case_by_name("object")) == []
-    mutated = expected_findings(case_by_name("object-mutated"))
-    assert [(f.checker, f.line, f.related_line) for f in mutated] == [("null-deref", 250, 233)]
+    assert _expected("object") == []
+    assert _expected("object-mutated") == [("null-deref", 250, 233)]
 
 
 def test_mutation_keeps_line_numbering():

@@ -10,9 +10,11 @@ are not hashable, and print as ``Name(field=value, ...)`` in field order.
 
 from __future__ import annotations
 
+import inspect
+
 import pytest
 
-from xcheck.lexer import Position, tokenize
+from xcheck.lexer import Position, TokenStream, tokenize
 from xcheck.microgrammar import (
     AccessPath,
     Assign,
@@ -180,3 +182,33 @@ def test_incomplete_can_be_set_after_construction(cls):
     node.incomplete = True
     assert node.incomplete is True
     assert node != cls(*_values(cls)[:-1])
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
+def test_constructor_takes_the_fields_in_order_with_only_the_declared_defaults(cls):
+    params = inspect.signature(cls).parameters
+    assert tuple(params) == FIELDS[cls]
+    assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
+    defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
+    assert defaults == DEFAULTS.get(cls, {})
+
+
+@pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
+def test_constructor_rejects_a_wrong_argument_list(cls):
+    values = _values(cls)
+    required = len(FIELDS[cls]) - len(DEFAULTS.get(cls, {}))
+    for args, kwargs in [
+        (values[: required - 1], {}),
+        (values + ["one too many"], {}),
+        (values, {"not_a_field": 1}),
+        (values, {FIELDS[cls][0]: values[0]}),  # a field given twice
+    ]:
+        with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\)"):
+            cls(*args, **kwargs)
+
+
+def test_token_stream_errors_default_to_a_fresh_list():
+    first, second = TokenStream([]), TokenStream([])
+    assert first.errors == [] and first.source_path == "<input>"
+    first.errors.append("an error")
+    assert second.errors == []

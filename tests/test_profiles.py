@@ -159,6 +159,23 @@ def test_repeated_profile_key_rejected_with_its_line():
         parse_profile_text(MINI_PROFILE_TEXT + "name = other\n")
 
 
+WITHOUT_NAME = MINI_PROFILE_TEXT.replace("name = mini\n", "")
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (WITHOUT_NAME, "profile file is missing required key 'name'"),
+        (MINI_PROFILE_TEXT.replace("operators =", "#"), "profile file is missing required key 'operators'"),
+        ("extensions = .t\n", "profile file is missing required key 'name'"),  # name is checked first
+        (WITHOUT_NAME + "pairs = ( ) [\n", "pairs needs an even number of tokens"),  # after the shape checks
+    ],
+)
+def test_a_missing_required_key_is_named(text, message):
+    with pytest.raises(MalformedProfile) as err:
+        parse_profile_text(text)
+    assert str(err.value) == message
+
 def test_any_line_starting_with_hash_is_a_comment():
     text = "#\n#x = 1\n  #no space after the hash\n" + MINI_PROFILE_TEXT
     assert parse_profile_text(text) == parse_profile_text(MINI_PROFILE_TEXT)
