@@ -240,12 +240,12 @@ def check_null_deref(
 ) -> list[Diagnostic]:
     """Report paths tested against null after already being dereferenced."""
     diags: list[Diagnostic] = []
-    nonnull: dict[Path, int] = {}  # each path's earliest dereference offset
+    nonnull: dict[str, dict[Path, int]] = {}  # by root: each path's earliest dereference offset
     for ev in iter_null_events(stmts, profile):
         if isinstance(ev, DerefEvent):
-            nonnull.setdefault(ev.path, ev.offset)
+            nonnull.setdefault(ev.path[0], {}).setdefault(ev.path, ev.offset)
         elif isinstance(ev, NullTestEvent):
-            deref_at = nonnull.pop(ev.path, None)  # one report per chain
+            deref_at = nonnull.get(ev.path[0], {}).pop(ev.path, None)  # one report per chain
             if deref_at is not None:
                 name = render_path(ev.path)
                 diags.append(
@@ -258,10 +258,7 @@ def check_null_deref(
                     )
                 )
         elif isinstance(ev, KillEvent):
-            stale = [p for p in nonnull if p[0] == ev.root]
-            for p in stale:
-                del nonnull[p]
-            assert not any(p[0] == ev.root for p in nonnull)  # kill completeness
+            nonnull.pop(ev.root, None)
         else:
             nonnull.clear()
     return diags

@@ -175,6 +175,10 @@ _HEX = rf"0[xX]{_NUMBER_BODY}(?:(?<=[pP])[+-]{_NUMBER_BODY})*"
 _DECIMAL = rf"(?=\.?[0-9]){_NUMBER_BODY}(?:(?<=[eE])[+-]{_NUMBER_BODY})*"
 
 
+# A preprocessor line, from its prefix: a trailing backslash continues it onto the next line.
+_DIRECTIVE = re.compile(r"[^\\\n]*(?:\\\n?[^\\\n]*)*")
+
+
 def _quoted(name: str, quote: str, escape: str) -> str:
     # An escape takes the next character whatever it is, a newline too; an
     # unescaped newline or the end of input ends an unterminated literal.
@@ -188,7 +192,7 @@ def compile_scanner(profile: LanguageProfile, directives: bool = True) -> re.Pat
     """Compile ``profile`` into its scanner pattern, cached by the profile's value.
 
     One match takes one token: it skips a run of whitespace and line
-    comments, then tries, in order: block-comment opener, preprocessor line
+    comments, then tries, in order: block-comment opener, preprocessor prefix
     (left out when ``directives`` is false), string and char literals, hex
     and decimal numbers, identifiers, operators longest first (maximal
     munch), and any single character.  Only at the end of input does no
@@ -205,9 +209,7 @@ def compile_scanner(profile: LanguageProfile, directives: bool = True) -> re.Pat
     if profile.block_comment[0]:
         rules.append(f"(?P<bc>{re.escape(profile.block_comment[0])})")
     if profile.preprocessor_prefix and directives:
-        # A trailing backslash continues the directive onto the next line.
-        prefix = re.escape(profile.preprocessor_prefix)
-        rules.append(rf"(?P<pp>(?={prefix})[^\\\n]*(?:\\\n?[^\\\n]*)*)")
+        rules.append(f"(?P<pp>{re.escape(profile.preprocessor_prefix)})")
     rules.append(_quoted("str", string_quote, profile.escape_char))
     if char_quote != string_quote:
         rules.append(_quoted("chr", char_quote, profile.escape_char))
@@ -251,7 +253,12 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
             pos = close + len(block_close)
             continue
         if group == "pp":
-            if not source[source.rfind("\n", 0, start) + 1 : start].strip():
+            # A directive's prefix has only whitespace before it on its line.
+            k = start
+            while k and source[k - 1] != "\n" and source[k - 1].isspace():
+                k -= 1
+            if not k or source[k - 1] == "\n":
+                pos = _DIRECTIVE.match(source, start).end()
                 continue
             m = compile_scanner(profile, False).match(source, start)
             group = m.lastgroup

@@ -60,7 +60,6 @@ _UNARY_UPDATE_OPS = frozenset({"++", "--"})
 _BINARY_UPDATE_OPS = frozenset({"+=", "-="})
 # The operators refinement splits at: a lone one still makes a shape, of empty parts.
 _SPLIT_OPS = _COMPARE_OPS | _BINARY_UPDATE_OPS | {"=", "||", "&&"}
-_STARTERS = frozenset({"if", "while", "do", "for", "switch"})
 _LABELS = ("case", "default")
 
 # Token kinds bound once for the per-token loops (see the note in ``lexer``).
@@ -418,17 +417,8 @@ class _Parser:
         assert tok is not None
         if tok.text == "{":
             return self._block(depth)
-        if tok.kind is _KW and tok.text in _STARTERS and depth < MAX_NESTING:
-            if tok.text == "if":
-                return self._if(depth)
-            if tok.text == "while":
-                return self._while(depth)
-            if tok.text == "do":
-                return self._do_while(depth)
-            if tok.text == "for":
-                return self._for(depth)
-            return self._switch(depth)
-        return self._wildcard_stmt()
+        form = self._FORMS.get(tok.text) if tok.kind is _KW and depth < MAX_NESTING else None
+        return form(self, depth) if form is not None else self._wildcard_stmt()
 
     def _wildcard_stmt(self) -> WildcardStmt:
         """Token run up to the statement terminator at depth zero.
@@ -592,6 +582,8 @@ class _Parser:
                 label = self._slot(start + 1, label_end, label_tok.offset)
             arms.append(CaseArm(label, body, self._span(start, stop, label_tok.offset)))
         return arms
+
+    _FORMS = {"if": _if, "while": _while, "do": _do_while, "for": _for, "switch": _switch}
 
     # -- expression refinement ------------------------------------------------
 

@@ -205,6 +205,13 @@ def test_without_the_kill_the_finding_returns():
     assert findings(diags) == [("null-deref", 2, 1)]
 
 
+def test_a_kill_drops_every_path_from_its_root_and_no_other():
+    src = "void h(void) { use(p->a->b); use(q->c); p = 0; if (p->a) f(); if (q) g(); }"
+    assert [d.message for d in check_null_deref(parse_source(src), C)] == [
+        "'q' checked for null here but dereferenced earlier"
+    ]
+
+
 def test_guard_idiom_is_clean():
     # derived: instrument the event log and confirm the test event
     # precedes the dereference event
@@ -332,6 +339,18 @@ def test_walks_and_the_event_log_take_one_step_per_node_at_any_depth():
     (walk30, events30), (walk60, events60) = costs(30), costs(60)
     assert walk60 <= 2.2 * walk30, (walk30, walk60)
     assert events60 <= 2.2 * events30, (events30, events60)
+
+
+def test_a_kill_takes_one_step_at_any_number_of_tracked_paths():
+    # Scanning every tracked path for each kill would grow with the square
+    # of the dereferences that precede the assignments.
+    def cost(n):
+        src = "void f(void) {" + "".join(f" use(p{i}->a);" for i in range(n))
+        stmts = parse_source(src + "".join(f" x{i} = 2;" for i in range(n)) + " }")
+        return _tree_module_calls(lambda: check_null_deref(stmts, C))
+
+    cost200, cost400 = cost(200), cost(400)
+    assert cost400 <= 2.2 * cost200, (cost200, cost400)
 
 
 @pytest.mark.parametrize(

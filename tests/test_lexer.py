@@ -115,6 +115,45 @@ def test_prefix_inside_a_line_is_an_unknown_character(profile):
     assert [(e.kind, e.pos.line, e.pos.column) for e in stream.errors] == [("unknown-character", 1, 7)]
 
 
+@pytest.mark.parametrize("piece", [" # b", " \xa0# b"], ids=["space", "nbsp"])
+def test_a_line_of_mid_line_prefixes_is_read_a_bounded_number_of_times(monkeypatch, piece):
+    # Whether a prefix starts a directive is decided from the characters just
+    # before it, and only a directive is matched to the end of its line:
+    # reading back to the line's start or on to its end for each prefix would
+    # grow with the square of the line.
+    read = 0
+
+    class Source(str):
+        def __getitem__(self, key):
+            nonlocal read
+            part = str.__getitem__(self, key)
+            read += len(part)
+            return part
+
+    class CountingPattern:
+        def __init__(self, pattern):
+            self.pattern = pattern
+
+        def match(self, source, pos):
+            nonlocal read
+            m = self.pattern.match(source, pos)
+            read += m.end() - pos
+            return m
+
+    compile = lexer.compile_scanner
+    monkeypatch.setattr(lexer, "compile_scanner", lambda *args: CountingPattern(compile(*args)))
+
+    def cost(n):
+        nonlocal read
+        read = 0
+        stream = tokenize(Source("int a = 1" + piece * n + ";"), C)
+        assert texts(stream).count("#") == n
+        return read
+
+    cost200, cost400 = cost(200), cost(400)
+    assert cost400 <= 2.2 * cost200, (cost200, cost400)
+
+
 def test_scanner_without_directives_is_compiled_on_first_need():
     compile_scanner.cache_clear()
     tokenize("#include <a.h>\nx = a;", C)

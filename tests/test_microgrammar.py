@@ -14,6 +14,7 @@ from support import (
 )
 from xcheck.lexer import tokenize
 from xcheck.microgrammar import (
+    MAX_NESTING,
     AccessPath,
     Atom,
     Block,
@@ -225,6 +226,29 @@ def test_nested_statements_are_descendants_not_siblings():
     assert isinstance(inner, If)
     assert isinstance(inner.then_body[0], WildcardStmt)
     assert_spans_nest(stmts)
+
+
+@pytest.mark.parametrize(
+    "extra, interior, held",
+    [
+        (0, "x = 1; y = 2;", ["x", "=", "1", ";", "y", "=", "2", ";"]),
+        (0, "", None),
+        (2, "x = 1;", ["{", "{", "x", "=", "1", ";", "}", "}"]),
+    ],
+)
+def test_a_brace_nest_past_the_cap_holds_its_interior_as_one_wildcard(extra, interior, held):
+    depth = MAX_NESTING + extra
+    stmts, _, _ = debug_parse("{" * depth + interior + "}" * depth)
+    for _ in range(MAX_NESTING):
+        (block,) = stmts
+        assert isinstance(block, Block) and not block.incomplete
+        stmts = block.body
+    if held is None:
+        assert stmts == []
+    else:
+        (wild,) = stmts
+        assert isinstance(wild, WildcardStmt)
+        assert [t.text for t in wild.expr.tokens] == held
 
 
 def test_function_shaped_file_nests_body_in_block():

@@ -13,6 +13,7 @@ from xcheck.profiles import (
     builtin_registry,
     parse_profile_text,
     profile_for,
+    validate_profile,
 )
 
 MINI_PROFILE_TEXT = """\
@@ -175,6 +176,35 @@ def test_a_missing_required_key_is_named(text, message):
     with pytest.raises(MalformedProfile) as err:
         parse_profile_text(text)
     assert str(err.value) == message
+
+@pytest.mark.parametrize(
+    "fields, message",
+    [
+        ({"operators": C.operators | {""}}, "operator set contains an empty string"),
+        ({"stmt_terminator": ""}, "stmt_terminator is empty"),
+        ({"string_delims": ('"', "''")}, "string_delims must be two single-character quotes"),
+        ({"open_close_pairs": (("(", ")"), ("{", ""))}, "open_close_pairs contains an empty token"),
+    ],
+)
+def test_each_broken_invariant_is_named(fields, message):
+    with pytest.raises(MalformedProfile) as err:
+        validate_profile(C._replace(**fields))
+    assert str(err.value) == f"profile 'c': {message}"
+
+
+@pytest.mark.parametrize(
+    "line, message",
+    [
+        ("operators", "profile file line 3: expected 'key = value'"),
+        ("block_comment = /*", "block_comment needs exactly two tokens (open close)"),
+        ("string_delims = \" ' `", "string_delims needs exactly two tokens (string char)"),
+    ],
+)
+def test_a_malformed_profile_file_line_is_named(line, message):
+    with pytest.raises(MalformedProfile) as err:
+        parse_profile_text(f"name = t\noperators = + =\n{line}\n")
+    assert str(err.value) == message
+
 
 def test_any_line_starting_with_hash_is_a_comment():
     text = "#\n#x = 1\n  #no space after the hash\n" + MINI_PROFILE_TEXT

@@ -12,10 +12,13 @@ golden-dump inputs under ``tests/golden/``, ``N`` seeded
 (operator chains that cross the refinement depth cap), from
 ``tests/support.py``; ``N // 10`` seeded deep nests (``if``/``while``/``for``/
 ``switch``/block nests that cross the parser's nesting cap, dereferencing and
-testing for null at each level) and ``N // 10`` comment-dense soups (words
+testing for null at each level), ``N // 10`` comment-dense soups (words
 joined by runs of whitespace, line comments and block comments in each
-profile's own delimiters); all but the programs spread over C, C++ and
-Java; and, for each seed, the
+profile's own delimiters) and ``N // 10`` kill programs (many roots
+dereferenced, then assignments to some of them among null tests of roots
+and paths); all but the programs spread over C, C++ and Java;
+``N // 10`` C and C++ files of lines holding many mid-line preprocessor
+prefixes, some after a no-break space, between directives; and, for each seed, the
 benchmark's three workloads (``tree_mixed``, ``docs_heavy`` and the six
 ``stress_shapes``) from ``bench/``.  The corpus comes from this checkout,
 so both sides see the same files.
@@ -68,6 +71,38 @@ def deep_nest(rng: random.Random, profile) -> str:
             f"{{ if ( ! {p} ) h ( ) ; else if ( {q} ) {q}{arrow}h ( ) ;",
         )))
     return " ".join(words) + " }" * (depth + 1)
+
+
+def kill_program(rng: random.Random, profile) -> str:
+    """A function body that dereferences many roots, then mixes assignments to
+    some of them with null tests of roots and of paths."""
+    null, arrow = min(profile.null_literals), profile.deref_ops[0]
+    roots = [f"r{i}" for i in range(rng.randint(5, 40))]
+    words = ["f ( ) {"] + [f"use ( {r}{arrow}a{arrow}b ) ;" for r in roots]
+    for _ in range(2 * len(roots)):
+        r = rng.choice(roots)
+        words.append(rng.choice((
+            f"{r} = {null} ;",
+            f"{r} ++ ;",
+            f"{r}{arrow}a = {rng.choice(roots)} ;",
+            f"if ( {r} ) g ( ) ;",
+            f"if ( {r}{arrow}a != {null} ) g ( ) ;",
+            f"if ( {r}{arrow}a{arrow}b ) {r}{arrow}c ( ) ;",
+        )))
+    return " ".join(words) + " }"
+
+
+def prefix_lines(rng: random.Random, profile) -> str:
+    """Lines of many mid-line preprocessor prefixes, some after a no-break
+    space, between directives that start their lines after blanks."""
+    prefix = profile.preprocessor_prefix
+    pieces = (f" {prefix} b", f"\xa0{prefix} b", f" \xa0 {prefix}", f"{prefix}{prefix}")
+    lines = []
+    for i in range(rng.randint(2, 6)):
+        lines.append(f"int a{i} = 1" + "".join(rng.choice(pieces) for _ in range(rng.randint(1, 60))) + " ;")
+        blanks = rng.choice(("", " ", "\xa0", "\t \xa0"))
+        lines.append(blanks + rng.choice((f"{prefix}define Q{i} 1", f"{prefix}define M{i}(x) \\\n  x")))
+    return "\n".join(lines) + "\n"
 
 
 def commented_soup(rng: random.Random, profile, words: list[str]) -> str:
@@ -134,6 +169,18 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
         words = random_token_source(rng, profile, SOUP_MAX_TOKENS).split()
         with open(os.path.join(dest, "comments", f"k{i:04d}{extension}"), "w", encoding="utf-8") as fh:
             fh.write(commented_soup(rng, profile, words))
+    os.makedirs(os.path.join(dest, "kills"))
+    rng = random.Random(5)
+    for i in range(programs // 10):
+        language, extension = SOUP_LANGUAGES[i % len(SOUP_LANGUAGES)]
+        with open(os.path.join(dest, "kills", f"x{i:04d}{extension}"), "w", encoding="utf-8") as fh:
+            fh.write(kill_program(rng, profile_for(language)))
+    os.makedirs(os.path.join(dest, "prefixes"))
+    rng = random.Random(6)
+    for i in range(programs // 10):
+        language, extension = SOUP_LANGUAGES[i % 2]  # Java has no preprocessor
+        with open(os.path.join(dest, "prefixes", f"d{i:04d}{extension}"), "w", encoding="utf-8") as fh:
+            fh.write(prefix_lines(rng, profile_for(language)))
     for seed in seeds:
         for workload in WORKLOADS:
             files, _ = bench_run.build_workload(workload, seed)
