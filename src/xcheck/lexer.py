@@ -173,8 +173,6 @@ _NUMBER_BODY = r"[0-9A-Za-z_.]*"
 # An exponent sign continues a number: 1e+5, 0x1p-3.
 _HEX = rf"0[xX]{_NUMBER_BODY}(?:(?<=[pP])[+-]{_NUMBER_BODY})*"
 _DECIMAL = rf"(?=\.?[0-9]){_NUMBER_BODY}(?:(?<=[eE])[+-]{_NUMBER_BODY})*"
-
-
 # A preprocessor line, from its prefix: a trailing backslash continues it onto the next line.
 _DIRECTIVE = re.compile(r"[^\\\n]*(?:\\\n?[^\\\n]*)*")
 
@@ -253,7 +251,8 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
             pos = close + len(block_close)
             continue
         if group == "pp":
-            # A directive's prefix has only whitespace before it on its line.
+            # A directive's prefix has only blanks before it on its line; reading back
+            # over just those, not to the line's start, keeps many prefixes on a line linear.
             k = start
             while k and source[k - 1] != "\n" and source[k - 1].isspace():
                 k -= 1

@@ -220,11 +220,12 @@ def _read_profile_text(text: str) -> LanguageProfile:
 # Built-in profiles, in the profile-file format
 # --------------------------------------------------------------------------
 
+# C23 made "::" a punctuator, and ".h" headers of C++ code lex as C: "case Foo::Bar:" stays whole.
 _C_TEXT = (
     "name = c\n"
     "extensions = .c .h\n"
     "operators = ... <<= >>= -> ++ -- << >> <= >= == != && || += -= *= /= %= &= ^= |="
-    " + - * / % < > = ! & | ^ ~ .\n"
+    " + - * / % < > = ! & | ^ ~ . ::\n"
     "keywords = auto break case char const continue default do double else enum extern"
     " float for goto if inline int long register restrict return short signed sizeof"
     " static struct switch typedef union unsigned void volatile while _Alignas _Alignof"

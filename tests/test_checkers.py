@@ -93,6 +93,12 @@ def test_empty_fallthrough_bodies_are_exempt():
     assert check_redundant_branches(stmts) == []
 
 
+def test_scoped_case_labels_in_c_are_distinct():
+    # A C++ header lexes as C: each label must keep its whole scoped name.
+    stmts = parse_source("switch (c) { case Color::Red: f(); break; case Color::Blue: g(); break; }")
+    assert check_redundant_branches(stmts) == []
+
+
 def test_duplicate_case_bodies():
     stmts = parse_source("switch (x) { case 1: f(); break; case 2: f(); break; }")
     diags = check_redundant_branches(stmts)

@@ -229,6 +229,7 @@ def test_numeric_then_operator_split():
 def test_arrow_and_scope_tokens():
     assert texts(tokenize("a->b", CPP)) == ["a", "->", "b"]
     assert texts(tokenize("std::min", CPP)) == ["std", "::", "min"]
+    assert texts(tokenize("A::B", C)) == ["A", "::", "B"]
     assert texts(tokenize("Runnable r = () -> x;", JAVA)).count("->") == 1
 
 

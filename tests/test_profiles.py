@@ -177,6 +177,7 @@ def test_a_missing_required_key_is_named(text, message):
         parse_profile_text(text)
     assert str(err.value) == message
 
+
 @pytest.mark.parametrize(
     "fields, message",
     [
