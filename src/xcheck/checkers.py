@@ -72,16 +72,18 @@ def render_path(path: Path) -> str:
 
 
 class DerefEvent(NamedTuple):
-    """A path dereferenced at source ``offset`` (immutable named tuple)."""
+    """The path numbered ``number`` under ``root`` dereferenced at source ``offset`` (immutable named tuple)."""
 
-    path: Path
+    root: str
+    number: int
     offset: int
 
 
 class NullTestEvent(NamedTuple):
-    """A path compared against null or used bare as a truth value (immutable named tuple)."""
+    """A path, numbered ``number``, compared against null or used bare as a truth value (immutable named tuple)."""
 
     path: Path
+    number: int
     span: Extent
 
 
@@ -114,20 +116,31 @@ def _lvalue_root(e: Expr) -> str | None:
     return path[0] if path is not None else None
 
 
-def _deref_events(path: Path, offset: int, out: list[NullEvent], include_full: bool) -> None:
+def _numbers(path: Path, numbers: dict) -> list[int]:
+    """The numbers of ``path``'s prefixes in one log, the root's first and the
+    whole path's last: a root is numbered by its name, a longer path by (its
+    parent's number, op, name), so no prefix is ever copied."""
+    number = numbers.setdefault(path[0], len(numbers))
+    out = [number]
+    for k in range(1, len(path), 2):
+        number = numbers.setdefault((number, path[k], path[k + 1]), len(numbers))
+        out.append(number)
+    return out
+
+
+def _deref_events(path: Path, offset: int, out: list[NullEvent], numbers: dict, include_full: bool) -> None:
     """Append the paths a dereference of ``path`` proves non-null.
 
     Reading ``a->b->c`` proves every proper prefix (``a``, ``a->b``);
     calling through the path (``state->work(...)``) additionally proves
     the full callee path.
     """
-    for k in range(1, len(path), 2):
-        out.append(DerefEvent(path[:k], offset))
-    if include_full:
-        out.append(DerefEvent(path, offset))
+    proven = _numbers(path, numbers)
+    for number in proven if include_full else proven[:-1]:
+        out.append(DerefEvent(path[0], number, offset))
 
 
-def _wildcard_deref_events(w: Wildcard, profile: LanguageProfile, out: list[NullEvent]) -> None:
+def _wildcard_deref_events(w: Wildcard, profile: LanguageProfile, out: list[NullEvent], numbers: dict) -> None:
     """Scan raw wildcard tokens for access-path runs.
 
     Refinement leaves most statement content uninterpreted (``x = p->q + 1``
@@ -144,7 +157,7 @@ def _wildcard_deref_events(w: Wildcard, profile: LanguageProfile, out: list[Null
         k = path_end(toks, i, n, deref_ops)
         if k - i >= 3:
             path = tuple(t.text for t in toks[i:k])
-            _deref_events(path, toks[i].offset, out, k < n and toks[k].text == "(")
+            _deref_events(path, toks[i].offset, out, numbers, k < n and toks[k].text == "(")
         i = k
 
 
@@ -160,7 +173,7 @@ def _null_test_path(e: Compare, profile: LanguageProfile) -> Path | None:
     return _path_of(e.rhs if left_null else e.lhs)
 
 
-def _expr_events(e: Expr, profile: LanguageProfile, truth: bool, out: list[NullEvent]) -> None:
+def _expr_events(e: Expr, profile: LanguageProfile, truth: bool, out: list[NullEvent], numbers: dict) -> None:
     """Append the events of one expression, depth-first, left to right.
 
     ``truth`` marks truth-value operand positions inside an If/While/For
@@ -168,66 +181,68 @@ def _expr_events(e: Expr, profile: LanguageProfile, truth: bool, out: list[NullE
     negation); only those positions produce bare null-test events.
     """
     if isinstance(e, Wildcard):
-        _wildcard_deref_events(e, profile, out)
+        _wildcard_deref_events(e, profile, out, numbers)
     elif isinstance(e, Atom):
         if (
             truth
             and e.token.kind is _IDENT
             and e.token.text not in profile.null_literals
         ):
-            out.append(NullTestEvent((e.token.text,), e.span))
+            path = (e.token.text,)
+            out.append(NullTestEvent(path, _numbers(path, numbers)[-1], e.span))
     elif isinstance(e, AccessPath):
         path = e.path()
         if truth:
-            out.append(NullTestEvent(path, e.span))
-        _deref_events(path, e.root.offset, out, include_full=False)
+            out.append(NullTestEvent(path, _numbers(path, numbers)[-1], e.span))
+        _deref_events(path, e.root.offset, out, numbers, include_full=False)
     elif isinstance(e, Compare):
         if truth and e.op in ("==", "!="):
             tested = _null_test_path(e, profile)
             if tested is not None:
-                out.append(NullTestEvent(tested, e.span))
-        _expr_events(e.lhs, profile, False, out)
-        _expr_events(e.rhs, profile, False, out)
+                out.append(NullTestEvent(tested, _numbers(tested, numbers)[-1], e.span))
+        _expr_events(e.lhs, profile, False, out, numbers)
+        _expr_events(e.rhs, profile, False, out, numbers)
     elif isinstance(e, Logical):
-        _expr_events(e.lhs, profile, truth, out)
-        _expr_events(e.rhs, profile, truth, out)
+        _expr_events(e.lhs, profile, truth, out, numbers)
+        _expr_events(e.rhs, profile, truth, out, numbers)
     elif isinstance(e, Not):
-        _expr_events(e.operand, profile, truth, out)
+        _expr_events(e.operand, profile, truth, out, numbers)
     elif isinstance(e, Assign):
-        _expr_events(e.lhs, profile, False, out)
-        _expr_events(e.rhs, profile, False, out)
+        _expr_events(e.lhs, profile, False, out, numbers)
+        _expr_events(e.rhs, profile, False, out, numbers)
         root = _lvalue_root(e.lhs)
         if root is not None:
             out.append(KillEvent(root, e.tokens[0].offset))
     elif isinstance(e, Update):
-        _expr_events(e.target, profile, False, out)
+        _expr_events(e.target, profile, False, out, numbers)
         if e.value is not None:
-            _expr_events(e.value, profile, False, out)
+            _expr_events(e.value, profile, False, out, numbers)
         root = _lvalue_root(e.target)
         if root is not None:
             out.append(KillEvent(root, e.tokens[0].offset))
     elif isinstance(e, Call):
         if isinstance(e.callee, AccessPath):
-            _deref_events(e.callee.path(), e.callee.root.offset, out, include_full=True)
+            _deref_events(e.callee.path(), e.callee.root.offset, out, numbers, include_full=True)
         for arg in e.args:
-            _expr_events(arg, profile, False, out)
+            _expr_events(arg, profile, False, out, numbers)
 
 
-def _stmt_events(s: Stmt, profile: LanguageProfile, out: list[NullEvent]) -> None:
+def _stmt_events(s: Stmt, profile: LanguageProfile, out: list[NullEvent], numbers: dict) -> None:
     for role, part in s.parts():
         if role is BODY:
             for child in part:
-                _stmt_events(child, profile, out)
+                _stmt_events(child, profile, out, numbers)
         elif part is not None:
-            _expr_events(part, profile, role is TEST, out)
+            _expr_events(part, profile, role is TEST, out, numbers)
 
 
 def iter_null_events(stmts: Sequence[Stmt], profile: LanguageProfile) -> Iterator[NullEvent]:
     """The ordered event log the null-deref checker runs on, built in full
     before the first event is read: one call per tree node."""
     out: list[NullEvent] = []
+    numbers: dict = {}  # each path's number in this log (see ``_numbers``)
     for s in stmts:
-        _stmt_events(s, profile, out)
+        _stmt_events(s, profile, out, numbers)
         if not isinstance(s, WildcardStmt):
             # Function-boundary heuristic: leaving a top-level compound
             # statement (typically a function body) clears tracked state.
@@ -240,12 +255,12 @@ def check_null_deref(
 ) -> list[Diagnostic]:
     """Report paths tested against null after already being dereferenced."""
     diags: list[Diagnostic] = []
-    nonnull: dict[str, dict[Path, int]] = {}  # by root: each path's earliest dereference offset
+    nonnull: dict[str, dict[int, int]] = {}  # by root: each path number's earliest dereference offset
     for ev in iter_null_events(stmts, profile):
         if isinstance(ev, DerefEvent):
-            nonnull.setdefault(ev.path[0], {}).setdefault(ev.path, ev.offset)
+            nonnull.setdefault(ev.root, {}).setdefault(ev.number, ev.offset)
         elif isinstance(ev, NullTestEvent):
-            deref_at = nonnull.get(ev.path[0], {}).pop(ev.path, None)  # one report per chain
+            deref_at = nonnull.get(ev.path[0], {}).pop(ev.number, None)  # one report per chain
             if deref_at is not None:
                 name = render_path(ev.path)
                 diags.append(
@@ -349,6 +364,7 @@ WARNING_PAIRS: frozenset[tuple[str, str]] = frozenset(
     {(c, u) for c in ("<", "<=") for u in ("--", "-=")}
     | {(c, u) for c in (">", ">=") for u in ("++", "+=")}
 )
+_MIRRORED = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
 def check_loop_direction(
@@ -361,18 +377,21 @@ def check_loop_direction(
             continue
         if not isinstance(node.cond, Compare) or not isinstance(node.update, Update):
             continue
-        var = _lvalue_root(node.update.target)
-        if var is None:
+        target = _path_of(node.update.target)
+        if target is None:
             continue
-        cond_texts = {t.text for t in node.cond.tokens}
-        if var not in cond_texts:
+        if _path_of(node.cond.lhs) == target:
+            op = node.cond.op
+        elif _path_of(node.cond.rhs) == target:  # ``n > i`` bounds ``i`` as ``i < n`` does
+            op = _MIRRORED.get(node.cond.op, node.cond.op)
+        else:
             continue
-        if (node.cond.op, node.update.op) in WARNING_PAIRS:
+        if (op, node.update.op) in WARNING_PAIRS:
             diags.append(
                 Diagnostic(
                     checker=CheckerId.LOOP_DIRECTION.value,
                     message=(
-                        f"loop variable '{var}' is updated with '{node.update.op}' "
+                        f"loop variable '{target[0]}' is updated with '{node.update.op}' "
                         f"but bounded by '{node.cond.op}'"
                     ),
                     file=path,

@@ -492,7 +492,7 @@ def null_oracle(events: Sequence[NullEvent]) -> list[tuple[int, int, int]]:
         candidates = []
         for i in range(j):
             d = evs[i]
-            if not isinstance(d, DerefEvent) or d.path != ev.path or i in consumed:
+            if not isinstance(d, DerefEvent) or d.number != ev.number or i in consumed:
                 continue
             blocked = False
             for k in range(i + 1, j):

@@ -2,6 +2,7 @@
 
 import random
 import sys
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -174,14 +175,34 @@ def test_warning_matrix_is_exactly_the_contradiction_set():
     expected_warn = {(c, u) for c in ("<", "<=") for u in ("--", "-=")} | {
         (c, u) for c in (">", ">=") for u in ("++", "+=")
     }
-    got_warn = set()
+    mirror = {"<": ">", "<=": ">=", ">": "<", ">=": "<=", "==": "==", "!=": "!="}
+    got_warn, got_mirrored = set(), set()
     for cop in compare_ops:
         for uop in update_ops:
             update = f"i{uop}" if uop in ("++", "--") else f"i {uop} 2"
             src = f"for (i = 0; i {cop} n; {update}) f(i);"
             if check_loop_direction(parse_source(src)):
                 got_warn.add((cop, uop))
+            if check_loop_direction(parse_source(f"for (i = 0; n {cop} i; {update}) f(i);")):
+                got_mirrored.add((mirror[cop], uop))
     assert got_warn == expected_warn
+    assert got_mirrored == expected_warn
+
+
+@pytest.mark.parametrize(
+    "header, reported",
+    [
+        ("for (i = 0; n > i; i++)", False),  # the bound on the left, read as i < n
+        ("for (i = n; 0 < i; i++)", True),  # read as i > 0
+        ("for (__i = 0; __s >= _S_min_len[__i+1]; ++__i)", False),  # libstdc++ ext/ropeimpl.h
+        ("for (i = n; i + 1 < n; i--)", False),  # the variable inside a side
+        ("for (p->i = n; p->i > 0; p->i++)", True),
+        ("for (p->i = n; p > 0; p->i++)", False),
+    ],
+    ids=["yoda", "mirrored", "libstdcxx", "expression-side", "path", "root-of-path"],
+)
+def test_loop_direction_needs_the_update_target_as_one_whole_side(header, reported):
+    assert len(check_loop_direction(parse_source(header + " f(i);"))) == reported
 
 
 # -- null dereference ---------------------------------------------------------------
@@ -357,6 +378,35 @@ def test_a_kill_takes_one_step_at_any_number_of_tracked_paths():
 
     cost200, cost400 = cost(200), cost(400)
     assert cost400 <= 2.2 * cost200, (cost200, cost400)
+
+
+def _long_path(steps):
+    prefix = "p" + "->x" * (steps - 1)
+    return parse_source(f"void f(void) {{ use({prefix}->x); if ({prefix}) g(); }}")
+
+
+def test_a_long_access_path_logs_a_bounded_number_of_names_per_step():
+    # Logging each prefix as its own tuple would grow the log with the square
+    # of the path's length.
+    def cost(steps):
+        stmts = _long_path(steps)
+        assert len(check_null_deref(stmts, C)) == 1
+        events = list(iter_null_events(stmts, C))
+        return sum(len(field) if isinstance(field, tuple) else 1 for ev in events for field in ev)
+
+    cost500, cost1000 = cost(500), cost(1000)
+    assert cost1000 <= 2.2 * cost500, (cost500, cost1000)
+
+
+def test_the_log_of_a_long_access_path_stays_small():
+    stmts = _long_path(4000)
+    tracemalloc.start()
+    try:
+        list(iter_null_events(stmts, C))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * 2**20, peak
 
 
 @pytest.mark.parametrize(

@@ -1,6 +1,8 @@
 """Smoke test of ``tools/differential.py`` on a small corpus."""
 
+import importlib.util
 import os
+import re
 import shutil
 import subprocess
 import sys
@@ -38,3 +40,43 @@ def test_a_changed_line_range_window_is_reported(tmp_path):
     proc = differential(ROOT, str(tmp_path))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "differ with --line-range" in proc.stdout
+
+
+def test_every_differing_file_is_counted_by_group_and_stream(tmp_path):
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    checkers = tmp_path / "src" / "xcheck" / "checkers.py"
+    source = checkers.read_text()
+    assert "checked for null here but dereferenced earlier" in source
+    checkers.write_text(source.replace("checked for null here", "tested for null"))
+    proc = differential(ROOT, str(tmp_path))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    assert "differ at stdout line" in proc.stdout
+    summary = proc.stdout.splitlines()[-1]
+    # 3 fixtures, 2 golden inputs, 5 programs and 5 soups; two fixtures and one
+    # golden input hold a null-deref finding, and so do some of the programs
+    found = re.fullmatch(r"differential: (\d+) of 15 files differ: fixtures 2, golden 1, programs (\d+); by stream: findings \1", summary)
+    assert found and int(found[1]) == 3 + int(found[2]), summary
+
+
+def test_each_corpus_row_writes_its_share_of_n_in_its_languages(tmp_path, monkeypatch):
+    monkeypatch.setattr(sys, "path", list(sys.path))  # write_corpus puts the checkout's directories first
+    spec = importlib.util.spec_from_file_location("differential", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    tool.write_corpus(str(tmp_path), 30, [])  # N = 30: each row of N // 10 files reaches Java
+    every = {".c", ".cpp", ".java"}
+    expected = {
+        "fixtures": (3, every),
+        "golden": (2, {".c", ".cpp"}),
+        "programs": (30, {".c"}),
+        "soups": (30, every),
+        "chains": (3, every),
+        "nests": (3, every),
+        "comments": (3, every),
+        "kills": (3, every),
+        "prefixes": (3, {".c", ".cpp"}),
+        "loops": (3, every),
+        "paths": (3, every),
+    }
+    written = {d: os.listdir(tmp_path / d) for d in os.listdir(tmp_path)}
+    assert {d: (len(names), {os.path.splitext(n)[1] for n in names}) for d, names in written.items()} == expected

@@ -37,8 +37,8 @@ RECORDS = {
     "Span": lambda: _span(),
     "Extent": lambda: Extent(11, 12, SOURCE),
     "Diagnostic": lambda: _diag(),
-    "DerefEvent": lambda: DerefEvent(("p",), 4),
-    "NullTestEvent": lambda: NullTestEvent(("p",), Extent(11, 12, SOURCE)),
+    "DerefEvent": lambda: DerefEvent("p", 0, 4),
+    "NullTestEvent": lambda: NullTestEvent(("p",), 0, Extent(11, 12, SOURCE)),
     "KillEvent": lambda: KillEvent("p", 0),
     "ResetEvent": lambda: ResetEvent(17),
 }

@@ -6,49 +6,54 @@ Run from anywhere::
 
 Each ROOT is a checkout (the directory holding ``src/``).  One corpus is
 written to a temporary directory: the bundled regression fixtures, the
-golden-dump inputs under ``tests/golden/``, ``N`` seeded
-``random_micro_program``s, ``N`` seeded token soups
-(``random_token_source``) and ``N // 10`` seeded ``long_chain_program``s
-(operator chains that cross the refinement depth cap), from
-``tests/support.py``; ``N // 10`` seeded deep nests (``if``/``while``/``for``/
-``switch``/block nests that cross the parser's nesting cap, dereferencing and
-testing for null at each level), ``N // 10`` comment-dense soups (words
-joined by runs of whitespace, line comments and block comments in each
-profile's own delimiters) and ``N // 10`` kill programs (many roots
-dereferenced, then assignments to some of them among null tests of roots
-and paths); all but the programs spread over C, C++ and Java;
-``N // 10`` C and C++ files of lines holding many mid-line preprocessor
-prefixes, some after a no-break space, between directives; and, for each seed, the
-benchmark's three workloads (``tree_mixed``, ``docs_heavy`` and the six
-``stress_shapes``) from ``bench/``.  The corpus comes from this checkout,
-so both sides see the same files.
+golden-dump inputs under ``tests/golden/``, the generated rows of
+``write_corpus``'s table, and, for each seed, the benchmark's three
+workloads (``tree_mixed``, ``docs_heavy`` and the six ``stress_shapes``)
+from ``bench/``.  The rows, each seeded by its place in the table, are:
+``N`` ``random_micro_program``s (C) and ``N`` token soups
+(``random_token_source``) from ``tests/support.py``; ``N // 10`` each of
+``long_chain_program``s (operator chains that cross the refinement depth
+cap), deep nests (``if``/``while``/``for``/``switch``/block nests that cross
+the parser's nesting cap, dereferencing and testing for null at each level),
+comment-dense soups (words joined by runs of whitespace, line comments and
+block comments in each profile's own delimiters), kill programs (many roots
+dereferenced, then assignments to some of them among null tests of roots and
+paths), lines of mid-line preprocessor prefixes between directives (C and C++
+only), ``for`` headers over every comparison and update operator, and
+functions over access paths of 50-500 steps; all but the programs and the
+prefix lines spread over C, C++ and Java.  The corpus comes from this
+checkout, so both sides see the same files.
 
 The CLI then runs on each side, with ``ROOT/src`` on ``PYTHONPATH``: once as
 ``xcheck --dump-ast --format json DIR``, once naming several inputs (a
 fixture file, the golden directory and the generated-programs directory), and
 once per fixture and golden input with ``--line-range`` set to the middle
 third of that file's lines.
-The exit codes, stdout and stderr of each run are compared.  The first
-difference is printed and the exit status is 1; when the two sides agree
-the status is 0.
+The exit codes, stdout and stderr of each run are compared.  When they
+differ, the first difference is printed, then how many corpus files differ
+in any run, by corpus directory and by stream (dump, findings, stderr), and
+the exit status is 1; when the two sides agree the status is 0.
 """
 
 from __future__ import annotations
 
 import argparse
+import json
 import os
 import random
+import re
 import shutil
 import subprocess
 import sys
 import tempfile
+from collections import Counter, defaultdict
 from itertools import zip_longest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI_CODE = "from xcheck.cli import main; main()"
 FIXTURES = ("object.c", "InstCombineAddSub.cpp", "CipherCore.java")
 GOLDEN = os.path.join(ROOT, "tests", "golden")
-SOUP_LANGUAGES = (("c", ".c"), ("cpp", ".cpp"), ("java", ".java"))
+LANGUAGES = (("c", ".c"), ("cpp", ".cpp"), ("java", ".java"))
 SOUP_MAX_TOKENS = 256
 NEST_DEPTHS = (40, 100)  # around the parser's MAX_NESTING of 64
 WORKLOADS = ("tree_mixed", "docs_heavy", "stress_shapes")
@@ -105,6 +110,46 @@ def prefix_lines(rng: random.Random, profile) -> str:
     return "\n".join(lines) + "\n"
 
 
+def loop_headers(rng: random.Random, profile) -> str:
+    """``for`` loops over every comparison and update operator, the update's
+    target on the left of the comparison, on its right, inside an expression
+    side, or absent from it."""
+    arrow = profile.deref_ops[0]
+    loops = []
+    for compare in ("<", "<=", ">", ">=", "==", "!="):
+        for update in ("++", "--", "+=", "-="):
+            var = rng.choice(("i", "j", f"p{arrow}i"))
+            step = f"{var} {update} 2" if update.endswith("=") else rng.choice((f"{var} {update}", f"{update} {var}"))
+            bound = rng.choice(("n", "0", f"n - {var}", "j"))
+            sides = ((var, bound), (bound, var), (f"{var} + 1", bound), (bound, f"a [ {var} ]"), ("k", bound))
+            left, right = rng.choice(sides)
+            loops.append(f"for ( {var} = 0 ; {left} {compare} {right} ; {step} ) g ( {var} ) ;")
+    rng.shuffle(loops)
+    return "f ( ) { " + " ".join(loops) + " }"
+
+
+def long_paths(rng: random.Random, profile) -> str:
+    """Functions that dereference, reassign and null-test access paths of
+    50-500 steps, and their prefixes."""
+    null, arrow = min(profile.null_literals), profile.deref_ops[0]
+    words = []
+    for f in range(rng.randint(1, 3)):
+        root, steps = rng.choice("pq"), [rng.choice("xyz") for _ in range(rng.randint(50, 500))]
+        words.append(f"f{f} ( ) {{")
+        for _ in range(rng.randint(3, 8)):
+            path = root + "".join(f"{arrow}{step}" for step in steps[: rng.randint(50, len(steps))])
+            words.append(rng.choice((
+                f"use ( {path} ) ;",
+                f"{path} ( ) ;",
+                f"{path} = {null} ;",
+                f"{root} = {null} ;",
+                f"if ( {path} ) g ( ) ;",
+                f"if ( {path} != {null} ) g ( ) ;",
+            )))
+        words.append("}")
+    return " ".join(words)
+
+
 def commented_soup(rng: random.Random, profile, words: list[str]) -> str:
     """``words`` joined by runs of whitespace, line comments and block comments."""
     line, (opener, closer) = profile.line_comment, profile.block_comment
@@ -137,50 +182,30 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
     for name in sorted(os.listdir(GOLDEN)):
         if not name.endswith(".out"):
             shutil.copy(os.path.join(GOLDEN, name), os.path.join(dest, "golden"))
-    os.makedirs(os.path.join(dest, "programs"))
-    rng = random.Random(0)
-    for i in range(programs):
-        with open(os.path.join(dest, "programs", f"p{i:04d}.c"), "w", encoding="utf-8") as fh:
-            fh.write(random_micro_program(rng))
-    os.makedirs(os.path.join(dest, "soups"))
-    rng = random.Random(1)
-    for i in range(programs):
-        language, extension = SOUP_LANGUAGES[i % len(SOUP_LANGUAGES)]
-        source = random_token_source(rng, profile_for(language), SOUP_MAX_TOKENS)
-        with open(os.path.join(dest, "soups", f"s{i:04d}{extension}"), "w", encoding="utf-8") as fh:
-            fh.write(source)
-    os.makedirs(os.path.join(dest, "chains"))
-    rng = random.Random(2)
-    for i in range(programs // 10):
-        _, extension = SOUP_LANGUAGES[i % len(SOUP_LANGUAGES)]
-        with open(os.path.join(dest, "chains", f"c{i:04d}{extension}"), "w", encoding="utf-8") as fh:
-            fh.write(long_chain_program(rng))
-    os.makedirs(os.path.join(dest, "nests"))
-    rng = random.Random(3)
-    for i in range(programs // 10):
-        language, extension = SOUP_LANGUAGES[i % len(SOUP_LANGUAGES)]
-        with open(os.path.join(dest, "nests", f"n{i:04d}{extension}"), "w", encoding="utf-8") as fh:
-            fh.write(deep_nest(rng, profile_for(language)))
-    os.makedirs(os.path.join(dest, "comments"))
-    rng = random.Random(4)
-    for i in range(programs // 10):
-        language, extension = SOUP_LANGUAGES[i % len(SOUP_LANGUAGES)]
-        profile = profile_for(language)
-        words = random_token_source(rng, profile, SOUP_MAX_TOKENS).split()
-        with open(os.path.join(dest, "comments", f"k{i:04d}{extension}"), "w", encoding="utf-8") as fh:
-            fh.write(commented_soup(rng, profile, words))
-    os.makedirs(os.path.join(dest, "kills"))
-    rng = random.Random(5)
-    for i in range(programs // 10):
-        language, extension = SOUP_LANGUAGES[i % len(SOUP_LANGUAGES)]
-        with open(os.path.join(dest, "kills", f"x{i:04d}{extension}"), "w", encoding="utf-8") as fh:
-            fh.write(kill_program(rng, profile_for(language)))
-    os.makedirs(os.path.join(dest, "prefixes"))
-    rng = random.Random(6)
-    for i in range(programs // 10):
-        language, extension = SOUP_LANGUAGES[i % 2]  # Java has no preprocessor
-        with open(os.path.join(dest, "prefixes", f"d{i:04d}{extension}"), "w", encoding="utf-8") as fh:
-            fh.write(prefix_lines(rng, profile_for(language)))
+    def soup(rng: random.Random, profile) -> str:
+        return random_token_source(rng, profile, SOUP_MAX_TOKENS)
+
+    # (directory, file letter, share of N, languages, make(rng, profile)): row i
+    # is generated from random.Random(i), its languages taken in turn; append rows
+    # at the end, so that the earlier rows keep their seeds and their files.
+    rows = (
+        ("programs", "p", 1, LANGUAGES[:1], lambda rng, _: random_micro_program(rng)),
+        ("soups", "s", 1, LANGUAGES, soup),
+        ("chains", "c", 10, LANGUAGES, lambda rng, _: long_chain_program(rng)),
+        ("nests", "n", 10, LANGUAGES, deep_nest),
+        ("comments", "k", 10, LANGUAGES, lambda rng, profile: commented_soup(rng, profile, soup(rng, profile).split())),
+        ("kills", "x", 10, LANGUAGES, kill_program),
+        ("prefixes", "d", 10, LANGUAGES[:2], prefix_lines),  # Java has no preprocessor
+        ("loops", "l", 10, LANGUAGES, loop_headers),
+        ("paths", "a", 10, LANGUAGES, long_paths),
+    )
+    for seed, (directory, letter, share, languages, make) in enumerate(rows):
+        os.makedirs(os.path.join(dest, directory))
+        rng = random.Random(seed)
+        for i in range(programs // share):
+            language, extension = languages[i % len(languages)]
+            with open(os.path.join(dest, directory, f"{letter}{i:04d}{extension}"), "w", encoding="utf-8") as fh:
+                fh.write(make(rng, profile_for(language)))
     for seed in seeds:
         for workload in WORKLOADS:
             files, _ = bench_run.build_workload(workload, seed)
@@ -223,6 +248,59 @@ def first_difference(old: subprocess.CompletedProcess, new: subprocess.Completed
     return None
 
 
+def by_file(proc: subprocess.CompletedProcess, corpus: str) -> dict[tuple[str, str | None], list]:
+    """A run's output split by the corpus file each piece names, as
+    (stream, path relative to the corpus) -> pieces: dump sections by their
+    ``// AST`` header, findings by their ``file`` field, stderr lines by the
+    path they name.  The exit code, and what names no file, go under
+    (stream, None)."""
+    names = re.compile(re.escape(os.path.join(corpus, "")) + r"([^\s:]+)")
+
+    def file_of(text: str) -> str | None:
+        match = names.search(text)
+        return match and match[1]
+
+    pieces = defaultdict(list)
+    pieces["exit", None].append(proc.returncode)
+    for line in proc.stderr.splitlines():
+        pieces["stderr", file_of(line)].append(line)
+    findings = re.search(r"^\[", proc.stdout, re.M)  # no dump line starts with '['
+    cut = findings.start() if findings else len(proc.stdout)
+    path = None
+    for line in proc.stdout[:cut].splitlines():
+        if line.startswith("// AST "):
+            path = file_of(line)
+        pieces["dump", path].append(line)
+    try:
+        for record in json.loads(proc.stdout[cut:]):
+            pieces["findings", file_of(record["file"])].append(record)
+    except ValueError:  # a side that stopped before printing its findings
+        pieces["findings", None].append(proc.stdout[cut:])
+    return pieces
+
+
+def differing_files(results: list, corpus: str, files: int) -> str:
+    """How many corpus files differ in any run, by corpus directory and by stream."""
+    streams: dict[str, set[str]] = defaultdict(set)
+    whole_runs = 0
+    for old, new in results:
+        a, b = by_file(old, corpus), by_file(new, corpus)
+        keys = {key for key in a.keys() | b.keys() if a.get(key) != b.get(key)}
+        whole_runs += any(path is None for _, path in keys)
+        for stream, path in keys:
+            if path is not None:
+                streams[stream].add(path)
+    differing = set().union(*streams.values())
+    groups = Counter(path.split(os.sep)[0] for path in differing)
+    text = f"{len(differing)} of {files} files differ"
+    if differing:
+        text += ": " + ", ".join(f"{group} {n}" for group, n in sorted(groups.items()))
+        text += "; by stream: " + ", ".join(f"{s} {len(streams[s])}" for s in ("dump", "findings", "stderr") if streams[s])
+    if whole_runs:
+        text += f"; {whole_runs} runs differ in their exit code or in output that names no file"
+    return text
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_root")
@@ -242,6 +320,7 @@ def main(argv: list[str] | None = None) -> int:
             named = " ".join(os.path.relpath(a, corpus) if a.startswith(corpus) else a for a in run)
             where = f" with {named}," if len(run) > 1 else ""
             print(f"differential: {files} files differ{where} at {diff}")
+            print(f"differential: {differing_files(results, corpus, files)}")
             return 1
     whole = results[0][0]
     print(
