@@ -111,11 +111,6 @@ def _path_of(e: Expr) -> Path | None:
     return None
 
 
-def _lvalue_root(e: Expr) -> str | None:
-    path = _path_of(e)
-    return path[0] if path is not None else None
-
-
 def _numbers(path: Path, numbers: dict) -> list[int]:
     """The numbers of ``path``'s prefixes in one log, the root's first and the
     whole path's last: a root is numbered by its name, a longer path by (its
@@ -151,7 +146,8 @@ def _wildcard_deref_events(w: Wildcard, profile: LanguageProfile, out: list[Null
     n = len(toks)
     i = 0
     while i < n:
-        if toks[i].kind is not _IDENT:
+        # only an identifier followed by a dereference operator can start a path
+        if toks[i].kind is not _IDENT or i + 1 == n or toks[i + 1].text not in deref_ops:
             i += 1
             continue
         k = path_end(toks, i, n, deref_ops)
@@ -178,53 +174,41 @@ def _expr_events(e: Expr, profile: LanguageProfile, truth: bool, out: list[NullE
 
     ``truth`` marks truth-value operand positions inside an If/While/For
     condition (the condition itself, operands of logical connectives and
-    negation); only those positions produce bare null-test events.
+    negation); only those positions produce bare null-test events.  A node's
+    null test comes before its children's events and its kill after them; a
+    callee is dereferenced whole and not walked.
     """
-    if isinstance(e, Wildcard):
-        _wildcard_deref_events(e, profile, out, numbers)
-    elif isinstance(e, Atom):
-        if (
-            truth
-            and e.token.kind is _IDENT
-            and e.token.text not in profile.null_literals
-        ):
+    if isinstance(e, Atom):
+        if truth and e.token.kind is _IDENT and e.token.text not in profile.null_literals:
             path = (e.token.text,)
             out.append(NullTestEvent(path, _numbers(path, numbers)[-1], e.span))
-    elif isinstance(e, AccessPath):
+        return
+    if isinstance(e, Wildcard):
+        _wildcard_deref_events(e, profile, out, numbers)
+        return
+    if isinstance(e, AccessPath):
         path = e.path()
         if truth:
             out.append(NullTestEvent(path, _numbers(path, numbers)[-1], e.span))
         _deref_events(path, e.root.offset, out, numbers, include_full=False)
-    elif isinstance(e, Compare):
-        if truth and e.op in ("==", "!="):
-            tested = _null_test_path(e, profile)
-            if tested is not None:
-                out.append(NullTestEvent(tested, _numbers(tested, numbers)[-1], e.span))
-        _expr_events(e.lhs, profile, False, out, numbers)
-        _expr_events(e.rhs, profile, False, out, numbers)
-    elif isinstance(e, Logical):
-        _expr_events(e.lhs, profile, truth, out, numbers)
-        _expr_events(e.rhs, profile, truth, out, numbers)
-    elif isinstance(e, Not):
-        _expr_events(e.operand, profile, truth, out, numbers)
-    elif isinstance(e, Assign):
-        _expr_events(e.lhs, profile, False, out, numbers)
-        _expr_events(e.rhs, profile, False, out, numbers)
-        root = _lvalue_root(e.lhs)
-        if root is not None:
-            out.append(KillEvent(root, e.tokens[0].offset))
-    elif isinstance(e, Update):
-        _expr_events(e.target, profile, False, out, numbers)
-        if e.value is not None:
-            _expr_events(e.value, profile, False, out, numbers)
-        root = _lvalue_root(e.target)
-        if root is not None:
-            out.append(KillEvent(root, e.tokens[0].offset))
+        return
+    children = e.children()
+    if isinstance(e, Compare):
+        tested = _null_test_path(e, profile) if truth and e.op in ("==", "!=") else None
+        if tested is not None:
+            out.append(NullTestEvent(tested, _numbers(tested, numbers)[-1], e.span))
     elif isinstance(e, Call):
-        if isinstance(e.callee, AccessPath):
-            _deref_events(e.callee.path(), e.callee.root.offset, out, numbers, include_full=True)
-        for arg in e.args:
-            _expr_events(arg, profile, False, out, numbers)
+        callee, children = children[0], children[1:]
+        if isinstance(callee, AccessPath):
+            _deref_events(callee.path(), callee.root.offset, out, numbers, include_full=True)
+    truth = truth and isinstance(e, (Logical, Not))
+    for child in children:
+        if truth or not isinstance(child, Atom):  # an Atom outside a truth position has no events
+            _expr_events(child, profile, truth, out, numbers)
+    if isinstance(e, (Assign, Update)):
+        target = _path_of(children[0])
+        if target is not None:
+            out.append(KillEvent(target[0], e.tokens[0].offset))
 
 
 def _stmt_events(s: Stmt, profile: LanguageProfile, out: list[NullEvent], numbers: dict) -> None:
@@ -317,14 +301,13 @@ def check_redundant_conditions(
     for node in walk_statements(stmts):
         if not isinstance(node, If):
             continue
-        conds: list[Expr] = [node.cond] + [c for c, _ in node.elifs]
+        parts = node.parts()
+        conds: list[Expr] = [part for role, part in parts if role is TEST]
         diags += _repeat_findings(
             map(expr_key, conds), [c.span for c in conds], checker,
             "condition repeats an earlier condition of the same chain", "first tested here", path,
         )
-        bodies: list[Sequence[Stmt]] = [node.then_body] + [b for _, b in node.elifs]
-        if node.else_body is not None:
-            bodies.append(node.else_body)
+        bodies: list[Sequence[Stmt]] = [part for role, part in parts if role is BODY]
         diags += _repeat_findings(
             _body_keys(bodies), [_body_span(b, node.span) for b in bodies], checker,
             "branch body is identical to an earlier branch of the same chain", "identical branch here", path,

@@ -33,12 +33,13 @@ brackets.  Spans are offsets, resolved only when read (:class:`Extent`).
 Structural equality and ordering deliberately ignore positions.
 
 Each class declares its fields once, in ``__slots__``, from which it gets
-its constructor, ``repr`` and ``==``.  Each statement class declares its
-shape once, in ``parts()``: its expression slots and bodies in source
-order, each tagged ``TEST`` (a condition whose truth picks a path),
-``SLOT`` (any other expression slot) or ``BODY`` (a statement list).
-Equality keys, the tree walk, the tree dump and the checkers' event log all
-read that one declaration.
+its constructor, ``repr`` and ``==``.  Both node kinds declare their shape
+once.  A statement class does so in ``parts()``: its expression slots and
+bodies in source order, each tagged ``TEST`` (a condition whose truth picks
+a path), ``SLOT`` (any other expression slot) or ``BODY`` (a statement
+list).  An expression class does so in ``children()``: its sub-expressions
+in source order.  Equality keys, the tree walk, the tree dump and the
+checkers' event log all read these declarations.
 """
 
 from __future__ import annotations
@@ -110,6 +111,11 @@ class Expr(_Slotted):
         first, last = self.tokens[0], self.tokens[-1]
         return _new(Extent, (first.offset, last.offset + len(last.text), first.source))
 
+    def children(self) -> Sequence[Expr]:
+        """The node's sub-expressions in source order (none for a leaf);
+        every walk over an expression reads this."""
+        return ()
+
 
 class Wildcard(Expr):
     """An uninterpreted, ordered run of tokens; it may be empty, so its span
@@ -121,13 +127,22 @@ class Wildcard(Expr):
 class Compare(Expr):
     __slots__ = ("op", "lhs", "rhs", "tokens")  # op: < <= > >= == !=
 
+    def children(self) -> Sequence[Expr]:
+        return (self.lhs, self.rhs)
+
 
 class Logical(Expr):
     __slots__ = ("op", "lhs", "rhs", "tokens")  # op: && ||
 
+    def children(self) -> Sequence[Expr]:
+        return (self.lhs, self.rhs)
+
 
 class Not(Expr):
     __slots__ = ("operand", "tokens")
+
+    def children(self) -> Sequence[Expr]:
+        return (self.operand,)
 
 
 class Update(Expr):
@@ -135,13 +150,22 @@ class Update(Expr):
     __slots__ = ("op", "target", "tokens", "value")
     _defaults = {"value": None}
 
+    def children(self) -> Sequence[Expr]:
+        return (self.target,) if self.value is None else (self.target, self.value)
+
 
 class Assign(Expr):
     __slots__ = ("lhs", "rhs", "tokens")
 
+    def children(self) -> Sequence[Expr]:
+        return (self.lhs, self.rhs)
+
 
 class Call(Expr):
     __slots__ = ("callee", "args", "tokens")
+
+    def children(self) -> Sequence[Expr]:
+        return (self.callee, *self.args)
 
 
 class AccessPath(Expr):
@@ -730,26 +754,17 @@ Key = tuple  # nested tuples of strings; lexicographically comparable
 
 
 def expr_key(e: Expr) -> Key:
-    if isinstance(e, Wildcard):
-        return ("Wildcard",) + tuple(t.text for t in e.tokens)
+    """A leaf keys as its texts; any other node as ``(class name, op if the
+    class has one, *child keys)``, so no two distinct shapes share a key."""
     if isinstance(e, Atom):
         return ("Atom", e.token.text)
+    if isinstance(e, Wildcard):
+        return ("Wildcard",) + tuple(t.text for t in e.tokens)
     if isinstance(e, AccessPath):
         return ("AccessPath", *e.path())
-    if isinstance(e, Compare):
-        return ("Compare", e.op, expr_key(e.lhs), expr_key(e.rhs))
-    if isinstance(e, Logical):
-        return ("Logical", e.op, expr_key(e.lhs), expr_key(e.rhs))
-    if isinstance(e, Not):
-        return ("Not", expr_key(e.operand))
-    if isinstance(e, Update):
-        value = expr_key(e.value) if e.value is not None else ("None",)
-        return ("Update", e.op, expr_key(e.target), value)
-    if isinstance(e, Assign):
-        return ("Assign", expr_key(e.lhs), expr_key(e.rhs))
-    if isinstance(e, Call):
-        return ("Call", expr_key(e.callee), ("Args",) + tuple(expr_key(a) for a in e.args))
-    raise TypeError(f"not an expression node: {e!r}")
+    key = [type(e).__name__, e.op] if hasattr(e, "op") else [type(e).__name__]
+    key += map(expr_key, e.children())
+    return tuple(key)
 
 
 def stmt_key(s: Stmt) -> Key:

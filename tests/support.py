@@ -104,29 +104,13 @@ def parse_source(source: str, profile: LanguageProfile = C):
 # ---------------------------------------------------------------------------
 
 
-def expr_children(e: Expr) -> list[Expr]:
-    if isinstance(e, Compare):
-        return [e.lhs, e.rhs]
-    if isinstance(e, Logical):
-        return [e.lhs, e.rhs]
-    if isinstance(e, Not):
-        return [e.operand]
-    if isinstance(e, Update):
-        return [e.target] + ([e.value] if e.value is not None else [])
-    if isinstance(e, Assign):
-        return [e.lhs, e.rhs]
-    if isinstance(e, Call):
-        return [e.callee, *e.args]
-    return []
-
-
 def assert_refinement_sound(e: Expr) -> None:
     """Children cover disjoint, in-order sub-slices of the parent slice and
     no token is invented or permuted by refinement."""
     parent = e.tokens
     index_of = {id(t): i for i, t in enumerate(parent)}
     last_end = -1
-    for child in expr_children(e):
+    for child in e.children():
         child_toks = child.tokens
         positions = []
         for t in child_toks:

@@ -51,11 +51,26 @@ def test_every_differing_file_is_counted_by_group_and_stream(tmp_path):
     proc = differential(ROOT, str(tmp_path))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "differ at stdout line" in proc.stdout
+    assert "15 files differ at" not in proc.stdout.splitlines()[0]  # the corpus size is no count of differing files
     summary = proc.stdout.splitlines()[-1]
     # 3 fixtures, 2 golden inputs, 5 programs and 5 soups; two fixtures and one
     # golden input hold a null-deref finding, and so do some of the programs
     found = re.fullmatch(r"differential: (\d+) of 15 files differ: fixtures 2, golden 1, programs (\d+); by stream: findings \1", summary)
     assert found and int(found[1]) == 3 + int(found[2]), summary
+
+
+def test_a_changed_null_event_log_is_reported(tmp_path):
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    checkers = tmp_path / "src" / "xcheck" / "checkers.py"
+    source = checkers.read_text()
+    append = "out.append(DerefEvent(path[0], number, offset))"
+    assert source.count(append) == 1
+    checkers.write_text(source.replace(append, f"{append}; {append}"))  # every DerefEvent twice: no finding changes
+    proc = differential(ROOT, str(tmp_path))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    first, summary = proc.stdout.splitlines()[0], proc.stdout.splitlines()[-1]
+    assert "differ in the null-event logs or statement key classes at stdout line" in first
+    assert re.fullmatch(r"differential: \d+ of 15 files differ: .*; by stream: log \d+", summary), summary
 
 
 def test_each_corpus_row_writes_its_share_of_n_in_its_languages(tmp_path, monkeypatch):

@@ -10,7 +10,6 @@ from support import (
     JAVA,
     TreeGen,
     assert_refinement_sound,
-    expr_children,
     parse_source,
     wild,
 )
@@ -69,7 +68,7 @@ def test_a_lone_split_operator_is_its_shape_of_two_empty_parts(op, profile):
     shape = shape or (("Logical", op) if op in ("||", "&&") else ("Compare", op))
     assert expr_key(stmt.cond) == (*shape, ("Wildcard",), ("Wildcard",))
     # both parts are empty wildcards anchored at the slot, the operator's offset
-    assert [(p.tokens, p.span.lo, p.span.hi) for p in expr_children(stmt.cond)] == [((), 4, 4)] * 2
+    assert [(p.tokens, p.span.lo, p.span.hi) for p in stmt.cond.children()] == [((), 4, 4)] * 2
 
 
 def test_ternary_stays_wildcard():
@@ -251,6 +250,12 @@ def test_order_is_total_over_mixed_trees():
         ("switch (x) { default: f(); }", "switch (x) { case y: f(); }"),
         ("for (;;) f();", "for (;x;) f();"),
         ("for (x;;) f();", "for (;x;) f();"),
+        # expressions key generically, by class, op and children
+        ("f(a);", "f(a, b);"),
+        ("f();", "f;"),
+        ("x++;", "x += 1;"),
+        ("if (!a) f();", "if (a) f();"),
+        ("a = b;", "a == b;"),
     ],
 )
 def test_statement_key_tells_apart_shapes_that_differ(a, b):

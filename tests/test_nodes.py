@@ -11,11 +11,14 @@ are not hashable, and print as ``Name(field=value, ...)`` in field order.
 from __future__ import annotations
 
 import inspect
+import random
 
 import pytest
 
+from support import TreeGen, parse_source, random_micro_program
 from xcheck.lexer import Position, TokenStream, tokenize
 from xcheck.microgrammar import (
+    BODY,
     AccessPath,
     Assign,
     Atom,
@@ -24,6 +27,7 @@ from xcheck.microgrammar import (
     CaseArm,
     Compare,
     DoWhile,
+    Expr,
     For,
     If,
     Logical,
@@ -35,6 +39,7 @@ from xcheck.microgrammar import (
     Wildcard,
     WildcardStmt,
     parse_expression,
+    walk_statements,
 )
 from xcheck.profiles import profile_for
 
@@ -212,3 +217,31 @@ def test_token_stream_errors_default_to_a_fresh_list():
     assert first.errors == [] and first.source_path == "<input>"
     first.errors.append("an error")
     assert second.errors == []
+
+
+def _expression_fields(expr: Expr) -> list[Expr]:
+    """The reference for ``children()``: the expression-valued fields found
+    through ``__slots__``, in slot order, tuple fields flattened and ``None``
+    skipped."""
+    found = []
+    for name in type(expr).__slots__:
+        value = getattr(expr, name)
+        found += [v for v in (value if isinstance(value, tuple) else (value,)) if isinstance(v, Expr)]
+    return found
+
+
+def test_children_are_every_expression_field_in_slot_order():
+    rng = random.Random(1818)
+    roots = [TreeGen(seed).expr(3) for seed in range(200)]
+    for _ in range(200):
+        for stmt in walk_statements(parse_source(random_micro_program(rng))):
+            roots += [part for role, part in stmt.parts() if role is not BODY and part is not None]
+    seen = set()
+    todo = roots
+    while todo:
+        expr = todo.pop()
+        seen.add(type(expr))
+        fields = _expression_fields(expr)  # walked by the reference, not by children()
+        assert list(expr.children()) == fields, expr
+        todo += fields
+    assert seen == set(Expr.__subclasses__())

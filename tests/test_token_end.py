@@ -20,7 +20,6 @@ from xcheck.fixtures import fixture_path
 from xcheck.lexer import Position, Token, token_end, tokenize
 from xcheck.microgrammar import (
     BODY,
-    Expr,
     Extent,
     For,
     Span,
@@ -53,10 +52,7 @@ def _expressions(stmt):
     while todo:
         expr = todo.pop()
         yield expr
-        for name in type(expr).__slots__:
-            value = getattr(expr, name)
-            children = value if isinstance(value, tuple) else (value,)
-            todo += [child for child in children if isinstance(child, Expr)]
+        todo += expr.children()
 
 
 def _check(source: str, profile: LanguageProfile) -> int:

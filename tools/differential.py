@@ -28,11 +28,15 @@ The CLI then runs on each side, with ``ROOT/src`` on ``PYTHONPATH``: once as
 ``xcheck --dump-ast --format json DIR``, once naming several inputs (a
 fixture file, the golden directory and the generated-programs directory), and
 once per fixture and golden input with ``--line-range`` set to the middle
-third of that file's lines.
+third of that file's lines.  One more run, again on each side's own
+``src/``, prints for every corpus file with a profile its null-event log
+(``iter_null_events``) and the class index of each ``walk_statements`` node,
+nodes with equal ``stmt_key`` sharing a class (``LOG_CODE``): a refactor must
+keep both, and the CLI shows neither.
 The exit codes, stdout and stderr of each run are compared.  When they
 differ, the first difference is printed, then how many corpus files differ
-in any run, by corpus directory and by stream (dump, findings, stderr), and
-the exit status is 1; when the two sides agree the status is 0.
+in any run, by corpus directory and by stream (dump, findings, stderr, log),
+and the exit status is 1; when the two sides agree the status is 0.
 """
 
 from __future__ import annotations
@@ -51,12 +55,39 @@ from itertools import zip_longest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI_CODE = "from xcheck.cli import main; main()"
+# Per corpus file with a profile, under a "// LOG path" header: the null-event
+# log, one event a line as a tuple (an extent as its two offsets), then the
+# class index of each walked statement: statements with equal stmt_key share a
+# class, and classes are numbered in order of first appearance.
+LOG_CODE = """
+import os, sys
+from xcheck.checkers import iter_null_events
+from xcheck.lexer import tokenize
+from xcheck.microgrammar import Extent, parse_statements, stmt_key, walk_statements
+from xcheck.profiles import DEFAULT_REGISTRY, UnknownLanguage
+for root, dirs, names in os.walk(sys.argv[1]):
+    dirs.sort()
+    for name in sorted(names):
+        path = os.path.join(root, name)
+        try:
+            profile = DEFAULT_REGISTRY.resolve(path)
+        except UnknownLanguage:
+            continue
+        with open(path, encoding="utf-8", errors="replace") as fh:
+            stmts = parse_statements(tokenize(fh.read(), profile), profile)
+        print("// LOG", path)
+        for event in iter_null_events(stmts, profile):
+            print((type(event).__name__, *((x.lo, x.hi) if isinstance(x, Extent) else x for x in event)))
+        classes = {}
+        print("classes", *(classes.setdefault(stmt_key(s), len(classes)) for s in walk_statements(stmts)))
+"""
 FIXTURES = ("object.c", "InstCombineAddSub.cpp", "CipherCore.java")
 GOLDEN = os.path.join(ROOT, "tests", "golden")
 LANGUAGES = (("c", ".c"), ("cpp", ".cpp"), ("java", ".java"))
 SOUP_MAX_TOKENS = 256
 NEST_DEPTHS = (40, 100)  # around the parser's MAX_NESTING of 64
 WORKLOADS = ("tree_mixed", "docs_heavy", "stress_shapes")
+HEADERS = {"// AST ": "dump", "// LOG ": "log"}  # a section header's start -> its stream
 
 
 def deep_nest(rng: random.Random, profile) -> str:
@@ -226,15 +257,10 @@ def line_range_runs(corpus: str) -> list[list[str]]:
     return runs
 
 
-def run_side(root: str, args: list[str]) -> subprocess.CompletedProcess:
+def run_side(root: str, argv: list[str]) -> subprocess.CompletedProcess:
+    """``python -c CODE ARGS...`` (``argv``) with ``ROOT/src`` on ``PYTHONPATH``."""
     env = {**os.environ, "PYTHONPATH": os.path.join(os.path.abspath(root), "src")}
-    return subprocess.run(
-        [sys.executable, "-c", CLI_CODE, "--dump-ast", "--format", "json", *args],
-        capture_output=True,
-        text=True,
-        env=env,
-        timeout=900,
-    )
+    return subprocess.run([sys.executable, "-c", *argv], capture_output=True, text=True, env=env, timeout=900)
 
 
 def first_difference(old: subprocess.CompletedProcess, new: subprocess.CompletedProcess) -> str | None:
@@ -250,9 +276,9 @@ def first_difference(old: subprocess.CompletedProcess, new: subprocess.Completed
 
 def by_file(proc: subprocess.CompletedProcess, corpus: str) -> dict[tuple[str, str | None], list]:
     """A run's output split by the corpus file each piece names, as
-    (stream, path relative to the corpus) -> pieces: dump sections by their
-    ``// AST`` header, findings by their ``file`` field, stderr lines by the
-    path they name.  The exit code, and what names no file, go under
+    (stream, path relative to the corpus) -> pieces: dump and log sections by
+    their ``// AST`` and ``// LOG`` headers, findings by their ``file`` field,
+    stderr lines by the path they name.  The exit code, and what names no file, go under
     (stream, None)."""
     names = re.compile(re.escape(os.path.join(corpus, "")) + r"([^\s:]+)")
 
@@ -264,13 +290,13 @@ def by_file(proc: subprocess.CompletedProcess, corpus: str) -> dict[tuple[str, s
     pieces["exit", None].append(proc.returncode)
     for line in proc.stderr.splitlines():
         pieces["stderr", file_of(line)].append(line)
-    findings = re.search(r"^\[", proc.stdout, re.M)  # no dump line starts with '['
+    findings = re.search(r"^\[", proc.stdout, re.M)  # no dump or log line starts with '['
     cut = findings.start() if findings else len(proc.stdout)
-    path = None
+    stream, path = "dump", None
     for line in proc.stdout[:cut].splitlines():
-        if line.startswith("// AST "):
-            path = file_of(line)
-        pieces["dump", path].append(line)
+        if line[:7] in HEADERS:
+            stream, path = HEADERS[line[:7]], file_of(line)
+        pieces[stream, path].append(line)
     try:
         for record in json.loads(proc.stdout[cut:]):
             pieces["findings", file_of(record["file"])].append(record)
@@ -295,10 +321,17 @@ def differing_files(results: list, corpus: str, files: int) -> str:
     text = f"{len(differing)} of {files} files differ"
     if differing:
         text += ": " + ", ".join(f"{group} {n}" for group, n in sorted(groups.items()))
-        text += "; by stream: " + ", ".join(f"{s} {len(streams[s])}" for s in ("dump", "findings", "stderr") if streams[s])
+        text += "; by stream: " + ", ".join(f"{s} {len(streams[s])}" for s in ("dump", "findings", "stderr", "log") if streams[s])
     if whole_runs:
         text += f"; {whole_runs} runs differ in their exit code or in output that names no file"
     return text
+
+
+def where(run: list[str], corpus: str) -> str:
+    """How a run of several arguments is named in a report: its arguments,
+    corpus paths relative to the corpus."""
+    named = " ".join(os.path.relpath(a, corpus) if a.startswith(corpus) else a for a in run)
+    return f" with {named}," if len(run) > 1 else ""
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -313,19 +346,19 @@ def main(argv: list[str] | None = None) -> int:
         files = sum(len(names) for _, _, names in os.walk(corpus))
         several = [os.path.join(corpus, d) for d in (os.path.join("fixtures", FIXTURES[-1]), "golden", "programs")]
         runs = [[corpus], several] + line_range_runs(corpus)
-        results = [(run_side(args.old_root, run), run_side(args.new_root, run)) for run in runs]
-    for run, (old, new) in zip(runs, results):
+        labelled = [(where(run, corpus), [CLI_CODE, "--dump-ast", "--format", "json", *run]) for run in runs]
+        labelled.append((" in the null-event logs or statement key classes", [LOG_CODE, corpus]))
+        results = [(run_side(args.old_root, argv), run_side(args.new_root, argv)) for _, argv in labelled]
+    for (label, _), (old, new) in zip(labelled, results):
         diff = first_difference(old, new)
         if diff is not None:
-            named = " ".join(os.path.relpath(a, corpus) if a.startswith(corpus) else a for a in run)
-            where = f" with {named}," if len(run) > 1 else ""
-            print(f"differential: {files} files differ{where} at {diff}")
+            print(f"differential: over {files} corpus files, the runs differ{label} at {diff}")
             print(f"differential: {differing_files(results, corpus, files)}")
             return 1
     whole = results[0][0]
     print(
-        f"differential: {files} files, one multi-input run and {len(runs) - 2} "
-        f"line-range windows, no difference "
+        f"differential: {files} files, one multi-input run, {len(runs) - 2} "
+        f"line-range windows and the null-event logs, no difference "
         f"(exit {whole.returncode}, {len(whole.stdout.splitlines())} stdout lines, "
         f"{len(whole.stderr.splitlines())} stderr lines)"
     )
