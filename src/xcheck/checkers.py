@@ -136,15 +136,14 @@ def _deref_events(path: Path, offset: int, out: list[NullEvent], numbers: dict, 
 
 
 def _wildcard_deref_events(w: Wildcard, profile: LanguageProfile, out: list[NullEvent], numbers: dict) -> None:
-    """Scan raw wildcard tokens for access-path runs.
+    """Scan raw wildcard tokens for access-path runs, in the wildcard's
+    range of the file's token tuple.
 
     Refinement leaves most statement content uninterpreted (``x = p->q + 1``
     has no recognized shape), but a dereference buried in it still counts.
     """
-    toks = w.tokens
+    toks, i, n = w.toks, w.lo, w.hi
     deref_ops = profile.deref_ops
-    n = len(toks)
-    i = 0
     while i < n:
         # only an identifier followed by a dereference operator can start a path
         if toks[i].kind is not _IDENT or i + 1 == n or toks[i + 1].text not in deref_ops:
@@ -208,7 +207,7 @@ def _expr_events(e: Expr, profile: LanguageProfile, truth: bool, out: list[NullE
     if isinstance(e, (Assign, Update)):
         target = _path_of(children[0])
         if target is not None:
-            out.append(KillEvent(target[0], e.tokens[0].offset))
+            out.append(KillEvent(target[0], e.toks[e.lo].offset))
 
 
 def _stmt_events(s: Stmt, profile: LanguageProfile, out: list[NullEvent], numbers: dict) -> None:

@@ -113,12 +113,14 @@ class LexError(NamedTuple):
 
 class _Slotted:
     """Value behaviour shared by the pipeline's mutable objects (the token
-    stream and the tree nodes), read from ``__slots__``, which names each
-    class's fields in constructor order.
+    stream and the tree nodes), read from ``_fields``, which names each
+    class's fields in constructor order: its ``__slots__``, unless the class
+    declares ``_fields`` itself because it stores a field in other slots.
 
     A subclass with fields and without its own ``__init__`` gets one taking them
     in that order, trailing ones defaulting as ``_defaults`` says; like ``namedtuple``'s,
-    its source is compiled once per class, so building runs one assignment per field.
+    its source is compiled once per class (by ``_define_init``, which such a
+    subclass extends), so building runs one assignment per field.
 
     They print as ``Name(field=value, ...)`` and equal only an object of
     the same class with equal fields, so they are not hashable.  They are
@@ -129,26 +131,30 @@ class _Slotted:
     __slots__ = ()
     __hash__ = None  # type: ignore[assignment]
     _defaults: dict[str, object] = {}
+    _fields: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        names = cls.__slots__
+        cls._fields = names = cls.__dict__.get("_fields", cls.__slots__)
         if "__init__" in cls.__dict__ or not names:
             return
         params = "".join(f", {n}=_defaults[{n!r}]" if n in cls._defaults else f", {n}" for n in names)
-        body = "".join(f"\n    self.{n} = {n}" for n in names)
+        cls._define_init(params, "".join(f"\n    self.{n} = {n}" for n in names))
+
+    @classmethod
+    def _define_init(cls, params: str, body: str) -> None:
         scope = {"_defaults": cls._defaults, "__name__": cls.__module__}
         exec(f"def __init__(self{params}):{body}", scope)
         cls.__init__ = scope["__init__"]  # type: ignore[misc]
         cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
 
     def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__qualname__}({fields})"
 
     def __eq__(self, other: object) -> bool:
         if other.__class__ is not self.__class__:
             return NotImplemented
-        names = self.__slots__
+        names = self._fields
         return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
 
 
@@ -185,38 +191,64 @@ def _quoted(name: str, quote: str, escape: str) -> str:
     return rf"(?P<{name}>{q}{plain}(?:{re.escape(escape)}[\s\S]?{plain})*(?P<{name}_end>{q})?)"
 
 
+def _operator_rule(operators: list[str]) -> str:
+    """One alternative per first character, trying its continuations longest
+    first (maximal munch) and the character alone, when an operator, last."""
+    by_first: dict[str, list[str]] = {}
+    for op in sorted(operators, key=lambda op: (-len(op), op)):
+        by_first.setdefault(op[0], []).append(re.escape(op[1:]))
+    alternatives = (f"{re.escape(first)}(?:{'|'.join(rests)})" for first, rests in by_first.items())
+    return f"(?P<op>{'|'.join(alternatives)})"
+
+
 @lru_cache(maxsize=32)
 def compile_scanner(profile: LanguageProfile, directives: bool = True) -> re.Pattern[str]:
     """Compile ``profile`` into its scanner pattern, cached by the profile's value.
 
     One match takes one token: it skips a run of whitespace and line
-    comments, then tries, in order: block-comment opener, preprocessor prefix
-    (left out when ``directives`` is false), string and char literals, hex
-    and decimal numbers, identifiers, operators longest first (maximal
-    munch), and any single character.  Only at the end of input does no
-    group match.  The skipped run is never given back, as one of these
-    always matches a character that is left.
+    comments, then tries the token rules, and only at the end of input does
+    none match.  The skipped run is never given back, as the last rule, any
+    single character, always matches a character that is left.
+
+    Each token is the one this order of rules decides: block-comment opener,
+    preprocessor prefix (left out when ``directives`` is false), string and
+    char literals, hex and decimal numbers, identifiers, operators longest
+    first (maximal munch), any single character.  The rules are tried in
+    another order, so that ordinary code fails few of them before one
+    matches, in which a rule moves ahead of another only where the two cannot
+    start with the same character: the fixed openers (comment, prefix,
+    quotes) that start with an identifier character, such as a ``$*``
+    comment; identifiers; one class of the punctuation characters that no
+    other rule can start with; the other fixed openers; numbers; operators,
+    one alternative per first character; and any single character.
     The lexer needs the pattern without directives only for a preprocessor
     prefix that does not start its line, so it compiles that on first need.
     """
     string_quote, char_quote = profile.string_delims
-    skip = [r"[ \t\r\n\f\v]+"]
-    if profile.line_comment:
-        skip.append(rf"{re.escape(profile.line_comment)}[^\n]*")
-    rules = []
+    blank = r"[ \t\r\n\f\v]*"
+    skip = blank + (rf"(?:{re.escape(profile.line_comment)}[^\n]*{blank})*" if profile.line_comment else "")
+    fixed = []  # (opener, rule), in deciding order
     if profile.block_comment[0]:
-        rules.append(f"(?P<bc>{re.escape(profile.block_comment[0])})")
+        fixed.append((profile.block_comment[0], f"(?P<bc>{re.escape(profile.block_comment[0])})"))
     if profile.preprocessor_prefix and directives:
-        rules.append(f"(?P<pp>{re.escape(profile.preprocessor_prefix)})")
-    rules.append(_quoted("str", string_quote, profile.escape_char))
+        fixed.append((profile.preprocessor_prefix, f"(?P<pp>{re.escape(profile.preprocessor_prefix)})"))
+    fixed.append((string_quote, _quoted("str", string_quote, profile.escape_char)))
     if char_quote != string_quote:
-        rules.append(_quoted("chr", char_quote, profile.escape_char))
-    rules += [f"(?P<hex>{_HEX})", f"(?P<num>{_DECIMAL})", f"(?P<ident>{_IDENT_START}{_IDENT_CHAR}*)"]
-    operators = sorted((op for op in profile.operators if op), key=len, reverse=True)
+        fixed.append((char_quote, _quoted("chr", char_quote, profile.escape_char)))
+    starts_ident = re.compile(_IDENT_START).match
+    operators = [op for op in profile.operators if op]
+    taken = {opener[0] for opener, _ in fixed} | {op[0] for op in operators} | set("0123456789.")
+    lone = sorted(p for p in profile.punctuation if len(p) == 1 and p not in taken and not starts_ident(p))
+    rules = [rule for opener, rule in fixed if starts_ident(opener)]
+    rules.append(f"(?P<ident>{_IDENT_START}{_IDENT_CHAR}*)")
+    if lone:
+        rules.append(f"(?P<punct>[{''.join(map(re.escape, lone))}])")
+    rules += [rule for opener, rule in fixed if not starts_ident(opener)]
+    rules += [f"(?P<hex>{_HEX})", f"(?P<num>{_DECIMAL})"]
     if operators:
-        rules.append(f"(?P<op>{'|'.join(map(re.escape, operators))})")
-    rules.append(r"(?P<punct>[\s\S])")
-    return re.compile(f"(?:{'|'.join(skip)})*(?:{'|'.join(rules)})?")
+        rules.append(_operator_rule(operators))
+    rules.append(r"(?P<char>[\s\S])")
+    return re.compile(f"{skip}(?:{'|'.join(rules)})?")
 
 
 def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>") -> TokenStream:
@@ -265,9 +297,11 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
             text = m[group]
         if group == "ident":
             kind = _KW if text in keywords else _IDENT
+        elif group == "punct":
+            kind = _PUNCT
         elif group == "op":
             kind = _OP
-        elif group == "punct":
+        elif group == "char":
             kind = _PUNCT
             if text not in punctuation:
                 errors.append(LexError("unknown-character", f"unexpected character {text!r}", position(source, start)))

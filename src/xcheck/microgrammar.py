@@ -25,14 +25,18 @@ bracket level: a cut at a depth-zero operator never cuts a bracket group, so
 the long side of a split (a ``Logical`` lhs, a ``Not`` operand, an
 ``++``/``--`` target) inherits its parent's operator lists, trimmed.
 
-Every expression node records the token slice it covers.  A refined node
-is never empty and reads its source span off that slice; a wildcard may be
-empty, so it stores its span, which for an empty slot sits at the slot's
-anchor.  Statement nodes store spans that also cover their keywords and
-brackets.  Spans are offsets, resolved only when read (:class:`Extent`).
-Structural equality and ordering deliberately ignore positions.
+Every expression node records the tokens it covers as a range ``[lo, hi)``
+of the file's token tuple, which the whole tree shares: refinement never
+copies a slice, so a node's size does not depend on what it covers.  A
+refined node is never empty and reads its source span off its range's first
+and last token; a wildcard may be empty, so it stores its span, which for an
+empty slot sits at the slot's anchor.  Statement nodes store spans that also
+cover their keywords and brackets.  Spans are offsets, resolved only when
+read (:class:`Extent`).  Structural equality and ordering deliberately
+ignore positions.
 
-Each class declares its fields once, in ``__slots__``, from which it gets
+Each class declares its fields once, in ``__slots__`` (an expression class
+in ``_fields``, as its ``tokens`` is stored as the range), from which it gets
 its constructor, ``repr`` and ``==``.  Both node kinds declare their shape
 once.  A statement class does so in ``parts()``: its expression slots and
 bodies in source order, each tagged ``TEST`` (a condition whose truth picks
@@ -100,15 +104,40 @@ class Extent(NamedTuple):
 
 
 class Expr(_Slotted):
-    """Base class for expression tree nodes."""
+    """Base class for expression tree nodes.
 
-    __slots__ = ()
-    tokens: tuple[Token, ...]
+    The field ``tokens`` is stored as ``toks[lo:hi]``, the node's range of
+    the file's token tuple; a subclass's other fields are its ``__slots__``,
+    and its fields are those, then ``tokens``, unless it says otherwise in
+    ``_fields``.  The constructor takes ``lo`` and ``hi`` after the fields,
+    by default the whole of ``tokens``, and assigning ``tokens`` stores the
+    whole sequence given.
+    """
+
+    __slots__ = ("toks", "lo", "hi")
+    _fields = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = cls.__dict__.get("_fields", (*cls.__slots__, "tokens"))
+        super().__init_subclass__()
+
+    @classmethod
+    def _define_init(cls, params: str, body: str) -> None:
+        store = "self.toks, self.lo, self.hi = tokens, lo, len(tokens) if hi is None else hi"
+        super()._define_init(params + ", lo=0, hi=None", body.replace("self.tokens = tokens", store))
+
+    @property
+    def tokens(self) -> tuple[Token, ...]:
+        return self.toks[self.lo : self.hi]
+
+    @tokens.setter
+    def tokens(self, tokens: Sequence[Token]) -> None:
+        self.toks, self.lo, self.hi = tokens, 0, len(tokens)
 
     @property
     def span(self) -> Extent:
         """The extent of ``tokens``, which a refined node never leaves empty."""
-        first, last = self.tokens[0], self.tokens[-1]
+        first, last = self.toks[self.lo], self.toks[self.hi - 1]
         return _new(Extent, (first.offset, last.offset + len(last.text), first.source))
 
     def children(self) -> Sequence[Expr]:
@@ -121,25 +150,26 @@ class Wildcard(Expr):
     """An uninterpreted, ordered run of tokens; it may be empty, so its span
     is stored (an empty slot's sits at the slot's anchor)."""
 
-    __slots__ = ("tokens", "span")
+    __slots__ = ("span",)
+    _fields = ("tokens", "span")
 
 
 class Compare(Expr):
-    __slots__ = ("op", "lhs", "rhs", "tokens")  # op: < <= > >= == !=
+    __slots__ = ("op", "lhs", "rhs")  # op: < <= > >= == !=
 
     def children(self) -> Sequence[Expr]:
         return (self.lhs, self.rhs)
 
 
 class Logical(Expr):
-    __slots__ = ("op", "lhs", "rhs", "tokens")  # op: && ||
+    __slots__ = ("op", "lhs", "rhs")  # op: && ||
 
     def children(self) -> Sequence[Expr]:
         return (self.lhs, self.rhs)
 
 
 class Not(Expr):
-    __slots__ = ("operand", "tokens")
+    __slots__ = ("operand",)
 
     def children(self) -> Sequence[Expr]:
         return (self.operand,)
@@ -147,7 +177,8 @@ class Not(Expr):
 
 class Update(Expr):
     # op: ++ -- += -=; value is the right side of += / -=
-    __slots__ = ("op", "target", "tokens", "value")
+    __slots__ = ("op", "target", "value")
+    _fields = ("op", "target", "tokens", "value")
     _defaults = {"value": None}
 
     def children(self) -> Sequence[Expr]:
@@ -155,14 +186,14 @@ class Update(Expr):
 
 
 class Assign(Expr):
-    __slots__ = ("lhs", "rhs", "tokens")
+    __slots__ = ("lhs", "rhs")
 
     def children(self) -> Sequence[Expr]:
         return (self.lhs, self.rhs)
 
 
 class Call(Expr):
-    __slots__ = ("callee", "args", "tokens")
+    __slots__ = ("callee", "args")
 
     def children(self) -> Sequence[Expr]:
         return (self.callee, *self.args)
@@ -171,7 +202,7 @@ class Call(Expr):
 class AccessPath(Expr):
     """identifier (deref_op identifier)+ — e.g. ``state->work``."""
 
-    __slots__ = ("root", "steps", "tokens")
+    __slots__ = ("root", "steps")
 
     def path(self) -> tuple[str, ...]:
         """The flattened access chain: ``("state", "->", "work")``."""
@@ -182,7 +213,7 @@ class AccessPath(Expr):
 
 
 class Atom(Expr):
-    __slots__ = ("token", "tokens")
+    __slots__ = ("token",)
 
 
 # ---------------------------------------------------------------------------
@@ -622,10 +653,9 @@ class _Parser:
         if hi - lo == 1 and depth <= MAX_EXPR_DEPTH:  # Atom: one token, unless a split operator
             first = toks[lo]
             if first.kind is not _OP or first.text not in _SPLIT_OPS:
-                return Atom(first, (first,))
-        tokens = toks[lo:hi]
+                return Atom(first, toks, lo, hi)
         if lo == hi or depth > MAX_EXPR_DEPTH:
-            return Wildcard(tokens, self._span(lo, hi, anchor))
+            return Wildcard(toks, self._span(lo, hi, anchor), lo, hi)
         depth += 1
         refine = self._refine
 
@@ -641,7 +671,7 @@ class _Parser:
                 if tok.kind is _OP:
                     text = tok.text
                     if text == "=":
-                        return Assign(refine(lo, k, depth, anchor), refine(k + 1, hi, depth, anchor), tokens)
+                        return Assign(refine(lo, k, depth, anchor), refine(k + 1, hi, depth, anchor), toks, lo, hi)
                     if text == "||":
                         ors.append(k)
                     elif text == "&&":
@@ -662,30 +692,30 @@ class _Parser:
             for x in ops:
                 del x[bisect_left(x, idx):]  # what is left is the lhs's
             op = toks[idx].text
-            return Logical(op, refine(lo, idx, depth, anchor, ops), refine(idx + 1, hi, depth, anchor), tokens)
+            return Logical(op, refine(lo, idx, depth, anchor, ops), refine(idx + 1, hi, depth, anchor), toks, lo, hi)
 
         # Compare: exactly one top-level comparison operator.  Two or more
         # (template/generic angle brackets, chained comparisons) stay wildcard.
         if len(comparisons) == 1:
             idx = comparisons[0]
             op = toks[idx].text
-            return Compare(op, refine(lo, idx, depth, anchor), refine(idx + 1, hi, depth, anchor), tokens)
+            return Compare(op, refine(lo, idx, depth, anchor), refine(idx + 1, hi, depth, anchor), toks, lo, hi)
 
         # Not: leading "!".  Its operand, like a "++"/"--" target below, keeps
         # the lists unless a profile pairs the token cut off as an opener.
         first, last = toks[lo], toks[hi - 1]
         if first.text == "!" and hi - lo > 1:
-            return Not(refine(lo + 1, hi, depth, anchor, ops if match[lo] == lo else None), tokens)
+            return Not(refine(lo + 1, hi, depth, anchor, ops if match[lo] == lo else None), toks, lo, hi)
 
         # Update: one top-level "+=" / "-=", or a leading/trailing "++" / "--".
         if len(bin_updates) == 1:
             idx = bin_updates[0]
             value = refine(idx + 1, hi, depth, anchor)
-            return Update(toks[idx].text, refine(lo, idx, depth, anchor), tokens, value=value)
+            return Update(toks[idx].text, refine(lo, idx, depth, anchor), toks, value, lo, hi)
         if hi - lo >= 2 and last.text in _UNARY_UPDATE_OPS:
-            return Update(last.text, refine(lo, hi - 1, depth, anchor, ops), tokens)
+            return Update(last.text, refine(lo, hi - 1, depth, anchor, ops), toks, None, lo, hi)
         if hi - lo >= 2 and first.text in _UNARY_UPDATE_OPS:
-            return Update(first.text, refine(lo + 1, hi, depth, anchor, ops if match[lo] == lo else None), tokens)
+            return Update(first.text, refine(lo + 1, hi, depth, anchor, ops if match[lo] == lo else None), toks, None, lo, hi)
 
         # Call: access path (or bare identifier) + balanced "(...)" covering
         # the remainder; arguments split on depth-zero commas.
@@ -698,29 +728,29 @@ class _Parser:
                     j = self._find(cut + 1, hi - 1, (",",))
                     args.append(refine(cut + 1, j, depth, anchor))
                     cut = j
-            return Call(self._path(lo, k), tuple(args), tokens)
+            return Call(self._path(lo, k), tuple(args), toks, lo, hi)
 
         # AccessPath: the whole run is ident (deref_op ident)+ exactly.
         if k == hi and hi - lo >= 3:
             return self._path(lo, hi)
 
         # Fully covering parentheses: strip and re-refine the interior, but
-        # keep the original token slice on the node.
+        # widen the node's range over the parentheses.
         if first.text == "(" and self.same[lo] == hi - 1:
             inner = refine(lo + 1, hi - 1, depth, anchor)
-            inner.tokens = tokens  # a node just built: nothing else holds it
+            inner.lo, inner.hi = lo, hi  # a node just built: nothing else holds it
             if isinstance(inner, Wildcard):
                 inner.span = self._span(lo, hi, anchor)
             return inner
 
-        return Wildcard(tokens, self._span(lo, hi, anchor))
+        return Wildcard(toks, self._span(lo, hi, anchor), lo, hi)
 
     def _path(self, lo: int, hi: int) -> Expr:
-        toks = self.toks[lo:hi]
-        if len(toks) == 1:
-            return Atom(toks[0], toks)
-        steps = tuple((toks[i].text, toks[i + 1]) for i in range(1, len(toks), 2))
-        return AccessPath(toks[0], steps, toks)
+        toks = self.toks
+        if hi - lo == 1:
+            return Atom(toks[lo], toks, lo, hi)
+        steps = tuple((toks[i].text, toks[i + 1]) for i in range(lo + 1, hi, 2))
+        return AccessPath(toks[lo], steps, toks, lo, hi)
 
 
 def parse_expression(wildcard: Expr, profile: LanguageProfile) -> Expr:

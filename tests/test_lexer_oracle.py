@@ -56,6 +56,24 @@ punctuation = ( ) { } ;
 pairs = ( ) { }
 """
 )
+# A block-comment opener and a preprocessor prefix that start with an
+# identifier character, so the scanner must try them before identifiers; a
+# line comment that starts like the block comment's closer; and punctuation
+# characters (":", "-") that also start operators.
+DOLLAR_PROFILE = parse_profile_text(
+    """\
+name = dollar
+extensions = .dlr
+line_comment = *#
+block_comment = $* *$
+string_delims = " '
+escape = \\
+preprocessor = $$
+operators = :: := -> -- * + ++ = == < <=
+punctuation = ( ) { } ; , : - ?
+pairs = ( ) { }
+"""
+)
 
 # Pieces the fuzz strings are made of.  Non-ASCII digits are left out on
 # purpose: the reference scanner hangs on one outside an identifier (the
@@ -108,7 +126,7 @@ def test_fuzz_matches_reference(profile):
         _assert_same(source, profile)
 
 
-@pytest.mark.parametrize("profile", (ODD_PROFILE, CARET_PROFILE), ids=lambda p: p.name)
+@pytest.mark.parametrize("profile", (ODD_PROFILE, CARET_PROFILE, DOLLAR_PROFILE), ids=lambda p: p.name)
 def test_profile_file_data_matches_reference(profile):
     for source in _fuzz_sources(profile, SAMPLES_PER_PROFILE // 2):
         _assert_same(source, profile)

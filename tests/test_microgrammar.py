@@ -1,4 +1,10 @@
-"""Statement recognition: structure, recovery, spans, conservation."""
+"""Statement recognition: structure, recovery, spans, conservation, cost."""
+
+import importlib.util
+import os
+import random
+import sys
+import tracemalloc
 
 import pytest
 
@@ -398,3 +404,45 @@ def test_refinement_reads_each_bracket_match_a_bounded_number_of_times(op, n):
     parser.any = counting = _CountingList(parser.any)
     assert parser.parse(0, len(tokens), 0) == parse_statements(tokens, C)
     assert counting.reads <= 4 * len(tokens), counting.reads / len(tokens)
+
+
+# -- tree memory: each expression node holds a range, not a slice -------------
+
+_CORPUS = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "bench", "corpus.py")
+
+
+def _and_chain(n: int) -> str:
+    """The benchmark's ``and_chain`` shape of ``n`` terms."""
+    spec = importlib.util.spec_from_file_location("bench_corpus", _CORPUS)
+    corpus = sys.modules.setdefault(spec.name, importlib.util.module_from_spec(spec))
+    spec.loader.exec_module(corpus)
+    return corpus.and_chain(random.Random(0), n).text
+
+
+def _tree_bytes(source: str) -> int:
+    """What ``parse_statements`` leaves allocated, given the file's token tuple."""
+    tokens = tuple(tokenize(source, C).tokens)
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        tree = parse_statements(tokens, C)
+        after = tracemalloc.get_traced_memory()[0]
+    finally:
+        tracemalloc.stop()
+    assert tree
+    return after - before
+
+
+@pytest.mark.parametrize(
+    "make, bound",
+    [
+        # 20,000 nested calls refine to 128 levels above one wildcard of
+        # about 40,000 tokens; a slice per level held 62 MB
+        (lambda: "x = " + "g(" * 20_000 + "y" + ")" * 20_000 + ";", 1_000_000),
+        # 1,000 terms, a 128-level chain: a slice per level held 2 MB
+        (lambda: _and_chain(1000), 200_000),
+    ],
+    ids=["nested_call", "and_chain"],
+)
+def test_the_tree_does_not_copy_the_tokens_it_covers(make, bound):
+    assert _tree_bytes(make()) < bound

@@ -1,9 +1,9 @@
 """Value semantics of the tree nodes.
 
 Unlike the immutable records in ``test_records``, tree nodes are mutable
-slotted objects: refinement's paren-strip re-points a node's ``tokens``
-after building it.  Only statements carry ``incomplete``, set when the
-parser builds them; a ``Wildcard`` is ``Wildcard(tokens, span)``.
+slotted objects: refinement's paren-strip widens a node's range of
+``tokens`` after building it.  Only statements carry ``incomplete``, set when
+the parser builds them; a ``Wildcard`` is ``Wildcard(tokens, span)``.
 They compare equal only to a node of the same class with equal fields,
 are not hashable, and print as ``Name(field=value, ...)`` in field order.
 """
@@ -72,6 +72,10 @@ REFINED = [Compare, Logical, Not, Update, Assign, Call, AccessPath, Atom]
 DEFAULTS = {cls: {"incomplete": False} for cls in FIELDS if "incomplete" in FIELDS[cls]}
 DEFAULTS[Update] = {"value": None}
 
+# After its fields, an expression's constructor takes the range of ``tokens``
+# the node covers, by default all of it.
+RANGE = {"lo": 0, "hi": None}
+
 # Pairs of classes whose constructors take the same positional values.
 # Compare and Logical also have the same field names in the same order, so
 # only the class tells them apart; WildcardStmt and Block differ in the name
@@ -86,6 +90,11 @@ def _values(cls) -> list:
 
 def _build(cls):
     return cls(*_values(cls))
+
+
+def _range(cls) -> list:
+    """The constructor's arguments after the fields: an expression's range."""
+    return list(RANGE.values()) if issubclass(cls, Expr) else []
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
@@ -131,7 +140,7 @@ def test_trailing_fields_take_their_defaults(cls):
     with pytest.raises(TypeError):
         cls(*_values(cls)[: len(required) - 1])
     with pytest.raises(TypeError):
-        cls(*_values(cls), "one too many")
+        cls(*_values(cls), *_range(cls), "one too many")
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
@@ -192,10 +201,11 @@ def test_incomplete_can_be_set_after_construction(cls):
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
 def test_constructor_takes_the_fields_in_order_with_only_the_declared_defaults(cls):
     params = inspect.signature(cls).parameters
-    assert tuple(params) == FIELDS[cls]
+    expected = RANGE if issubclass(cls, Expr) else {}
+    assert tuple(params) == FIELDS[cls] + tuple(expected)
     assert all(p.kind is p.POSITIONAL_OR_KEYWORD for p in params.values())
     defaults = {name: p.default for name, p in params.items() if p.default is not p.empty}
-    assert defaults == DEFAULTS.get(cls, {})
+    assert defaults == {**DEFAULTS.get(cls, {}), **expected}
 
 
 @pytest.mark.parametrize("cls", FIELDS, ids=lambda c: c.__name__)
@@ -204,7 +214,7 @@ def test_constructor_rejects_a_wrong_argument_list(cls):
     required = len(FIELDS[cls]) - len(DEFAULTS.get(cls, {}))
     for args, kwargs in [
         (values[: required - 1], {}),
-        (values + ["one too many"], {}),
+        (values + _range(cls) + ["one too many"], {}),
         (values, {"not_a_field": 1}),
         (values, {FIELDS[cls][0]: values[0]}),  # a field given twice
     ]:

@@ -46,11 +46,18 @@ def _end_from_source(source: str, tok: Token) -> Position:
     return Position(source.count("\n", 0, end) + 1, end - line_start + 1, end)
 
 
-def _expressions(stmt):
-    """Every expression node under ``stmt``'s slots, nested ones too."""
+def _expressions(stmt, tokens):
+    """Every expression node under ``stmt``'s slots, nested ones too, each
+    checked against the stream's ``tokens``: it reads as its range of them,
+    and its children's ranges lie inside its own, disjoint and in source order."""
     todo = [part for role, part in stmt.parts() if role is not BODY and part is not None]
     while todo:
         expr = todo.pop()
+        assert expr.tokens == tuple(tokens[expr.lo : expr.hi]), expr
+        end = expr.lo
+        for child in expr.children():
+            assert end <= child.lo <= child.hi <= expr.hi, (expr, child)
+            end = child.hi
         yield expr
         todo += expr.children()
 
@@ -76,6 +83,7 @@ def _check(source: str, profile: LanguageProfile) -> int:
         assert span.end == token_end(last), (span, last)
 
     nodes = 0
+    shared = set()  # the token tuple every expression node holds: one per parse
     for stmt in walk_statements(parse_statements(tokenize(source, profile), profile)):
         ends_at_last_token(stmt.span)
         spans = [arm.span for arm in stmt.cases] if isinstance(stmt, Switch) else []
@@ -83,13 +91,15 @@ def _check(source: str, profile: LanguageProfile) -> int:
             spans.append(stmt.header_span)
         for span in spans:
             ends_at_last_token(span)
-        for expr in _expressions(stmt):
+        for expr in _expressions(stmt, tokens):
+            shared.add(id(expr.toks))
             assert type(expr.span) is Extent
             covered = expr.tokens
             if covered:
                 assert expr.span.end == token_end(covered[-1])
                 ends_at_last_token(expr.span)
         nodes += 1
+    assert len(shared) <= 1
     return nodes
 
 

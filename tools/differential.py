@@ -19,9 +19,11 @@ comment-dense soups (words joined by runs of whitespace, line comments and
 block comments in each profile's own delimiters), kill programs (many roots
 dereferenced, then assignments to some of them among null tests of roots and
 paths), lines of mid-line preprocessor prefixes between directives (C and C++
-only), ``for`` headers over every comparison and update operator, and
-functions over access paths of 50-500 steps; all but the programs and the
-prefix lines spread over C, C++ and Java.  The corpus comes from this
+only), ``for`` headers over every comparison and update operator, functions over access
+paths of 50-500 steps, and functions whose conditions, call arguments and
+assignments are wrapped in 1-200 layers of parentheses and nested calls
+around null tests and dereferences (some past the refinement depth cap);
+all but the programs and the prefix lines spread over C, C++ and Java.  The corpus comes from this
 checkout, so both sides see the same files.
 
 The CLI then runs on each side, with ``ROOT/src`` on ``PYTHONPATH``: once as
@@ -181,6 +183,32 @@ def long_paths(rng: random.Random, profile) -> str:
     return " ".join(words)
 
 
+def paren_nests(rng: random.Random, profile) -> str:
+    """A function body whose conditions, call arguments and assignments wrap
+    null tests and dereferences in 1-200 layers of parentheses and calls."""
+    null, arrow = min(profile.null_literals), profile.deref_ops[0]
+
+    def wrap(inner: str) -> str:
+        # half the nests keep a null test in a truth position: no call layer
+        layers = ("( {} )", "! ( {} )", "( {} ) && b") + rng.choice(((), ("g ( {} )", "h ( a , {} )")))
+        for _ in range(rng.choice((rng.randint(1, 5), rng.randint(1, 200)))):
+            inner = rng.choice(layers).format(inner)
+        return inner
+
+    words = ["f ( ) {"]
+    for _ in range(rng.randint(3, 10)):
+        p = rng.choice("pqr")
+        core = rng.choice((f"{p} == {null}", f"{null} != {p}", p, f"{p}{arrow}x", f"{p}{arrow}x ( )", f"{p} = {null}"))
+        words.append(rng.choice((
+            f"use ( {p}{arrow}v ) ;",
+            f"if ( {wrap(core)} ) g ( ) ;",
+            f"while ( {wrap(core)} ) {p}{arrow}w ;",
+            f"use ( {wrap(core)} ) ;",
+            f"{p} = {wrap(core)} ;",
+        )))
+    return " ".join(words) + " }"
+
+
 def commented_soup(rng: random.Random, profile, words: list[str]) -> str:
     """``words`` joined by runs of whitespace, line comments and block comments."""
     line, (opener, closer) = profile.line_comment, profile.block_comment
@@ -229,6 +257,7 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
         ("prefixes", "d", 10, LANGUAGES[:2], prefix_lines),  # Java has no preprocessor
         ("loops", "l", 10, LANGUAGES, loop_headers),
         ("paths", "a", 10, LANGUAGES, long_paths),
+        ("parens", "w", 10, LANGUAGES, paren_nests),
     )
     for seed, (directory, letter, share, languages, make) in enumerate(rows):
         os.makedirs(os.path.join(dest, directory))
