@@ -1,8 +1,10 @@
 """The four analysis passes.
 
 Each checker is an independent function from a refined statement list to
-diagnostics; none of them ever consults token positions to make a decision
-(offsets are carried along for reporting, and resolved only for a finding).
+diagnostics, ``(stmts, profile, path="<input>")``, named once: its row in
+:data:`CHECKERS`, under the id its findings carry as ``Diagnostic.checker``.
+None of them ever consults token positions to make a decision (offsets are
+carried along for reporting, and resolved only for a finding).
 
 The null-dereference checker works from a linear event log (dereferences,
 null tests, assignments that invalidate tracked paths, scope resets)
@@ -13,8 +15,7 @@ suite's brute-force oracle consumes.
 from __future__ import annotations
 
 from collections import Counter
-from enum import Enum
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .diagnostics import Diagnostic, sort_key
 from .lexer import TokenKind, position
@@ -47,16 +48,6 @@ from .profiles import LanguageProfile
 
 # Token kinds bound once for the per-token loops (see the note in ``lexer``).
 _IDENT = TokenKind.IDENTIFIER
-
-
-class CheckerId(str, Enum):
-    REDUNDANT_CONDITION = "redundant-condition"
-    REDUNDANT_BRANCH = "redundant-branch"
-    LOOP_DIRECTION = "loop-direction"
-    NULL_DEREF = "null-deref"
-
-
-ALL_CHECKER_IDS: tuple[str, ...] = tuple(c.value for c in CheckerId)
 
 
 # ---------------------------------------------------------------------------
@@ -233,9 +224,7 @@ def iter_null_events(stmts: Sequence[Stmt], profile: LanguageProfile) -> Iterato
     return iter(out)
 
 
-def check_null_deref(
-    stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>"
-) -> list[Diagnostic]:
+def check_null_deref(stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>") -> list[Diagnostic]:
     """Report paths tested against null after already being dereferenced."""
     diags: list[Diagnostic] = []
     nonnull: dict[str, dict[int, int]] = {}  # by root: each path number's earliest dereference offset
@@ -248,7 +237,7 @@ def check_null_deref(
                 name = render_path(ev.path)
                 diags.append(
                     Diagnostic(
-                        checker=CheckerId.NULL_DEREF.value,
+                        checker="null-deref",
                         message=f"'{name}' checked for null here but dereferenced earlier",
                         file=path,
                         span=ev.span.resolve(),
@@ -279,7 +268,7 @@ def _body_keys(bodies: Sequence[Sequence[Stmt]]) -> list[Key | None]:
 
 
 def _repeat_findings(
-    keys: Iterable[Key | None], spans: Sequence[Extent], checker: CheckerId, message: str, note: str, path: str
+    keys: Iterable[Key | None], spans: Sequence[Extent], checker: str, message: str, note: str, path: str
 ) -> Iterator[Diagnostic]:
     """One finding per key seen before, at its span, citing the first
     occurrence's start; ``None`` keys are never compared."""
@@ -288,15 +277,13 @@ def _repeat_findings(
         if key is not None:
             i = first.setdefault(key, j)
             if i != j:
-                yield Diagnostic(checker.value, message, path, spans[j].resolve(), (spans[i].start, note))
+                yield Diagnostic(checker, message, path, spans[j].resolve(), (spans[i].start, note))
 
 
-def check_redundant_conditions(
-    stmts: Sequence[Stmt], path: str = "<input>"
-) -> list[Diagnostic]:
+def check_redundant_conditions(stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>") -> list[Diagnostic]:
     """Duplicate conditions and duplicate branch bodies in if/else-if chains."""
     diags: list[Diagnostic] = []
-    checker = CheckerId.REDUNDANT_CONDITION
+    checker = "redundant-condition"
     for node in walk_statements(stmts):
         if not isinstance(node, If):
             continue
@@ -314,12 +301,10 @@ def check_redundant_conditions(
     return diags
 
 
-def check_redundant_branches(
-    stmts: Sequence[Stmt], path: str = "<input>"
-) -> list[Diagnostic]:
+def check_redundant_branches(stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>") -> list[Diagnostic]:
     """Duplicate labels and duplicate non-empty bodies across switch arms."""
     diags: list[Diagnostic] = []
-    checker = CheckerId.REDUNDANT_BRANCH
+    checker = "redundant-branch"
     for node in walk_statements(stmts):
         if not isinstance(node, Switch):
             continue
@@ -349,9 +334,7 @@ WARNING_PAIRS: frozenset[tuple[str, str]] = frozenset(
 _MIRRORED = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
-def check_loop_direction(
-    stmts: Sequence[Stmt], path: str = "<input>"
-) -> list[Diagnostic]:
+def check_loop_direction(stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>") -> list[Diagnostic]:
     """For-loops whose bound comparison contradicts the update direction."""
     diags: list[Diagnostic] = []
     for node in walk_statements(stmts):
@@ -371,7 +354,7 @@ def check_loop_direction(
         if (op, node.update.op) in WARNING_PAIRS:
             diags.append(
                 Diagnostic(
-                    checker=CheckerId.LOOP_DIRECTION.value,
+                    checker="loop-direction",
                     message=(
                         f"loop variable '{target[0]}' is updated with '{node.update.op}' "
                         f"but bounded by '{node.cond.op}'"
@@ -388,27 +371,33 @@ def check_loop_direction(
 # ---------------------------------------------------------------------------
 
 
+# Every checker, by the id ``--checkers`` takes and its findings carry, in the
+# order ``run_checkers`` runs them: adding a checker is one function and one row.
+CHECKERS: dict[str, Callable[[Sequence[Stmt], LanguageProfile, str], list[Diagnostic]]] = {
+    "redundant-condition": check_redundant_conditions,
+    "redundant-branch": check_redundant_branches,
+    "loop-direction": check_loop_direction,
+    "null-deref": check_null_deref,
+}
+ALL_CHECKER_IDS: tuple[str, ...] = tuple(CHECKERS)
+
+
 def run_checkers(
     stmts: Sequence[Stmt],
     profile: LanguageProfile,
     enabled: Iterable[str] | None = None,
     path: str = "<input>",
 ) -> list[Diagnostic]:
-    """Run the enabled checkers independently and merge their findings."""
-    ids = set(enabled) if enabled is not None else set(ALL_CHECKER_IDS)
+    """Run the enabled checkers (by default all of ``CHECKERS``) and merge their findings."""
+    ids = set(CHECKERS if enabled is None else enabled)
     if not ids:
         raise ValueError("no checkers enabled")
-    unknown = ids - set(ALL_CHECKER_IDS)
+    unknown = ids - CHECKERS.keys()
     if unknown:
         raise ValueError(f"unknown checker ids: {', '.join(sorted(unknown))}")
     diags: list[Diagnostic] = []
-    if CheckerId.REDUNDANT_CONDITION.value in ids:
-        diags.extend(check_redundant_conditions(stmts, path))
-    if CheckerId.REDUNDANT_BRANCH.value in ids:
-        diags.extend(check_redundant_branches(stmts, path))
-    if CheckerId.LOOP_DIRECTION.value in ids:
-        diags.extend(check_loop_direction(stmts, path))
-    if CheckerId.NULL_DEREF.value in ids:
-        diags.extend(check_null_deref(stmts, profile, path))
+    for checker, check in CHECKERS.items():
+        if checker in ids:
+            diags += check(stmts, profile, path)
     diags.sort(key=sort_key)
     return diags

@@ -15,7 +15,7 @@ import argparse
 import os
 import sys
 
-from .checkers import ALL_CHECKER_IDS, run_checkers
+from .checkers import CHECKERS, run_checkers
 from .diagnostics import Diagnostic, dedupe_and_sort, render_json, render_text
 from .lexer import LexError, line_starts, tokenize
 from .microgrammar import Stmt, dump_statements, parse_statements
@@ -41,9 +41,9 @@ def _parse_line_range(value: str) -> tuple[int, int]:
 
 def _parse_checkers(value: str) -> tuple[str, ...]:
     ids = tuple(part.strip() for part in value.split(",") if part.strip())
-    unknown = [c for c in ids if c not in ALL_CHECKER_IDS]
+    unknown = [c for c in ids if c not in CHECKERS]
     if unknown or not ids:
-        known = ", ".join(ALL_CHECKER_IDS)
+        known = ", ".join(CHECKERS)
         raise argparse.ArgumentTypeError(
             f"unknown checker(s) {', '.join(unknown) or '<none>'} (known: {known})"
         )
@@ -60,8 +60,8 @@ def parse_args(argv: list[str]) -> argparse.Namespace:
     parser.add_argument(
         "--checkers",
         type=_parse_checkers,
-        default=ALL_CHECKER_IDS,
-        help=f"comma-separated checker ids (default: all of {', '.join(ALL_CHECKER_IDS)})",
+        default=tuple(CHECKERS),
+        help=f"comma-separated checker ids (default: all of {', '.join(CHECKERS)})",
     )
     parser.add_argument("--format", choices=("text", "json"), default="text")
     parser.add_argument(

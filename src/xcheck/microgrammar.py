@@ -176,10 +176,10 @@ class Not(Expr):
 
 
 class Update(Expr):
-    # op: ++ -- += -=; value is the right side of += / -=
-    __slots__ = ("op", "target", "value")
-    _fields = ("op", "target", "tokens", "value")
-    _defaults = {"value": None}
+    # op: ++ -- += -=; value is the right side of += / -=; prefix marks ++x and --x
+    __slots__ = ("op", "target", "value", "prefix")
+    _fields = ("op", "target", "tokens", "value", "prefix")
+    _defaults = {"value": None, "prefix": False}
 
     def children(self) -> Sequence[Expr]:
         return (self.target,) if self.value is None else (self.target, self.value)
@@ -711,11 +711,12 @@ class _Parser:
         if len(bin_updates) == 1:
             idx = bin_updates[0]
             value = refine(idx + 1, hi, depth, anchor)
-            return Update(toks[idx].text, refine(lo, idx, depth, anchor), toks, value, lo, hi)
+            return Update(toks[idx].text, refine(lo, idx, depth, anchor), toks, value, False, lo, hi)
         if hi - lo >= 2 and last.text in _UNARY_UPDATE_OPS:
-            return Update(last.text, refine(lo, hi - 1, depth, anchor, ops), toks, None, lo, hi)
+            return Update(last.text, refine(lo, hi - 1, depth, anchor, ops), toks, None, False, lo, hi)
         if hi - lo >= 2 and first.text in _UNARY_UPDATE_OPS:
-            return Update(first.text, refine(lo + 1, hi, depth, anchor, ops if match[lo] == lo else None), toks, None, lo, hi)
+            target = refine(lo + 1, hi, depth, anchor, ops if match[lo] == lo else None)
+            return Update(first.text, target, toks, None, True, lo, hi)
 
         # Call: access path (or bare identifier) + balanced "(...)" covering
         # the remainder; arguments split on depth-zero commas.
@@ -785,7 +786,8 @@ Key = tuple  # nested tuples of strings; lexicographically comparable
 
 def expr_key(e: Expr) -> Key:
     """A leaf keys as its texts; any other node as ``(class name, op if the
-    class has one, *child keys)``, so no two distinct shapes share a key."""
+    class has one, *child keys)``, a prefix update's op marked as such, so no
+    two distinct shapes share a key."""
     if isinstance(e, Atom):
         return ("Atom", e.token.text)
     if isinstance(e, Wildcard):
@@ -793,6 +795,8 @@ def expr_key(e: Expr) -> Key:
     if isinstance(e, AccessPath):
         return ("AccessPath", *e.path())
     key = [type(e).__name__, e.op] if hasattr(e, "op") else [type(e).__name__]
+    if isinstance(e, Update) and e.prefix:  # ``++x`` reads another value than ``x++``
+        key[1] = "prefix " + e.op
     key += map(expr_key, e.children())
     return tuple(key)
 

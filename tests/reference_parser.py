@@ -523,7 +523,7 @@ def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anc
     if len(tokens) >= 2 and tokens[-1].text in _UNARY_UPDATE_OPS:
         return Update(tokens[-1].text, sub(tokens[:-1]), tokens)
     if len(tokens) >= 2 and tokens[0].text in _UNARY_UPDATE_OPS:
-        return Update(tokens[0].text, sub(tokens[1:]), tokens)
+        return Update(tokens[0].text, sub(tokens[1:]), tokens, prefix=True)
 
     # Call: access path (or bare identifier) + balanced "(...)" covering
     # the remainder; arguments split on depth-zero commas.

@@ -202,7 +202,7 @@ def test_criterion_08_loop_direction_matrix():
         for cop in ("<", "<=", ">", ">=", "==", "!="):
             for uop in ("++", "--", "+=", "-="):
                 update = f"i{uop}" if uop in ("++", "--") else f"i {uop} 2"
-                diags = check_loop_direction(parse_source(f"for (i = 0; i {cop} n; {update}) f();"))
+                diags = check_loop_direction(parse_source(f"for (i = 0; i {cop} n; {update}) f();"), C)
                 assert len(diags) <= 1
                 if diags:
                     got.add((cop, uop))

@@ -16,7 +16,6 @@ from support import (
 )
 from xcheck.checkers import (
     ALL_CHECKER_IDS,
-    CheckerId,
     DerefEvent,
     NullTestEvent,
     check_loop_direction,
@@ -40,13 +39,13 @@ def findings(diags):
 
 def test_duplicate_elif_condition_reported_on_later_arm():
     stmts = parse_source("if (a > 0) f();\nelse if (a > 0) g();")
-    diags = check_redundant_conditions(stmts)
+    diags = check_redundant_conditions(stmts, C)
     assert findings(diags) == [("redundant-condition", 2, 1)]
 
 
 def test_equal_branch_bodies_reported():
     stmts = parse_source("if (a) f();\nelse if (b) f();")
-    diags = check_redundant_conditions(stmts)
+    diags = check_redundant_conditions(stmts, C)
     assert findings(diags) == [("redundant-condition", 2, 1)]
     # oracle for the derived expectation: the two bodies flatten to the
     # same token texts, so statement-list equality must hold
@@ -57,25 +56,42 @@ def test_equal_branch_bodies_reported():
 
 def test_distinct_conditions_and_bodies_are_clean():
     stmts = parse_source("if (a) f(); else if (b) g();")
-    assert check_redundant_conditions(stmts) == []
+    assert check_redundant_conditions(stmts, C) == []
 
 
 def test_then_vs_else_duplicate_body():
     stmts = parse_source("if (a) { f(); g(); } else { f(); g(); }")
-    assert len(check_redundant_conditions(stmts)) == 1
+    assert len(check_redundant_conditions(stmts, C)) == 1
 
 
 def test_nested_ifs_are_visited():
     stmts = parse_source("while (x) { if (c) m(); else if (c) n(); }")
-    assert len(check_redundant_conditions(stmts)) == 1
+    assert len(check_redundant_conditions(stmts, C)) == 1
 
 
 def test_permuting_duplicate_arms_moves_the_report_later():
-    a = check_redundant_conditions(parse_source("if (a) f(); else if (b) g(); else if (a) h();"))
-    b = check_redundant_conditions(parse_source("if (b) g(); else if (a) f(); else if (a) h();"))
+    a = check_redundant_conditions(parse_source("if (a) f(); else if (b) g(); else if (a) h();"), C)
+    b = check_redundant_conditions(parse_source("if (b) g(); else if (a) f(); else if (a) h();"), C)
     assert len(a) == len(b) == 1
     assert a[0].span.start.offset > a[0].related[0].offset
     assert b[0].span.start.offset > b[0].related[0].offset
+
+
+@pytest.mark.parametrize(
+    "chain, reported",
+    [
+        ("if (x++ > 0) g(); else if (++x > 0) h();", False),  # each tests another value of x
+        ("if (x++ > 0) g(); else if (x++ > 0) h();", True),
+        ("if ((x++) > 0) g(); else if (++x > 0) h();", False),
+        ("if ((++x) > 0) g(); else if (++x > 0) h();", True),
+        ("if (a) i++; else if (b) ++i;", False),  # bodies key structurally too
+        ("if (a) --i; else if (b) --i;", True),
+    ],
+    ids=["post-pre", "post-post", "paren-post-pre", "paren-pre-pre", "bodies", "pre-bodies"],
+)
+def test_prefix_and_postfix_updates_key_apart(chain, reported):
+    diags = check_redundant_conditions(parse_source("void f(int x) { " + chain + " }"), C)
+    assert len(diags) == reported, diags
 
 
 # -- redundant branches (switch) ------------------------------------------------
@@ -83,7 +99,7 @@ def test_permuting_duplicate_arms_moves_the_report_later():
 
 def test_duplicate_case_label():
     stmts = parse_source("switch (x) { case 1: f(); break; case 1: g(); break; }")
-    diags = check_redundant_branches(stmts)
+    diags = check_redundant_branches(stmts, C)
     assert len(diags) == 1 and "label" in diags[0].message
 
 
@@ -91,24 +107,24 @@ def test_empty_fallthrough_bodies_are_exempt():
     stmts = parse_source("switch (x) { case 1: case 2: f(); break; }")
     # derived from the case-extent rule: arm one's body is the empty list
     assert stmts[0].cases[0].body == []
-    assert check_redundant_branches(stmts) == []
+    assert check_redundant_branches(stmts, C) == []
 
 
 def test_scoped_case_labels_in_c_are_distinct():
     # A C++ header lexes as C: each label must keep its whole scoped name.
     stmts = parse_source("switch (c) { case Color::Red: f(); break; case Color::Blue: g(); break; }")
-    assert check_redundant_branches(stmts) == []
+    assert check_redundant_branches(stmts, C) == []
 
 
 def test_duplicate_case_bodies():
     stmts = parse_source("switch (x) { case 1: f(); break; case 2: f(); break; }")
-    diags = check_redundant_branches(stmts)
+    diags = check_redundant_branches(stmts, C)
     assert len(diags) == 1 and "body" in diags[0].message
 
 
 def test_duplicate_default_is_reported():
     stmts = parse_source("switch (x) { default: f(); break; default: g(); break; }")
-    diags = check_redundant_branches(stmts)
+    diags = check_redundant_branches(stmts, C)
     assert any("label" in d.message for d in diags)
 
 
@@ -131,8 +147,8 @@ def test_redundancy_checkers_key_each_arm_once(monkeypatch):
 
         monkeypatch.setattr(microgrammar, name, counted)
         monkeypatch.setattr(checkers, name, counted, raising=False)
-    conds = check_redundant_conditions(stmts)
-    branches = check_redundant_branches(stmts)
+    conds = check_redundant_conditions(stmts, C)
+    branches = check_redundant_branches(stmts, C)
 
     # each arm's condition, label and body is keyed a bounded number of times
     assert sum(calls.values()) <= 20 * (arms + 1)
@@ -144,12 +160,12 @@ def test_redundancy_checkers_key_each_arm_once(monkeypatch):
 
 
 def test_decrement_against_upper_bound_warns():
-    diags = check_loop_direction(parse_source("for (i = 10; i < n; i--) f(i);"))
+    diags = check_loop_direction(parse_source("for (i = 10; i < n; i--) f(i);"), C)
     assert len(diags) == 1 and diags[0].checker == "loop-direction"
 
 
 def test_increment_toward_upper_bound_is_clean():
-    assert check_loop_direction(parse_source("for (i = 0; i < n; i++) f(i);")) == []
+    assert check_loop_direction(parse_source("for (i = 0; i < n; i++) f(i);"), C) == []
 
 
 def test_update_variable_absent_from_condition_is_clean():
@@ -157,16 +173,16 @@ def test_update_variable_absent_from_condition_is_clean():
     stmts = parse_source("for (i = 10; j < n; i--) f(i);")
     cond_texts = {t.text for t in stmts[0].cond.tokens}
     assert "i" not in cond_texts
-    assert check_loop_direction(stmts) == []
+    assert check_loop_direction(stmts, C) == []
 
 
 def test_increment_against_lower_bound_warns():
-    diags = check_loop_direction(parse_source("for (i = n; i >= 0; i++) f(i);"))
+    diags = check_loop_direction(parse_source("for (i = n; i >= 0; i++) f(i);"), C)
     assert len(diags) == 1
 
 
 def test_unrefined_header_parts_stay_silent():
-    assert check_loop_direction(parse_source("for (i = 0; i < n; i = i + 2) f(i);")) == []
+    assert check_loop_direction(parse_source("for (i = 0; i < n; i = i + 2) f(i);"), C) == []
 
 
 def test_warning_matrix_is_exactly_the_contradiction_set():
@@ -181,9 +197,9 @@ def test_warning_matrix_is_exactly_the_contradiction_set():
         for uop in update_ops:
             update = f"i{uop}" if uop in ("++", "--") else f"i {uop} 2"
             src = f"for (i = 0; i {cop} n; {update}) f(i);"
-            if check_loop_direction(parse_source(src)):
+            if check_loop_direction(parse_source(src), C):
                 got_warn.add((cop, uop))
-            if check_loop_direction(parse_source(f"for (i = 0; n {cop} i; {update}) f(i);")):
+            if check_loop_direction(parse_source(f"for (i = 0; n {cop} i; {update}) f(i);"), C):
                 got_mirrored.add((mirror[cop], uop))
     assert got_warn == expected_warn
     assert got_mirrored == expected_warn
@@ -198,11 +214,12 @@ def test_warning_matrix_is_exactly_the_contradiction_set():
         ("for (i = n; i + 1 < n; i--)", False),  # the variable inside a side
         ("for (p->i = n; p->i > 0; p->i++)", True),
         ("for (p->i = n; p > 0; p->i++)", False),
+        ("for (i = 0; i < n; --i)", True),  # a prefix update walks the same way
     ],
-    ids=["yoda", "mirrored", "libstdcxx", "expression-side", "path", "root-of-path"],
+    ids=["yoda", "mirrored", "libstdcxx", "expression-side", "path", "root-of-path", "prefix"],
 )
 def test_loop_direction_needs_the_update_target_as_one_whole_side(header, reported):
-    assert len(check_loop_direction(parse_source(header + " f(i);"))) == reported
+    assert len(check_loop_direction(parse_source(header + " f(i);"), C)) == reported
 
 
 # -- null dereference ---------------------------------------------------------------
@@ -424,7 +441,7 @@ def test_redundancy_checkers_key_a_nest_once_per_level(level, close, check):
     # of a nest with the square of its depth.
     def cost(depth):
         stmts = parse_source("void f(void) {" + level * depth + close * depth + " }")
-        return _tree_module_calls(lambda: check(stmts))
+        return _tree_module_calls(lambda: check(stmts, C))
 
     cost30, cost60 = cost(30), cost(60)
     assert cost60 <= 2.2 * cost30, (cost30, cost60)
@@ -440,6 +457,31 @@ def test_run_checkers_requires_a_nonempty_selection():
         run_checkers([], C, enabled=())
     with pytest.raises(ValueError):
         run_checkers([], C, enabled=("no-such-checker",))
+
+
+def test_a_checker_is_one_row(monkeypatch, tmp_path):
+    import io
+
+    from xcheck import cli
+    from xcheck.diagnostics import Diagnostic
+    from xcheck.microgrammar import While, walk_statements
+
+    def check_demo(stmts, profile, path="<input>"):
+        loops = [s for s in walk_statements(stmts) if isinstance(s, While)]
+        return [Diagnostic("demo", "a while loop", path, s.span.resolve()) for s in loops]
+
+    monkeypatch.setitem(checkers.CHECKERS, "demo", check_demo)
+    source = "void f(int x) {\n  while (x) x--;\n}\n"
+    assert findings(run_checkers(parse_source(source), C, enabled=("demo",))) == [("demo", 2, None)]
+    path = tmp_path / "t.c"
+    path.write_text(source)
+    for argv in (["--checkers", "demo", str(path)], [str(path)]):  # named, and among the default
+        out, err = io.StringIO(), io.StringIO()
+        assert cli.run(cli.parse_args(argv), out=out, err=err) == 1, err.getvalue()
+        assert out.getvalue() == f"{path}:2:3: warning [demo]: a while loop\n"
+    with pytest.raises(SystemExit) as exc:
+        cli.parse_args(["--checkers", "made-up", str(path)])
+    assert exc.value.code == 2
 
 
 def test_checker_independence():
@@ -479,7 +521,6 @@ def test_checker_ids_are_stable_strings():
         "loop-direction",
         "null-deref",
     }
-    assert CheckerId.NULL_DEREF.value == "null-deref"
 
 
 # -- findings hold resolved positions -------------------------------------------
@@ -522,6 +563,6 @@ def test_findings_hold_resolved_positions_and_no_source():
             assert tuple(pos) == (line, column, pos.offset)
         assert not any(item is ALL_FOUR or item == ALL_FOUR for item in _reachable(d))
         assert ALL_FOUR not in repr(d) and "source" not in repr(d)
-    null = next(d for d in diags if d.checker == CheckerId.NULL_DEREF.value)
+    null = next(d for d in diags if d.checker == "null-deref")
     assert (tuple(null.span.start), tuple(null.span.end)) == ((3, 7, 55), (3, 16, 64))
     assert tuple(null.related[0]) == (2, 7, 42)

@@ -96,3 +96,39 @@ def test_each_corpus_row_writes_its_share_of_n_in_its_languages(tmp_path, monkey
     }
     written = {d: os.listdir(tmp_path / d) for d in os.listdir(tmp_path)}
     assert {d: (len(names), {os.path.splitext(n)[1] for n in names}) for d, names in written.items()} == expected
+
+
+def test_a_tree_is_compared_in_place_and_leaves_the_status(tmp_path):
+    tree = tmp_path / "tree"
+    (tree / "sub").mkdir(parents=True)
+    (tree / "a.c").write_text("void f(int i) { for (i = 0; i == n; i--) g(); }\n")
+    (tree / "sub" / "b.java").write_text("class B { void f(P p) { use(p.x); if (p != null) g(); char c = 'x; } }\n")
+    (tree / "notes.txt").write_text("not analyzed\n")
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    checkers = tmp_path / "src" / "xcheck" / "checkers.py"
+    source = checkers.read_text()
+    pairs = '{(c, u) for c in ("<", "<=") for u in ("--", "-=")}'
+    assert source.count(pairs) == 1
+    checkers.write_text(source.replace(pairs, pairs.replace('"<=")', '"<=", "==")')))  # i == n with i-- is a finding
+    argv = [sys.executable, TOOL, ROOT, str(tmp_path), "--programs", "0", "--seeds", "--tree", str(tree), "--tree", f"c={tree}"]
+    proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
+    # no corpus file holds such a loop, so only the trees differ, and the status is the corpus's
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    lines = proc.stdout.splitlines()
+    assert "no difference" in lines[0]
+    side = r"findings {}; lex warnings 1 \(unterminated char literal 1\); [\d.]+ s, peak [\d.]+ MB, exit 1"
+    expected = [
+        rf"differential: tree {re.escape(str(tree))}, 2 files with a profile",
+        "  old: " + side.format(r"1 \(null-deref 1\)"),
+        "  new: " + side.format(r"2 \(loop-direction 1, null-deref 1\)"),
+        rf"differential: tree {re.escape(str(tree))}: 1 of 2 files differ: a.c 1; by stream: findings 1",
+        # forced to C, the Java file's null test is no null test: null is no C literal
+        rf"differential: tree c={re.escape(str(tree))}, 2 files with a profile",
+        "  old: " + side.format(r"0 \(none\)").replace("exit 1", "exit 0"),
+        "  new: " + side.format(r"1 \(loop-direction 1\)"),
+        rf"differential: tree c={re.escape(str(tree))}: 1 of 2 files differ: a.c 1; by stream: findings 1; "
+        "1 runs differ in their exit code or in output that names no file",
+    ]
+    assert len(lines) == 1 + len(expected), proc.stdout
+    for pattern, line in zip(expected, lines[1:]):
+        assert re.fullmatch(pattern, line), (pattern, line)

@@ -49,7 +49,7 @@ FIELDS = {
     Compare: ("op", "lhs", "rhs", "tokens"),
     Logical: ("op", "lhs", "rhs", "tokens"),
     Not: ("operand", "tokens"),
-    Update: ("op", "target", "tokens", "value"),
+    Update: ("op", "target", "tokens", "value", "prefix"),
     Assign: ("lhs", "rhs", "tokens"),
     Call: ("callee", "args", "tokens"),
     AccessPath: ("root", "steps", "tokens"),
@@ -70,7 +70,7 @@ REFINED = [Compare, Logical, Not, Update, Assign, Call, AccessPath, Atom]
 
 # The trailing fields a constructor may leave out, with their defaults.
 DEFAULTS = {cls: {"incomplete": False} for cls in FIELDS if "incomplete" in FIELDS[cls]}
-DEFAULTS[Update] = {"value": None}
+DEFAULTS[Update] = {"value": None, "prefix": False}
 
 # After its fields, an expression's constructor takes the range of ``tokens``
 # the node covers, by default all of it.

@@ -6,6 +6,9 @@ each token's end is recomputed from the text alone: the line, column and
 offset of ``offset + len(text)``.  Every parsed node's span must end where
 its last token does, and the records the lexer and parser build must be
 instances of the named classes (a node's span is an ``Extent`` of offsets).
+The walk also checks that the parse conserves the token stream: the slot
+expressions' ranges are disjoint, and only the statement syntax (keywords,
+brackets, the terminator, a label's ``:``) lies outside them.
 """
 
 from __future__ import annotations
@@ -15,9 +18,9 @@ import random
 
 import pytest
 
-from support import C, CPP, JAVA, random_micro_program
+from support import C, CPP, JAVA, random_micro_program, random_token_source
 from xcheck.fixtures import fixture_path
-from xcheck.lexer import Position, Token, token_end, tokenize
+from xcheck.lexer import Position, Token, TokenKind, token_end, tokenize
 from xcheck.microgrammar import (
     BODY,
     Extent,
@@ -84,7 +87,9 @@ def _check(source: str, profile: LanguageProfile) -> int:
 
     nodes = 0
     shared = set()  # the token tuple every expression node holds: one per parse
+    slots = []  # each statement's slot expressions, as ranges of the tuple
     for stmt in walk_statements(parse_statements(tokenize(source, profile), profile)):
+        slots += [(part.lo, part.hi) for role, part in stmt.parts() if role is not BODY and part is not None]
         ends_at_last_token(stmt.span)
         spans = [arm.span for arm in stmt.cases] if isinstance(stmt, Switch) else []
         if isinstance(stmt, For):
@@ -100,6 +105,14 @@ def _check(source: str, profile: LanguageProfile) -> int:
                 ends_at_last_token(expr.span)
         nodes += 1
     assert len(shared) <= 1
+    syntax = {text for pair in profile.open_close_pairs for text in pair} | {profile.stmt_terminator, ":"}
+    end = 0
+    for lo, hi in sorted(slots):
+        assert end <= lo, ("slots overlap", tokens[lo:end])
+        outside = [t for t in tokens[end:lo] if t.kind is not TokenKind.KEYWORD and t.text not in syntax]
+        assert not outside, ("not in a slot", outside)
+        end = hi
+    assert all(t.kind is TokenKind.KEYWORD or t.text in syntax for t in tokens[end:]), tokens[end:]
     return nodes
 
 
@@ -113,6 +126,13 @@ def test_fixture_end_positions_match_the_source(filename, language):
 def test_generated_program_end_positions_match_the_source():
     rng = random.Random(8180)
     assert sum(_check(random_micro_program(rng), C) for _ in range(300)) > 0
+
+
+@pytest.mark.parametrize("language", PROFILES)
+def test_token_soup_end_positions_match_the_source(language):
+    rng = random.Random(8181)
+    for _ in range(100):
+        _check(random_token_source(rng, PROFILES[language], 256), PROFILES[language])
 
 
 @pytest.mark.parametrize("source", ESCAPED_NEWLINES)

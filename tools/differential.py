@@ -2,7 +2,7 @@
 
 Run from anywhere::
 
-    python3 tools/differential.py OLD_ROOT NEW_ROOT [--programs N] [--seeds S ...]
+    python3 tools/differential.py OLD_ROOT NEW_ROOT [--programs N] [--seeds S ...] [--tree [LANG=]DIR ...]
 
 Each ROOT is a checkout (the directory holding ``src/``).  One corpus is
 written to a temporary directory: the bundled regression fixtures, the
@@ -39,6 +39,17 @@ The exit codes, stdout and stderr of each run are compared.  When they
 differ, the first difference is printed, then how many corpus files differ
 in any run, by corpus directory and by stream (dump, findings, stderr, log),
 and the exit status is 1; when the two sides agree the status is 0.
+
+Each ``--tree DIR`` (repeatable; ``LANG=DIR`` forces a profile as ``--lang``
+does) adds a local source tree, read in place: each side runs ``xcheck
+--format json`` over it once, and prints its findings per checker, its lex
+warnings by kind, its wall time and the CLI's own peak resident memory
+(``VmHWM``, which the child reads from ``/proc/self/status`` as it exits and
+writes outside the compared streams; a new program image starts its own),
+then how many of the tree's files differ in their findings or stderr (of the
+files with a profile for their extension: a walk reads no other, ``LANG=``
+or not).  Trees differ from machine to machine, so a difference there is
+printed but leaves the exit status as the corpus set it.
 """
 
 from __future__ import annotations
@@ -52,6 +63,7 @@ import shutil
 import subprocess
 import sys
 import tempfile
+import time
 from collections import Counter, defaultdict
 from itertools import zip_longest
 
@@ -82,6 +94,20 @@ for root, dirs, names in os.walk(sys.argv[1]):
             print((type(event).__name__, *((x.lo, x.hi) if isinstance(x, Extent) else x for x in event)))
         classes = {}
         print("classes", *(classes.setdefault(stmt_key(s), len(classes)) for s in walk_statements(stmts)))
+"""
+# The CLI, run over a tree, writing its peak resident memory in kB to the file
+# named by its first argument once it exits.
+TREE_CODE = """
+import atexit, sys
+peak_to = sys.argv.pop(1)
+
+def write_peak():
+    with open("/proc/self/status") as status, open(peak_to, "w") as out:
+        out.write(next(line.split()[1] for line in status if line.startswith("VmHWM:")))
+
+atexit.register(write_peak)
+from xcheck.cli import main
+main()
 """
 FIXTURES = ("object.c", "InstCombineAddSub.cpp", "CipherCore.java")
 GOLDEN = os.path.join(ROOT, "tests", "golden")
@@ -363,12 +389,61 @@ def where(run: list[str], corpus: str) -> str:
     return f" with {named}," if len(run) > 1 else ""
 
 
+def counted(counts: Counter) -> str:
+    """``total (key n, ...)``, keys in sorted order."""
+    return f"{sum(counts.values())} ({', '.join(f'{k} {n}' for k, n in sorted(counts.items())) or 'none'})"
+
+
+def tree_side(root: str, tree: str, lang: str | None) -> tuple[subprocess.CompletedProcess, str]:
+    """One side's run over a tree, and the line that reports it."""
+    with tempfile.TemporaryDirectory(prefix="xcheck-peak-") as scratch:
+        peak = os.path.join(scratch, "peak")
+        start = time.perf_counter()
+        proc = run_side(root, [TREE_CODE, peak, "--format", "json", *(["--lang", lang] if lang else []), tree])
+        wall = time.perf_counter() - start
+        with open(peak) as fh:
+            peak_mb = int(fh.read()) / 1024
+    try:
+        findings = "findings " + counted(Counter(record["checker"] for record in json.loads(proc.stdout)))
+    except ValueError:
+        findings = "no findings array on stdout"
+    warnings = (line.partition(": lex-warning: ")[2] for line in proc.stderr.splitlines())
+    kinds = Counter(re.match(r"[^'\"]*", w)[0].strip() for w in warnings if w)  # the message, less its quoted text
+    return proc, f"{findings}; lex warnings {counted(kinds)}; {wall:.1f} s, peak {peak_mb:.1f} MB, exit {proc.returncode}"
+
+
+def compare_tree(old_root: str, new_root: str, spec: str) -> str:
+    """The report of both sides' runs over the tree ``[LANG=]DIR``."""
+    forced = re.fullmatch(r"(\w+)=(.+)", spec)
+    lang, tree = forced.groups() if forced else (None, spec)
+    from xcheck.profiles import DEFAULT_REGISTRY, UnknownLanguage  # write_corpus put this checkout's src first
+
+    files = 0  # those a walk analyzes: the ones with a profile for their extension
+    for parent, _, names in os.walk(tree):
+        for name in names:
+            try:
+                DEFAULT_REGISTRY.resolve(os.path.join(parent, name))
+                files += 1
+            except UnknownLanguage:
+                pass
+    old, old_line = tree_side(old_root, tree, lang)
+    new, new_line = tree_side(new_root, tree, lang)
+    return (
+        f"differential: tree {spec}, {files} files with a profile\n  old: {old_line}\n  new: {new_line}\n"
+        f"differential: tree {spec}: {differing_files([(old, new)], tree, files)}"
+    )
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_root")
     parser.add_argument("new_root")
     parser.add_argument("--programs", type=int, default=500, help="generated programs (default 500)")
     parser.add_argument("--seeds", type=int, nargs="*", default=[1, 2], help="bench corpus seeds (default 1 2)")
+    parser.add_argument(
+        "--tree", action="append", default=[], metavar="[LANG=]DIR",
+        help="also compare a local tree, read in place; LANG= forces a profile (repeatable)",
+    )
     args = parser.parse_args(argv)
     with tempfile.TemporaryDirectory(prefix="xcheck-diff-") as corpus:
         write_corpus(corpus, args.programs, args.seeds)
@@ -383,15 +458,20 @@ def main(argv: list[str] | None = None) -> int:
         if diff is not None:
             print(f"differential: over {files} corpus files, the runs differ{label} at {diff}")
             print(f"differential: {differing_files(results, corpus, files)}")
-            return 1
-    whole = results[0][0]
-    print(
-        f"differential: {files} files, one multi-input run, {len(runs) - 2} "
-        f"line-range windows and the null-event logs, no difference "
-        f"(exit {whole.returncode}, {len(whole.stdout.splitlines())} stdout lines, "
-        f"{len(whole.stderr.splitlines())} stderr lines)"
-    )
-    return 0
+            status = 1
+            break
+    else:
+        whole = results[0][0]
+        print(
+            f"differential: {files} files, one multi-input run, {len(runs) - 2} "
+            f"line-range windows and the null-event logs, no difference "
+            f"(exit {whole.returncode}, {len(whole.stdout.splitlines())} stdout lines, "
+            f"{len(whole.stderr.splitlines())} stderr lines)"
+        )
+        status = 0
+    for spec in args.tree:  # a tree's difference is printed, and leaves the status
+        print(compare_tree(args.old_root, args.new_root, spec))
+    return status
 
 
 if __name__ == "__main__":
