@@ -5,7 +5,7 @@ The pipeline is ``tokenize`` (profile-driven lexer) → ``parse_statements``
 (four independent passes) → diagnostics rendering.
 """
 
-from .checkers import ALL_CHECKER_IDS, CHECKERS, run_checkers
+from .checkers import CHECKERS, run_checkers
 from .diagnostics import Diagnostic, dedupe_and_sort, render_json, render_text
 from .lexer import Position, Token, TokenKind, TokenStream, tokenize
 from .microgrammar import parse_expression, parse_statements
@@ -14,7 +14,6 @@ from .profiles import LanguageProfile, profile_for
 __version__ = "0.1.0"
 
 __all__ = [
-    "ALL_CHECKER_IDS",
     "CHECKERS",
     "Diagnostic",
     "LanguageProfile",

@@ -58,10 +58,6 @@ _IDENT = TokenKind.IDENTIFIER
 Path = tuple[str, ...]
 
 
-def render_path(path: Path) -> str:
-    return "".join(path)
-
-
 class DerefEvent(NamedTuple):
     """The path numbered ``number`` under ``root`` dereferenced at source ``offset`` (immutable named tuple)."""
 
@@ -234,7 +230,7 @@ def check_null_deref(stmts: Sequence[Stmt], profile: LanguageProfile, path: str 
         elif isinstance(ev, NullTestEvent):
             deref_at = nonnull.get(ev.path[0], {}).pop(ev.number, None)  # one report per chain
             if deref_at is not None:
-                name = render_path(ev.path)
+                name = "".join(ev.path)
                 diags.append(
                     Diagnostic(
                         checker="null-deref",
@@ -379,7 +375,6 @@ CHECKERS: dict[str, Callable[[Sequence[Stmt], LanguageProfile, str], list[Diagno
     "loop-direction": check_loop_direction,
     "null-deref": check_null_deref,
 }
-ALL_CHECKER_IDS: tuple[str, ...] = tuple(CHECKERS)
 
 
 def run_checkers(

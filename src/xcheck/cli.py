@@ -1,12 +1,13 @@
 """Command-line entry point.
 
 Setup checks all the command line names (the ``--line-range`` shape,
-``--profile``, ``--lang``, each path as (file, profile) pairs); a problem
-there prints just ``xcheck: error: ...`` to stderr and exits 2, nothing analyzed.
-Then each file runs through the pipeline and findings go to stdout.  What a
-walk skips and what cannot be read are reported on stderr; the rest still run:
-exit 2 if something could not be read, else 1 (findings) or 0 (clean).
-``--lang`` forces the profile but does not widen a directory walk.
+``--profile``, ``--lang`` as a language name, each path as (file, profile)
+pairs by extension); a problem there prints just ``xcheck: error: ...`` to
+stderr and exits 2, nothing analyzed.  Then each file runs through the
+pipeline and findings go to stdout.  What a walk skips and what cannot be read
+are reported on stderr; the rest still run: exit 2 if something could not be
+read, else 1 (findings) or 0 (clean).  ``--lang`` forces the profile but does
+not widen a directory walk.
 """
 
 from __future__ import annotations
@@ -81,8 +82,9 @@ def _collect_files(
 ) -> tuple[list[tuple[str, LanguageProfile]], bool]:
     """Expand paths to (file, profile) pairs in deterministic order, and whether
     some directory could not be read.  A walked file needs a profile for its
-    extension, ``forced`` or not; what is skipped or unreadable is noted in
-    ``notes``, for the caller to print once every path has been expanded."""
+    extension, ``forced`` or not, and must be a regular file; what is skipped or
+    unreadable is noted in ``notes``, for the caller to print once every path
+    has been expanded."""
     out: list[tuple[str, LanguageProfile]] = []
     failed: list[OSError] = []
     for raw in paths:
@@ -94,13 +96,19 @@ def _collect_files(
                 for name in sorted(names):
                     full = os.path.join(root, name)
                     try:
-                        profile = registry.resolve(full)
+                        profile = registry.resolve_path(full)
                     except UnknownLanguage:
                         notes.append(f"xcheck: skipping {full} (no profile for extension)")
                         continue
+                    # a FIFO would block the read; a dangling link is read, to report it
+                    if not os.path.isfile(full) and os.path.exists(full):
+                        notes.append(f"xcheck: skipping {full} (not a regular file)")
+                        continue
                     out.append((full, forced or profile))
         elif os.path.isfile(raw):
-            out.append((raw, forced or registry.resolve(raw)))
+            out.append((raw, forced or registry.resolve_path(raw)))
+        elif os.path.exists(raw):
+            raise ValueError(f"not a regular file or directory: {raw}")
         else:
             raise FileNotFoundError(f"no such file or directory: {raw}")
     for exc in failed:

@@ -16,7 +16,6 @@ class Diagnostic(NamedTuple):
     file: str
     span: Span
     related: tuple[Position, str] | None = None  # e.g. the justifying dereference
-    severity: str = "warning"
 
 
 def sort_key(d: Diagnostic) -> tuple[str, int, str]:
@@ -29,12 +28,12 @@ def dedupe_and_sort(diags: Iterable[Diagnostic]) -> list[Diagnostic]:
 
 
 def render_text(diags: Sequence[Diagnostic]) -> str:
-    """One finding per line; related positions on an indented note line."""
+    """One warning per finding; related positions on an indented note line."""
     lines: list[str] = []
     for d in diags:
         start = d.span.start
         lines.append(
-            f"{d.file}:{start.line}:{start.column}: {d.severity} [{d.checker}]: {d.message}"
+            f"{d.file}:{start.line}:{start.column}: warning [{d.checker}]: {d.message}"
         )
         if d.related is not None:
             pos, note = d.related

@@ -13,7 +13,7 @@ import json
 from dataclasses import dataclass
 from importlib import resources
 
-from ..checkers import ALL_CHECKER_IDS
+from ..checkers import CHECKERS
 from ..cli import analyze_source
 from ..diagnostics import dedupe_and_sort, to_record
 from ..profiles import profile_for
@@ -138,7 +138,7 @@ def verify_line_anchors(case: FixtureCase) -> None:
 def run_pipeline(case: FixtureCase) -> list[dict]:
     profile = profile_for(case.language)
     _, _, diags = analyze_source(
-        load_source(case), profile, case.filename, case.line_range, ALL_CHECKER_IDS
+        load_source(case), profile, case.filename, case.line_range, tuple(CHECKERS)
     )
     return [to_record(d) for d in dedupe_and_sort(diags)]
 

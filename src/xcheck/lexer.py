@@ -98,11 +98,6 @@ class Token(NamedTuple):
         return f"Token({self.kind.name}, {self.text!r}, {self.pos.line}:{self.pos.column})"
 
 
-def token_end(tok: Token) -> Position:
-    """Position one past the last character of ``tok``."""
-    return position(tok.source, tok.offset + len(tok.text))
-
-
 class LexError(NamedTuple):
     """Recoverable lexing problem (never aborts the file); immutable named tuple."""
 

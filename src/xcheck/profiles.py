@@ -109,15 +109,19 @@ class Registry:
         for ext in profile.file_extensions:
             self._by_ext[ext.lower()] = profile
 
-    def resolve(self, name_or_path: str) -> LanguageProfile:
-        """Explicit language name first, then registered file extension."""
-        if name_or_path in self._by_name:
-            return self._by_name[name_or_path]
-        ext = os.path.splitext(name_or_path)[1].lower()
-        if ext in self._by_ext:
-            return self._by_ext[ext]
+    def resolve(self, name: str) -> LanguageProfile:
+        """The profile registered under the language ``name``."""
+        return self._lookup(self._by_name, name, name)
+
+    def resolve_path(self, path: str) -> LanguageProfile:
+        """The profile registered for ``path``'s file extension (case-insensitive)."""
+        return self._lookup(self._by_ext, os.path.splitext(path)[1].lower(), path)
+
+    def _lookup(self, table: dict[str, LanguageProfile], key: str, asked: str) -> LanguageProfile:
+        if key in table:
+            return table[key]
         known = ", ".join(sorted(self._by_name))
-        raise UnknownLanguage(f"no profile for {name_or_path!r} (registered: {known})")
+        raise UnknownLanguage(f"no profile for {asked!r} (registered: {known})")
 
     def names(self) -> list[str]:
         return sorted(self._by_name)
@@ -280,13 +284,17 @@ def builtin_registry() -> Registry:
 DEFAULT_REGISTRY = builtin_registry()
 
 
-def profile_for(name_or_path: str, registry: Registry | None = None) -> LanguageProfile:
-    return (registry or DEFAULT_REGISTRY).resolve(name_or_path)
+def profile_for(name_or_path: str) -> LanguageProfile:
+    """A built-in profile by language name, else by the path's file extension."""
+    try:
+        return DEFAULT_REGISTRY.resolve(name_or_path)
+    except UnknownLanguage:
+        return DEFAULT_REGISTRY.resolve_path(name_or_path)
 
 
-def load_profile_file(path: str, registry: Registry | None = None) -> LanguageProfile:
-    """Parse a profile definition file and register it."""
+def load_profile_file(path: str, registry: Registry) -> LanguageProfile:
+    """Parse a profile definition file and register it in ``registry``."""
     with open(path, encoding="utf-8") as fh:
         profile = _read_profile_text(fh.read())
-    (registry or DEFAULT_REGISTRY).register(profile)
+    registry.register(profile)
     return profile

@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from xcheck.lexer import Position, Token, TokenKind, TokenStream, token_end
+from xcheck.lexer import Position, Token, TokenKind, TokenStream, position
 from xcheck.microgrammar import (
     MAX_EXPR_DEPTH,
     MAX_NESTING,
@@ -56,6 +56,11 @@ _STARTERS = frozenset({"if", "while", "do", "for", "switch"})
 
 # The source of the token list being parsed, set on entry.
 _source = ""
+
+
+def token_end(tok: Token) -> Position:
+    """Position one past the last character of ``tok``."""
+    return position(tok.source, tok.offset + len(tok.text))
 
 
 def Span(start: Position, end: Position) -> Extent:

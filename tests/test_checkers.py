@@ -15,7 +15,7 @@ from support import (
     random_micro_program,
 )
 from xcheck.checkers import (
-    ALL_CHECKER_IDS,
+    CHECKERS,
     DerefEvent,
     NullTestEvent,
     check_loop_direction,
@@ -493,10 +493,10 @@ def test_checker_independence():
     )
     stmts = parse_source(src)
     together = run_checkers(stmts, C)
-    for checker in ALL_CHECKER_IDS:
+    for checker in CHECKERS:
         alone = run_checkers(stmts, C, enabled=(checker,))
         assert alone == [d for d in together if d.checker == checker]
-    assert {d.checker for d in together} == set(ALL_CHECKER_IDS)
+    assert {d.checker for d in together} == set(CHECKERS)
 
 
 def test_positions_are_reporting_only():
@@ -515,7 +515,7 @@ def test_results_are_sorted_by_position_then_checker():
 
 
 def test_checker_ids_are_stable_strings():
-    assert set(ALL_CHECKER_IDS) == {
+    assert set(CHECKERS) == {
         "redundant-condition",
         "redundant-branch",
         "loop-direction",
@@ -552,7 +552,7 @@ def test_findings_hold_resolved_positions_and_no_source():
     from xcheck.microgrammar import Span
 
     diags = run_checkers(parse_source(ALL_FOUR), C, path="t.c")
-    assert sorted({d.checker for d in diags}) == sorted(ALL_CHECKER_IDS)
+    assert sorted({d.checker for d in diags}) == sorted(CHECKERS)
     for d in diags:
         assert type(d.span) is Span
         positions = [d.span.start, d.span.end] + ([d.related[0]] if d.related else [])

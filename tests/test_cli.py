@@ -229,12 +229,62 @@ def test_each_file_profile_is_looked_up_once(tmp_path, monkeypatch, lang, lookup
         (tmp_path / name).write_text(GOOD_C)
     (tmp_path / "notes.xyz").write_text("p->f(x);\nif (p) q();\n")
     calls = []
-    resolve = Registry.resolve
-    monkeypatch.setattr(Registry, "resolve", lambda self, name: calls.append(name) or resolve(self, name))
+    for lookup in ("resolve", "resolve_path"):
+        real = getattr(Registry, lookup)
+        monkeypatch.setattr(Registry, lookup, lambda self, key, real=real: calls.append(key) or real(self, key))
     code, out, err = invoke([*lang, str(tmp_path)])
     assert len(calls) == lookups
     assert code == 1 and out.count("null-deref") == 3 and "notes.xyz" not in out
     assert err.splitlines() == [f"xcheck: skipping {tmp_path / 'notes.xyz'} (no profile for extension)"]
+
+
+def _invoke_process(argv, cwd):
+    """The CLI in a process of its own, so that an input it blocks on fails the test by timeout."""
+    src_dir = os.path.dirname(os.path.dirname(xcheck.__file__))
+    pythonpath = os.pathsep.join(filter(None, [src_dir, os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "xcheck", *argv],
+        capture_output=True,
+        text=True,
+        cwd=cwd,
+        env={**os.environ, "PYTHONPATH": pythonpath},
+        timeout=30,
+    )
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+def test_a_fifo_met_in_a_walk_is_skipped_and_the_rest_analyzed(tmp_path):
+    (tmp_path / "a.c").write_text(GOOD_C)
+    os.mkfifo(tmp_path / "b.c")
+    (tmp_path / "c.c").write_text(GOOD_C)
+    code, out, err = _invoke_process(["."], tmp_path)
+    assert code == 1
+    assert [line.split(":")[0] for line in out.splitlines() if "warning" in line] == ["./a.c", "./c.c"]
+    assert err.splitlines() == ["xcheck: skipping ./b.c (not a regular file)"]
+
+
+def test_a_named_fifo_is_a_setup_error(tmp_path):
+    (tmp_path / "a.c").write_text(GOOD_C)
+    os.mkfifo(tmp_path / "b.c")
+    code, out, err = _invoke_process(["a.c", "b.c"], tmp_path)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["xcheck: error: not a regular file or directory: b.c"]
+
+
+def test_lang_is_looked_up_by_language_name_only(tmp_path):
+    (tmp_path / "x.txt").write_text("p.f(x);\nif (p == null) q();\n")
+    code, out, err = _invoke_process(["--lang", "foo.java", "x.txt"], tmp_path)
+    assert (code, out) == (2, "") and err.startswith("xcheck: error: no profile for 'foo.java'")
+    code, out, _ = _invoke_process(["--lang", "java", "x.txt"], tmp_path)
+    assert code == 1 and "null-deref" in out
+
+
+def test_an_input_profile_is_looked_up_by_extension_only(tmp_path):
+    (tmp_path / "c").write_text(GOOD_C)
+    code, out, err = _invoke_process(["c"], tmp_path)
+    assert (code, out) == (2, "") and err.startswith("xcheck: error: no profile for 'c'")
+    code, out, _ = _invoke_process(["--lang", "c", "c"], tmp_path)
+    assert code == 1 and "null-deref" in out
 
 
 def test_line_range_requires_single_file(tmp_path):
@@ -279,7 +329,7 @@ LINE_RANGE_SOURCE = (
 
 def test_line_range_keeps_the_tokens_that_start_inside_the_window(monkeypatch):
     from xcheck import cli
-    from xcheck.checkers import ALL_CHECKER_IDS
+    from xcheck.checkers import CHECKERS
     from xcheck.lexer import tokenize
     from xcheck.profiles import profile_for
 
@@ -290,7 +340,7 @@ def test_line_range_keeps_the_tokens_that_start_inside_the_window(monkeypatch):
     monkeypatch.setattr(cli, "parse_statements", lambda tokens, profile: kept.append(tokens) or [])
     for first in range(1, 12):
         for last in range(first, 12):
-            cli.analyze_source(LINE_RANGE_SOURCE, c, "t.c", (first, last), ALL_CHECKER_IDS)
+            cli.analyze_source(LINE_RANGE_SOURCE, c, "t.c", (first, last), tuple(CHECKERS))
             assert kept.pop() == [t for t in all_tokens if first <= t.pos.line <= last], (first, last)
 
 

@@ -81,7 +81,7 @@ def test_register_and_resolve_round_trip():
     mini = parse_profile_text(MINI_PROFILE_TEXT)
     registry.register(mini)
     assert registry.resolve("mini") is mini
-    assert registry.resolve("game.mn") is mini
+    assert registry.resolve_path("game.mn") is mini
 
 
 def test_register_duplicate_name_rejected():
@@ -95,7 +95,7 @@ def test_register_extension_differing_only_in_case_rejected():
     upper_c = C._replace(name="upper-c", file_extensions=frozenset({".C"}))
     with pytest.raises(DuplicateName):
         registry.register(upper_c)
-    assert registry.resolve("x.c") is registry.resolve("c")
+    assert registry.resolve_path("x.c") is registry.resolve("c")
 
 
 def test_register_empty_operator_set_rejected():

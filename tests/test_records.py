@@ -62,7 +62,7 @@ def test_equal_records_hash_equal_and_deduplicate(name):
 
 def test_diagnostic_defaults():
     d = Diagnostic("loop-direction", "m", "a.c", _span())
-    assert d.related is None and d.severity == "warning"
+    assert d.related is None
 
 
 def test_token_repr_is_compact():

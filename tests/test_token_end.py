@@ -1,7 +1,8 @@
 """End positions, checked against the source text.
 
-``tests/reference_parser.py`` builds its spans with the shipped
-``token_end``, so the parser oracle cannot see a wrong end position.  Here
+``tests/reference_parser.py`` builds its spans with its ``token_end``, through
+the shipped ``lexer.position``, so the parser oracle cannot see a wrong end
+position.  Here
 each token's end is recomputed from the text alone: the line, column and
 offset of ``offset + len(text)``.  Every parsed node's span must end where
 its last token does, and the records the lexer and parser build must be
@@ -18,9 +19,10 @@ import random
 
 import pytest
 
+from reference_parser import token_end
 from support import C, CPP, JAVA, random_micro_program, random_token_source
 from xcheck.fixtures import fixture_path
-from xcheck.lexer import Position, Token, TokenKind, token_end, tokenize
+from xcheck.lexer import Position, Token, TokenKind, tokenize
 from xcheck.microgrammar import (
     BODY,
     Extent,

@@ -78,13 +78,13 @@ import os, sys
 from xcheck.checkers import iter_null_events
 from xcheck.lexer import tokenize
 from xcheck.microgrammar import Extent, parse_statements, stmt_key, walk_statements
-from xcheck.profiles import DEFAULT_REGISTRY, UnknownLanguage
+from xcheck.profiles import UnknownLanguage, profile_for
 for root, dirs, names in os.walk(sys.argv[1]):
     dirs.sort()
     for name in sorted(names):
         path = os.path.join(root, name)
         try:
-            profile = DEFAULT_REGISTRY.resolve(path)
+            profile = profile_for(path)
         except UnknownLanguage:
             continue
         with open(path, encoding="utf-8", errors="replace") as fh:
@@ -422,7 +422,7 @@ def compare_tree(old_root: str, new_root: str, spec: str) -> str:
     for parent, _, names in os.walk(tree):
         for name in names:
             try:
-                DEFAULT_REGISTRY.resolve(os.path.join(parent, name))
+                DEFAULT_REGISTRY.resolve_path(os.path.join(parent, name))
                 files += 1
             except UnknownLanguage:
                 pass
