@@ -13,6 +13,7 @@ not widen a directory walk.
 from __future__ import annotations
 
 import argparse
+import gc
 import os
 import sys
 
@@ -184,4 +185,11 @@ def run(args: argparse.Namespace, registry: Registry = DEFAULT_REGISTRY, out=Non
 
 
 def main(argv: list[str] | None = None) -> int:
+    """The process entry: parse ``argv`` (default ``sys.argv[1:]``), run, exit."""
+    # Reference counting frees every token, node, event and finding the
+    # pipeline builds (tests/test_gc.py holds it to no cycles), so the cyclic
+    # collector's scans buy this short-lived process nothing; argparse and the
+    # json encoder leave a few cycles once per run.  The process ends here, so
+    # nothing is restored; run() and the library leave the collector alone.
+    gc.disable()
     sys.exit(run(parse_args(sys.argv[1:] if argv is None else argv)))

@@ -156,6 +156,25 @@ def test_redundancy_checkers_key_each_arm_once(monkeypatch):
     assert findings(branches) == [("redundant-branch", 2 * arms + 3, arms + 10)] * 2
 
 
+def test_an_if_with_one_arm_is_not_keyed(monkeypatch):
+    one_arm = parse_source("\n".join(f"if (x == {i}) {{ if (p) f{i}(); }}" for i in range(150)))
+    pair = parse_source("if (x == 0) f();\nelse f();")
+
+    calls: Counter[str] = Counter()
+    for name in ("expr_key", "stmt_key"):
+        def counted(node, real=getattr(microgrammar, name), name=name):
+            calls[name] += 1
+            return real(node)
+
+        monkeypatch.setattr(microgrammar, name, counted)
+        monkeypatch.setattr(checkers, name, counted, raising=False)
+    assert check_redundant_conditions(one_arm, C) == []
+    assert calls == Counter()  # 300 ifs, none with an else
+    # an if/else pair is still compared
+    assert findings(check_redundant_conditions(pair, C)) == [("redundant-condition", 2, 1)]
+    assert calls["stmt_key"] > 0
+
+
 # -- loop direction ---------------------------------------------------------------
 
 
