@@ -281,7 +281,7 @@ def check_redundant_conditions(stmts: Sequence[Stmt], profile: LanguageProfile, 
     diags: list[Diagnostic] = []
     checker = "redundant-condition"
     for node in walk_statements(stmts):
-        if not isinstance(node, If) or not node.elifs and node.else_body is None:
+        if not isinstance(node, If) or (not node.elifs and node.else_body is None):
             continue  # one arm repeats nothing
         parts = node.parts()
         conds: list[Expr] = [part for role, part in parts if role is TEST]

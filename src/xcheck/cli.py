@@ -187,9 +187,10 @@ def run(args: argparse.Namespace, registry: Registry = DEFAULT_REGISTRY, out=Non
 def main(argv: list[str] | None = None) -> int:
     """The process entry: parse ``argv`` (default ``sys.argv[1:]``), run, exit."""
     # Reference counting frees every token, node, event and finding the
-    # pipeline builds (tests/test_gc.py holds it to no cycles), so the cyclic
-    # collector's scans buy this short-lived process nothing; argparse and the
-    # json encoder leave a few cycles once per run.  The process ends here, so
-    # nothing is restored; run() and the library leave the collector alone.
+    # pipeline builds, so the cyclic collector's scans buy this short-lived
+    # process nothing (tests/test_gc.py's test_the_pipeline_makes_no_reference_cycles
+    # keeps that true); argparse and the json encoder leave a few cycles, once
+    # per run.  The process ends here, so nothing is restored; run() and the
+    # library leave the collector alone.
     gc.disable()
     sys.exit(run(parse_args(sys.argv[1:] if argv is None else argv)))
