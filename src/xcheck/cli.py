@@ -159,7 +159,7 @@ def run(args: argparse.Namespace, registry: Registry = DEFAULT_REGISTRY, out=Non
     for path, profile in files:
         try:
             with open(path, encoding="utf-8", errors="replace") as fh:
-                source = fh.read()
+                source = fh.read().removeprefix("\ufeff")  # a leading U+FEFF is a byte-order mark, not source
         except OSError as exc:
             print(f"xcheck: error: {path}: {exc.strerror or exc}", file=err)
             unreadable = True

@@ -29,11 +29,13 @@ Every expression node records the tokens it covers as a range ``[lo, hi)``
 of the file's token tuple, which the whole tree shares: refinement never
 copies a slice, so a node's size does not depend on what it covers.  A
 refined node is never empty and reads its source span off its range's first
-and last token; a wildcard may be empty, so it stores its span, which for an
-empty slot sits at the slot's anchor.  Statement nodes store spans that also
-cover their keywords and brackets.  Spans are offsets, resolved only when
-read (:class:`Extent`).  Structural equality and ordering deliberately
-ignore positions.
+and last token; a wildcard may be empty, so it stores its span.  One helper,
+:meth:`_Parser._span`, builds every statement (keywords and brackets
+included), arm, ``for`` header and wildcard extent from token indices.  A slot
+is cut empty only after its opener or label keyword and sits at that token; an
+empty statement run sits at its terminator, and an empty part inside a slot
+(either side of ``if (==)``) at the slot's start.  Spans are offsets, resolved
+only when read (:class:`Extent`).  Structural equality and ordering ignore positions.
 
 Each class declares its fields once, in ``__slots__`` (an expression class
 in ``_fields``, as its ``tokens`` is stored as the range), from which it gets
@@ -147,8 +149,7 @@ class Expr(_Slotted):
 
 
 class Wildcard(Expr):
-    """An uninterpreted, ordered run of tokens; it may be empty, so its span
-    is stored (an empty slot's sits at the slot's anchor)."""
+    """An uninterpreted, ordered run of tokens; it may be empty, so its span is stored."""
 
     __slots__ = ("span",)
     _fields = ("tokens", "span")
@@ -403,37 +404,36 @@ class _Parser:
     def _peek(self) -> Token | None:
         return self.toks[self.i] if self.i < self.hi else None
 
-    def _take(self) -> Token:
-        tok = self.toks[self.i]
+    def _take(self) -> int:
+        """Step over the token at the cursor and return its index."""
         self.i += 1
-        return tok
+        return self.i - 1
 
-    def _since(self, start: int, k: int = 0) -> Extent:
-        """From offset ``start`` to the end of token ``k - 1``, by default the last one taken."""
-        last = self.toks[(k or self.i) - 1]
-        return _new(Extent, (start, last.offset + len(last.text), self.source))
-
-    def _span(self, lo: int, hi: int, fallback: int) -> Extent:
-        return self._since(self.toks[lo].offset, hi) if hi > lo else _new(Extent, (fallback, fallback, self.source))
+    def _span(self, lo: int, hi: int, fallback: int = 0) -> Extent:
+        """The extent of tokens ``[lo, hi)``; an empty range sits at offset ``fallback``."""
+        if hi > lo:
+            last = self.toks[hi - 1]
+            return _new(Extent, (self.toks[lo].offset, last.offset + len(last.text), self.source))
+        return _new(Extent, (fallback, fallback, self.source))
 
     def _is_kw(self, tok: Token | None, text: str) -> bool:
         return tok is not None and tok.kind is _KW and tok.text == text
 
-    def _balanced(self, open_text: str) -> tuple[int, int, bool, Token]:
+    def _balanced(self, open_text: str) -> tuple[int, int, bool]:
         """Consume a ``(...)`` or ``{...}`` group at the cursor.
 
-        Returns the interior range, whether the group closed before the
-        end of the current range, and the opening token.
+        Returns the interior range ``[lo, hi)`` and whether the group closed
+        before the end of the current range; the opener is ``toks[lo - 1]``.
         """
-        open_tok = self._peek()
-        if open_tok is None or open_tok.text != open_text:
+        tok = self._peek()
+        if tok is None or tok.text != open_text:
             raise _StructuralMismatch(f"expected {open_text!r}")
         lo, close = self.i + 1, self.same[self.i]
         if close < self.hi:
             self.i = close + 1
-            return lo, close, True, open_tok
+            return lo, close, True
         self.i = self.hi
-        return lo, self.hi, False, open_tok
+        return lo, self.hi, False
 
     def _find(self, lo: int, hi: int, texts: Sequence[str]) -> int:
         """The first index of ``[lo, hi)`` at bracket depth zero whose text
@@ -486,33 +486,30 @@ class _Parser:
         self.i = stop = self._find(lo, self.hi, (term, "{"))
         if stop < self.hi and self.toks[stop].text == term:
             self._take()
-        anchor = self.toks[lo].offset  # an empty run stops at its terminator ("{" starts a block)
-        return WildcardStmt(self._slot(lo, stop, anchor), self._since(anchor), stop == self.hi)
+        expr = self._refine(lo, stop, 0, self.toks[lo].offset)  # an empty run sits at its terminator
+        return WildcardStmt(expr, self._span(lo, self.i), stop == self.hi)
 
-    def _slot(self, lo: int, hi: int, fallback: int) -> Expr:
+    def _slot(self, lo: int, hi: int) -> Expr:
         """Refine the expression slot ``toks[lo:hi]`` as soon as it is cut.
 
-        ``fallback`` anchors an empty slot's span.
+        A slot is cut empty only just after its opener or label keyword,
+        ``toks[lo - 1]``, and its span then sits there.
         """
-        anchor = self.toks[lo].offset if hi > lo else fallback
-        return self._refine(lo, hi, 0, anchor)
+        return self._refine(lo, hi, 0, self.toks[lo if hi > lo else lo - 1].offset)
 
     def _cond(self) -> tuple[Expr, bool]:
-        lo, hi, ok, open_tok = self._balanced("(")
-        return self._slot(lo, hi, open_tok.offset), ok
+        lo, hi, ok = self._balanced("(")
+        return self._slot(lo, hi), ok
 
     def _subparse(self, lo: int, hi: int, depth: int) -> list[Stmt]:
         if depth >= MAX_NESTING:
-            if hi == lo:
-                return []
-            pos = self.toks[lo].offset
-            return [WildcardStmt(self._slot(lo, hi, pos), self._span(lo, hi, pos))]
+            return [WildcardStmt(self._slot(lo, hi), self._span(lo, hi))] if hi > lo else []
         return self.parse(lo, hi, depth)
 
     def _block(self, depth: int) -> Block:
-        lo, hi, ok, open_tok = self._balanced("{")
+        lo, hi, ok = self._balanced("{")
         body = self._subparse(lo, hi, depth + 1)
-        return Block(body, self._since(open_tok.offset), incomplete=not ok)
+        return Block(body, self._span(lo - 1, self.i), incomplete=not ok)
 
     def _body(self, depth: int) -> tuple[list[Stmt], bool]:
         """Either a braced statement list or exactly one statement."""
@@ -520,12 +517,12 @@ class _Parser:
         if tok is None:
             return [], True
         if tok.text == "{":
-            lo, hi, ok, _ = self._balanced("{")
+            lo, hi, ok = self._balanced("{")
             return self._subparse(lo, hi, depth + 1), not ok
         return [self._statement(depth + 1)], False
 
     def _if(self, depth: int) -> If:
-        if_tok = self._take()
+        start = self._take()
         cond, ok = self._cond()
         then_body, inc = self._body(depth)
         incomplete = not ok or inc
@@ -543,16 +540,16 @@ class _Parser:
                 else_body, inc3 = self._body(depth)
                 incomplete = incomplete or inc3
                 break
-        return If(cond, then_body, elifs, else_body, self._since(if_tok.offset), incomplete)
+        return If(cond, then_body, elifs, else_body, self._span(start, self.i), incomplete)
 
     def _while(self, depth: int) -> While:
-        while_tok = self._take()
+        start = self._take()
         cond, ok = self._cond()
         body, inc = self._body(depth)
-        return While(cond, body, self._since(while_tok.offset), not ok or inc)
+        return While(cond, body, self._span(start, self.i), not ok or inc)
 
     def _do_while(self, depth: int) -> DoWhile:
-        do_tok = self._take()
+        start = self._take()
         body, inc = self._body(depth)
         if not self._is_kw(self._peek(), "while"):
             raise _StructuralMismatch("do-body not followed by while")
@@ -561,19 +558,17 @@ class _Parser:
         nxt = self._peek()
         if nxt is not None and nxt.text == self.profile.stmt_terminator:
             self._take()
-        return DoWhile(body, cond, self._since(do_tok.offset), not ok or inc)
+        return DoWhile(body, cond, self._span(start, self.i), not ok or inc)
 
     def _for(self, depth: int) -> For:
-        for_tok = self._take()
-        lo, hi, ok, open_tok = self._balanced("(")
-        header_span = self._since(open_tok.offset)
-        init, cond, update = self._split_for_header(lo, hi, open_tok.offset)
+        start = self._take()
+        lo, hi, ok = self._balanced("(")
+        header_span = self._span(lo - 1, self.i)
+        init, cond, update = self._split_for_header(lo, hi)
         body, inc = self._body(depth)
-        return For(init, cond, update, body, header_span, self._since(for_tok.offset), not ok or inc)
+        return For(init, cond, update, body, header_span, self._span(start, self.i), not ok or inc)
 
-    def _split_for_header(
-        self, lo: int, hi: int, anchor: int
-    ) -> tuple[Expr | None, Expr | None, Expr | None]:
+    def _split_for_header(self, lo: int, hi: int) -> tuple[Expr | None, Expr | None, Expr | None]:
         """Split on depth-zero ";" into init/cond/update.
 
         Anything other than exactly two semicolons (range-for, for-each,
@@ -585,20 +580,17 @@ class _Parser:
         if b == hi or self._find(b + 1, hi, semi) < hi:
             a, b = lo - 1, hi  # as if cut just outside the header: all condition
         init, cond, update = (
-            self._slot(x, y, anchor) if y > x else None
+            self._slot(x, y) if y > x else None
             for x, y in ((lo, a), (a + 1, b), (b + 1, hi))
         )
         return init, cond, update
 
     def _switch(self, depth: int) -> Switch:
-        sw_tok = self._take()
+        start = self._take()
         scrutinee, ok = self._cond()
-        nxt = self._peek()
-        if nxt is None or nxt.text != "{":
-            raise _StructuralMismatch("switch without a braced body")
-        lo, hi, ok2, _ = self._balanced("{")
+        lo, hi, ok2 = self._balanced("{")
         cases = self._split_cases(lo, hi, depth)
-        return Switch(scrutinee, cases, self._since(sw_tok.offset), not ok or not ok2)
+        return Switch(scrutinee, cases, self._span(start, self.i), not ok or not ok2)
 
     def _split_cases(self, lo: int, hi: int, depth: int) -> list[CaseArm]:
         """Cut the switch body into case/default arms at depth zero.
@@ -622,20 +614,18 @@ class _Parser:
 
         arms: list[CaseArm] = []
         for start, stop in zip(boundaries, boundaries[1:]):
-            label_tok = toks[start]
             # label tokens run to the first depth-zero ":"
             label_end = self._find(start + 1, stop, (":",))
             body = self._subparse(min(label_end + 1, stop), stop, depth + 1)
             label: Expr | None
-            if label_tok.text == "default":
+            if toks[start].text == "default":
                 label = None
                 # stray tokens between `default` and ":" go into the body
                 if label_end > start + 1:
-                    stray = self._slot(start + 1, label_end, label_tok.offset)
-                    body.insert(0, WildcardStmt(stray, self._span(start + 1, label_end, label_tok.offset)))
+                    body.insert(0, WildcardStmt(self._slot(start + 1, label_end), self._span(start + 1, label_end)))
             else:
-                label = self._slot(start + 1, label_end, label_tok.offset)
-            arms.append(CaseArm(label, body, self._span(start, stop, label_tok.offset)))
+                label = self._slot(start + 1, label_end)
+            arms.append(CaseArm(label, body, self._span(start, stop)))
         return arms
 
     _FORMS = {"if": _if, "while": _while, "do": _do_while, "for": _for, "switch": _switch}

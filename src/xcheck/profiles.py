@@ -3,8 +3,8 @@ operators, and null literals.
 
 Everything else in the analyzer is language-agnostic; adding a language is a
 data change, not a code change.  The built-in C, C++ and Java profiles are
-written below in the same profile-file format that ``--profile`` loads, and
-are read by the same :func:`parse_profile_text`.
+written below in the profile-file format that ``--profile`` loads, read by the
+same ``_read_profile_text`` and validated once, by :meth:`Registry.register`.
 """
 
 from __future__ import annotations
@@ -295,6 +295,6 @@ def profile_for(name_or_path: str) -> LanguageProfile:
 def load_profile_file(path: str, registry: Registry) -> LanguageProfile:
     """Parse a profile definition file and register it in ``registry``."""
     with open(path, encoding="utf-8") as fh:
-        profile = _read_profile_text(fh.read())
+        profile = _read_profile_text(fh.read().removeprefix("\ufeff"))
     registry.register(profile)
     return profile

@@ -363,6 +363,15 @@ def test_profile_flag_registers_language(tmp_path):
     assert code == 1 and "null-deref" in out
 
 
+def test_a_profile_file_may_start_with_a_byte_order_mark(tmp_path):
+    profile_file = tmp_path / "mini.profile"
+    profile_file.write_bytes(b"\xef\xbb\xbf" + MINI_PROFILE_TEXT.encode())
+    source = tmp_path / "demo.mini"
+    source.write_text("x = p.f;\nif (p == nil) g();\n")
+    code, out, err = invoke(["--profile", str(profile_file), str(source)])
+    assert (code, err) == (1, "") and "null-deref" in out
+
+
 def test_profile_flag_validates_only_the_loaded_profile(tmp_path, monkeypatch):
     from xcheck import profiles
 
@@ -415,6 +424,25 @@ def test_non_ascii_digit_outside_identifier_exits_0(tmp_path):
     path.write_text("int f(void) {\n    return ²;\n}\n", encoding="utf-8")
     code, out, err = invoke([str(path)])
     assert code == 0 and out == "" and err == ""
+
+
+BOM_SOURCE = "#include <stdio.h>\nvoid f(struct s *p) {\n  use(p->a);\n  if (p == NULL) return;\n}\n"
+
+
+def test_a_leading_byte_order_mark_is_dropped(tmp_path):
+    # only a leading U+FEFF goes, and line 1's columns count from after it
+    bom, plain = tmp_path / "bom.c", tmp_path / "plain.c"
+    bom.write_bytes(b"\xef\xbb\xbf" + BOM_SOURCE.encode())
+    plain.write_text(BOM_SOURCE)
+    code, out, err = invoke(["--dump-ast", str(bom)])
+    assert code == 1 and err == ""
+    assert out.splitlines()[1].startswith('WildcardStmt @2:1 ["void", ')
+    found = []
+    for path in (bom, plain):
+        code, out, err = invoke(["--format", "json", str(path)])
+        found.append([{k: v for k, v in d.items() if k != "file"} for d in json.loads(out)])
+    assert found[0] == found[1]
+    assert [(d["start_line"], d["start_col"], d["related_line"], d["related_col"]) for d in found[0]] == [(4, 7, 3, 7)]
 
 
 def test_python_dash_m_runs_the_cli():
