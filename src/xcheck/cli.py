@@ -124,16 +124,22 @@ def analyze_source(
     line_range: tuple[int, int] | None,
     checkers: tuple[str, ...],
 ) -> tuple[list[LexError], list[Stmt], list[Diagnostic]]:
-    """One file through the pipeline: lex, keep the tokens that start in the
-    1-based ``line_range`` (all of them when ``None``), parse, run ``checkers``."""
+    """One file through the pipeline: lex, keep the tokens and lex warnings that
+    start in the 1-based ``line_range`` (all of them when ``None``), parse, run
+    ``checkers``.  An unterminated block comment that starts before the window
+    ends runs over the window, so its warning is kept too."""
     stream = tokenize(source, profile, source_path=path)
-    tokens = stream.tokens
+    tokens, errors = stream.tokens, stream.errors
     if line_range is not None:  # the window as offsets, found once
         starts = (*line_starts(source), len(source))
         lo, hi = (starts[min(n, len(starts)) - 1] for n in (line_range[0], line_range[1] + 1))
         tokens = [t for t in tokens if lo <= t.offset < hi]
+        errors = [
+            e for e in errors
+            if e.pos.offset < hi and (lo <= e.pos.offset or e.kind == "unterminated-block-comment")
+        ]
     stmts = parse_statements(tokens, profile)
-    return stream.errors, stmts, run_checkers(stmts, profile, checkers, path=path)
+    return errors, stmts, run_checkers(stmts, profile, checkers, path=path)
 
 
 def run(args: argparse.Namespace, registry: Registry = DEFAULT_REGISTRY, out=None, err=None) -> int:

@@ -14,16 +14,18 @@ logical combinations, updates, assignments, calls, access paths) and
 leaves the wildcard unchanged when nothing matches.
 
 Both steps find brackets in one table built per token list in a single
-pass (:func:`_bracket_table`) and work on index ranges of that list.
-Every cut at bracket depth zero (statement ends, ``for`` header
-semicolons, switch labels and colons, call arguments) goes through one
-search that steps over whole bracket groups, :meth:`_Parser._find`.
-Refinement's operator scan is the one exception: it must also look at each
-group's closer, which can be an operator too (``pairs = ( ) < >`` makes
-``>`` close ``<``, and ``>`` is still a comparison).  It runs once per
-bracket level: a cut at a depth-zero operator never cuts a bracket group, so
-the long side of a split (a ``Logical`` lhs, a ``Not`` operand, an
-``++``/``--`` target) inherits its parent's operator lists, trimmed.
+pass (:func:`_bracket_table`) and work on index ranges of that list.  Its
+one rule: a closer closes only the last open bracket of its own kind, and
+``( )`` and ``{ }`` are brackets in every profile.  Every cut at bracket
+depth zero (statement ends, ``for`` header semicolons, switch labels and
+colons, call arguments) goes through one search that steps over whole
+bracket groups, :meth:`_Parser._find`.  Refinement's operator scan is the
+one exception: it must also look at each group's closer, which can be an
+operator too (``pairs = ( ) < >`` makes ``>`` close ``<``, and ``>`` is
+still a comparison).  It runs once per bracket level: a cut at a depth-zero
+operator never cuts a bracket group, so the long side of a split (a
+``Logical`` lhs, a ``Not`` operand, an ``++``/``--`` target) inherits its
+parent's operator lists, trimmed.
 
 Every expression node records the tokens it covers as a range ``[lo, hi)``
 of the file's token tuple, which the whole tree shares: refinement never
@@ -310,51 +312,33 @@ class Switch(Stmt):
 # ---------------------------------------------------------------------------
 
 
-def _bracket_table(
-    tokens: Sequence[Token], profile: LanguageProfile
-) -> tuple[list[int], list[int]]:
-    """The two bracket-match columns of a token tuple, in one pass.
+def _bracket_table(tokens: Sequence[Token], profile: LanguageProfile) -> list[int]:
+    """The bracket-match column of a token tuple, in one pass.
 
-    ``same[i]`` pairs ``(`` with ``)`` and ``{`` with ``}``, counting that
-    kind only: these are the brackets the grammar itself spells out.
-    ``any[i]`` pairs each opener of ``profile.open_close_pairs`` with the
-    first later closer, of any kind, that brings the depth back down; a
-    closer at depth zero changes nothing.  In both columns every other
-    index maps to itself and an opener left unclosed maps to
-    ``len(tokens)``.
-
-    A match depends only on the tokens after its opener, so one table
-    serves every index range ``[lo, hi)`` of the tuple: a match at or past
-    ``hi`` means the opener is unclosed within the range.
+    Each opener of ``profile.open_close_pairs``, and ``(`` and ``{``, maps to
+    the first later closer of its own kind that closes it, counting that kind
+    only, or to ``len(tokens)`` when none does; every other index maps to
+    itself.  A match depends only on the tokens after its opener, so one table
+    serves every index range ``[lo, hi)``: a match at or past ``hi`` means the
+    opener is unclosed there.
     """
     n = len(tokens)
-    same = list(range(n))
-    any_ = same.copy()  # both columns share one int object per index (memory)
-    opens = {o for o, _ in profile.open_close_pairs}
-    closes = {c for _, c in profile.open_close_pairs}
-    parens: list[int] = []
-    braces: list[int] = []
-    same_opens = {"(": parens, "{": braces}
-    same_closes = {")": parens, "}": braces}
-    brackets = opens | closes | same_opens.keys() | same_closes.keys()
-    pending: list[int] = []
+    match = list(range(n))
+    kinds = {**dict(profile.open_close_pairs), "(": ")", "{": "}"}
+    pending: dict[str, list[int]] = {o: [] for o in kinds}  # each kind's unclosed openers
+    # a closer pops each kind it closes; a token never closes its own kind
+    closed_by = {c: [pending[o] for o in kinds if kinds[o] == c != o] for c in kinds.values()}
+    brackets = pending.keys() | closed_by.keys()
     for i, tok in enumerate(tokens):
         text = tok.text
-        if text not in brackets:
-            continue
-        if text in opens:
-            pending.append(i)
-        elif text in closes and pending:
-            any_[pending.pop()] = i
-        if text in same_opens:
-            same_opens[text].append(i)
-        elif text in same_closes and same_closes[text]:
-            same[same_closes[text].pop()] = i
-    for i in pending:
-        any_[i] = n
-    for i in parens + braces:
-        same[i] = n
-    return same, any_
+        if text in brackets:
+            for stack in closed_by.get(text, ()):
+                if stack:
+                    match[stack.pop()] = i
+            if text in pending:
+                pending[text].append(i)
+                match[i] = n  # until a closer of its kind comes
+    return match
 
 
 def path_end(toks: Sequence[Token], lo: int, hi: int, deref_ops: Sequence[str]) -> int:
@@ -394,7 +378,7 @@ class _Parser:
     def __init__(self, tokens: tuple[Token, ...], profile: LanguageProfile):
         self.toks = tokens
         self.source = tokens[0].source if tokens else ""
-        self.same, self.any = _bracket_table(tokens, profile)
+        self.match = _bracket_table(tokens, profile)
         self.profile = profile
         self.i = 0
         self.hi = len(tokens)
@@ -428,7 +412,7 @@ class _Parser:
         tok = self._peek()
         if tok is None or tok.text != open_text:
             raise _StructuralMismatch(f"expected {open_text!r}")
-        lo, close = self.i + 1, self.same[self.i]
+        lo, close = self.i + 1, self.match[self.i]
         if close < self.hi:
             self.i = close + 1
             return lo, close, True
@@ -439,7 +423,7 @@ class _Parser:
         """The first index of ``[lo, hi)`` at bracket depth zero whose text
         is in ``texts``, else ``hi``; an opener is looked at, then its whole
         group is stepped over."""
-        toks, match, k = self.toks, self.any, lo
+        toks, match, k = self.toks, self.match, lo
         while k < hi and toks[k].text not in texts:
             k = match[k] + 1
         return k if k < hi else hi
@@ -652,7 +636,7 @@ class _Parser:
         # Operators at bracket depth zero (the closer of a depth-zero group
         # is at depth zero too).  Assign: the first bare "=" wins outright;
         # right-associative chains nest in the rhs.
-        match = self.any
+        match = self.match
         if ops is None:
             ops = ors, ands, comparisons, bin_updates = [], [], [], []
             k = lo
@@ -711,7 +695,7 @@ class _Parser:
         # Call: access path (or bare identifier) + balanced "(...)" covering
         # the remainder; arguments split on depth-zero commas.
         k = path_end(toks, lo, hi, self.profile.deref_ops)
-        if lo < k < hi and toks[k].text == "(" and self.same[k] == hi - 1:
+        if lo < k < hi and toks[k].text == "(" and match[k] == hi - 1:
             args: list[Expr] = []
             if k + 1 < hi - 1:  # "()" has no arguments
                 cut = k  # the "(", then each depth-zero ","
@@ -727,7 +711,7 @@ class _Parser:
 
         # Fully covering parentheses: strip and re-refine the interior, but
         # widen the node's range over the parentheses.
-        if first.text == "(" and self.same[lo] == hi - 1:
+        if first.text == "(" and match[lo] == hi - 1:
             inner = refine(lo + 1, hi - 1, depth, anchor)
             inner.lo, inner.hi = lo, hi  # a node just built: nothing else holds it
             if isinstance(inner, Wildcard):

@@ -5,12 +5,12 @@ compiled each profile into one regex, kept as a test-only oracle.
 exactly the tokens and errors this scanner produces.  The scanner is the
 old one unchanged with three exceptions.  Its operator table is built per
 scanner instead of being cached by ``id(profile)``, which could hand a new
-profile the table of a freed one.  And one known defect is left in on
-purpose: a non-ASCII digit outside an identifier (``x = ²;``) makes it loop
-forever, because ``scan_number`` emits an empty token and never advances,
-so differential inputs must not contain one.  And it records its tokens
-and errors with the line and column it tracks, in records of its own,
-since the shipped ones carry an offset and resolve the rest when read.
+profile the table of a freed one.  A number starts only at an ASCII digit,
+or at ``.`` and an ASCII digit, as in the shipped lexer: the old test
+``ch.isdigit()`` also took a non-ASCII digit (``x = ²;``), for which
+``scan_number`` emitted an empty token and never advanced.  And it records
+its tokens and errors with the line and column it tracks, in records of its
+own, since the shipped ones carry an offset and resolve the rest when read.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ class LexError(NamedTuple):
 
 
 _IDENT_START_EXTRA = "_$"
+_ASCII_DIGITS = frozenset("0123456789")
 _NUMBER_BODY = set("0123456789abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ_.")
 
 
@@ -220,7 +221,7 @@ class _Scanner:
             if ch == profile.string_delims[1]:
                 self.scan_quoted(ch, TokenKind.CHAR_LITERAL, "char")
                 continue
-            if ch.isdigit() or (ch == "." and self.peek(1).isdigit()):
+            if ch in _ASCII_DIGITS or (ch == "." and self.peek(1) in _ASCII_DIGITS):
                 self.scan_number()
                 continue
             if _is_ident_start(ch):

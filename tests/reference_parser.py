@@ -3,10 +3,17 @@ they were before the parser moved onto one bracket table per file.
 
 The structural pass (``_Parser``), the refinement (``_refine``) and the
 tree walk that refines every slot after the parse (``_refine_stmts``) are
-kept here verbatim, with the helpers they call, so that
+kept here, with the helpers they call, so that
 ``test_parser_oracle`` can require the shipped parser to build the same
 trees, spans and findings.  Node classes are shared with the shipped
 module, so trees compare by ``repr``.
+
+Every scan at bracket depth zero (statement ends, the ``for`` header, case
+labels and their colons, refinement's operators and call arguments) steps
+over a group with one step of its own, :func:`_group_close`: a closer closes
+only an opener of its own kind, and ``( )`` and ``{ }`` are brackets in
+every profile.  The step counts tokens; it does not read the shipped
+parser's bracket table.
 
 It builds its spans from positions, as it always did, and stores each
 as the shipped parser's ``Extent`` of the two offsets (see ``Span`` below),
@@ -19,6 +26,7 @@ input token lands in exactly one tree node or in the ledger.
 
 from __future__ import annotations
 
+import functools
 from typing import Sequence
 
 from xcheck.lexer import Position, Token, TokenKind, TokenStream, position
@@ -107,8 +115,6 @@ class _Parser:
         self.nesting = nesting
         self.i = 0
         self.last: Token | None = None
-        self._opens = {o for o, _ in profile.open_close_pairs}
-        self._closes = {c for _, c in profile.open_close_pairs}
 
     # -- primitives ---------------------------------------------------------
 
@@ -188,7 +194,6 @@ class _Parser:
         assert start_tok is not None and start_tok.text != "{"
         term = self.profile.stmt_terminator
         collected: list[Token] = []
-        depth = 0
         terminator: Token | None = None
         incomplete = False
         while True:
@@ -196,17 +201,15 @@ class _Parser:
             if tok is None:
                 incomplete = True
                 break
-            if depth == 0 and tok.text == term:
+            if tok.text == term:
                 terminator = self._take_syntax()
                 break
-            if depth == 0 and tok.text == "{":
+            if tok.text == "{":
                 break
-            self._take()
-            collected.append(tok)
-            if tok.text in self._opens:
-                depth += 1
-            elif tok.text in self._closes:
-                depth = max(0, depth - 1)
+            # the token, and the whole group it opens
+            end = min(_group_close(self.toks, self.i, self.profile), len(self.toks) - 1)
+            while self.i <= end:
+                collected.append(self._take())
         anchor = terminator.pos if terminator is not None else start_tok.pos
         wild = Wildcard(tuple(collected), _span_of(collected, anchor))
         end = token_end(terminator) if terminator is not None else self._end_pos()
@@ -318,14 +321,11 @@ class _Parser:
         malformed headers) degrades to a single wildcard condition.
         """
         semis: list[int] = []
-        depth = 0
-        for idx, tok in enumerate(header):
-            if depth == 0 and tok.text == self.profile.stmt_terminator:
+        idx = 0
+        while idx < len(header):
+            if header[idx].text == self.profile.stmt_terminator:
                 semis.append(idx)
-            elif tok.text in self._opens:
-                depth += 1
-            elif tok.text in self._closes:
-                depth = max(0, depth - 1)
+            idx = _group_close(header, idx, self.profile) + 1
         if len(semis) != 2:
             if not header:
                 return None, None, None
@@ -362,14 +362,12 @@ class _Parser:
 
         # Pre-compute depth-zero label positions.
         boundaries: list[int] = []
-        d = 0
-        for idx, tok in enumerate(interior):
-            if d == 0 and tok.kind is TokenKind.KEYWORD and tok.text in ("case", "default"):
+        idx = 0
+        while idx < len(interior):
+            tok = interior[idx]
+            if tok.kind is TokenKind.KEYWORD and tok.text in ("case", "default"):
                 boundaries.append(idx)
-            if tok.text in self._opens:
-                d += 1
-            elif tok.text in self._closes:
-                d = max(0, d - 1)
+            idx = _group_close(interior, idx, self.profile) + 1
         boundaries.append(len(interior))
 
         arms: list[CaseArm] = []
@@ -380,20 +378,16 @@ class _Parser:
             cur = start + 1
             # label tokens run to the first depth-zero ":"
             label_toks: list[Token] = []
-            d = 0
             colon = None
             while cur < stop:
                 tok = interior[cur]
-                if d == 0 and tok.text == ":":
+                if tok.text == ":":
                     colon = tok
                     cur += 1
                     break
-                label_toks.append(tok)
-                if tok.text in self._opens:
-                    d += 1
-                elif tok.text in self._closes:
-                    d = max(0, d - 1)
-                cur += 1
+                end = min(_group_close(interior, cur, self.profile) + 1, stop)
+                label_toks.extend(interior[cur:end])
+                cur = end
             if colon is not None:
                 self.acct.syntax_tokens.append(colon)
             body_toks = interior[cur:stop]
@@ -412,40 +406,45 @@ class _Parser:
         return arms
 
 
-def _depth_profile(tokens: Sequence[Token], profile: LanguageProfile) -> list[int]:
-    """Bracket depth at each index (depth of the token itself)."""
-    opens = {o for o, _ in profile.open_close_pairs}
-    closes = {c for _, c in profile.open_close_pairs}
-    depths: list[int] = []
-    d = 0
-    for tok in tokens:
-        if tok.text in opens:
-            depths.append(d)
-            d += 1
-        elif tok.text in closes:
-            d = max(0, d - 1)
-            depths.append(d)
-        else:
-            depths.append(d)
-    return depths
+@functools.lru_cache(maxsize=None)
+def _kinds(profile: LanguageProfile) -> dict[str, str]:
+    """Each bracket opener and its closer: the profile's pairs, and the
+    ``( )`` and ``{ }`` that the grammar spells out."""
+    return {**dict(profile.open_close_pairs), "(": ")", "{": "}"}
 
 
-def _matching_close(tokens: Sequence[Token], open_idx: int) -> int | None:
-    """Index of the close matching tokens[open_idx], same-pair counting."""
-    open_text = tokens[open_idx].text
-    close_text = {"(": ")", "{": "}", "[": "]"}.get(open_text)
+def _group_close(tokens: Sequence[Token], idx: int, profile: LanguageProfile) -> int:
+    """Index of the closer that closes the opener ``tokens[idx]``, counting
+    that opener's kind only; ``len(tokens)`` when none does, and ``idx``
+    itself when the token opens no group.  Every scan at depth zero steps
+    over a group with this."""
+    open_text = tokens[idx].text
+    close_text = _kinds(profile).get(open_text)
     if close_text is None:
-        return None
+        return idx
     depth = 0
-    for idx in range(open_idx, len(tokens)):
-        text = tokens[idx].text
+    for k in range(idx, len(tokens)):
+        text = tokens[k].text
         if text == open_text:
             depth += 1
         elif text == close_text:
             depth -= 1
             if depth == 0:
-                return idx
-    return None
+                return k
+    return len(tokens)
+
+
+def _depth_zero(tokens: Sequence[Token], profile: LanguageProfile) -> list[int]:
+    """The indices at bracket depth zero, in order: a group's opener and its
+    closer are, its interior is not.  The walk steps from an opener to its
+    closer and looks at the closer too."""
+    out: list[int] = []
+    idx = 0
+    while idx < len(tokens):
+        out.append(idx)
+        close = _group_close(tokens, idx, profile)
+        idx = close if close > idx else idx + 1
+    return out
 
 
 def _path_prefix_len(tokens: Sequence[Token], profile: LanguageProfile) -> int:
@@ -490,11 +489,10 @@ def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anc
     def sub(part: tuple[Token, ...]) -> Expr:
         return _refine(part, profile, depth + 1, anchor)
 
-    depths = _depth_profile(tokens, profile)
     top = [
-        (idx, tok.text)
-        for idx, tok in enumerate(tokens)
-        if depths[idx] == 0 and tok.kind is TokenKind.OPERATOR
+        (idx, tokens[idx].text)
+        for idx in _depth_zero(tokens, profile)
+        if tokens[idx].kind is TokenKind.OPERATOR
     ]
 
     # Assign: first top-level bare "=" (right-associative chains nest in rhs).
@@ -533,14 +531,13 @@ def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anc
     # Call: access path (or bare identifier) + balanced "(...)" covering
     # the remainder; arguments split on depth-zero commas.
     k = _path_prefix_len(tokens, profile)
-    if 1 <= k < len(tokens) and tokens[k].text == "(" and _matching_close(tokens, k) == len(tokens) - 1:
+    if 1 <= k < len(tokens) and tokens[k].text == "(" and _group_close(tokens, k, profile) == len(tokens) - 1:
         interior = tokens[k + 1 : -1]
         args: list[Expr] = []
         if interior:
-            arg_depths = _depth_profile(interior, profile)
             start = 0
-            for idx, tok in enumerate(interior):
-                if arg_depths[idx] == 0 and tok.text == ",":
+            for idx in _depth_zero(interior, profile):
+                if interior[idx].text == ",":
                     args.append(sub(interior[start:idx]))
                     start = idx + 1
             args.append(sub(interior[start:]))
@@ -557,7 +554,7 @@ def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anc
 
     # Fully covering parentheses: strip and re-refine the interior, but
     # keep the original token slice on the node.
-    if tokens[0].text == "(" and _matching_close(tokens, 0) == len(tokens) - 1:
+    if tokens[0].text == "(" and _group_close(tokens, 0, profile) == len(tokens) - 1:
         inner = sub(tokens[1:-1])
         inner.tokens = tokens  # a node just built: nothing else holds it
         if isinstance(inner, Wildcard):

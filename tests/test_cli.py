@@ -344,6 +344,21 @@ def test_line_range_keeps_the_tokens_that_start_inside_the_window(monkeypatch):
             assert kept.pop() == [t for t in all_tokens if first <= t.pos.line <= last], (first, last)
 
 
+def test_line_range_prints_the_lex_warnings_that_start_inside_the_window(tmp_path):
+    path = tmp_path / "lr.c"
+    path.write_text("int a = @;\nvoid f(struct s *p) {\n  use(p->a);\n  if (p == NULL) return;\n}\nint b = @;\n")
+    code, out, err = invoke(["--line-range", "2:5", str(path)])
+    assert code == 1 and f"{path}:4:7: warning [null-deref]" in out and err == ""
+    _, _, err = invoke(["--line-range", "1:1", str(path)])
+    assert err == f"{path}:1:9: lex-warning: unexpected character '@'\n"
+    # a block comment left open runs to the end of the file, over any later window
+    path.write_text("int a;\n/* open\nint b = @;\n")
+    _, _, err = invoke(["--line-range", "3:3", str(path)])
+    assert err.splitlines() == [f"{path}:2:1: lex-warning: block comment is never closed"]
+    _, _, err = invoke(["--line-range", "1:1", str(path)])
+    assert err == ""
+
+
 def test_dump_ast_prints_tree_before_findings(tmp_path):
     path = tmp_path / "bad.c"
     path.write_text("p->f(x);\nif (p) q();\n")

@@ -93,6 +93,7 @@ def test_each_corpus_row_writes_its_share_of_n_in_its_languages(tmp_path, monkey
         "loops": (3, every),
         "paths": (3, every),
         "parens": (3, every),
+        "brackets": (3, every),
     }
     written = {d: os.listdir(tmp_path / d) for d in os.listdir(tmp_path)}
     assert {d: (len(names), {os.path.splitext(n)[1] for n in names}) for d, names in written.items()} == expected

@@ -75,15 +75,14 @@ pairs = ( ) { }
 """
 )
 
-# Pieces the fuzz strings are made of.  Non-ASCII digits are left out on
-# purpose: the reference scanner hangs on one outside an identifier (the
-# compiled lexer's rule for them is pinned in test_lexer.py).
+# Pieces the fuzz strings are made of.
 _COMMON_PIECES = [
     " ", "  ", "\t", "\n", "\n", "\r\n", "\f", "\v",
     "//", "/*", "*/", "/", "*", "\\\n", "\\", "\n#", "#", "# define X \\\n 1\n",
     '"', "'", '\\"', "\\'", "\\\\", '"s"', "'c'",
     "0", "7", "42", "0x", "0X1p", "0x1P+3", "1e", "1E-", "1.5e+3", ".5", "e", "p", "x", ".", "+", "-", "_",
     "if", "NULL", "null", "a$b", "é", "λx", "ß", "中文", "\xa0", " ",
+    "²", "٣", ".٣", "x²",
     "`", "@", "\x01", "\x1c", "~", "::", "->", ">>>=", "++", "&&", "<=", "=", "(", ")", "{", "}", ";",
 ]
 

@@ -18,6 +18,7 @@ from support import (
     parse_source,
     toks,
 )
+from xcheck.checkers import check_null_deref
 from xcheck.lexer import tokenize
 from xcheck.microgrammar import (
     MAX_NESTING,
@@ -39,6 +40,7 @@ from xcheck.microgrammar import (
     dump_statements,
     parse_statements,
 )
+from xcheck.profiles import parse_profile_text
 
 
 def table(texts, profile=C):
@@ -113,24 +115,25 @@ def test_skip_to_missing_suffix_flags_and_returns_tokens():
 
 
 def test_balanced_counts_nested_pairs():
-    same, any_ = table(["(", "a", "(", "b", ")", "c", ")"])
-    assert (same[0], same[2]) == (6, 4)
-    assert any_ == same
-    # `same` counts one kind only; `any` closes on the next closer of any kind
-    same, any_ = table(["(", "[", ")", "]"])
-    assert (same[0], any_[0], any_[1]) == (2, 3, 2)
+    assert table(["(", "a", "(", "b", ")", "c", ")"]) == [6, 1, 4, 3, 4, 5, 6]
+    # a closer closes only the last open bracket of its own kind
+    assert table(["(", "[", ")", "]"]) == [2, 3, 2, 3]
+    # a closer that two kinds share closes the last open bracket of each
+    shared = parse_profile_text("name = shared\noperators = ! ++ ?\npairs = ! ? ++ ?\n")
+    assert table(["!", "++", "?", "?"], shared) == [2, 2, 2, 3]
 
 
 def test_balanced_empty_interior():
-    same, any_ = table(["(", ")"])
-    assert same[0] == any_[0] == 1
+    assert table(["(", ")"]) == [1, 1]
 
 
 def test_balanced_unclosed_flags():
     # an unclosed opener matches the end; every other index maps to itself
-    same, any_ = table(["(", "a", "{", "}"])
-    assert same == [4, 1, 3, 3]
-    assert any_ == [4, 1, 3, 3]
+    assert table(["(", "a", "{", "}"]) == [4, 1, 3, 3]
+    # `( )` and `{ }` are brackets even where a profile's pairs leave them out
+    angle_only = parse_profile_text("name = angle-only\noperators = < > = ;\npairs = < >\n")
+    assert table(["(", "a", "{", "}"], angle_only) == [4, 1, 3, 3]
+    assert table(["{", "<", "}", ">"], angle_only) == [2, 3, 2, 3]
 
 
 # -- parse_statements: structure ----------------------------------------------
@@ -322,6 +325,28 @@ def test_sliding_window_recovers_after_false_start():
     assert_token_conservation(stream.tokens, stmts, acct)
 
 
+def _body_with(stmt):
+    """A function body whose first statement is ``stmt``, then a dereference
+    of ``p`` and a null test of ``p``; the body and its findings."""
+    stmts, _ = parse_with_ledger(tokenize(f"void h() {{\n  {stmt}\n  g(p->x);\n  if (p) k();\n}}\n", C))
+    return stmts[-1].body, check_null_deref(stmts, C)
+
+
+def test_a_bracket_left_open_inside_a_call_does_not_hold_the_call_open():
+    # `[` stays open, but `)` still closes `(`: the statement ends at its `;`
+    body, [finding] = _body_with("f(a[i);")
+    assert [type(s) for s in body] == [WildcardStmt, WildcardStmt, If]
+    assert (finding.span.start.line, finding.span.start.column) == (4, 7)
+    assert (finding.related[0].line, finding.related[0].column) == (3, 5)
+
+
+def test_a_closer_of_another_kind_does_not_close_a_call():
+    # `]` closes no `(`: the call, and so the statement, runs to the end of the body
+    body, findings = _body_with("f(a];")
+    assert len(body) == 1 and isinstance(body[0], WildcardStmt) and body[0].incomplete
+    assert findings == []
+
+
 def test_labels_stay_inside_wildcard_content():
     stmts = parse_source("out: return ret;")
     assert len(stmts) == 1
@@ -401,7 +426,7 @@ def test_refinement_reads_each_bracket_match_a_bounded_number_of_times(op, n):
     # the bracket table about 120 times per token; no clock is needed.
     tokens = tuple(tokenize(CHAINS[op](n), C).tokens)
     parser = _Parser(tokens, C)
-    parser.any = counting = _CountingList(parser.any)
+    parser.match = counting = _CountingList(parser.match)
     assert parser.parse(0, len(tokens), 0) == parse_statements(tokens, C)
     assert counting.reads <= 4 * len(tokens), counting.reads / len(tokens)
 

@@ -34,8 +34,8 @@ from xcheck.profiles import LanguageProfile, parse_profile_text
 BUILTIN = (C, CPP, JAVA)
 FIXTURES = ("object.c", "InstCombineAddSub.cpp", "CipherCore.java")
 
-# `[ ]` are plain tokens here and `< >` are brackets, so the kind-agnostic
-# depth differs from the same-kind one even on ordinary comparisons.
+# `[ ]` are plain tokens here and `< >` are brackets, so an ordinary
+# comparison opens a group, often one left open inside a `( )` group.
 ANGLE_PROFILE = parse_profile_text(
     """\
 name = angle

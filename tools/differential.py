@@ -22,8 +22,10 @@ paths), lines of mid-line preprocessor prefixes between directives (C and C++
 only), ``for`` headers over every comparison and update operator, functions over access
 paths of 50-500 steps, and functions whose conditions, call arguments and
 assignments are wrapped in 1-200 layers of parentheses and nested calls
-around null tests and dereferences (some past the refinement depth cap);
-all but the programs and the prefix lines spread over C, C++ and Java.  The corpus comes from this
+around null tests and dereferences (some past the refinement depth cap),
+and functions whose statements leave a bracket of one kind open inside a
+group of another kind (``f ( a [ i ) ;``, ``f ( a ] ;``) among dereferences
+and null tests; all but the programs and the prefix lines spread over C, C++ and Java.  The corpus comes from this
 checkout, so both sides see the same files.
 
 The CLI then runs on each side, with ``ROOT/src`` on ``PYTHONPATH``: once as
@@ -235,6 +237,30 @@ def paren_nests(rng: random.Random, profile) -> str:
     return " ".join(words) + " }"
 
 
+def crossed_brackets(rng: random.Random, profile) -> str:
+    """Functions whose statements leave a bracket of one kind open inside a
+    group of another kind, among dereferences and null tests whose findings
+    depend on where recovery ends each statement."""
+    null, arrow = min(profile.null_literals), profile.deref_ops[0]
+    words = []
+    for f in range(rng.randint(1, 4)):
+        words.append(f"f{f} ( ) {{")
+        for _ in range(rng.randint(3, 12)):
+            p = rng.choice("pqr")
+            words.append(rng.choice((
+                "f ( a [ i ) ;",
+                "f ( a ] ;",
+                "g ( { ) ;",
+                "x = [ ( b ] ;",
+                f"if ( {p} [ i ) use ( {p}{arrow}v ) ;",
+                f"use ( {p}{arrow}v ) ;",
+                f"if ( {p} ) g ( ) ;",
+                f"if ( {p} == {null} ) return ;",
+            )))
+        words.append("}")
+    return "\n".join(words) + "\n"
+
+
 def commented_soup(rng: random.Random, profile, words: list[str]) -> str:
     """``words`` joined by runs of whitespace, line comments and block comments."""
     line, (opener, closer) = profile.line_comment, profile.block_comment
@@ -284,6 +310,7 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
         ("loops", "l", 10, LANGUAGES, loop_headers),
         ("paths", "a", 10, LANGUAGES, long_paths),
         ("parens", "w", 10, LANGUAGES, paren_nests),
+        ("brackets", "b", 10, LANGUAGES, crossed_brackets),
     )
     for seed, (directory, letter, share, languages, make) in enumerate(rows):
         os.makedirs(os.path.join(dest, directory))
