@@ -18,7 +18,7 @@ from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 from .diagnostics import Diagnostic, sort_key
-from .lexer import TokenKind, position
+from .lexer import _IDENT, position
 from .microgrammar import (
     BODY,
     TEST,
@@ -45,9 +45,6 @@ from .microgrammar import (
     walk_statements,
 )
 from .profiles import LanguageProfile
-
-# Token kinds bound once for the per-token loops (see the note in ``lexer``).
-_IDENT = TokenKind.IDENTIFIER
 
 
 # ---------------------------------------------------------------------------

@@ -36,9 +36,9 @@ class TokenKind(Enum):
     CHAR_LITERAL = auto()
 
 
-# Members bound to module names once: on CPython 3.11 reading a member
-# through its enum class costs several times a module-global read, and
-# per-token loops (here and in the parser and checkers) pay it per token.
+# Members bound to module names once, here, and imported by the parser and
+# checkers: on CPython 3.11 reading a member through its enum class costs
+# several times a module-global read, and per-token loops pay it per token.
 _IDENT, _KW, _OP, _PUNCT = (
     TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.OPERATOR, TokenKind.PUNCTUATION
 )
@@ -72,13 +72,12 @@ def line_starts(source: str) -> tuple[int, ...]:
     return (0, *map(re.Match.end, re.finditer("\n", source)))
 
 
-def position(source: str, offset: int, since: Position = Position(1, 1, 0)) -> Position:
-    """Line, column and offset of ``offset`` in ``source``: up to 8K characters past a known
-    ``since``, counting the newlines in between is cheaper than the table of line starts."""
-    if 0 <= offset - since.offset < 8192:
-        newline = source.rfind("\n", since.offset, offset)
-        column = offset - newline if newline >= 0 else since.column + offset - since.offset
-        return _new(Position, (since.line + source.count("\n", since.offset, offset), column, offset))
+def position(source: str, offset: int) -> Position:
+    """Line, column and offset of ``offset`` in ``source``: within 8K characters of the file's
+    start, counting the newlines before it is cheaper than the table of line starts."""
+    if 0 <= offset < 8192:
+        newline = source.rfind("\n", 0, offset)  # -1 on the first line: column offset + 1
+        return _new(Position, (source.count("\n", 0, offset) + 1, offset - newline, offset))
     starts = line_starts(source)
     line = bisect_right(starts, offset)
     return _new(Position, (line, offset - starts[line - 1] + 1, offset))

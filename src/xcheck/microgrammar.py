@@ -11,7 +11,8 @@ make it abort.
 Step two runs on each slot as soon as it is cut: a total expression
 parser that recognizes just the shapes the checkers need (comparisons,
 logical combinations, updates, assignments, calls, access paths) and
-leaves the wildcard unchanged when nothing matches.
+leaves the wildcard unchanged when nothing matches.  A one-token slot is
+its ``Atom``, whatever the token: a lone ``==`` too.
 
 Both steps find brackets in one table built per token list in a single
 pass (:func:`_bracket_table`) and work on index ranges of that list.  Its
@@ -36,7 +37,7 @@ and last token; a wildcard may be empty, so it stores its span.  One helper,
 included), arm, ``for`` header and wildcard extent from token indices.  A slot
 is cut empty only after its opener or label keyword and sits at that token; an
 empty statement run sits at its terminator, and an empty part inside a slot
-(either side of ``if (==)``) at the slot's start.  Spans are offsets, resolved
+(the left side of ``if (== b)``) at the slot's start.  Spans are offsets, resolved
 only when read (:class:`Extent`).  Structural equality and ordering ignore positions.
 
 Each class declares its fields once, in ``__slots__`` (an expression class
@@ -55,7 +56,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .lexer import Position, Token, TokenKind, TokenStream, _new, _Slotted, position
+from .lexer import Position, Token, TokenStream, _IDENT, _KW, _OP, _new, _Slotted, position
 from .profiles import LanguageProfile
 
 # Beyond this nesting depth, block interiors and wildcard refinements stay
@@ -67,12 +68,7 @@ MAX_EXPR_DEPTH = 128
 _COMPARE_OPS = frozenset({"<", "<=", ">", ">=", "==", "!="})
 _UNARY_UPDATE_OPS = frozenset({"++", "--"})
 _BINARY_UPDATE_OPS = frozenset({"+=", "-="})
-# The operators refinement splits at: a lone one still makes a shape, of empty parts.
-_SPLIT_OPS = _COMPARE_OPS | _BINARY_UPDATE_OPS | {"=", "||", "&&"}
 _LABELS = ("case", "default")
-
-# Token kinds bound once for the per-token loops (see the note in ``lexer``).
-_IDENT, _KW, _OP = TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.OPERATOR
 
 
 class Span(NamedTuple):
@@ -94,9 +90,8 @@ class Extent(NamedTuple):
     end = property(lambda self: position(self.source, self.hi))
 
     def resolve(self) -> Span:
-        """Both positions, the end counted on from the start."""
-        start = self.start
-        return _new(Span, (start, position(self.source, self.hi, start)))
+        """Both positions."""
+        return _new(Span, (self.start, self.end))
 
     def __repr__(self) -> str:
         return repr(self.resolve())
@@ -617,17 +612,16 @@ class _Parser:
     # -- expression refinement ------------------------------------------------
 
     def _refine(self, lo: int, hi: int, depth: int, anchor: int, ops: tuple | None = None) -> Expr:
-        """Refine ``toks[lo:hi]`` into a recognized shape, else a wildcard.
+        """Refine ``toks[lo:hi]`` into a recognized shape, else a wildcard; within
+        the depth cap, a one-token range is its ``Atom``, an operator too.
 
         ``anchor`` is the slot's start offset, the span of any empty part.  ``ops``
         is the range's depth-zero ``||``, ``&&``, comparison and ``+=``/``-=``
         indices (four lists in source order) when the caller's scan has them.
         """
         toks = self.toks
-        if hi - lo == 1 and depth <= MAX_EXPR_DEPTH:  # Atom: one token, unless a split operator
-            first = toks[lo]
-            if first.kind is not _OP or first.text not in _SPLIT_OPS:
-                return Atom(first, toks, lo, hi)
+        if hi - lo == 1 and depth <= MAX_EXPR_DEPTH:  # Atom: any one token
+            return Atom(toks[lo], toks, lo, hi)
         if lo == hi or depth > MAX_EXPR_DEPTH:
             return Wildcard(toks, self._span(lo, hi, anchor), lo, hi)
         depth += 1
@@ -678,7 +672,7 @@ class _Parser:
         # Not: leading "!".  Its operand, like a "++"/"--" target below, keeps
         # the lists unless a profile pairs the token cut off as an opener.
         first, last = toks[lo], toks[hi - 1]
-        if first.text == "!" and hi - lo > 1:
+        if first.text == "!":
             return Not(refine(lo + 1, hi, depth, anchor, ops if match[lo] == lo else None), toks, lo, hi)
 
         # Update: one top-level "+=" / "-=", or a leading/trailing "++" / "--".
@@ -686,9 +680,9 @@ class _Parser:
             idx = bin_updates[0]
             value = refine(idx + 1, hi, depth, anchor)
             return Update(toks[idx].text, refine(lo, idx, depth, anchor), toks, value, False, lo, hi)
-        if hi - lo >= 2 and last.text in _UNARY_UPDATE_OPS:
+        if last.text in _UNARY_UPDATE_OPS:
             return Update(last.text, refine(lo, hi - 1, depth, anchor, ops), toks, None, False, lo, hi)
-        if hi - lo >= 2 and first.text in _UNARY_UPDATE_OPS:
+        if first.text in _UNARY_UPDATE_OPS:
             target = refine(lo + 1, hi, depth, anchor, ops if match[lo] == lo else None)
             return Update(first.text, target, toks, None, True, lo, hi)
 
@@ -706,7 +700,7 @@ class _Parser:
             return Call(self._path(lo, k), tuple(args), toks, lo, hi)
 
         # AccessPath: the whole run is ident (deref_op ident)+ exactly.
-        if k == hi and hi - lo >= 3:
+        if k == hi:
             return self._path(lo, hi)
 
         # Fully covering parentheses: strip and re-refine the interior, but

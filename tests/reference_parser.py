@@ -486,6 +486,10 @@ def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anc
     if not tokens or depth > MAX_EXPR_DEPTH:
         return Wildcard(tokens, span)
 
+    # Atom: any single token, an operator too.
+    if len(tokens) == 1:
+        return Atom(tokens[0], tokens)
+
     def sub(part: tuple[Token, ...]) -> Expr:
         return _refine(part, profile, depth + 1, anchor)
 
@@ -547,10 +551,6 @@ def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anc
     # AccessPath: the whole run is ident (deref_op ident)+ exactly.
     if k == len(tokens) and k >= 3:
         return _path_expr(tokens)
-
-    # Atom: any single token.
-    if len(tokens) == 1:
-        return Atom(tokens[0], tokens)
 
     # Fully covering parentheses: strip and re-refine the interior, but
     # keep the original token slice on the node.

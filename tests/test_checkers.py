@@ -9,6 +9,7 @@ import pytest
 
 from support import (
     C,
+    CPP,
     JAVA,
     null_oracle,
     parse_source,
@@ -358,6 +359,44 @@ def test_top_level_compound_resets_state():
         ]
         # one finding, at the tested ``p``, citing the dereferenced ``p``
         assert got == [(2, second.index("(p)") + 2, 1, first.index("p->") + 1)], src
+
+
+# Brace groups inside a function that a function-scope reset must not take for
+# the end of a declaration: each sits between a dereference of ``p`` and its
+# null test, and the use-then-check is still reported.  A lambda inside a
+# function does not end the function's scope either.
+IN_FUNCTION = {
+    "java": ("class A {\n void m(Node p) {\n use(p.next);", "if (p == null) return;\n }\n}", [
+        "synchronized (this) { tick(); }",
+        "Runnable r = new Runnable() { public void run() { tick(); } };",
+        "int[] xs = new int[] {1, 2};",
+        "try { tick(); } finally { tock(); }",
+    ]),
+    "cpp": ("void f(Node *p) {\n use(p->x);", "if (p == nullptr) return;\n}", [
+        "int xs[] = {1, 2};",
+        "try { h(); } catch (...) { }",
+        "auto g = [&](int k) { return k; };",
+        "std::vector<int> v{1, 2};",
+    ]),
+    "c": ("static struct node *make(struct node *p) {\n use(p->x);", "if (p == NULL) return 0;\n return p;\n}", [
+        "int xs[] = {1, 2};",
+    ]),
+}
+
+
+@pytest.mark.parametrize(
+    "language,stmt", [(language, stmt) for language, (_, _, stmts) in IN_FUNCTION.items() for stmt in stmts]
+)
+def test_a_brace_group_inside_a_function_keeps_its_state(language, stmt):
+    head, tail, _ = IN_FUNCTION[language]
+    profile = {"c": C, "cpp": CPP, "java": JAVA}[language]
+    source = f"{head}\n {stmt}\n {tail}"
+    use = head.count("\n") + 1  # the head's last line dereferences ``p``
+    test = source.split("\n")[use + 1]
+    diags = check_null_deref(parse_source(source, profile), profile)
+    got = [(d.span.start.line, d.span.start.column, d.related[0].line) for d in diags]
+    # one finding, at the tested ``p``, citing the line that dereferenced it
+    assert got == [(use + 2, test.index("(p") + 2, use)]
 
 
 def test_checker_matches_brute_force_oracle_on_random_programs():

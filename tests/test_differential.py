@@ -2,6 +2,7 @@
 
 import importlib.util
 import os
+import pathlib
 import re
 import shutil
 import subprocess
@@ -16,19 +17,28 @@ def differential(old_root, new_root):
     return subprocess.run(argv, capture_output=True, text=True, timeout=300)
 
 
+def src_lines(root):
+    return sum(path.read_bytes().count(b"\n") for path in pathlib.Path(root, "src", "xcheck").glob("*.py"))
+
+
 def test_a_tree_agrees_with_itself():
     proc = differential(ROOT, ROOT)
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "no difference" in proc.stdout
+    lines = src_lines(ROOT)
+    assert lines > 0
+    assert proc.stdout.splitlines()[0] == f"differential: src/xcheck/*.py: old {lines} lines, new {lines} lines, +0"
 
 
 def test_a_changed_dump_is_reported(tmp_path):
     shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
     cli = tmp_path / "src" / "xcheck" / "cli.py"
-    cli.write_text(cli.read_text().replace("// AST ", "// TREE "))
+    cli.write_text(cli.read_text().replace("// AST ", "// TREE ") + "# one\n# two\n")
     proc = differential(ROOT, str(tmp_path))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "stdout line 1:" in proc.stdout and "// TREE" in proc.stdout
+    lines = src_lines(ROOT)
+    assert proc.stdout.splitlines()[0] == f"differential: src/xcheck/*.py: old {lines} lines, new {lines + 2} lines, +2"
 
 
 def test_a_changed_line_range_window_is_reported(tmp_path):
@@ -51,7 +61,7 @@ def test_every_differing_file_is_counted_by_group_and_stream(tmp_path):
     proc = differential(ROOT, str(tmp_path))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "differ at stdout line" in proc.stdout
-    assert "15 files differ at" not in proc.stdout.splitlines()[0]  # the corpus size is no count of differing files
+    assert "15 files differ at" not in proc.stdout.splitlines()[1]  # the corpus size is no count of differing files
     summary = proc.stdout.splitlines()[-1]
     # 3 fixtures, 2 golden inputs, 5 programs and 5 soups; two fixtures and one
     # golden input hold a null-deref finding, and so do some of the programs
@@ -68,7 +78,7 @@ def test_a_changed_null_event_log_is_reported(tmp_path):
     checkers.write_text(source.replace(append, f"{append}; {append}"))  # every DerefEvent twice: no finding changes
     proc = differential(ROOT, str(tmp_path))
     assert proc.returncode == 1, proc.stdout + proc.stderr
-    first, summary = proc.stdout.splitlines()[0], proc.stdout.splitlines()[-1]
+    first, summary = proc.stdout.splitlines()[1], proc.stdout.splitlines()[-1]
     assert "differ in the null-event logs or statement key classes at stdout line" in first
     assert re.fullmatch(r"differential: \d+ of 15 files differ: .*; by stream: log \d+", summary), summary
 
@@ -94,6 +104,7 @@ def test_each_corpus_row_writes_its_share_of_n_in_its_languages(tmp_path, monkey
         "paths": (3, every),
         "parens": (3, every),
         "brackets": (3, every),
+        "lone_ops": (3, every),
     }
     written = {d: os.listdir(tmp_path / d) for d in os.listdir(tmp_path)}
     assert {d: (len(names), {os.path.splitext(n)[1] for n in names}) for d, names in written.items()} == expected
@@ -116,7 +127,7 @@ def test_a_tree_is_compared_in_place_and_leaves_the_status(tmp_path):
     # no corpus file holds such a loop, so only the trees differ, and the status is the corpus's
     assert proc.returncode == 0, proc.stdout + proc.stderr
     lines = proc.stdout.splitlines()
-    assert "no difference" in lines[0]
+    assert "no difference" in lines[1]
     side = r"findings {}; lex warnings 1 \(unterminated char literal 1\); [\d.]+ s, peak [\d.]+ MB, exit 1"
     expected = [
         rf"differential: tree {re.escape(str(tree))}, 2 files with a profile",
@@ -130,6 +141,6 @@ def test_a_tree_is_compared_in_place_and_leaves_the_status(tmp_path):
         rf"differential: tree c={re.escape(str(tree))}: 1 of 2 files differ: a.c 1; by stream: findings 1; "
         "1 runs differ in their exit code or in output that names no file",
     ]
-    assert len(lines) == 1 + len(expected), proc.stdout
-    for pattern, line in zip(expected, lines[1:]):
+    assert len(lines) == 2 + len(expected), proc.stdout
+    for pattern, line in zip(expected, lines[2:]):
         assert re.fullmatch(pattern, line), (pattern, line)

@@ -13,6 +13,7 @@ from support import (
     parse_source,
     wild,
 )
+from xcheck.checkers import check_redundant_conditions, iter_null_events
 from xcheck.lexer import tokenize
 from xcheck.microgrammar import (
     AccessPath,
@@ -63,12 +64,20 @@ def test_single_token_refines_to_atom():
 @pytest.mark.parametrize("profile", [C, CPP, JAVA], ids=lambda p: p.name)
 @pytest.mark.parametrize("op", ["=", "||", "&&", "<", "<=", ">", ">=", "==", "!=", "+=", "-="])
 def test_a_lone_split_operator_is_its_shape_of_two_empty_parts(op, profile):
-    (stmt,) = parse_source(f"if ({op}) f();", profile)
-    shape = {"=": ("Assign",), "+=": ("Update", op), "-=": ("Update", op)}.get(op)
-    shape = shape or (("Logical", op) if op in ("||", "&&") else ("Compare", op))
-    assert expr_key(stmt.cond) == (*shape, ("Wildcard",), ("Wildcard",))
-    # both parts are empty wildcards anchored at the slot, the operator's offset
-    assert [(p.tokens, p.span.lo, p.span.hi) for p in stmt.cond.children()] == [((), 4, 4)] * 2
+    # No shape of two empty parts: the slot is the operator's Atom, and the
+    # outputs stay those that such a shape gives.
+    source = f"if ({op}) f(); else if ({op}) g();"
+    (stmt,) = parse_source(source, profile)
+    second = source.rindex(op)
+    for cond, at in ((stmt.cond, 4), (stmt.elifs[0][0], second)):
+        assert isinstance(cond, Atom) and cond.token.text == op and expr_key(cond) == ("Atom", op)
+        assert (cond.span.lo, cond.span.hi) == (at, at + len(op))
+    # the two conditions key alike: one finding, at the second operator
+    (diag,) = check_redundant_conditions([stmt], profile)
+    assert (diag.span.start.offset, diag.related[0].offset) == (second, 4)
+    # the slots add no null event (no test, dereference or kill): the log is the
+    # reset at the end of the top-level if
+    assert [type(e).__name__ for e in iter_null_events([stmt], profile)] == ["ResetEvent"]
 
 
 def test_ternary_stays_wildcard():

@@ -147,9 +147,9 @@ def test_escaped_newline_end_positions_match_the_source(source, language):
 
 @pytest.mark.parametrize("filename", FIXTURES)
 def test_positions_past_the_counted_prefix_match_the_source(filename):
-    # Positions within 8K characters of a known one are counted, later ones
-    # are looked up in the table of line starts: cover both, and a resolved
-    # span's end counted on from its start.
+    # Positions within 8K characters of the file's start are counted, later
+    # ones are looked up in the table of line starts: cover both, and a
+    # resolved span's two ends.
     with open(fixture_path(filename), encoding="utf-8") as fh:
         source = "\n".join([fh.read()] * 16)
     language = {".c": "c", ".cpp": "cpp", ".java": "java"}[filename[filename.rindex("."):]]

@@ -23,10 +23,18 @@ only), ``for`` headers over every comparison and update operator, functions over
 paths of 50-500 steps, and functions whose conditions, call arguments and
 assignments are wrapped in 1-200 layers of parentheses and nested calls
 around null tests and dereferences (some past the refinement depth cap),
-and functions whose statements leave a bracket of one kind open inside a
+functions whose statements leave a bracket of one kind open inside a
 group of another kind (``f ( a [ i ) ;``, ``f ( a ] ;``) among dereferences
-and null tests; all but the programs and the prefix lines spread over C, C++ and Java.  The corpus comes from this
+and null tests, and functions in which each operator that refinement splits
+at (``= || && < <= > >= == != += -=``) stands alone in a slot (an ``if`` or
+``while`` condition, each ``for`` part, a call argument, a ``case`` label,
+``( ( OP ) )`` and ``! OP``), between a dereference and a null test, with one
+lone ``else if`` condition and one lone ``case`` label repeated; all but the
+programs and the prefix lines spread over C, C++ and Java.  The corpus comes from this
 checkout, so both sides see the same files.
+
+The first line printed gives each side's line count of ``src/xcheck/*.py``
+(as ``wc -l`` counts) and the difference.
 
 The CLI then runs on each side, with ``ROOT/src`` on ``PYTHONPATH``: once as
 ``xcheck --dump-ast --format json DIR``, once naming several inputs (a
@@ -59,6 +67,7 @@ from __future__ import annotations
 import argparse
 import json
 import os
+import pathlib
 import random
 import re
 import shutil
@@ -117,6 +126,7 @@ LANGUAGES = (("c", ".c"), ("cpp", ".cpp"), ("java", ".java"))
 SOUP_MAX_TOKENS = 256
 NEST_DEPTHS = (40, 100)  # around the parser's MAX_NESTING of 64
 WORKLOADS = ("tree_mixed", "docs_heavy", "stress_shapes")
+LONE_OPS = ("=", "||", "&&", "<", "<=", ">", ">=", "==", "!=", "+=", "-=")  # the operators refinement splits at
 HEADERS = {"// AST ": "dump", "// LOG ": "log"}  # a section header's start -> its stream
 
 
@@ -261,6 +271,33 @@ def crossed_brackets(rng: random.Random, profile) -> str:
     return "\n".join(words) + "\n"
 
 
+def lone_ops(rng: random.Random, profile) -> str:
+    """Functions in which each split operator stands alone in a slot, between a
+    dereference of ``p`` and its null test, so the findings depend on the slots;
+    each function repeats one lone ``else if`` condition and one lone ``case`` label."""
+    null, arrow = min(profile.null_literals), profile.deref_ops[0]
+    words = []
+    for f in range(rng.randint(1, 3)):
+        words.append(f"f{f} ( ) {{ use ( p{arrow}x ) ;")
+        for op in rng.sample(LONE_OPS, len(LONE_OPS)):
+            words.append(rng.choice((
+                f"if ( {op} ) g ( ) ;",
+                f"while ( {op} ) g ( ) ;",
+                f"for ( {op} ; i < n ; i ++ ) g ( ) ;",
+                f"for ( i = 0 ; {op} ; i ++ ) g ( ) ;",
+                f"for ( i = 0 ; i < n ; {op} ) g ( ) ;",
+                f"g ( a , {op} ) ;",
+                f"switch ( k ) {{ case {op} : g ( ) ; }}",
+                f"if ( ( ( {op} ) ) ) g ( ) ;",
+                f"if ( ! {op} ) g ( ) ;",
+            )))
+        op = rng.choice(LONE_OPS)
+        words.append(f"if ( {op} ) g ( ) ; else if ( {op} ) h ( ) ;")
+        words.append(f"switch ( k ) {{ case {op} : g ( ) ; break ; case {op} : h ( ) ; }}")
+        words.append(f"if ( p == {null} ) return ; }}")
+    return "\n".join(words) + "\n"
+
+
 def commented_soup(rng: random.Random, profile, words: list[str]) -> str:
     """``words`` joined by runs of whitespace, line comments and block comments."""
     line, (opener, closer) = profile.line_comment, profile.block_comment
@@ -311,6 +348,7 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
         ("paths", "a", 10, LANGUAGES, long_paths),
         ("parens", "w", 10, LANGUAGES, paren_nests),
         ("brackets", "b", 10, LANGUAGES, crossed_brackets),
+        ("lone_ops", "o", 10, LANGUAGES, lone_ops),
     )
     for seed, (directory, letter, share, languages, make) in enumerate(rows):
         os.makedirs(os.path.join(dest, directory))
@@ -461,6 +499,11 @@ def compare_tree(old_root: str, new_root: str, spec: str) -> str:
     )
 
 
+def src_lines(root: str) -> int:
+    """The line count of ``ROOT/src/xcheck/*.py``, as ``wc -l`` counts it."""
+    return sum(path.read_bytes().count(b"\n") for path in pathlib.Path(root, "src", "xcheck").glob("*.py"))
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("old_root")
@@ -472,6 +515,8 @@ def main(argv: list[str] | None = None) -> int:
         help="also compare a local tree, read in place; LANG= forces a profile (repeatable)",
     )
     args = parser.parse_args(argv)
+    old_lines, new_lines = src_lines(args.old_root), src_lines(args.new_root)
+    print(f"differential: src/xcheck/*.py: old {old_lines} lines, new {new_lines} lines, {new_lines - old_lines:+d}")
     with tempfile.TemporaryDirectory(prefix="xcheck-diff-") as corpus:
         write_corpus(corpus, args.programs, args.seeds)
         files = sum(len(names) for _, _, names in os.walk(corpus))
