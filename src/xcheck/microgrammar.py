@@ -31,14 +31,14 @@ parent's operator lists, trimmed.
 Every expression node records the tokens it covers as a range ``[lo, hi)``
 of the file's token tuple, which the whole tree shares: refinement never
 copies a slice, so a node's size does not depend on what it covers.  A
-refined node is never empty and reads its source span off its range's first
-and last token; a wildcard may be empty, so it stores its span.  One helper,
-:meth:`_Parser._span`, builds every statement (keywords and brackets
-included), arm, ``for`` header and wildcard extent from token indices.  A slot
-is cut empty only after its opener or label keyword and sits at that token; an
-empty statement run sits at its terminator, and an empty part inside a slot
-(the left side of ``if (== b)``) at the slot's start.  Spans are offsets, resolved
-only when read (:class:`Extent`).  Structural equality and ordering ignore positions.
+refined node is never empty; a wildcard may be empty, so it stores its span.
+One function, :func:`_extent`, builds every extent from token indices: a
+range runs from its first token's start to its last token's end, and an
+empty range sits at the token before it (the ``(`` of ``if ()``, the ``=`` of
+``x = ;``), or at the first token when nothing comes before it.  Statement
+extents include their keywords and brackets.  Spans are offsets, resolved
+only when read (:class:`Extent`).  Structural equality and ordering ignore
+positions.  A statement is incomplete when its last part is.
 
 Each class declares its fields once, in ``__slots__`` (an expression class
 in ``_fields``, as its ``tokens`` is stored as the range), from which it gets
@@ -97,6 +97,17 @@ class Extent(NamedTuple):
         return repr(self.resolve())
 
 
+def _extent(toks: Sequence[Token], lo: int, hi: int) -> Extent:
+    """The extent of ``toks[lo:hi]``, the one rule for every node: a range runs
+    from its first token's start to its last token's end; an empty range sits
+    at the token before it, or at the first token when nothing comes before it."""
+    if hi > lo:
+        first, last = toks[lo], toks[hi - 1]
+        return _new(Extent, (first.offset, last.offset + len(last.text), first.source))
+    at = toks[lo - 1 if lo else 0]
+    return _new(Extent, (at.offset, at.offset, at.source))
+
+
 # ---------------------------------------------------------------------------
 # Expression nodes
 # ---------------------------------------------------------------------------
@@ -135,9 +146,8 @@ class Expr(_Slotted):
 
     @property
     def span(self) -> Extent:
-        """The extent of ``tokens``, which a refined node never leaves empty."""
-        first, last = self.toks[self.lo], self.toks[self.hi - 1]
-        return _new(Extent, (first.offset, last.offset + len(last.text), first.source))
+        """The extent of ``tokens`` (see :func:`_extent`)."""
+        return _extent(self.toks, self.lo, self.hi)
 
     def children(self) -> Sequence[Expr]:
         """The node's sub-expressions in source order (none for a leaf);
@@ -372,7 +382,6 @@ class _Parser:
 
     def __init__(self, tokens: tuple[Token, ...], profile: LanguageProfile):
         self.toks = tokens
-        self.source = tokens[0].source if tokens else ""
         self.match = _bracket_table(tokens, profile)
         self.profile = profile
         self.i = 0
@@ -387,13 +396,6 @@ class _Parser:
         """Step over the token at the cursor and return its index."""
         self.i += 1
         return self.i - 1
-
-    def _span(self, lo: int, hi: int, fallback: int = 0) -> Extent:
-        """The extent of tokens ``[lo, hi)``; an empty range sits at offset ``fallback``."""
-        if hi > lo:
-            last = self.toks[hi - 1]
-            return _new(Extent, (self.toks[lo].offset, last.offset + len(last.text), self.source))
-        return _new(Extent, (fallback, fallback, self.source))
 
     def _is_kw(self, tok: Token | None, text: str) -> bool:
         return tok is not None and tok.kind is _KW and tok.text == text
@@ -465,33 +467,29 @@ class _Parser:
         self.i = stop = self._find(lo, self.hi, (term, "{"))
         if stop < self.hi and self.toks[stop].text == term:
             self._take()
-        expr = self._refine(lo, stop, 0, self.toks[lo].offset)  # an empty run sits at its terminator
-        return WildcardStmt(expr, self._span(lo, self.i), stop == self.hi)
+        return WildcardStmt(self._refine(lo, stop, 0), _extent(self.toks, lo, self.i), stop == self.hi)
 
-    def _slot(self, lo: int, hi: int) -> Expr:
-        """Refine the expression slot ``toks[lo:hi]`` as soon as it is cut.
-
-        A slot is cut empty only just after its opener or label keyword,
-        ``toks[lo - 1]``, and its span then sits there.
-        """
-        return self._refine(lo, hi, 0, self.toks[lo if hi > lo else lo - 1].offset)
-
-    def _cond(self) -> tuple[Expr, bool]:
-        lo, hi, ok = self._balanced("(")
-        return self._slot(lo, hi), ok
+    def _cond(self) -> Expr:
+        lo, hi, _ = self._balanced("(")
+        return self._refine(lo, hi, 0)
 
     def _subparse(self, lo: int, hi: int, depth: int) -> list[Stmt]:
         if depth >= MAX_NESTING:
-            return [WildcardStmt(self._slot(lo, hi), self._span(lo, hi))] if hi > lo else []
+            return [WildcardStmt(self._refine(lo, hi, 0), _extent(self.toks, lo, hi))] if hi > lo else []
         return self.parse(lo, hi, depth)
 
     def _block(self, depth: int) -> Block:
         lo, hi, ok = self._balanced("{")
         body = self._subparse(lo, hi, depth + 1)
-        return Block(body, self._span(lo - 1, self.i), incomplete=not ok)
+        return Block(body, _extent(self.toks, lo - 1, self.i), incomplete=not ok)
 
     def _body(self, depth: int) -> tuple[list[Stmt], bool]:
-        """Either a braced statement list or exactly one statement."""
+        """Either a braced statement list or exactly one statement, and whether
+        it is incomplete: missing, or its ``{`` unclosed.  A statement is
+        incomplete when its last part is: an unclosed group leaves the cursor at
+        the end of the range, so every body after it is missing, and an ``if``,
+        ``while`` or ``for`` reads its last body's flag, a ``do`` its condition's
+        ``(`` and a ``switch`` its ``{``."""
         tok = self._peek()
         if tok is None:
             return [], True
@@ -502,50 +500,48 @@ class _Parser:
 
     def _if(self, depth: int) -> If:
         start = self._take()
-        cond, ok = self._cond()
-        then_body, inc = self._body(depth)
-        incomplete = not ok or inc
+        cond = self._cond()
+        then_body, incomplete = self._body(depth)
         elifs: list[tuple[Expr, list[Stmt]]] = []
         else_body: list[Stmt] | None = None
         while self._is_kw(self._peek(), "else"):
             self._take()
             if self._is_kw(self._peek(), "if"):
                 self._take()
-                c2, ok2 = self._cond()
-                b2, inc2 = self._body(depth)
+                c2 = self._cond()
+                b2, incomplete = self._body(depth)
                 elifs.append((c2, b2))
-                incomplete = incomplete or not ok2 or inc2
             else:
-                else_body, inc3 = self._body(depth)
-                incomplete = incomplete or inc3
+                else_body, incomplete = self._body(depth)
                 break
-        return If(cond, then_body, elifs, else_body, self._span(start, self.i), incomplete)
+        return If(cond, then_body, elifs, else_body, _extent(self.toks, start, self.i), incomplete)
 
     def _while(self, depth: int) -> While:
         start = self._take()
-        cond, ok = self._cond()
-        body, inc = self._body(depth)
-        return While(cond, body, self._span(start, self.i), not ok or inc)
+        cond = self._cond()
+        body, incomplete = self._body(depth)
+        return While(cond, body, _extent(self.toks, start, self.i), incomplete)
 
     def _do_while(self, depth: int) -> DoWhile:
         start = self._take()
-        body, inc = self._body(depth)
+        body, _ = self._body(depth)
         if not self._is_kw(self._peek(), "while"):
             raise _StructuralMismatch("do-body not followed by while")
         self._take()
-        cond, ok = self._cond()
+        lo, hi, ok = self._balanced("(")
+        cond = self._refine(lo, hi, 0)
         nxt = self._peek()
         if nxt is not None and nxt.text == self.profile.stmt_terminator:
             self._take()
-        return DoWhile(body, cond, self._span(start, self.i), not ok or inc)
+        return DoWhile(body, cond, _extent(self.toks, start, self.i), not ok)
 
     def _for(self, depth: int) -> For:
         start = self._take()
-        lo, hi, ok = self._balanced("(")
-        header_span = self._span(lo - 1, self.i)
+        lo, hi, _ = self._balanced("(")
+        header_span = _extent(self.toks, lo - 1, self.i)
         init, cond, update = self._split_for_header(lo, hi)
-        body, inc = self._body(depth)
-        return For(init, cond, update, body, header_span, self._span(start, self.i), not ok or inc)
+        body, incomplete = self._body(depth)
+        return For(init, cond, update, body, header_span, _extent(self.toks, start, self.i), incomplete)
 
     def _split_for_header(self, lo: int, hi: int) -> tuple[Expr | None, Expr | None, Expr | None]:
         """Split on depth-zero ";" into init/cond/update.
@@ -559,17 +555,17 @@ class _Parser:
         if b == hi or self._find(b + 1, hi, semi) < hi:
             a, b = lo - 1, hi  # as if cut just outside the header: all condition
         init, cond, update = (
-            self._slot(x, y) if y > x else None
+            self._refine(x, y, 0) if y > x else None
             for x, y in ((lo, a), (a + 1, b), (b + 1, hi))
         )
         return init, cond, update
 
     def _switch(self, depth: int) -> Switch:
         start = self._take()
-        scrutinee, ok = self._cond()
-        lo, hi, ok2 = self._balanced("{")
+        scrutinee = self._cond()
+        lo, hi, ok = self._balanced("{")
         cases = self._split_cases(lo, hi, depth)
-        return Switch(scrutinee, cases, self._span(start, self.i), not ok or not ok2)
+        return Switch(scrutinee, cases, _extent(self.toks, start, self.i), not ok)
 
     def _split_cases(self, lo: int, hi: int, depth: int) -> list[CaseArm]:
         """Cut the switch body into case/default arms at depth zero.
@@ -601,29 +597,29 @@ class _Parser:
                 label = None
                 # stray tokens between `default` and ":" go into the body
                 if label_end > start + 1:
-                    body.insert(0, WildcardStmt(self._slot(start + 1, label_end), self._span(start + 1, label_end)))
+                    body.insert(0, WildcardStmt(self._refine(start + 1, label_end, 0), _extent(toks, start + 1, label_end)))
             else:
-                label = self._slot(start + 1, label_end)
-            arms.append(CaseArm(label, body, self._span(start, stop)))
+                label = self._refine(start + 1, label_end, 0)
+            arms.append(CaseArm(label, body, _extent(toks, start, stop)))
         return arms
 
     _FORMS = {"if": _if, "while": _while, "do": _do_while, "for": _for, "switch": _switch}
 
     # -- expression refinement ------------------------------------------------
 
-    def _refine(self, lo: int, hi: int, depth: int, anchor: int, ops: tuple | None = None) -> Expr:
+    def _refine(self, lo: int, hi: int, depth: int, ops: tuple | None = None) -> Expr:
         """Refine ``toks[lo:hi]`` into a recognized shape, else a wildcard; within
         the depth cap, a one-token range is its ``Atom``, an operator too.
 
-        ``anchor`` is the slot's start offset, the span of any empty part.  ``ops``
-        is the range's depth-zero ``||``, ``&&``, comparison and ``+=``/``-=``
-        indices (four lists in source order) when the caller's scan has them.
+        ``ops`` is the range's depth-zero ``||``, ``&&``, comparison and
+        ``+=``/``-=`` indices (four lists in source order) when the caller's
+        scan has them.
         """
         toks = self.toks
         if hi - lo == 1 and depth <= MAX_EXPR_DEPTH:  # Atom: any one token
             return Atom(toks[lo], toks, lo, hi)
         if lo == hi or depth > MAX_EXPR_DEPTH:
-            return Wildcard(toks, self._span(lo, hi, anchor), lo, hi)
+            return Wildcard(toks, _extent(toks, lo, hi), lo, hi)
         depth += 1
         refine = self._refine
 
@@ -639,7 +635,7 @@ class _Parser:
                 if tok.kind is _OP:
                     text = tok.text
                     if text == "=":
-                        return Assign(refine(lo, k, depth, anchor), refine(k + 1, hi, depth, anchor), toks, lo, hi)
+                        return Assign(refine(lo, k, depth), refine(k + 1, hi, depth), toks, lo, hi)
                     if text == "||":
                         ors.append(k)
                     elif text == "&&":
@@ -660,30 +656,30 @@ class _Parser:
             for x in ops:
                 del x[bisect_left(x, idx):]  # what is left is the lhs's
             op = toks[idx].text
-            return Logical(op, refine(lo, idx, depth, anchor, ops), refine(idx + 1, hi, depth, anchor), toks, lo, hi)
+            return Logical(op, refine(lo, idx, depth, ops), refine(idx + 1, hi, depth), toks, lo, hi)
 
         # Compare: exactly one top-level comparison operator.  Two or more
         # (template/generic angle brackets, chained comparisons) stay wildcard.
         if len(comparisons) == 1:
             idx = comparisons[0]
             op = toks[idx].text
-            return Compare(op, refine(lo, idx, depth, anchor), refine(idx + 1, hi, depth, anchor), toks, lo, hi)
+            return Compare(op, refine(lo, idx, depth), refine(idx + 1, hi, depth), toks, lo, hi)
 
         # Not: leading "!".  Its operand, like a "++"/"--" target below, keeps
         # the lists unless a profile pairs the token cut off as an opener.
         first, last = toks[lo], toks[hi - 1]
         if first.text == "!":
-            return Not(refine(lo + 1, hi, depth, anchor, ops if match[lo] == lo else None), toks, lo, hi)
+            return Not(refine(lo + 1, hi, depth, ops if match[lo] == lo else None), toks, lo, hi)
 
         # Update: one top-level "+=" / "-=", or a leading/trailing "++" / "--".
         if len(bin_updates) == 1:
             idx = bin_updates[0]
-            value = refine(idx + 1, hi, depth, anchor)
-            return Update(toks[idx].text, refine(lo, idx, depth, anchor), toks, value, False, lo, hi)
+            value = refine(idx + 1, hi, depth)
+            return Update(toks[idx].text, refine(lo, idx, depth), toks, value, False, lo, hi)
         if last.text in _UNARY_UPDATE_OPS:
-            return Update(last.text, refine(lo, hi - 1, depth, anchor, ops), toks, None, False, lo, hi)
+            return Update(last.text, refine(lo, hi - 1, depth, ops), toks, None, False, lo, hi)
         if first.text in _UNARY_UPDATE_OPS:
-            target = refine(lo + 1, hi, depth, anchor, ops if match[lo] == lo else None)
+            target = refine(lo + 1, hi, depth, ops if match[lo] == lo else None)
             return Update(first.text, target, toks, None, True, lo, hi)
 
         # Call: access path (or bare identifier) + balanced "(...)" covering
@@ -695,7 +691,7 @@ class _Parser:
                 cut = k  # the "(", then each depth-zero ","
                 while cut < hi - 1:
                     j = self._find(cut + 1, hi - 1, (",",))
-                    args.append(refine(cut + 1, j, depth, anchor))
+                    args.append(refine(cut + 1, j, depth))
                     cut = j
             return Call(self._path(lo, k), tuple(args), toks, lo, hi)
 
@@ -706,13 +702,13 @@ class _Parser:
         # Fully covering parentheses: strip and re-refine the interior, but
         # widen the node's range over the parentheses.
         if first.text == "(" and match[lo] == hi - 1:
-            inner = refine(lo + 1, hi - 1, depth, anchor)
+            inner = refine(lo + 1, hi - 1, depth)
             inner.lo, inner.hi = lo, hi  # a node just built: nothing else holds it
             if isinstance(inner, Wildcard):
-                inner.span = self._span(lo, hi, anchor)
+                inner.span = _extent(toks, lo, hi)
             return inner
 
-        return Wildcard(toks, self._span(lo, hi, anchor), lo, hi)
+        return Wildcard(toks, _extent(toks, lo, hi), lo, hi)
 
     def _path(self, lo: int, hi: int) -> Expr:
         toks = self.toks
@@ -731,7 +727,7 @@ def parse_expression(wildcard: Expr, profile: LanguageProfile) -> Expr:
     if not isinstance(wildcard, Wildcard) or not wildcard.tokens:
         return wildcard
     tokens = tuple(wildcard.tokens)
-    return _Parser(tokens, profile)._refine(0, len(tokens), 0, tokens[0].offset)
+    return _Parser(tokens, profile)._refine(0, len(tokens), 0)
 
 
 # ---------------------------------------------------------------------------

@@ -15,9 +15,17 @@ only an opener of its own kind, and ``( )`` and ``{ }`` are brackets in
 every profile.  The step counts tokens; it does not read the shipped
 parser's bracket table.
 
-It builds its spans from positions, as it always did, and stores each
-as the shipped parser's ``Extent`` of the two offsets (see ``Span`` below),
-so that the shipped checkers, which read offsets, run on its trees too.
+It builds its spans from positions and stores each as the shipped parser's
+``Extent`` of the two offsets (see ``Span`` below), so that the shipped
+checkers, which read offsets, run on its trees too.  It places an empty
+wildcard by steps of its own, not by the shipped ``_extent``: on entry it
+indexes the file's tokens by offset; an empty condition sits at its ``(``, an
+empty ``case`` label at its ``case``, and an empty statement run at the token
+before its terminator; refinement passes each slice the token before it,
+which a left part inherits from its parent and any other part takes from the
+operator, ``(``, ``,`` or ``!`` in front of it.  Its ``incomplete`` marks are
+``or``-ed over a statement's parts, so the oracle checks the shipped parser's
+reading of them off the last part.
 
 The reference also keeps the syntax-token ledger (``ParseAccounting``)
 that the shipped parser does without: with it the tests check that every
@@ -62,8 +70,11 @@ _BINARY_UPDATE_OPS = frozenset({"+=", "-="})
 _STARTERS = frozenset({"if", "while", "do", "for", "switch"})
 
 
-# The source of the token list being parsed, set on entry.
+# The source of the token list being parsed, its tokens and each token's
+# index by offset, set on entry.
 _source = ""
+_tokens: Sequence[Token] = ()
+_index: dict[int, int] = {}
 
 
 def token_end(tok: Token) -> Position:
@@ -73,6 +84,13 @@ def token_end(tok: Token) -> Position:
 
 def Span(start: Position, end: Position) -> Extent:
     return Extent(start.offset, end.offset, _source)
+
+
+def _token_before(tok: Token) -> Token:
+    """The file's token before ``tok``; the first token has none, and stands
+    for itself."""
+    k = _index[tok.offset]
+    return _tokens[k - 1] if k else tok
 
 
 def _span_of(tokens: Sequence[Token], fallback: Position | None = None) -> Extent:
@@ -210,10 +228,13 @@ class _Parser:
             end = min(_group_close(self.toks, self.i, self.profile), len(self.toks) - 1)
             while self.i <= end:
                 collected.append(self._take())
-        anchor = terminator.pos if terminator is not None else start_tok.pos
-        wild = Wildcard(tuple(collected), _span_of(collected, anchor))
+        if collected:
+            wild = Wildcard(tuple(collected), _span_of(collected))
+        else:  # only a terminator: the empty run sits at the token before it
+            assert terminator is not None
+            wild = Wildcard((), _span_of((), _token_before(terminator).pos))
         end = token_end(terminator) if terminator is not None else self._end_pos()
-        span = Span(collected[0].pos if collected else anchor, end)
+        span = Span(collected[0].pos if collected else terminator.pos, end)
         return WildcardStmt(wild, span, incomplete=incomplete)
 
     def _balanced(self, open_text: str, close_text: str) -> tuple[tuple[Token, ...], bool, Token]:
@@ -473,16 +494,20 @@ def _path_expr(tokens: Sequence[Token]) -> Expr:
 def parse_expression(wildcard: Expr, profile: LanguageProfile) -> Expr:
     """Refine a wildcard into a recognized shape; never fails.
 
-    Already-refined expressions pass through untouched, and a wildcard no
-    rule matches is returned unchanged.
+    Already-refined expressions and empty wildcards, which the structural
+    pass placed, pass through untouched, and a wildcard no rule matches is
+    returned unchanged.
     """
-    if not isinstance(wildcard, Wildcard):
+    if not isinstance(wildcard, Wildcard) or not wildcard.tokens:
         return wildcard
-    return _refine(wildcard.tokens, profile, 0, wildcard.span.start)
+    return _refine(wildcard.tokens, profile, 0, _token_before(wildcard.tokens[0]))
 
 
-def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anchor: Position) -> Expr:
-    span = _span_of(tokens, anchor)
+def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, before: Token) -> Expr:
+    """``before`` is the file's token before ``tokens``, where an empty part
+    sits: a left part inherits its parent's, any other part takes the
+    operator, ``(``, ``,`` or ``!`` in front of it."""
+    span = _span_of(tokens, before.pos)
     if not tokens or depth > MAX_EXPR_DEPTH:
         return Wildcard(tokens, span)
 
@@ -490,8 +515,8 @@ def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anc
     if len(tokens) == 1:
         return Atom(tokens[0], tokens)
 
-    def sub(part: tuple[Token, ...]) -> Expr:
-        return _refine(part, profile, depth + 1, anchor)
+    def sub(part: tuple[Token, ...], before: Token) -> Expr:
+        return _refine(part, profile, depth + 1, before)
 
     top = [
         (idx, tokens[idx].text)
@@ -502,35 +527,35 @@ def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anc
     # Assign: first top-level bare "=" (right-associative chains nest in rhs).
     for idx, text in top:
         if text == "=":
-            return Assign(sub(tokens[:idx]), sub(tokens[idx + 1 :]), tokens)
+            return Assign(sub(tokens[:idx], before), sub(tokens[idx + 1 :], tokens[idx]), tokens)
 
     # Logical: split at the last top-level "||", else the last "&&".
     for op in ("||", "&&"):
         hits = [idx for idx, text in top if text == op]
         if hits:
             idx = hits[-1]
-            return Logical(op, sub(tokens[:idx]), sub(tokens[idx + 1 :]), tokens)
+            return Logical(op, sub(tokens[:idx], before), sub(tokens[idx + 1 :], tokens[idx]), tokens)
 
     # Compare: exactly one top-level comparison operator.  Two or more
     # (template/generic angle brackets, chained comparisons) stay wildcard.
     comparisons = [(idx, text) for idx, text in top if text in _COMPARE_OPS]
     if len(comparisons) == 1:
         idx, op = comparisons[0]
-        return Compare(op, sub(tokens[:idx]), sub(tokens[idx + 1 :]), tokens)
+        return Compare(op, sub(tokens[:idx], before), sub(tokens[idx + 1 :], tokens[idx]), tokens)
 
     # Not: leading "!".
     if tokens[0].text == "!" and len(tokens) > 1:
-        return Not(sub(tokens[1:]), tokens)
+        return Not(sub(tokens[1:], tokens[0]), tokens)
 
     # Update: one top-level "+=" / "-=", or a leading/trailing "++" / "--".
     bin_updates = [(idx, text) for idx, text in top if text in _BINARY_UPDATE_OPS]
     if len(bin_updates) == 1:
         idx, op = bin_updates[0]
-        return Update(op, sub(tokens[:idx]), tokens, value=sub(tokens[idx + 1 :]))
+        return Update(op, sub(tokens[:idx], before), tokens, value=sub(tokens[idx + 1 :], tokens[idx]))
     if len(tokens) >= 2 and tokens[-1].text in _UNARY_UPDATE_OPS:
-        return Update(tokens[-1].text, sub(tokens[:-1]), tokens)
+        return Update(tokens[-1].text, sub(tokens[:-1], before), tokens)
     if len(tokens) >= 2 and tokens[0].text in _UNARY_UPDATE_OPS:
-        return Update(tokens[0].text, sub(tokens[1:]), tokens, prefix=True)
+        return Update(tokens[0].text, sub(tokens[1:], tokens[0]), tokens, prefix=True)
 
     # Call: access path (or bare identifier) + balanced "(...)" covering
     # the remainder; arguments split on depth-zero commas.
@@ -539,12 +564,12 @@ def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anc
         interior = tokens[k + 1 : -1]
         args: list[Expr] = []
         if interior:
-            start = 0
+            start, sep = 0, tokens[k]  # each argument after its "(" or ","
             for idx in _depth_zero(interior, profile):
                 if interior[idx].text == ",":
-                    args.append(sub(interior[start:idx]))
-                    start = idx + 1
-            args.append(sub(interior[start:]))
+                    args.append(sub(interior[start:idx], sep))
+                    start, sep = idx + 1, interior[idx]
+            args.append(sub(interior[start:], sep))
         callee = _path_expr(tokens[:k])
         return Call(callee, tuple(args), tokens)
 
@@ -555,7 +580,7 @@ def _refine(tokens: tuple[Token, ...], profile: LanguageProfile, depth: int, anc
     # Fully covering parentheses: strip and re-refine the interior, but
     # keep the original token slice on the node.
     if tokens[0].text == "(" and _group_close(tokens, 0, profile) == len(tokens) - 1:
-        inner = sub(tokens[1:-1])
+        inner = sub(tokens[1:-1], tokens[0])
         inner.tokens = tokens  # a node just built: nothing else holds it
         if isinstance(inner, Wildcard):
             inner.span = span
@@ -568,9 +593,10 @@ def reference_parse_statements_debug(
     stream: TokenStream | Sequence[Token], profile: LanguageProfile
 ) -> tuple[list[Stmt], ParseAccounting]:
     """The old ``parse_statements_debug``: structural pass, then refinement."""
-    global _source
+    global _source, _tokens, _index
     tokens = stream.tokens if isinstance(stream, TokenStream) else list(stream)
     _source = tokens[0].source if tokens else ""
+    _tokens, _index = tokens, {tok.offset: k for k, tok in enumerate(tokens)}
     acct = ParseAccounting()
     stmts = _Parser(tokens, profile, acct).parse()
     _refine_stmts(stmts, profile)

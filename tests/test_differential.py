@@ -79,7 +79,22 @@ def test_a_changed_null_event_log_is_reported(tmp_path):
     proc = differential(ROOT, str(tmp_path))
     assert proc.returncode == 1, proc.stdout + proc.stderr
     first, summary = proc.stdout.splitlines()[1], proc.stdout.splitlines()[-1]
-    assert "differ in the null-event logs or statement key classes at stdout line" in first
+    assert "differ in the null-event logs, statement key classes or incomplete marks at stdout line" in first
+    assert re.fullmatch(r"differential: \d+ of 15 files differ: .*; by stream: log \d+", summary), summary
+
+
+def test_a_changed_incomplete_mark_is_reported(tmp_path):
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    parser = tmp_path / "src" / "xcheck" / "microgrammar.py"
+    source = parser.read_text()
+    block = "Block(body, _extent(self.toks, lo - 1, self.i), incomplete=not ok)"
+    assert source.count(block) == 1
+    # no block is incomplete: no CLI output changes, only the log run's marks
+    parser.write_text(source.replace(block, block.replace("not ok", "False")))
+    proc = differential(ROOT, str(tmp_path))
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    first, summary = proc.stdout.splitlines()[1], proc.stdout.splitlines()[-1]
+    assert "differ in the null-event logs, statement key classes or incomplete marks at stdout line" in first
     assert re.fullmatch(r"differential: \d+ of 15 files differ: .*; by stream: log \d+", summary), summary
 
 
@@ -105,6 +120,7 @@ def test_each_corpus_row_writes_its_share_of_n_in_its_languages(tmp_path, monkey
         "parens": (3, every),
         "brackets": (3, every),
         "lone_ops": (3, every),
+        "do_nests": (3, every),
     }
     written = {d: os.listdir(tmp_path / d) for d in os.listdir(tmp_path)}
     assert {d: (len(names), {os.path.splitext(n)[1] for n in names}) for d, names in written.items()} == expected

@@ -16,11 +16,14 @@ from support import (
     assert_spans_nest,
     assert_token_conservation,
     parse_source,
+    random_micro_program,
+    random_token_source,
     toks,
 )
 from xcheck.checkers import check_null_deref
 from xcheck.lexer import tokenize
 from xcheck.microgrammar import (
+    BODY,
     MAX_NESTING,
     AccessPath,
     Atom,
@@ -39,8 +42,9 @@ from xcheck.microgrammar import (
     _Parser,
     dump_statements,
     parse_statements,
+    walk_statements,
 )
-from xcheck.profiles import parse_profile_text
+from xcheck.profiles import parse_profile_text, profile_for
 
 
 def table(texts, profile=C):
@@ -376,6 +380,48 @@ def test_token_conservation_and_spans(src, profile):
     stmts, acct = parse_with_ledger(stream, profile)
     assert_token_conservation(stream.tokens, stmts, acct)
     assert_spans_nest(stmts)
+
+
+def _empty_wildcards(stmts):
+    """Every empty ``Wildcard`` in the tree's expression slots, sub-expressions included."""
+    stack = [part for s in walk_statements(stmts) for role, part in s.parts() if role is not BODY and part is not None]
+    while stack:
+        e = stack.pop()
+        if isinstance(e, Wildcard) and e.lo == e.hi:
+            yield e
+        stack += e.children()
+
+
+_GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)), "golden")
+_EMPTY_PARTS = ";\nx = ;\nf(a,);\nif (== b) g();\nz = w && ;\n"  # five empty parts
+
+
+def _extent_rule_inputs():
+    rng = random.Random(2711)
+    for i in range(300):
+        profile = (C, CPP, JAVA)[i % 3]
+        yield random_micro_program(rng), profile
+        yield random_token_source(rng, profile, 256), profile
+    for name in sorted(os.listdir(_GOLDEN)):
+        if not name.endswith(".out"):
+            with open(os.path.join(_GOLDEN, name), encoding="utf-8") as fh:
+                yield fh.read(), profile_for(name)
+    yield _EMPTY_PARTS, C
+
+
+def test_an_empty_part_sits_at_the_token_before_it():
+    # one extent rule: an empty range sits at the token before it, or at the
+    # file's first token when nothing comes before it
+    seen = 0
+    for source, profile in _extent_rule_inputs():
+        for w in _empty_wildcards(parse_source(source, profile)):
+            at = w.toks[w.lo - 1 if w.lo else 0].offset
+            assert (w.span.lo, w.span.hi) == (at, at), (source, w)
+            seen += 1
+    assert seen > 100
+    empties = sorted(_empty_wildcards(parse_source(_EMPTY_PARTS)), key=lambda w: w.lo)
+    # the first ";", then the "=" of `x = ;`, the "," of `f(a,)`, the "(" of `if (== b)`, the "&&"
+    assert [w.toks[w.lo - 1 if w.lo else 0].text for w in empties] == [";", "=", ",", "(", "&&"]
 
 
 def test_incomplete_flag_propagates_on_truncated_input():

@@ -29,8 +29,12 @@ and null tests, and functions in which each operator that refinement splits
 at (``= || && < <= > >= == != += -=``) stands alone in a slot (an ``if`` or
 ``while`` condition, each ``for`` part, a call argument, a ``case`` label,
 ``( ( OP ) )`` and ``! OP``), between a dereference and a null test, with one
-lone ``else if`` condition and one lone ``case`` label repeated; all but the
-programs and the prefix lines spread over C, C++ and Java.  The corpus comes from this
+lone ``else if`` condition and one lone ``case`` label repeated, and functions
+that put ``do`` nests between a dereference and a null test (an unclosed ``do
+do ... do g ( p->x ) ;`` of 40-200 levels, across the parser's nesting cap, a
+closed ``do do g ( ) ; while ( a ) ; while ( b ) ;``, and a ``do { ... } while
+( p`` cut short at the function's end); all but the programs and the prefix
+lines spread over C, C++ and Java.  The corpus comes from this
 checkout, so both sides see the same files.
 
 The first line printed gives each side's line count of ``src/xcheck/*.py``
@@ -42,9 +46,10 @@ fixture file, the golden directory and the generated-programs directory), and
 once per fixture and golden input with ``--line-range`` set to the middle
 third of that file's lines.  One more run, again on each side's own
 ``src/``, prints for every corpus file with a profile its null-event log
-(``iter_null_events``) and the class index of each ``walk_statements`` node,
-nodes with equal ``stmt_key`` sharing a class (``LOG_CODE``): a refactor must
-keep both, and the CLI shows neither.
+(``iter_null_events``), the class index of each ``walk_statements`` node,
+nodes with equal ``stmt_key`` sharing a class, and the indices of the walked
+statements marked ``incomplete`` (``LOG_CODE``): a refactor must keep all
+three, and the CLI shows none of them.
 The exit codes, stdout and stderr of each run are compared.  When they
 differ, the first difference is printed, then how many corpus files differ
 in any run, by corpus directory and by stream (dump, findings, stderr, log),
@@ -83,7 +88,8 @@ CLI_CODE = "from xcheck.cli import main; main()"
 # Per corpus file with a profile, under a "// LOG path" header: the null-event
 # log, one event a line as a tuple (an extent as its two offsets), then the
 # class index of each walked statement: statements with equal stmt_key share a
-# class, and classes are numbered in order of first appearance.
+# class, and classes are numbered in order of first appearance; then the
+# indices of the walked statements that are incomplete.
 LOG_CODE = """
 import os, sys
 from xcheck.checkers import iter_null_events
@@ -103,8 +109,9 @@ for root, dirs, names in os.walk(sys.argv[1]):
         print("// LOG", path)
         for event in iter_null_events(stmts, profile):
             print((type(event).__name__, *((x.lo, x.hi) if isinstance(x, Extent) else x for x in event)))
-        classes = {}
-        print("classes", *(classes.setdefault(stmt_key(s), len(classes)) for s in walk_statements(stmts)))
+        classes, walked = {}, list(walk_statements(stmts))
+        print("classes", *(classes.setdefault(stmt_key(s), len(classes)) for s in walked))
+        print("incomplete", *(i for i, s in enumerate(walked) if s.incomplete))
 """
 # The CLI, run over a tree, writing its peak resident memory in kB to the file
 # named by its first argument once it exits.
@@ -125,6 +132,7 @@ GOLDEN = os.path.join(ROOT, "tests", "golden")
 LANGUAGES = (("c", ".c"), ("cpp", ".cpp"), ("java", ".java"))
 SOUP_MAX_TOKENS = 256
 NEST_DEPTHS = (40, 100)  # around the parser's MAX_NESTING of 64
+DO_DEPTHS = (40, 200)  # across MAX_NESTING; an unclosed nest costs its square, so capped
 WORKLOADS = ("tree_mixed", "docs_heavy", "stress_shapes")
 LONE_OPS = ("=", "||", "&&", "<", "<=", ">", ">=", "==", "!=", "+=", "-=")  # the operators refinement splits at
 HEADERS = {"// AST ": "dump", "// LOG ": "log"}  # a section header's start -> its stream
@@ -298,6 +306,22 @@ def lone_ops(rng: random.Random, profile) -> str:
     return "\n".join(words) + "\n"
 
 
+def do_nests(rng: random.Random, profile) -> str:
+    """Functions that put ``do`` nests between a dereference of ``p`` and its
+    null test: an unclosed nest across the nesting cap, which recovery slides
+    through, a closed nest, and, in half of them, a ``do { ... } while ( p``
+    whose condition the function's end cuts short, swallowing the null test."""
+    null, arrow = min(profile.null_literals), profile.deref_ops[0]
+    words = []
+    for f in range(rng.randint(1, 3)):
+        shapes = ["do " * rng.randint(*DO_DEPTHS) + f"g ( p{arrow}x ) ;", "do do g ( ) ; while ( a ) ; while ( b ) ;"]
+        rng.shuffle(shapes)
+        if rng.random() < 0.5:
+            shapes.append(f"do {{ g ( p{arrow}x ) ; }} while ( p")
+        words += [f"f{f} ( ) {{ use ( p{arrow}x ) ;", *shapes, f"if ( p == {null} ) return ; }}"]
+    return "\n".join(words) + "\n"
+
+
 def commented_soup(rng: random.Random, profile, words: list[str]) -> str:
     """``words`` joined by runs of whitespace, line comments and block comments."""
     line, (opener, closer) = profile.line_comment, profile.block_comment
@@ -349,6 +373,7 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
         ("parens", "w", 10, LANGUAGES, paren_nests),
         ("brackets", "b", 10, LANGUAGES, crossed_brackets),
         ("lone_ops", "o", 10, LANGUAGES, lone_ops),
+        ("do_nests", "m", 10, LANGUAGES, do_nests),
     )
     for seed, (directory, letter, share, languages, make) in enumerate(rows):
         os.makedirs(os.path.join(dest, directory))
@@ -523,7 +548,7 @@ def main(argv: list[str] | None = None) -> int:
         several = [os.path.join(corpus, d) for d in (os.path.join("fixtures", FIXTURES[-1]), "golden", "programs")]
         runs = [[corpus], several] + line_range_runs(corpus)
         labelled = [(where(run, corpus), [CLI_CODE, "--dump-ast", "--format", "json", *run]) for run in runs]
-        labelled.append((" in the null-event logs or statement key classes", [LOG_CODE, corpus]))
+        labelled.append((" in the null-event logs, statement key classes or incomplete marks", [LOG_CODE, corpus]))
         results = [(run_side(args.old_root, argv), run_side(args.new_root, argv)) for _, argv in labelled]
     for (label, _), (old, new) in zip(labelled, results):
         diff = first_difference(old, new)
