@@ -159,21 +159,19 @@ def _expr_events(e: Expr, profile: LanguageProfile, truth: bool, out: list[NullE
     condition (the condition itself, operands of logical connectives and
     negation); only those positions produce bare null-test events.  A node's
     null test comes before its children's events and its kill after them; a
-    callee is dereferenced whole and not walked.
+    callee is dereferenced whole and not walked.  A bare path (an identifier
+    or an access path) in a truth position is a null test, unless it is one
+    token that is a null literal; a longer path also proves its proper prefixes.
     """
-    if isinstance(e, Atom):
-        if truth and e.token.kind is _IDENT and e.token.text not in profile.null_literals:
-            path = (e.token.text,)
-            out.append(NullTestEvent(path, _numbers(path, numbers)[-1], e.span))
-        return
     if isinstance(e, Wildcard):
         _wildcard_deref_events(e, profile, out, numbers)
         return
-    if isinstance(e, AccessPath):
-        path = e.path()
-        if truth:
+    path = _path_of(e)
+    if path is not None:
+        if truth and (len(path) > 1 or path[0] not in profile.null_literals):
             out.append(NullTestEvent(path, _numbers(path, numbers)[-1], e.span))
-        _deref_events(path, e.root.offset, out, numbers, include_full=False)
+        if len(path) > 1:
+            _deref_events(path, e.root.offset, out, numbers, include_full=False)
         return
     children = e.children()
     if isinstance(e, Compare):

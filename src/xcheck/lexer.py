@@ -19,7 +19,7 @@ import re
 from bisect import bisect_right
 from enum import Enum, auto
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple
+from typing import TYPE_CHECKING, NamedTuple, Sequence
 
 if TYPE_CHECKING:
     from .profiles import LanguageProfile
@@ -105,61 +105,12 @@ class LexError(NamedTuple):
     pos: Position
 
 
-class _Slotted:
-    """Value behaviour shared by the pipeline's mutable objects (the token
-    stream and the tree nodes), read from ``_fields``, which names each
-    class's fields in constructor order: its ``__slots__``, unless the class
-    declares ``_fields`` itself because it stores a field in other slots.
+class TokenStream(NamedTuple):
+    """One file's tokens in offset order and its recoverable lexing errors (immutable named tuple)."""
 
-    A subclass with fields and without its own ``__init__`` gets one taking them
-    in that order, trailing ones defaulting as ``_defaults`` says; like ``namedtuple``'s,
-    its source is compiled once per class (by ``_define_init``, which such a
-    subclass extends), so building runs one assignment per field.
-
-    They print as ``Name(field=value, ...)`` and equal only an object of
-    the same class with equal fields, so they are not hashable.  They are
-    plain slotted classes because ``dataclasses`` is slow to import and to
-    apply, and the CLI pays both on every run.
-    """
-
-    __slots__ = ()
-    __hash__ = None  # type: ignore[assignment]
-    _defaults: dict[str, object] = {}
-    _fields: tuple[str, ...] = ()
-
-    def __init_subclass__(cls) -> None:
-        cls._fields = names = cls.__dict__.get("_fields", cls.__slots__)
-        if "__init__" in cls.__dict__ or not names:
-            return
-        params = "".join(f", {n}=_defaults[{n!r}]" if n in cls._defaults else f", {n}" for n in names)
-        cls._define_init(params, "".join(f"\n    self.{n} = {n}" for n in names))
-
-    @classmethod
-    def _define_init(cls, params: str, body: str) -> None:
-        scope = {"_defaults": cls._defaults, "__name__": cls.__module__}
-        exec(f"def __init__(self{params}):{body}", scope)
-        cls.__init__ = scope["__init__"]  # type: ignore[misc]
-        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
-
-    def __repr__(self) -> str:
-        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
-        return f"{type(self).__qualname__}({fields})"
-
-    def __eq__(self, other: object) -> bool:
-        if other.__class__ is not self.__class__:
-            return NotImplemented
-        names = self._fields
-        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
-
-
-class TokenStream(_Slotted):
-    __slots__ = ("tokens", "source_path", "errors")
-
-    def __init__(
-        self, tokens: list[Token], source_path: str = "<input>", errors: list[LexError] | None = None
-    ) -> None:
-        self.tokens, self.source_path = tokens, source_path
-        self.errors = [] if errors is None else errors
+    tokens: list[Token]
+    source_path: str = "<input>"
+    errors: Sequence[LexError] = ()
 
 
 # Identifier characters are ASCII letters, digits, "_", "$" and every code
@@ -196,7 +147,7 @@ def _operator_rule(operators: list[str]) -> str:
 
 
 @lru_cache(maxsize=32)
-def compile_scanner(profile: LanguageProfile, directives: bool = True) -> re.Pattern[str]:
+def compile_scanner(profile: LanguageProfile) -> re.Pattern[str]:
     """Compile ``profile`` into its scanner pattern, cached by the profile's value.
 
     One match takes one token: it skips a run of whitespace and line
@@ -205,18 +156,18 @@ def compile_scanner(profile: LanguageProfile, directives: bool = True) -> re.Pat
     single character, always matches a character that is left.
 
     Each token is the one this order of rules decides: block-comment opener,
-    preprocessor prefix (left out when ``directives`` is false), string and
-    char literals, hex and decimal numbers, identifiers, operators longest
-    first (maximal munch), any single character.  The rules are tried in
-    another order, so that ordinary code fails few of them before one
-    matches, in which a rule moves ahead of another only where the two cannot
-    start with the same character: the fixed openers (comment, prefix,
-    quotes) that start with an identifier character, such as a ``$*``
-    comment; identifiers; one class of the punctuation characters that no
-    other rule can start with; the other fixed openers; numbers; operators,
-    one alternative per first character; and any single character.
-    The lexer needs the pattern without directives only for a preprocessor
-    prefix that does not start its line, so it compiles that on first need.
+    preprocessor prefix, string and char literals, hex and decimal numbers,
+    identifiers, operators longest first (maximal munch), any single
+    character.  The rules are tried in another order, so that ordinary code
+    fails few of them before one matches, in which a rule moves ahead of
+    another only where the two cannot start with the same character: the
+    fixed openers (comment, prefix, quotes) that start with an identifier
+    character, such as a ``$*`` comment; identifiers; one class of the
+    punctuation characters that no other rule can start with; the other
+    fixed openers; numbers; operators, one alternative per first character;
+    and any single character.
+    A preprocessor prefix that does not start its line is matched again by
+    the scanner of the same profile with no prefix, looked up on first need.
     """
     string_quote, char_quote = profile.string_delims
     blank = r"[ \t\r\n\f\v]*"
@@ -224,7 +175,7 @@ def compile_scanner(profile: LanguageProfile, directives: bool = True) -> re.Pat
     fixed = []  # (opener, rule), in deciding order
     if profile.block_comment[0]:
         fixed.append((profile.block_comment[0], f"(?P<bc>{re.escape(profile.block_comment[0])})"))
-    if profile.preprocessor_prefix and directives:
+    if profile.preprocessor_prefix:
         fixed.append((profile.preprocessor_prefix, f"(?P<pp>{re.escape(profile.preprocessor_prefix)})"))
     fixed.append((string_quote, _quoted("str", string_quote, profile.escape_char)))
     if char_quote != string_quote:
@@ -256,6 +207,7 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
     keywords = profile.keywords
     punctuation = profile.punctuation
     block_close = profile.block_comment[1]
+    inline = None  # the prefix-free profile's scanner, for a prefix in the middle of a line
     tokens: list[Token] = []
     errors: list[LexError] = []
     append = tokens.append
@@ -285,7 +237,9 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
             if not k or source[k - 1] == "\n":
                 pos = _DIRECTIVE.match(source, start).end()
                 continue
-            m = compile_scanner(profile, False).match(source, start)
+            if inline is None:
+                inline = compile_scanner(profile._replace(preprocessor_prefix=None)).match
+            m = inline(source, start)
             group = m.lastgroup
             pos = m.end()
             text = m[group]

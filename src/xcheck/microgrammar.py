@@ -56,7 +56,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .lexer import Position, Token, TokenStream, _IDENT, _KW, _OP, _new, _Slotted, position
+from .lexer import Position, Token, TokenStream, _IDENT, _KW, _OP, _new, position
 from .profiles import LanguageProfile
 
 # Beyond this nesting depth, block interiors and wildcard refinements stay
@@ -106,6 +106,53 @@ def _extent(toks: Sequence[Token], lo: int, hi: int) -> Extent:
         return _new(Extent, (first.offset, last.offset + len(last.text), first.source))
     at = toks[lo - 1 if lo else 0]
     return _new(Extent, (at.offset, at.offset, at.source))
+
+
+class _Slotted:
+    """Value behaviour for the tree nodes only (``Expr``, ``Stmt`` and
+    ``CaseArm``), read from ``_fields``, which names each class's fields in
+    constructor order: its ``__slots__``, unless the class declares
+    ``_fields`` itself because it stores a field in other slots.
+
+    A subclass with fields gets a constructor taking them in that order,
+    trailing ones defaulting as ``_defaults`` says; like ``namedtuple``'s, its
+    source is compiled once per class (by ``_define_init``, which such a
+    subclass extends), so building runs one assignment per field.
+
+    They print as ``Name(field=value, ...)`` and equal only an object of
+    the same class with equal fields, so they are not hashable.  They are
+    plain slotted classes because ``dataclasses`` is slow to import and to
+    apply, and the CLI pays both on every run.
+    """
+
+    __slots__ = ()
+    __hash__ = None  # type: ignore[assignment]
+    _defaults: dict[str, object] = {}
+    _fields: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        cls._fields = names = cls.__dict__.get("_fields", cls.__slots__)
+        if not names:
+            return
+        params = "".join(f", {n}=_defaults[{n!r}]" if n in cls._defaults else f", {n}" for n in names)
+        cls._define_init(params, "".join(f"\n    self.{n} = {n}" for n in names))
+
+    @classmethod
+    def _define_init(cls, params: str, body: str) -> None:
+        scope = {"_defaults": cls._defaults, "__name__": cls.__module__}
+        exec(f"def __init__(self{params}):{body}", scope)
+        cls.__init__ = scope["__init__"]  # type: ignore[misc]
+        cls.__init__.__qualname__ = f"{cls.__qualname__}.__init__"
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        names = self._fields
+        return [getattr(self, n) for n in names] == [getattr(other, n) for n in names]
 
 
 # ---------------------------------------------------------------------------

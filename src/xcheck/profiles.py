@@ -123,9 +123,6 @@ class Registry:
         known = ", ".join(sorted(self._by_name))
         raise UnknownLanguage(f"no profile for {asked!r} (registered: {known})")
 
-    def names(self) -> list[str]:
-        return sorted(self._by_name)
-
 
 # --------------------------------------------------------------------------
 # Profile definition files
@@ -273,15 +270,12 @@ _JAVA_TEXT = (
 )
 
 
-def builtin_registry() -> Registry:
-    """A fresh registry holding the built-in C, C++, and Java profiles."""
-    registry = Registry()
-    for text in (_C_TEXT, _CPP_TEXT, _JAVA_TEXT):
-        registry.register(_read_profile_text(text))
-    return registry
-
-
-DEFAULT_REGISTRY = builtin_registry()
+# The built-in C, C++ and Java profiles; a fresh registry that holds them is
+# its copy, ``Registry(DEFAULT_REGISTRY)``.
+DEFAULT_REGISTRY = Registry()
+for _text in (_C_TEXT, _CPP_TEXT, _JAVA_TEXT):
+    DEFAULT_REGISTRY.register(_read_profile_text(_text))
+del _text
 
 
 def profile_for(name_or_path: str) -> LanguageProfile:

@@ -297,6 +297,9 @@ def test_guard_idiom_is_clean():
         ("do g(); while (p);", False),
         ("for (p; i; p) g();", False),
         ("switch (p) { case p: g(); }", False),
+        ("if (NULL) g();", False),
+        ("if (0) g();", False),
+        ("if (p->f) g();", True),
     ],
 )
 def test_only_condition_positions_test_for_null(stmt, reported):

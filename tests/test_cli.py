@@ -13,7 +13,7 @@ import pytest
 import xcheck
 from xcheck.cli import parse_args, run
 from xcheck.fixtures import case_by_name, fixture_path, load_source
-from xcheck.profiles import DEFAULT_REGISTRY, Registry, builtin_registry
+from xcheck.profiles import DEFAULT_REGISTRY, Registry, UnknownLanguage
 
 MINI_PROFILE_TEXT = """\
 name = mini
@@ -28,7 +28,7 @@ null_literals = nil
 def invoke(argv_or_config, registry=None):
     out, err = io.StringIO(), io.StringIO()
     config = argv_or_config if isinstance(argv_or_config, argparse.Namespace) else parse_args(argv_or_config)
-    code = run(config, registry=registry or builtin_registry(), out=out, err=err)
+    code = run(config, registry=registry or Registry(DEFAULT_REGISTRY), out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -387,10 +387,19 @@ def test_a_profile_file_may_start_with_a_byte_order_mark(tmp_path):
     assert (code, err) == (1, "") and "null-deref" in out
 
 
+def assert_only_builtins(registry):
+    """``registry`` still resolves the three built-ins and never took the loaded profile."""
+    assert [registry.resolve(name).name for name in ("c", "cpp", "java")] == ["c", "cpp", "java"]
+    with pytest.raises(UnknownLanguage):
+        registry.resolve("mini")
+    with pytest.raises(UnknownLanguage):
+        registry.resolve_path("demo.mini")
+
+
 def test_profile_flag_validates_only_the_loaded_profile(tmp_path, monkeypatch):
     from xcheck import profiles
 
-    registry = builtin_registry()  # its profiles were validated when registered
+    registry = Registry(DEFAULT_REGISTRY)  # its profiles were validated when registered
     calls = []
     validate = profiles.validate_profile
     monkeypatch.setattr(profiles, "validate_profile", lambda p: calls.append(p.name) or validate(p))
@@ -401,7 +410,7 @@ def test_profile_flag_validates_only_the_loaded_profile(tmp_path, monkeypatch):
     code, out, _ = invoke(["--profile", str(profile_file), str(source)], registry=registry)
     assert code == 1 and "null-deref" in out
     assert calls == ["mini"]
-    assert registry.names() == ["c", "cpp", "java"]
+    assert_only_builtins(registry)
 
 
 def test_profile_flag_leaves_the_default_registry_untouched(tmp_path, monkeypatch):
@@ -409,7 +418,6 @@ def test_profile_flag_leaves_the_default_registry_untouched(tmp_path, monkeypatc
     # for copies that monkeypatch restores, so nothing leaks to other tests.
     monkeypatch.setattr(DEFAULT_REGISTRY, "_by_name", dict(DEFAULT_REGISTRY._by_name))
     monkeypatch.setattr(DEFAULT_REGISTRY, "_by_ext", dict(DEFAULT_REGISTRY._by_ext))
-    names = DEFAULT_REGISTRY.names()
     profile_file = tmp_path / "mini.profile"
     profile_file.write_text(MINI_PROFILE_TEXT)
     source = tmp_path / "demo.mini"
@@ -421,7 +429,7 @@ def test_profile_flag_leaves_the_default_registry_untouched(tmp_path, monkeypatc
         results.append((code, out.getvalue()))
     assert results[0] == results[1]
     assert results[0][0] == 1 and "null-deref" in results[0][1]
-    assert DEFAULT_REGISTRY.names() == names
+    assert_only_builtins(DEFAULT_REGISTRY)
 
 
 def test_exit_codes_cover_the_three_fixtures():

@@ -121,9 +121,27 @@ def test_each_corpus_row_writes_its_share_of_n_in_its_languages(tmp_path, monkey
         "brackets": (3, every),
         "lone_ops": (3, every),
         "do_nests": (3, every),
+        "bom": (3, every),
     }
     written = {d: os.listdir(tmp_path / d) for d in os.listdir(tmp_path)}
     assert {d: (len(names), {os.path.splitext(n)[1] for n in names}) for d, names in written.items()} == expected
+
+
+def test_the_log_reads_a_marked_file_as_the_cli_does(tmp_path):
+    # The CLI drops a leading U+FEFF, so the log of a marked file is that of the unmarked one.
+    spec = importlib.util.spec_from_file_location("differential", TOOL)
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    source = "use ( p->x ) ;\nif ( p == NULL ) return ;\n"
+    logs = []
+    for name, text in (("marked", "\ufeff" + source), ("plain", source)):
+        (tmp_path / name).mkdir()
+        (tmp_path / name / "f.c").write_text(text, encoding="utf-8")
+        proc = tool.run_side(ROOT, [tool.LOG_CODE, str(tmp_path / name)])
+        assert proc.returncode == 0, proc.stderr
+        logs.append(proc.stdout.replace(str(tmp_path / name), "DIR"))
+    assert "DerefEvent" in logs[1] and "NullTestEvent" in logs[1]
+    assert logs[0] == logs[1]
 
 
 def test_a_tree_is_compared_in_place_and_leaves_the_status(tmp_path):

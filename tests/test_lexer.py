@@ -154,13 +154,25 @@ def test_a_line_of_mid_line_prefixes_is_read_a_bounded_number_of_times(monkeypat
     assert cost400 <= 2.2 * cost200, (cost200, cost400)
 
 
-def test_scanner_without_directives_is_compiled_on_first_need():
+def test_scanner_without_directives_is_compiled_on_first_need(monkeypatch):
     compile_scanner.cache_clear()
     tokenize("#include <a.h>\nx = a;", C)
     assert compile_scanner.cache_info().currsize == 1
     tokenize("x = a # b;", C)
     tokenize("y = c # d;", C)
     assert compile_scanner.cache_info().currsize == 2
+    # The second pattern is the scanner of the profile with no prefix.
+    hits = compile_scanner.cache_info().hits
+    compile_scanner(C._replace(preprocessor_prefix=None))
+    assert compile_scanner.cache_info().hits == hits + 1
+    assert compile_scanner.cache_info().currsize == 2
+    # A file looks it up once, however many prefixes sit in the middle of its lines.
+    looked_up = []
+    compile = lexer.compile_scanner
+    monkeypatch.setattr(lexer, "compile_scanner", lambda profile: looked_up.append(profile) or compile(profile))
+    stream = tokenize("x = a # b # c;\n" * 50, C)
+    assert texts(stream).count("#") == 100
+    assert looked_up == [C, C._replace(preprocessor_prefix=None)]
 
 
 def test_the_scanner_is_entered_once_per_token(monkeypatch):

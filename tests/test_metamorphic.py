@@ -26,7 +26,7 @@ from xcheck.diagnostics import dedupe_and_sort
 from xcheck.fixtures import fixture_path
 from xcheck.lexer import TokenKind, tokenize
 from xcheck.microgrammar import parse_statements
-from xcheck.profiles import LanguageProfile, builtin_registry, profile_for
+from xcheck.profiles import DEFAULT_REGISTRY, LanguageProfile, Registry, profile_for
 
 FIXTURES = ("object.c", "InstCombineAddSub.cpp", "CipherCore.java")
 
@@ -153,7 +153,7 @@ def test_concatenated_files_keep_each_files_findings():
 
 def _cli(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
-    return run(parse_args(argv), registry=builtin_registry(), out=out, err=err), out.getvalue()
+    return run(parse_args(argv), registry=Registry(DEFAULT_REGISTRY), out=out, err=err), out.getvalue()
 
 
 @pytest.mark.parametrize("filename", FIXTURES)

@@ -222,11 +222,10 @@ def test_constructor_rejects_a_wrong_argument_list(cls):
             cls(*args, **kwargs)
 
 
-def test_token_stream_errors_default_to_a_fresh_list():
-    first, second = TokenStream([]), TokenStream([])
-    assert first.errors == [] and first.source_path == "<input>"
-    first.errors.append("an error")
-    assert second.errors == []
+def test_token_stream_defaults_to_no_errors_and_the_input_path():
+    stream = TokenStream([])
+    assert stream.errors == () and stream.source_path == "<input>"
+    assert stream == TokenStream([], "<input>", ())
 
 
 def _expression_fields(expr: Expr) -> list[Expr]:

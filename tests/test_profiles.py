@@ -5,12 +5,12 @@ import pytest
 
 from support import C, CPP, JAVA
 from xcheck.profiles import (
+    DEFAULT_REGISTRY,
     DuplicateName,
     LanguageProfile,
     MalformedProfile,
     Registry,
     UnknownLanguage,
-    builtin_registry,
     parse_profile_text,
     profile_for,
     validate_profile,
@@ -71,27 +71,35 @@ def test_unknown_language_lists_known_names():
 
 
 def test_name_takes_precedence_over_extension():
-    registry = builtin_registry()
+    registry = Registry(DEFAULT_REGISTRY)
     # "c" resolves as a name even though it has no dot at all
     assert registry.resolve("c").name == "c"
 
 
 def test_register_and_resolve_round_trip():
-    registry = builtin_registry()
+    registry = Registry(DEFAULT_REGISTRY)
     mini = parse_profile_text(MINI_PROFILE_TEXT)
     registry.register(mini)
     assert registry.resolve("mini") is mini
     assert registry.resolve_path("game.mn") is mini
 
 
+def test_a_fresh_registry_is_a_copy_of_the_default():
+    registry = Registry(DEFAULT_REGISTRY)
+    registry.register(parse_profile_text(MINI_PROFILE_TEXT))
+    assert registry.resolve("c") is DEFAULT_REGISTRY.resolve("c")
+    with pytest.raises(UnknownLanguage):
+        DEFAULT_REGISTRY.resolve("mini")
+
+
 def test_register_duplicate_name_rejected():
-    registry = builtin_registry()
+    registry = Registry(DEFAULT_REGISTRY)
     with pytest.raises(DuplicateName):
         registry.register(C)
 
 
 def test_register_extension_differing_only_in_case_rejected():
-    registry = builtin_registry()
+    registry = Registry(DEFAULT_REGISTRY)
     upper_c = C._replace(name="upper-c", file_extensions=frozenset({".C"}))
     with pytest.raises(DuplicateName):
         registry.register(upper_c)
@@ -232,7 +240,7 @@ def test_builtin_invariants():
 def test_profile_file_loading(tmp_path):
     path = tmp_path / "mini.profile"
     path.write_text(MINI_PROFILE_TEXT)
-    registry = builtin_registry()
+    registry = Registry(DEFAULT_REGISTRY)
     from xcheck.profiles import load_profile_file
 
     mini = load_profile_file(str(path), registry)

@@ -33,8 +33,10 @@ lone ``else if`` condition and one lone ``case`` label repeated, and functions
 that put ``do`` nests between a dereference and a null test (an unclosed ``do
 do ... do g ( p->x ) ;`` of 40-200 levels, across the parser's nesting cap, a
 closed ``do do g ( ) ; while ( a ) ; while ( b ) ;``, and a ``do { ... } while
-( p`` cut short at the function's end); all but the programs and the prefix
-lines spread over C, C++ and Java.  The corpus comes from this
+( p`` cut short at the function's end), and files that start with U+FEFF, a
+byte-order mark, whose first statement dereferences a path that a later
+statement tests; all but the programs and the prefix lines spread over C,
+C++ and Java.  The corpus comes from this
 checkout, so both sides see the same files.
 
 The first line printed gives each side's line count of ``src/xcheck/*.py``
@@ -45,7 +47,8 @@ The CLI then runs on each side, with ``ROOT/src`` on ``PYTHONPATH``: once as
 fixture file, the golden directory and the generated-programs directory), and
 once per fixture and golden input with ``--line-range`` set to the middle
 third of that file's lines.  One more run, again on each side's own
-``src/``, prints for every corpus file with a profile its null-event log
+``src/``, reads each corpus file with a profile as the CLI does (a leading
+U+FEFF dropped) and prints its null-event log
 (``iter_null_events``), the class index of each ``walk_statements`` node,
 nodes with equal ``stmt_key`` sharing a class, and the indices of the walked
 statements marked ``incomplete`` (``LOG_CODE``): a refactor must keep all
@@ -105,7 +108,8 @@ for root, dirs, names in os.walk(sys.argv[1]):
         except UnknownLanguage:
             continue
         with open(path, encoding="utf-8", errors="replace") as fh:
-            stmts = parse_statements(tokenize(fh.read(), profile), profile)
+            source = fh.read().removeprefix("\ufeff")  # as the CLI reads it: a byte-order mark is no source
+        stmts = parse_statements(tokenize(source, profile), profile)
         print("// LOG", path)
         for event in iter_null_events(stmts, profile):
             print((type(event).__name__, *((x.lo, x.hi) if isinstance(x, Extent) else x for x in event)))
@@ -322,6 +326,17 @@ def do_nests(rng: random.Random, profile) -> str:
     return "\n".join(words) + "\n"
 
 
+def marked(rng: random.Random, profile) -> str:
+    """A file that starts with U+FEFF, a byte-order mark, whose first statement
+    dereferences a path (through a call or an argument) that a later statement
+    tests for null."""
+    null, arrow = min(profile.null_literals), profile.deref_ops[0]
+    path = arrow.join([rng.choice("pqr"), *["next"] * rng.randint(0, 2)])
+    first = rng.choice([f"{path}{arrow}f ( ) ;", f"use ( {path}{arrow}x ) ;"])
+    filler = [f"g ( {i} ) ;" for i in range(rng.randint(0, 3))]
+    return "\n".join(["\ufeff" + first, *filler, f"if ( {path} == {null} ) return ;"]) + "\n"
+
+
 def commented_soup(rng: random.Random, profile, words: list[str]) -> str:
     """``words`` joined by runs of whitespace, line comments and block comments."""
     line, (opener, closer) = profile.line_comment, profile.block_comment
@@ -374,6 +389,7 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
         ("brackets", "b", 10, LANGUAGES, crossed_brackets),
         ("lone_ops", "o", 10, LANGUAGES, lone_ops),
         ("do_nests", "m", 10, LANGUAGES, do_nests),
+        ("bom", "u", 10, LANGUAGES, marked),
     )
     for seed, (directory, letter, share, languages, make) in enumerate(rows):
         os.makedirs(os.path.join(dest, directory))
