@@ -124,8 +124,9 @@ _NUMBER_BODY = r"[0-9A-Za-z_.]*"
 # An exponent sign continues a number: 1e+5, 0x1p-3.
 _HEX = rf"0[xX]{_NUMBER_BODY}(?:(?<=[pP])[+-]{_NUMBER_BODY})*"
 _DECIMAL = rf"(?=\.?[0-9]){_NUMBER_BODY}(?:(?<=[eE])[+-]{_NUMBER_BODY})*"
-# A preprocessor line, from its prefix: a trailing backslash continues it onto the next line.
-_DIRECTIVE = re.compile(r"[^\\\n]*(?:\\\n?[^\\\n]*)*")
+# A directive's body, after its prefix, to the end of its line: a backslash
+# before a line end (LF or CRLF) continues it onto the next line.
+_DIRECTIVE = r"[^\\\n]*(?:\\(?:\r?\n)?[^\\\n]*)*"
 
 
 def _quoted(name: str, quote: str, escape: str) -> str:
@@ -150,33 +151,44 @@ def _operator_rule(operators: list[str]) -> str:
 def compile_scanner(profile: LanguageProfile) -> re.Pattern[str]:
     """Compile ``profile`` into its scanner pattern, cached by the profile's value.
 
-    One match takes one token: it skips a run of whitespace and line
-    comments, then tries the token rules, and only at the end of input does
-    none match.  The skipped run is never given back, as the last rule, any
-    single character, always matches a character that is left.
+    One match takes one token: it skips a run of whitespace, line comments
+    and directives, then tries the token rules, and only at the end of input
+    does none match.  The skipped run is never given back, as the last rule,
+    any single character, always matches a character that is left.
+
+    A directive is the preprocessor prefix with only blanks (``[ \\t\\r\\f\\v]``,
+    the characters the scanner skips) before it on its line, read to the end
+    of its line; a line or block comment that starts at the same place wins.
+    A prefix anywhere else is matched by the token rules like any other text.
 
     Each token is the one this order of rules decides: block-comment opener,
-    preprocessor prefix, string and char literals, hex and decimal numbers,
-    identifiers, operators longest first (maximal munch), any single
-    character.  The rules are tried in another order, so that ordinary code
-    fails few of them before one matches, in which a rule moves ahead of
-    another only where the two cannot start with the same character: the
-    fixed openers (comment, prefix, quotes) that start with an identifier
-    character, such as a ``$*`` comment; identifiers; one class of the
-    punctuation characters that no other rule can start with; the other
-    fixed openers; numbers; operators, one alternative per first character;
-    and any single character.
-    A preprocessor prefix that does not start its line is matched again by
-    the scanner of the same profile with no prefix, looked up on first need.
+    string and char literals, hex and decimal numbers, identifiers, operators
+    longest first (maximal munch), any single character.  The rules are tried
+    in another order, so that ordinary code fails few of them before one
+    matches, in which a rule moves ahead of another only where the two cannot
+    start with the same character: the fixed openers (comment, quotes) that
+    start with an identifier character, such as a ``$*`` comment;
+    identifiers; one class of the punctuation characters that no other rule
+    can start with; the other fixed openers; numbers; operators, one
+    alternative per first character; and any single character.
     """
     string_quote, char_quote = profile.string_delims
-    blank = r"[ \t\r\n\f\v]*"
-    skip = blank + (rf"(?:{re.escape(profile.line_comment)}[^\n]*{blank})*" if profile.line_comment else "")
-    fixed = []  # (opener, rule), in deciding order
-    if profile.block_comment[0]:
-        fixed.append((profile.block_comment[0], f"(?P<bc>{re.escape(profile.block_comment[0])})"))
+    line_comment, (block_open, _) = profile.line_comment, profile.block_comment
+    blank = r"[ \t\r\f\v]*"
+    at_start = after_line_end = ""
     if profile.preprocessor_prefix:
-        fixed.append((profile.preprocessor_prefix, f"(?P<pp>{re.escape(profile.preprocessor_prefix)})"))
+        openers = "".join(f"(?!{re.escape(opener)})" for opener in (line_comment, block_open) if opener)
+        directive = f"{openers}{re.escape(profile.preprocessor_prefix)}{_DIRECTIVE}"
+        # An empty alternative, "(?:X|)", costs less at each match than "(?:X)?", a repeat to sre.
+        at_start, after_line_end = rf"(?:\A{blank}{directive}|)", f"(?:{directive}|)"
+    # A line end takes the blank lines after it and a directive that starts the next.
+    skipped = [rf"\n[ \t\r\n\f\v]*{after_line_end}"]
+    if line_comment:
+        skipped.append(rf"{re.escape(line_comment)}[^\n]*")
+    skip = f"{at_start}{blank}(?:{'|'.join(skipped)})*"
+    fixed = []  # (opener, rule), in deciding order
+    if block_open:
+        fixed.append((block_open, f"(?P<bc>{re.escape(block_open)})"))
     fixed.append((string_quote, _quoted("str", string_quote, profile.escape_char)))
     if char_quote != string_quote:
         fixed.append((char_quote, _quoted("chr", char_quote, profile.escape_char)))
@@ -201,13 +213,12 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
 
     Pure function of its inputs; the resulting stream is in strictly
     increasing offset order and contains nothing from comments or
-    (C/C++) preprocessor lines.
+    directives (C/C++ preprocessor lines).
     """
     match = compile_scanner(profile).match
     keywords = profile.keywords
     punctuation = profile.punctuation
     block_close = profile.block_comment[1]
-    inline = None  # the prefix-free profile's scanner, for a prefix in the middle of a line
     tokens: list[Token] = []
     errors: list[LexError] = []
     append = tokens.append
@@ -215,7 +226,7 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
     while pos < size:
         m = match(source, pos)
         group = m.lastgroup
-        if group is None:  # only whitespace and line comments were left
+        if group is None:  # only whitespace, line comments and directives were left
             break
         pos = m.end()
         text = m[group]
@@ -228,21 +239,6 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
                 break
             pos = close + len(block_close)
             continue
-        if group == "pp":
-            # A directive's prefix has only blanks before it on its line; reading back
-            # over just those, not to the line's start, keeps many prefixes on a line linear.
-            k = start
-            while k and source[k - 1] != "\n" and source[k - 1].isspace():
-                k -= 1
-            if not k or source[k - 1] == "\n":
-                pos = _DIRECTIVE.match(source, start).end()
-                continue
-            if inline is None:
-                inline = compile_scanner(profile._replace(preprocessor_prefix=None)).match
-            m = inline(source, start)
-            group = m.lastgroup
-            pos = m.end()
-            text = m[group]
         if group == "ident":
             kind = _KW if text in keywords else _IDENT
         elif group == "punct":

@@ -47,8 +47,9 @@ class LanguageProfile(NamedTuple):
     deref_ops: tuple[str, ...]
     null_literals: frozenset[str]
     open_close_pairs: tuple[tuple[str, str], ...]
-    # Lines whose first non-blank text starts with this prefix are skipped
-    # like comments (with backslash continuation). None disables the rule.
+    # A line that starts with this prefix after blanks (space, tab, CR, FF, VT)
+    # is a directive, skipped to its end like a comment (a backslash before the
+    # line end continues it); a prefix elsewhere is text. None: no directives.
     preprocessor_prefix: str | None = None
 
 

@@ -3,14 +3,19 @@ compiled each profile into one regex, kept as a test-only oracle.
 
 ``tests/test_lexer_oracle.py`` requires the production lexer to produce
 exactly the tokens and errors this scanner produces.  The scanner is the
-old one unchanged with three exceptions.  Its operator table is built per
+old one unchanged with five exceptions.  Its operator table is built per
 scanner instead of being cached by ``id(profile)``, which could hand a new
 profile the table of a freed one.  A number starts only at an ASCII digit,
 or at ``.`` and an ASCII digit, as in the shipped lexer: the old test
 ``ch.isdigit()`` also took a non-ASCII digit (``x = ²;``), for which
-``scan_number`` emitted an empty token and never advanced.  And it records
-its tokens and errors with the line and column it tracks, in records of its
-own, since the shipped ones carry an offset and resolve the rest when read.
+``scan_number`` emitted an empty token and never advanced.  A prefix starts
+a directive only after blanks, the characters the main loop skips: the old
+test ``str.strip()`` also took a no-break space (U+00A0) or U+001C, which
+the main loop lexes as a token.  A backslash before CRLF continues a
+directive, as one before LF does: C's first translation phase reads CRLF as
+a line end.  And it records its tokens and errors with the line and column
+it tracks, in records of its own, since the shipped ones carry an offset and
+resolve the rest when read.
 """
 
 from __future__ import annotations
@@ -123,6 +128,9 @@ class _Scanner:
             if ch == "\\" and self.peek(1) == "\n":
                 self.advance(2)
                 continue
+            if ch == "\\" and self.peek(1) == "\r" and self.peek(2) == "\n":
+                self.advance(3)
+                continue
             if ch == "\n":
                 return
             self.advance()
@@ -211,7 +219,7 @@ class _Scanner:
             if (
                 profile.preprocessor_prefix
                 and self.startswith(profile.preprocessor_prefix)
-                and not src[self.line_start : self.i].strip()
+                and not src[self.line_start : self.i].strip(" \t\r\f\v")
             ):
                 self.skip_preprocessor_line()
                 continue

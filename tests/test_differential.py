@@ -12,8 +12,8 @@ ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "differential.py")
 
 
-def differential(old_root, new_root):
-    argv = [sys.executable, TOOL, old_root, new_root, "--programs", "5", "--seeds"]
+def differential(old_root, new_root, programs=5):
+    argv = [sys.executable, TOOL, old_root, new_root, "--programs", str(programs), "--seeds"]
     return subprocess.run(argv, capture_output=True, text=True, timeout=300)
 
 
@@ -98,6 +98,23 @@ def test_a_changed_incomplete_mark_is_reported(tmp_path):
     assert re.fullmatch(r"differential: \d+ of 15 files differ: .*; by stream: log \d+", summary), summary
 
 
+def test_a_changed_token_kind_is_reported(tmp_path):
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    lexer = tmp_path / "src" / "xcheck" / "lexer.py"
+    source = lexer.read_text()
+    hex_kind = '''floaty = "." in text or "p" in text[2:] or "P" in text[2:]
+            kind = _FLOAT if floaty else _INT'''
+    assert source.count(hex_kind) == 1
+    # 0x1f lexes as a FLOAT_LITERAL: the dump prints only its text, so only the log run differs
+    lexer.write_text(source.replace(hex_kind, hex_kind.replace("_FLOAT if floaty else _INT", "_INT if floaty else _FLOAT")))
+    proc = differential(ROOT, str(tmp_path), programs=10)  # N = 10: one file of the directives row, which masks with hex
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    first, summary = proc.stdout.splitlines()[1], proc.stdout.splitlines()[-1]
+    assert "differ in the null-event logs, statement key classes or incomplete marks at stdout line" in first
+    assert "tokens" in proc.stdout.splitlines()[2]
+    assert re.fullmatch(r"differential: \d+ of \d+ files differ: .*; by stream: log \d+", summary), summary
+
+
 def test_each_corpus_row_writes_its_share_of_n_in_its_languages(tmp_path, monkeypatch):
     monkeypatch.setattr(sys, "path", list(sys.path))  # write_corpus puts the checkout's directories first
     spec = importlib.util.spec_from_file_location("differential", TOOL)
@@ -122,6 +139,7 @@ def test_each_corpus_row_writes_its_share_of_n_in_its_languages(tmp_path, monkey
         "lone_ops": (3, every),
         "do_nests": (3, every),
         "bom": (3, every),
+        "directives": (3, {".c", ".cpp"}),
     }
     written = {d: os.listdir(tmp_path / d) for d in os.listdir(tmp_path)}
     assert {d: (len(names), {os.path.splitext(n)[1] for n in names}) for d, names in written.items()} == expected

@@ -154,30 +154,46 @@ def test_a_line_of_mid_line_prefixes_is_read_a_bounded_number_of_times(monkeypat
     assert cost400 <= 2.2 * cost200, (cost200, cost400)
 
 
-def test_scanner_without_directives_is_compiled_on_first_need(monkeypatch):
+def test_one_scanner_serves_a_profile_with_mid_line_prefixes():
     compile_scanner.cache_clear()
-    tokenize("#include <a.h>\nx = a;", C)
-    assert compile_scanner.cache_info().currsize == 1
-    tokenize("x = a # b;", C)
-    tokenize("y = c # d;", C)
-    assert compile_scanner.cache_info().currsize == 2
-    # The second pattern is the scanner of the profile with no prefix.
-    hits = compile_scanner.cache_info().hits
-    compile_scanner(C._replace(preprocessor_prefix=None))
-    assert compile_scanner.cache_info().hits == hits + 1
-    assert compile_scanner.cache_info().currsize == 2
-    # A file looks it up once, however many prefixes sit in the middle of its lines.
-    looked_up = []
-    compile = lexer.compile_scanner
-    monkeypatch.setattr(lexer, "compile_scanner", lambda profile: looked_up.append(profile) or compile(profile))
-    stream = tokenize("x = a # b # c;\n" * 50, C)
+    stream = tokenize("#include <a.h>\n" + "x = a # b # c;\n" * 50, C)
     assert texts(stream).count("#") == 100
-    assert looked_up == [C, C._replace(preprocessor_prefix=None)]
+    assert compile_scanner.cache_info().currsize == 1
+    # A prefix in the middle of a line lexes as it does under the profile with no prefix.
+    source = "x = a # b # c;"
+    assert tokenize(source, C) == tokenize(source, C._replace(preprocessor_prefix=None))
+
+
+@pytest.mark.parametrize(
+    ("source", "profile", "expected", "unknown"),
+    [
+        ("#define Q 1\nx;", C, ["x", ";"], 0),
+        ("\t\v\f #define Q 1\nx;", C, ["x", ";"], 0),
+        ("y;\r\n#define Q 1\r\nx;", C, ["y", ";", "x", ";"], 0),
+        ("#define X \\\r\n  y\r\nx;", C, ["x", ";"], 0),
+        ("y; // note\n  #define Q 1\nx;", C, ["y", ";", "x", ";"], 0),
+        ("/* a\n b */\n#define Q 1\nx;", C, ["x", ";"], 0),
+        ("/* c */ #define Q 1\nx;", C, ["#", "define", "Q", "1", "x", ";"], 1),
+        ("\xa0#define Q 1\nx;", C, ["\xa0", "#", "define", "Q", "1", "x", ";"], 1),
+        ("\x1c#define Q 1\nx;", C, ["\x1c", "#", "define", "Q", "1", "x", ";"], 2),
+        ("//! a \\\nx;", C._replace(preprocessor_prefix="//!"), ["x", ";"], 0),
+        ("/*! a */ x;\n", C._replace(preprocessor_prefix="/*!"), ["x", ";"], 0),
+    ],
+    ids=[
+        "file-start", "file-start-after-blanks", "after-crlf", "continued-over-crlf", "after-line-comment",
+        "after-block-comment-line", "not-after-block-comment", "not-after-nbsp", "not-after-x1c",
+        "line-comment-wins", "block-comment-wins",
+    ],
+)
+def test_a_directive_is_a_prefix_after_blanks_at_a_line_start(source, profile, expected, unknown):
+    stream = tokenize(source, profile)
+    assert texts(stream) == expected
+    assert [e.kind for e in stream.errors] == ["unknown-character"] * unknown
 
 
 def test_the_scanner_is_entered_once_per_token(monkeypatch):
-    # Whitespace and line comments are skipped inside the next token's
-    # match; a block comment, a directive and the end of input take one each.
+    # Whitespace, line comments and directives are skipped inside the next
+    # token's match; a block comment and the end of input take one each.
     class CountingPattern:
         matches = 0
 
@@ -196,7 +212,7 @@ def test_the_scanner_is_entered_once_per_token(monkeypatch):
     source = "#define Q 1\n" + "".join(w + rng.choice(gaps) for w in words) + "/* block */ y;\n"
     stream = tokenize(source, C)
     assert texts(stream) == words + ["y", ";"]
-    assert CountingPattern.matches <= len(stream.tokens) + 3
+    assert CountingPattern.matches <= len(stream.tokens) + 2
 
 
 def test_hash_is_not_special_in_java():

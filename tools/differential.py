@@ -35,9 +35,13 @@ do ... do g ( p->x ) ;`` of 40-200 levels, across the parser's nesting cap, a
 closed ``do do g ( ) ; while ( a ) ; while ( b ) ;``, and a ``do { ... } while
 ( p`` cut short at the function's end), and files that start with U+FEFF, a
 byte-order mark, whose first statement dereferences a path that a later
-statement tests; all but the programs and the prefix lines spread over C,
-C++ and Java.  The corpus comes from this
-checkout, so both sides see the same files.
+statement tests, and C and C++ functions that dereference and test for null
+around directives (at the file's start, after blanks, after line-comment
+and block-comment lines, ``#if``/``#endif`` groups with continuation lines,
+prefixes after a block comment on the same line, and CRLF line ends in some
+files); all but the programs, the prefix lines and the directives spread
+over C, C++ and Java.  The corpus comes from this checkout, so both sides
+see the same files.
 
 The first line printed gives each side's line count of ``src/xcheck/*.py``
 (as ``wc -l`` counts) and the difference.
@@ -48,11 +52,13 @@ fixture file, the golden directory and the generated-programs directory), and
 once per fixture and golden input with ``--line-range`` set to the middle
 third of that file's lines.  One more run, again on each side's own
 ``src/``, reads each corpus file with a profile as the CLI does (a leading
-U+FEFF dropped) and prints its null-event log
+U+FEFF dropped) and prints a SHA-1 digest of its token stream (the kind,
+text and offset of each token and each lex error), its null-event log
 (``iter_null_events``), the class index of each ``walk_statements`` node,
 nodes with equal ``stmt_key`` sharing a class, and the indices of the walked
 statements marked ``incomplete`` (``LOG_CODE``): a refactor must keep all
-three, and the CLI shows none of them.
+four, and the CLI shows none of them (its dump prints token texts, not
+kinds).
 The exit codes, stdout and stderr of each run are compared.  When they
 differ, the first difference is printed, then how many corpus files differ
 in any run, by corpus directory and by stream (dump, findings, stderr, log),
@@ -88,13 +94,15 @@ from itertools import zip_longest
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 CLI_CODE = "from xcheck.cli import main; main()"
-# Per corpus file with a profile, under a "// LOG path" header: the null-event
-# log, one event a line as a tuple (an extent as its two offsets), then the
-# class index of each walked statement: statements with equal stmt_key share a
-# class, and classes are numbered in order of first appearance; then the
-# indices of the walked statements that are incomplete.
+# Per corpus file with a profile, under a "// LOG path" header: the SHA-1 of
+# the token stream, (kind, text, offset) of each token and each lex error, so
+# that a token's kind counts though the dump prints only its text; the
+# null-event log, one event a line as a tuple (an extent as its two offsets),
+# then the class index of each walked statement: statements with equal
+# stmt_key share a class, and classes are numbered in order of first
+# appearance; then the indices of the walked statements that are incomplete.
 LOG_CODE = """
-import os, sys
+import hashlib, os, sys
 from xcheck.checkers import iter_null_events
 from xcheck.lexer import tokenize
 from xcheck.microgrammar import Extent, parse_statements, stmt_key, walk_statements
@@ -109,8 +117,12 @@ for root, dirs, names in os.walk(sys.argv[1]):
             continue
         with open(path, encoding="utf-8", errors="replace") as fh:
             source = fh.read().removeprefix("\ufeff")  # as the CLI reads it: a byte-order mark is no source
-        stmts = parse_statements(tokenize(source, profile), profile)
+        stream = tokenize(source, profile)
+        stmts = parse_statements(stream, profile)
         print("// LOG", path)
+        tokens = [(t.kind.name, t.text, t.offset) for t in stream.tokens]
+        errors = [(e.kind, e.message, e.pos.offset) for e in stream.errors]
+        print("tokens", hashlib.sha1(repr((tokens, errors)).encode()).hexdigest())
         for event in iter_null_events(stmts, profile):
             print((type(event).__name__, *((x.lo, x.hi) if isinstance(x, Extent) else x for x in event)))
         classes, walked = {}, list(walk_statements(stmts))
@@ -337,6 +349,36 @@ def marked(rng: random.Random, profile) -> str:
     return "\n".join(["\ufeff" + first, *filler, f"if ( {path} == {null} ) return ;"]) + "\n"
 
 
+def directive_lines(rng: random.Random, profile) -> str:
+    """Functions that dereference ``p`` and test it for null around directives:
+    one at the file's start, others after blanks, after line-comment and
+    block-comment lines, ``#if``/``#endif`` groups with continuation lines,
+    and prefixes after a block comment on the same line; code masks with hex
+    numbers.  Some files end their lines with CRLF and have no continuation
+    lines."""
+    prefix, null, arrow = profile.preprocessor_prefix, min(profile.null_literals), profile.deref_ops[0]
+    end = "\r\n" if rng.random() < 0.3 else "\n"
+
+    def directive(i: int) -> str:
+        body = rng.choice((f"define F{i} 0x{i:x}", f"include <h{i}.h>", f"undef F{i}", "pragma once"))
+        return rng.choice(("", " ", "\t", " \t ", "\f", "\v  ")) + prefix + body
+
+    lines = [directive(0)]
+    for f in range(rng.randint(1, 3)):
+        lines += [f"int f{f} ( struct s * p ) {{", f"  use ( p{arrow}x ) ;"]
+        for i in range(rng.randint(2, 6)):
+            lines += rng.choice((
+                [directive(i)],
+                [f"  // note {i}", directive(i)],
+                [f"  /* note {i}", "     more */", directive(i)],
+                [f"{prefix}if F{i} &&" + (" \\" if end == "\n" else ""), f"  defined ( G{i} )", "  g ( ) ;", f"{prefix}endif"],
+                [f"  /* why */ {prefix} define H{i} 1", f"  g ( a ) ; /* and */ {prefix} b ;"],
+            ))
+            lines.append(f"  g ( p{arrow}flags & 0x{rng.randrange(1, 256):x} ) ;")
+        lines += [f"  if ( p == {null} ) return ;", "}"]
+    return end.join(lines) + end
+
+
 def commented_soup(rng: random.Random, profile, words: list[str]) -> str:
     """``words`` joined by runs of whitespace, line comments and block comments."""
     line, (opener, closer) = profile.line_comment, profile.block_comment
@@ -390,6 +432,7 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
         ("lone_ops", "o", 10, LANGUAGES, lone_ops),
         ("do_nests", "m", 10, LANGUAGES, do_nests),
         ("bom", "u", 10, LANGUAGES, marked),
+        ("directives", "e", 10, LANGUAGES[:2], directive_lines),
     )
     for seed, (directory, letter, share, languages, make) in enumerate(rows):
         os.makedirs(os.path.join(dest, directory))
@@ -577,7 +620,7 @@ def main(argv: list[str] | None = None) -> int:
         whole = results[0][0]
         print(
             f"differential: {files} files, one multi-input run, {len(runs) - 2} "
-            f"line-range windows and the null-event logs, no difference "
+            f"line-range windows and the token and null-event logs, no difference "
             f"(exit {whole.returncode}, {len(whole.stdout.splitlines())} stdout lines, "
             f"{len(whole.stderr.splitlines())} stderr lines)"
         )
