@@ -3,8 +3,9 @@
 Each checker is an independent function from a refined statement list to
 diagnostics, ``(stmts, profile, path="<input>")``, named once: its row in
 :data:`CHECKERS`, under the id its findings carry as ``Diagnostic.checker``.
-None of them ever consults token positions to make a decision (offsets are
-carried along for reporting, and resolved only for a finding).
+None of them ever consults token positions to make a decision: a checker
+hands ``diagnostics.finding`` an extent and an offset, and :func:`run_checkers`
+returns the findings in ``diagnostics.dedupe_and_sort``'s order.
 
 The null-dereference checker works from a linear event log (dereferences,
 null tests, assignments that invalidate tracked paths, scope resets)
@@ -17,8 +18,8 @@ from __future__ import annotations
 from collections import Counter
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
-from .diagnostics import Diagnostic, sort_key
-from .lexer import _IDENT, position
+from .diagnostics import Diagnostic, dedupe_and_sort, finding
+from .lexer import _IDENT
 from .microgrammar import (
     BODY,
     TEST,
@@ -226,15 +227,8 @@ def check_null_deref(stmts: Sequence[Stmt], profile: LanguageProfile, path: str 
             deref_at = nonnull.get(ev.path[0], {}).pop(ev.number, None)  # one report per chain
             if deref_at is not None:
                 name = "".join(ev.path)
-                diags.append(
-                    Diagnostic(
-                        checker="null-deref",
-                        message=f"'{name}' checked for null here but dereferenced earlier",
-                        file=path,
-                        span=ev.span.resolve(),
-                        related=(position(ev.span.source, deref_at), f"'{name}' dereferenced"),
-                    )
-                )
+                message = f"'{name}' checked for null here but dereferenced earlier"
+                diags.append(finding("null-deref", message, path, ev.span, (deref_at, f"'{name}' dereferenced")))
         elif isinstance(ev, KillEvent):
             nonnull.pop(ev.root, None)
         else:
@@ -268,7 +262,7 @@ def _repeat_findings(
         if key is not None:
             i = first.setdefault(key, j)
             if i != j:
-                yield Diagnostic(checker, message, path, spans[j].resolve(), (spans[i].start, note))
+                yield finding(checker, message, path, spans[j], (spans[i].lo, note))
 
 
 def check_redundant_conditions(stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>") -> list[Diagnostic]:
@@ -343,17 +337,8 @@ def check_loop_direction(stmts: Sequence[Stmt], profile: LanguageProfile, path: 
         else:
             continue
         if (op, node.update.op) in WARNING_PAIRS:
-            diags.append(
-                Diagnostic(
-                    checker="loop-direction",
-                    message=(
-                        f"loop variable '{target[0]}' is updated with '{node.update.op}' "
-                        f"but bounded by '{node.cond.op}'"
-                    ),
-                    file=path,
-                    span=node.header_span.resolve(),
-                )
-            )
+            message = f"loop variable '{target[0]}' is updated with '{node.update.op}' but bounded by '{node.cond.op}'"
+            diags.append(finding("loop-direction", message, path, node.header_span))
     return diags
 
 
@@ -378,7 +363,7 @@ def run_checkers(
     enabled: Iterable[str] | None = None,
     path: str = "<input>",
 ) -> list[Diagnostic]:
-    """Run the enabled checkers (by default all of ``CHECKERS``) and merge their findings."""
+    """Run the enabled checkers (by default all of ``CHECKERS``); their findings, deduplicated and ordered."""
     ids = set(CHECKERS if enabled is None else enabled)
     if not ids:
         raise ValueError("no checkers enabled")
@@ -389,5 +374,4 @@ def run_checkers(
     for checker, check in CHECKERS.items():
         if checker in ids:
             diags += check(stmts, profile, path)
-    diags.sort(key=sort_key)
-    return diags
+    return dedupe_and_sort(diags)

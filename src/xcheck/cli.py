@@ -142,16 +142,17 @@ def analyze_source(
     return errors, stmts, run_checkers(stmts, profile, checkers, path=path)
 
 
-def run(args: argparse.Namespace, registry: Registry = DEFAULT_REGISTRY, out=None, err=None) -> int:
+def run(args: argparse.Namespace, out=None, err=None) -> int:
     out = out if out is not None else sys.stdout
     err = err if err is not None else sys.stderr
+    registry = DEFAULT_REGISTRY
     try:
         if args.line_range is not None and (len(args.paths) != 1 or os.path.isdir(args.paths[0])):
             raise ValueError("--line-range requires exactly one input file")
         if args.profile_file is not None:
-            # extend a copy (of already validated profiles): the caller's
-            # registry, by default the process-wide one, must read the same
-            registry = Registry(registry)
+            # extend a copy (of already validated profiles): the process-wide
+            # registry must read the same after the run
+            registry = Registry(DEFAULT_REGISTRY)
             load_profile_file(args.profile_file, registry)
         forced = registry.resolve(args.lang_override) if args.lang_override else None
         notes: list[str] = []

@@ -1,11 +1,12 @@
-"""Finding representation and rendering (human text and machine JSON)."""
+"""Findings: built by :func:`finding`, the one place their positions are resolved,
+ordered by :func:`dedupe_and_sort`, and rendered as human text or machine JSON."""
 
 from __future__ import annotations
 
 from typing import Iterable, NamedTuple, Sequence
 
-from .lexer import Position
-from .microgrammar import Span
+from .lexer import Position, position
+from .microgrammar import Extent, Span
 
 
 class Diagnostic(NamedTuple):
@@ -18,13 +19,18 @@ class Diagnostic(NamedTuple):
     related: tuple[Position, str] | None = None  # e.g. the justifying dereference
 
 
-def sort_key(d: Diagnostic) -> tuple[str, int, str]:
-    return (d.file, d.span.start.offset, d.checker)
+def finding(checker: str, message: str, file: str, extent: Extent, related: tuple[int, str] | None = None) -> Diagnostic:
+    """The finding at ``extent``, citing ``related``, an ``(offset, note)`` pair in the
+    same source; its positions are resolved here, so no source text outlives its file."""
+    if related is not None:
+        offset, note = related
+        related = (position(extent.source, offset), note)
+    return Diagnostic(checker, message, file, extent.resolve(), related)
 
 
 def dedupe_and_sort(diags: Iterable[Diagnostic]) -> list[Diagnostic]:
     """Strict (file, start offset, checker id) order, exact duplicates dropped."""
-    return list(dict.fromkeys(sorted(diags, key=sort_key)))
+    return list(dict.fromkeys(sorted(diags, key=lambda d: (d.file, d.span.start.offset, d.checker))))
 
 
 def render_text(diags: Sequence[Diagnostic]) -> str:

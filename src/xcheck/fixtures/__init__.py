@@ -15,7 +15,7 @@ from importlib import resources
 
 from ..checkers import CHECKERS
 from ..cli import analyze_source
-from ..diagnostics import dedupe_and_sort, to_record
+from ..diagnostics import to_record
 from ..profiles import profile_for
 
 
@@ -140,7 +140,7 @@ def run_pipeline(case: FixtureCase) -> list[dict]:
     _, _, diags = analyze_source(
         load_source(case), profile, case.filename, case.line_range, tuple(CHECKERS)
     )
-    return [to_record(d) for d in dedupe_and_sort(diags)]
+    return [to_record(d) for d in diags]
 
 
 def run_fixture(case: FixtureCase) -> FixtureReport:

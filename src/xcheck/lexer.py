@@ -130,11 +130,11 @@ _DIRECTIVE = r"[^\\\n]*(?:\\(?:\r?\n)?[^\\\n]*)*"
 
 
 def _quoted(name: str, quote: str, escape: str) -> str:
-    # An escape takes the next character whatever it is, a newline too; an
-    # unescaped newline or the end of input ends an unterminated literal.
+    # An escape takes any next character, or CRLF, so a backslash before LF or CRLF
+    # continues the literal; an unescaped newline or the end of input ends it unterminated.
     q = re.escape(quote)
     plain = f"[^{q}{re.escape(escape)}\\n]*"
-    return rf"(?P<{name}>{q}{plain}(?:{re.escape(escape)}[\s\S]?{plain})*(?P<{name}_end>{q})?)"
+    return rf"(?P<{name}>{q}{plain}(?:{re.escape(escape)}(?:\r\n|[\s\S])?{plain})*(?P<{name}_end>{q})?)"
 
 
 def _operator_rule(operators: list[str]) -> str:

@@ -3,7 +3,7 @@ compiled each profile into one regex, kept as a test-only oracle.
 
 ``tests/test_lexer_oracle.py`` requires the production lexer to produce
 exactly the tokens and errors this scanner produces.  The scanner is the
-old one unchanged with five exceptions.  Its operator table is built per
+old one unchanged with six exceptions.  Its operator table is built per
 scanner instead of being cached by ``id(profile)``, which could hand a new
 profile the table of a freed one.  A number starts only at an ASCII digit,
 or at ``.`` and an ASCII digit, as in the shipped lexer: the old test
@@ -13,9 +13,11 @@ a directive only after blanks, the characters the main loop skips: the old
 test ``str.strip()`` also took a no-break space (U+00A0) or U+001C, which
 the main loop lexes as a token.  A backslash before CRLF continues a
 directive, as one before LF does: C's first translation phase reads CRLF as
-a line end.  And it records its tokens and errors with the line and column
-it tracks, in records of its own, since the shipped ones carry an offset and
-resolve the rest when read.
+a line end.  For the same reason an escape before CRLF takes both characters,
+so it continues a string or char literal as one before LF does.  And it
+records its tokens and errors with the line and column it tracks, in records
+of its own, since the shipped ones carry an offset and resolve the rest when
+read.
 """
 
 from __future__ import annotations
@@ -144,7 +146,7 @@ class _Scanner:
         while self.i < len(self.src):
             ch = self.src[self.i]
             if ch == escape:
-                self.advance(2)
+                self.advance(3 if self.src.startswith("\r\n", self.i + 1) else 2)
                 continue
             if ch == quote:
                 self.advance()

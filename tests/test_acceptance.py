@@ -40,7 +40,6 @@ from xcheck.microgrammar import (
     parse_statements,
     stmt_key,
 )
-from xcheck.profiles import DEFAULT_REGISTRY, Registry
 
 
 @contextmanager
@@ -246,7 +245,7 @@ def test_criterion_10_cli_contract(tmp_path, capsys):
 
         def invoke(argv):
             out, err = io.StringIO(), io.StringIO()
-            code = run(parse_args(argv), registry=Registry(DEFAULT_REGISTRY), out=out, err=err)
+            code = run(parse_args(argv), out=out, err=err)
             return code, out.getvalue(), err.getvalue()
 
         cipher = fixture_path("CipherCore.java")

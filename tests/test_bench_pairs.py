@@ -76,3 +76,12 @@ def test_refuses_to_start_while_a_tree_holds_a_bytecode_cache(tmp_path, monkeypa
     assert bench_pairs.main(argv) == 2
     assert str(stale) in capsys.readouterr().err
     assert bench_pairs.stale_caches(str(old)) == []
+
+
+def test_src_loc_counts_lines_as_wc_l_does(tmp_path):
+    package = tmp_path / "src" / "xcheck"
+    package.mkdir(parents=True)
+    (package / "a.py").write_text("x = 1\ny = 2\n")
+    (package / "b.py").write_text("z = 3\nw = 4")  # no newline after the last line: wc -l counts 1
+    (package / "notes.txt").write_text("not source\n")
+    assert bench_pairs.src_lines(str(tmp_path)) == 3

@@ -25,10 +25,10 @@ null_literals = nil
 """
 
 
-def invoke(argv_or_config, registry=None):
+def invoke(argv_or_config):
     out, err = io.StringIO(), io.StringIO()
     config = argv_or_config if isinstance(argv_or_config, argparse.Namespace) else parse_args(argv_or_config)
-    code = run(config, registry=registry or Registry(DEFAULT_REGISTRY), out=out, err=err)
+    code = run(config, out=out, err=err)
     return code, out.getvalue(), err.getvalue()
 
 
@@ -399,7 +399,6 @@ def assert_only_builtins(registry):
 def test_profile_flag_validates_only_the_loaded_profile(tmp_path, monkeypatch):
     from xcheck import profiles
 
-    registry = Registry(DEFAULT_REGISTRY)  # its profiles were validated when registered
     calls = []
     validate = profiles.validate_profile
     monkeypatch.setattr(profiles, "validate_profile", lambda p: calls.append(p.name) or validate(p))
@@ -407,10 +406,10 @@ def test_profile_flag_validates_only_the_loaded_profile(tmp_path, monkeypatch):
     profile_file.write_text(MINI_PROFILE_TEXT)
     source = tmp_path / "demo.mini"
     source.write_text("x = p.f;\nif (p == nil) g();\n")
-    code, out, _ = invoke(["--profile", str(profile_file), str(source)], registry=registry)
+    code, out, _ = invoke(["--profile", str(profile_file), str(source)])
     assert code == 1 and "null-deref" in out
-    assert calls == ["mini"]
-    assert_only_builtins(registry)
+    assert calls == ["mini"]  # the built-ins were validated when registered, not again
+    assert_only_builtins(DEFAULT_REGISTRY)
 
 
 def test_profile_flag_leaves_the_default_registry_untouched(tmp_path, monkeypatch):

@@ -20,7 +20,6 @@ import pytest
 
 from xcheck.cli import parse_args, run
 from xcheck.fixtures import fixture_path
-from xcheck.profiles import DEFAULT_REGISTRY, Registry
 
 GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 FIXTURES = os.path.dirname(fixture_path("object.c"))
@@ -38,6 +37,6 @@ CASES = [
 def test_dump_ast_json_matches_golden(directory, name, code, monkeypatch):
     monkeypatch.chdir(directory)
     out, err = io.StringIO(), io.StringIO()
-    assert run(parse_args(["--dump-ast", "--format", "json", name]), Registry(DEFAULT_REGISTRY), out, err) == code
+    assert run(parse_args(["--dump-ast", "--format", "json", name]), out, err) == code
     with open(os.path.join(GOLDEN, name + ".out"), encoding="utf-8") as fh:
         assert out.getvalue() == fh.read()

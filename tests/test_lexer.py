@@ -81,6 +81,15 @@ def test_unterminated_string_recovers_at_next_line():
     assert texts(stream)[-2:] == ["y", ";"]
 
 
+@pytest.mark.parametrize("end", ["\n", "\r\n"], ids=["lf", "crlf"])
+def test_a_backslash_before_a_line_end_continues_a_literal(end):
+    stream = tokenize(f'x = "a\\{end}b";{end}c = \'\\{end}\';{end}', C)
+    assert texts(stream) == ["x", "=", f'"a\\{end}b"', ";", "c", "=", f"'\\{end}'", ";"]
+    assert kinds(stream)[2] is TokenKind.STRING_LITERAL and kinds(stream)[6] is TokenKind.CHAR_LITERAL
+    assert stream.errors == []
+    assert stream.tokens[3].pos.line == 2 and stream.tokens[4].pos.line == 3
+
+
 def test_unterminated_block_comment_is_reported():
     stream = tokenize("a /* never closed", C)
     assert texts(stream) == ["a"]

@@ -6,7 +6,10 @@ keep the ``(checker, message)`` sequence of the findings.  They compare
 names only with each other, so renaming identifiers consistently keeps the
 findings too, with the new names in the messages.  A ``--line-range`` that
 covers the whole file is the same as none, and one run naming several inputs
-is the same as running each alone.
+is the same as running each alone.  Writing every line end as CRLF keeps the
+tokens, the lex errors and the findings where they were: a carriage return
+before a newline is a blank, and a backslash before CRLF continues a line as
+one before LF does.
 """
 
 from __future__ import annotations
@@ -26,9 +29,10 @@ from xcheck.diagnostics import dedupe_and_sort
 from xcheck.fixtures import fixture_path
 from xcheck.lexer import TokenKind, tokenize
 from xcheck.microgrammar import parse_statements
-from xcheck.profiles import DEFAULT_REGISTRY, LanguageProfile, Registry, profile_for
+from xcheck.profiles import LanguageProfile, profile_for
 
 FIXTURES = ("object.c", "InstCombineAddSub.cpp", "CipherCore.java")
+GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 
 def _messages(source: str, profile: LanguageProfile) -> list[tuple[str, str]]:
@@ -153,7 +157,7 @@ def test_concatenated_files_keep_each_files_findings():
 
 def _cli(argv: list[str]) -> tuple[int, str]:
     out, err = io.StringIO(), io.StringIO()
-    return run(parse_args(argv), registry=Registry(DEFAULT_REGISTRY), out=out, err=err), out.getvalue()
+    return run(parse_args(argv), out=out, err=err), out.getvalue()
 
 
 @pytest.mark.parametrize("filename", FIXTURES)
@@ -182,3 +186,48 @@ def test_several_inputs_print_the_union_of_single_input_runs(tmp_path, dangling)
     code, out = _cli(["--format", "json", *inputs])
     assert json.loads(out) == want and len(want) > 1
     assert code == max(code for code, _ in singles) == (2 if dangling else 1)
+
+
+# Each construct that spans or ends a line, with a finding after it.
+_LINE_END_CASES = (
+    "#define NEXT(p) \\\n  ((p)->next)\nvoid f(struct s *p) {\n  x = p->q;\n  if (p == NULL) g();\n}\n",
+    'void f(struct s *p) {\n  x = p->q; m = "one \\\ntwo";\n  if (p == NULL) g();\n}\n',
+    "void f(struct s *p) {\n  x = p->q; c = '\\\n';\n  if (p == NULL) g();\n}\n",
+    "void f(struct s *p) {\n  x = p->q; /* a block\n  comment */ if (p == NULL) g();\n}\n",
+    "void f(struct s *p) {\n  x = p->q; // a line comment\n  if (p == NULL) g();\n}\n",
+)
+
+
+def _line_end_inputs() -> list[tuple[str, LanguageProfile]]:
+    paths = [fixture_path(name) for name in FIXTURES] + [os.path.join(GOLDEN, n) for n in ("all_forms.cpp", "empty_slots.c")]
+    inputs = []
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            inputs.append((fh.read(), profile_for(path)))
+    rng = random.Random(8180)
+    inputs += [(random_micro_program(rng), C) for _ in range(200)]
+    return inputs + [(source, C) for source in _LINE_END_CASES]
+
+
+def _lexed_and_found(source: str, profile: LanguageProfile) -> tuple[list, list, list]:
+    """Token kinds and texts (a CRLF read as LF), lex errors and findings by line and column."""
+    stream = tokenize(source, profile)
+    stmts = parse_statements(stream, profile)
+    return (
+        [(t.kind, t.text.replace("\r\n", "\n")) for t in stream.tokens],
+        [(e.kind, e.pos.line, e.pos.column) for e in stream.errors],
+        [
+            (d.checker, d.span.start.line, d.span.start.column, d.related and (d.related[0].line, d.related[0].column))
+            for d in run_checkers(stmts, profile, path="t")
+        ],
+    )
+
+
+def test_crlf_line_ends_keep_tokens_lex_errors_and_findings():
+    total = 0
+    for source, profile in _line_end_inputs():
+        assert "\r" not in source
+        want = _lexed_and_found(source, profile)
+        assert _lexed_and_found(source.replace("\n", "\r\n"), profile) == want, source
+        total += len(want[2])
+    assert total > 0

@@ -34,6 +34,9 @@ import statistics
 import subprocess
 import sys
 
+sys.path.insert(0, os.path.dirname(os.path.abspath(__file__)))  # differential.py sits beside this file
+from differential import src_lines  # noqa: E402  (the differential's src/ line count, as wc -l gives it)
+
 RUN_TIMEOUT_S = 600
 
 
@@ -102,16 +105,6 @@ def run_bench(root: str, workload: str, seed: int, seconds: float, trace: int) -
     return json.loads(lines[-1])
 
 
-def src_loc(root: str) -> int:
-    package = os.path.join(root, "src", "xcheck")
-    total = 0
-    for name in os.listdir(package):
-        if name.endswith(".py"):
-            with open(os.path.join(package, name), encoding="utf-8") as fh:
-                total += sum(1 for _ in fh)
-    return total
-
-
 def environment(seconds: float) -> dict:
     cpu = platform.processor() or platform.machine()
     try:
@@ -173,7 +166,7 @@ def main(argv: list[str] | None = None) -> int:
             with open(args.out, encoding="utf-8") as fh:
                 doc = json.load(fh)
         doc["environment"] = environment(seconds)
-        doc["src_loc"] = {side: src_loc(root) for side, root in roots.items()}
+        doc["src_loc"] = {side: src_lines(root) for side, root in roots.items()}
         section = doc.setdefault("per_layer" if args.trace else "end_to_end", {})
         section[args.workload] = {"seeds": args.seeds, "failed": failed, "metrics": summary}
         with open(args.out, "w", encoding="utf-8") as fh:
