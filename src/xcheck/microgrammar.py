@@ -6,7 +6,10 @@ stream left to right and builds statement trees for ``if``/``while``/
 unrecognized token run is cut out as an uninterpreted *wildcard* (an
 ordered token list).  When a structural parse fails partway, the scanner
 recovers by advancing exactly one token and retrying, so no input can
-make it abort.
+make it abort.  The scanner moves through a range with four primitives
+(``_peek``, ``_accept``, ``_balanced`` and ``_find``), and the nesting cap
+on a range lives in ``parse``: a range nested ``MAX_NESTING`` deep is one
+wildcard statement.
 
 Step two runs on each slot as soon as it is cut: a total expression
 parser that recognizes just the shapes the checkers need (comparisons,
@@ -424,7 +427,11 @@ class _Parser:
     Every scan works on an index range ``[lo, hi)`` of ``toks`` and jumps
     over whole bracket groups through the table, so block interiors are
     neither copied nor rescanned per nesting level.  ``i`` is the next
-    token of the range being parsed and ``hi`` its end.
+    token of the range being parsed and ``hi`` its end.  Four primitives
+    move through a range: :meth:`_peek` looks at the cursor's token,
+    :meth:`_accept` steps over it if it is the one asked for,
+    :meth:`_balanced` steps over a bracket group and :meth:`_find` searches
+    at bracket depth zero.  :meth:`parse` alone caps a range's nesting.
     """
 
     def __init__(self, tokens: tuple[Token, ...], profile: LanguageProfile):
@@ -439,13 +446,14 @@ class _Parser:
     def _peek(self) -> Token | None:
         return self.toks[self.i] if self.i < self.hi else None
 
-    def _take(self) -> int:
-        """Step over the token at the cursor and return its index."""
-        self.i += 1
-        return self.i - 1
-
-    def _is_kw(self, tok: Token | None, text: str) -> bool:
-        return tok is not None and tok.kind is _KW and tok.text == text
+    def _accept(self, text: str, kind: str | None = None) -> bool:
+        """Step over the cursor's token if its text is ``text`` and, when
+        ``kind`` is given, its kind is ``kind``; say whether it did."""
+        i = self.i
+        if i < self.hi and self.toks[i].text == text and (kind is None or self.toks[i].kind is kind):
+            self.i = i + 1
+            return True
+        return False
 
     def _balanced(self, open_text: str) -> tuple[int, int, bool]:
         """Consume a ``(...)`` or ``{...}`` group at the cursor.
@@ -453,10 +461,9 @@ class _Parser:
         Returns the interior range ``[lo, hi)`` and whether the group closed
         before the end of the current range; the opener is ``toks[lo - 1]``.
         """
-        tok = self._peek()
-        if tok is None or tok.text != open_text:
+        if not self._accept(open_text):
             raise _StructuralMismatch(f"expected {open_text!r}")
-        lo, close = self.i + 1, self.match[self.i]
+        lo, close = self.i, self.match[self.i - 1]
         if close < self.hi:
             self.i = close + 1
             return lo, close, True
@@ -475,33 +482,38 @@ class _Parser:
     # -- entry point ----------------------------------------------------------
 
     def parse(self, lo: int, hi: int, nesting: int) -> list[Stmt]:
-        """The statements of ``toks[lo:hi]``; the caller's range is restored."""
+        """The statements of ``toks[lo:hi]``; the caller's range is restored.
+        At ``MAX_NESTING`` and deeper the range is one wildcard statement,
+        or none when it is empty."""
+        if nesting >= MAX_NESTING:
+            return [WildcardStmt(self._refine(lo, hi, 0), _extent(self.toks, lo, hi))] if hi > lo else []
         outer = self.i, self.hi
         self.i, self.hi = lo, hi
         out: list[Stmt] = []
         while self.i < hi:
             start = self.i
             try:
-                stmt = self._statement(nesting)
+                out.append(self._statement(nesting))
             except _StructuralMismatch:
                 # Sliding window: emit nothing, advance one token, retry.
                 self.i = start + 1
-                continue
-            out.append(stmt)
-            if self.i == start:  # defensive: progress must always hold
-                self.i += 1
         self.i, self.hi = outer
         return out
 
     # -- statement forms ------------------------------------------------------
 
     def _statement(self, depth: int) -> Stmt:
-        tok = self._peek()
-        assert tok is not None
+        """The statement at the cursor, which is a token of the range; a
+        form gets the index of its keyword, already stepped over."""
+        start = self.i
+        tok = self.toks[start]
         if tok.text == "{":
             return self._block(depth)
         form = self._FORMS.get(tok.text) if tok.kind is _KW and depth < MAX_NESTING else None
-        return form(self, depth) if form is not None else self._wildcard_stmt()
+        if form is None:
+            return self._wildcard_stmt()
+        self.i += 1
+        return form(self, start, depth)
 
     def _wildcard_stmt(self) -> WildcardStmt:
         """Token run up to the statement terminator at depth zero.
@@ -512,22 +524,16 @@ class _Parser:
         """
         lo, term = self.i, self.profile.stmt_terminator
         self.i = stop = self._find(lo, self.hi, (term, "{"))
-        if stop < self.hi and self.toks[stop].text == term:
-            self._take()
+        self._accept(term)
         return WildcardStmt(self._refine(lo, stop, 0), _extent(self.toks, lo, self.i), stop == self.hi)
 
     def _cond(self) -> Expr:
         lo, hi, _ = self._balanced("(")
         return self._refine(lo, hi, 0)
 
-    def _subparse(self, lo: int, hi: int, depth: int) -> list[Stmt]:
-        if depth >= MAX_NESTING:
-            return [WildcardStmt(self._refine(lo, hi, 0), _extent(self.toks, lo, hi))] if hi > lo else []
-        return self.parse(lo, hi, depth)
-
     def _block(self, depth: int) -> Block:
         lo, hi, ok = self._balanced("{")
-        body = self._subparse(lo, hi, depth + 1)
+        body = self.parse(lo, hi, depth + 1)
         return Block(body, _extent(self.toks, lo - 1, self.i), incomplete=not ok)
 
     def _body(self, depth: int) -> tuple[list[Stmt], bool]:
@@ -541,20 +547,17 @@ class _Parser:
         if tok is None:
             return [], True
         if tok.text == "{":
-            lo, hi, ok = self._balanced("{")
-            return self._subparse(lo, hi, depth + 1), not ok
+            block = self._block(depth)
+            return block.body, block.incomplete
         return [self._statement(depth + 1)], False
 
-    def _if(self, depth: int) -> If:
-        start = self._take()
+    def _if(self, start: int, depth: int) -> If:
         cond = self._cond()
         then_body, incomplete = self._body(depth)
         elifs: list[tuple[Expr, list[Stmt]]] = []
         else_body: list[Stmt] | None = None
-        while self._is_kw(self._peek(), "else"):
-            self._take()
-            if self._is_kw(self._peek(), "if"):
-                self._take()
+        while self._accept("else", _KW):
+            if self._accept("if", _KW):
                 c2 = self._cond()
                 b2, incomplete = self._body(depth)
                 elifs.append((c2, b2))
@@ -563,27 +566,21 @@ class _Parser:
                 break
         return If(cond, then_body, elifs, else_body, _extent(self.toks, start, self.i), incomplete)
 
-    def _while(self, depth: int) -> While:
-        start = self._take()
+    def _while(self, start: int, depth: int) -> While:
         cond = self._cond()
         body, incomplete = self._body(depth)
         return While(cond, body, _extent(self.toks, start, self.i), incomplete)
 
-    def _do_while(self, depth: int) -> DoWhile:
-        start = self._take()
+    def _do_while(self, start: int, depth: int) -> DoWhile:
         body, _ = self._body(depth)
-        if not self._is_kw(self._peek(), "while"):
+        if not self._accept("while", _KW):
             raise _StructuralMismatch("do-body not followed by while")
-        self._take()
         lo, hi, ok = self._balanced("(")
         cond = self._refine(lo, hi, 0)
-        nxt = self._peek()
-        if nxt is not None and nxt.text == self.profile.stmt_terminator:
-            self._take()
+        self._accept(self.profile.stmt_terminator)
         return DoWhile(body, cond, _extent(self.toks, start, self.i), not ok)
 
-    def _for(self, depth: int) -> For:
-        start = self._take()
+    def _for(self, start: int, depth: int) -> For:
         lo, hi, _ = self._balanced("(")
         header_span = _extent(self.toks, lo - 1, self.i)
         init, cond, update = self._split_for_header(lo, hi)
@@ -607,8 +604,7 @@ class _Parser:
         )
         return init, cond, update
 
-    def _switch(self, depth: int) -> Switch:
-        start = self._take()
+    def _switch(self, start: int, depth: int) -> Switch:
         scrutinee = self._cond()
         lo, hi, ok = self._balanced("{")
         cases = self._split_cases(lo, hi, depth)
@@ -638,7 +634,7 @@ class _Parser:
         for start, stop in zip(boundaries, boundaries[1:]):
             # label tokens run to the first depth-zero ":"
             label_end = self._find(start + 1, stop, (":",))
-            body = self._subparse(min(label_end + 1, stop), stop, depth + 1)
+            body = self.parse(min(label_end + 1, stop), stop, depth + 1)
             label: Expr | None
             if toks[start].text == "default":
                 label = None
@@ -785,6 +781,8 @@ def parse_expression(wildcard: Expr, profile: LanguageProfile) -> Expr:
 def parse_statements(
     stream: TokenStream | Sequence[Token], profile: LanguageProfile
 ) -> list[Stmt]:
+    """The statements of a token stream, or of a sequence of tokens, in source
+    order; never raises: what no form matches is a wildcard statement."""
     tokens = tuple(stream.tokens if isinstance(stream, TokenStream) else stream)
     return _Parser(tokens, profile).parse(0, len(tokens), 0)
 

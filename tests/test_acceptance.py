@@ -123,7 +123,12 @@ def test_criterion_05_parser_totality_fuzz(monkeypatch):
     def counted(self, depth):
         nonlocal iterations
         iterations += 1
-        return statement(self, depth)
+        start = self.i
+        stmt = statement(self, depth)
+        # progress: a statement that is returned has moved past the cursor's
+        # token, and no further than the end of the range being parsed
+        assert start < self.i <= self.hi
+        return stmt
 
     monkeypatch.setattr(_Parser, "_statement", counted)
     with criterion(5, "parser totality fuzz (12,000 samples)", budget_s=60.0):

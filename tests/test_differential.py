@@ -140,6 +140,7 @@ def test_each_corpus_row_writes_its_share_of_n_in_its_languages(tmp_path, monkey
         "do_nests": (3, every),
         "bom": (3, every),
         "directives": (3, {".c", ".cpp"}),
+        "unbraced": (3, every),
     }
     written = {d: os.listdir(tmp_path / d) for d in os.listdir(tmp_path)}
     assert {d: (len(names), {os.path.splitext(n)[1] for n in names}) for d, names in written.items()} == expected

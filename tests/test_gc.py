@@ -23,7 +23,7 @@ import pytest
 from support import long_chain_program, random_micro_program, random_token_source
 from xcheck.checkers import CHECKERS, run_checkers
 from xcheck.cli import analyze_source, parse_args, run
-from xcheck.diagnostics import dedupe_and_sort, render_text
+from xcheck.diagnostics import render_text
 from xcheck.lexer import tokenize
 from xcheck.microgrammar import MAX_NESTING, dump_statements, parse_statements
 from xcheck.profiles import DEFAULT_REGISTRY, profile_for
@@ -89,7 +89,7 @@ def _inputs() -> list[tuple[str, str, str]]:
 def _pipeline(source: str, language: str, path: str) -> None:
     profile = profile_for(language)
     stmts = parse_statements(tokenize(source, profile, source_path=path).tokens, profile)
-    render_text(dedupe_and_sort(run_checkers(stmts, profile, path=path)))
+    render_text(run_checkers(stmts, profile, path=path))
     dump_statements(stmts)
     third = source.count("\n") // 3 + 1
     analyze_source(source, profile, path, (third, 2 * third), tuple(CHECKERS))

@@ -25,7 +25,6 @@ import pytest
 from support import C, random_micro_program
 from xcheck.checkers import run_checkers
 from xcheck.cli import parse_args, run
-from xcheck.diagnostics import dedupe_and_sort
 from xcheck.fixtures import fixture_path
 from xcheck.lexer import TokenKind, tokenize
 from xcheck.microgrammar import parse_statements
@@ -37,7 +36,7 @@ GOLDEN = os.path.join(os.path.dirname(__file__), "golden")
 
 def _messages(source: str, profile: LanguageProfile) -> list[tuple[str, str]]:
     stmts = parse_statements(tokenize(source, profile), profile)
-    return [(d.checker, d.message) for d in dedupe_and_sort(run_checkers(stmts, profile, path="t"))]
+    return [(d.checker, d.message) for d in run_checkers(stmts, profile, path="t")]
 
 
 def _add_comment_lines(source: str, profile: LanguageProfile, rng: random.Random) -> str:
@@ -87,7 +86,7 @@ def _findings(source: str, profile: LanguageProfile) -> list[tuple[str, int, int
     stmts = parse_statements(tokenize(source, profile), profile)
     return [
         (d.checker, d.span.start.line, d.related[0].line if d.related else None, d.message)
-        for d in dedupe_and_sort(run_checkers(stmts, profile, path="t"))
+        for d in run_checkers(stmts, profile, path="t")
     ]
 
 

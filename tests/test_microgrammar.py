@@ -264,6 +264,26 @@ def test_a_brace_nest_past_the_cap_holds_its_interior_as_one_wildcard(extra, int
         assert [t.text for t in wild.expr.tokens] == held
 
 
+@pytest.mark.parametrize(
+    "heads",
+    [("if ( a )",), ("while ( b )",), ("for ( ;; )",), ("if ( a )", "while ( b )", "for ( ;; )")],
+)
+@pytest.mark.parametrize("extra", [0, 1, 3])
+def test_an_unbraced_nest_past_the_cap_holds_the_rest_of_its_chain_as_one_wildcard(heads, extra):
+    depth = MAX_NESTING + extra
+    chain = [heads[k % len(heads)] for k in range(depth)]
+    stmts, _, _ = debug_parse(" ".join(chain) + " x = 1 ;")
+    forms = {"if": If, "while": While, "for": For}
+    for head in chain[:MAX_NESTING]:
+        (stmt,) = stmts
+        assert type(stmt) is forms[head.split()[0]] and not stmt.incomplete
+        stmts = stmt.then_body if isinstance(stmt, If) else stmt.body
+    (wild,) = stmts
+    assert isinstance(wild, WildcardStmt) and not wild.incomplete
+    rest = [t.text for t in tokenize(" ".join(chain[MAX_NESTING:]) + " x = 1", C).tokens]
+    assert [t.text for t in wild.expr.tokens] == rest
+
+
 def test_function_shaped_file_nests_body_in_block():
     src = "static int f(int x) { if (p) q(); return x; }"
     stmts = parse_source(src)

@@ -25,7 +25,7 @@ from support import (
     random_micro_program,
 )
 from xcheck.checkers import run_checkers
-from xcheck.diagnostics import dedupe_and_sort, render_text
+from xcheck.diagnostics import render_text
 from xcheck.fixtures import fixture_path
 from xcheck.lexer import tokenize
 from xcheck.microgrammar import dump_statements, parse_statements
@@ -66,7 +66,7 @@ null_literals = NULL
 
 
 def _observed(stmts, profile: LanguageProfile) -> tuple:
-    findings = render_text(dedupe_and_sort(run_checkers(stmts, profile, path="t")))
+    findings = render_text(run_checkers(stmts, profile, path="t"))
     return repr(stmts), dump_statements(stmts), findings
 
 

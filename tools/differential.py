@@ -39,8 +39,11 @@ statement tests, and C and C++ functions that dereference and test for null
 around directives (at the file's start, after blanks, after line-comment
 and block-comment lines, ``#if``/``#endif`` groups with continuation lines,
 prefixes after a block comment on the same line, and CRLF line ends in some
-files); all but the programs, the prefix lines and the directives spread
-over C, C++ and Java.  The corpus comes from this checkout, so both sides
+files), and functions that put a chain of 40-200 unbraced heads (``if ( a )``,
+``while ( b )``, ``for ( i = 0 ; i < n ; i ++ )``, ``if ( c ) g ( ) ; else``
+and ``if ( p ) q->x ( ) ; else if ( p )``), across the nesting cap on
+single-statement bodies, between a dereference and a null test; all but the
+programs, the prefix lines and the directives spread over C, C++ and Java.  The corpus comes from this checkout, so both sides
 see the same files.
 
 The first line printed gives each side's line count of ``src/xcheck/*.py``
@@ -149,6 +152,7 @@ LANGUAGES = (("c", ".c"), ("cpp", ".cpp"), ("java", ".java"))
 SOUP_MAX_TOKENS = 256
 NEST_DEPTHS = (40, 100)  # around the parser's MAX_NESTING of 64
 DO_DEPTHS = (40, 200)  # across MAX_NESTING; an unclosed nest costs its square, so capped
+UNBRACED_DEPTHS = (40, 200)  # across MAX_NESTING
 WORKLOADS = ("tree_mixed", "docs_heavy", "stress_shapes")
 LONE_OPS = ("=", "||", "&&", "<", "<=", ">", ">=", "==", "!=", "+=", "-=")  # the operators refinement splits at
 HEADERS = {"// AST ": "dump", "// LOG ": "log"}  # a section header's start -> its stream
@@ -338,6 +342,25 @@ def do_nests(rng: random.Random, profile) -> str:
     return "\n".join(words) + "\n"
 
 
+def unbraced_nests(rng: random.Random, profile) -> str:
+    """Functions that put a chain of unbraced ``if``, ``while``, ``for`` and
+    ``else`` heads, across the nesting cap, between a dereference of ``p`` and
+    its null test; the chain's last statement dereferences ``p`` again."""
+    null, arrow = min(profile.null_literals), profile.deref_ops[0]
+    heads = (
+        "if ( a )",
+        "while ( b )",
+        "for ( i = 0 ; i < n ; i ++ )",
+        "if ( c ) g ( ) ; else",
+        f"if ( p ) q{arrow}x ( ) ; else if ( p )",
+    )
+    words = []
+    for f in range(rng.randint(1, 3)):
+        chain = [rng.choice(heads) for _ in range(rng.randint(*UNBRACED_DEPTHS))]
+        words += [f"f{f} ( ) {{ use ( p{arrow}x ) ;", *chain, f"g ( p{arrow}y ) ; if ( p == {null} ) return ; }}"]
+    return "\n".join(words) + "\n"
+
+
 def marked(rng: random.Random, profile) -> str:
     """A file that starts with U+FEFF, a byte-order mark, whose first statement
     dereferences a path (through a call or an argument) that a later statement
@@ -433,6 +456,7 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
         ("do_nests", "m", 10, LANGUAGES, do_nests),
         ("bom", "u", 10, LANGUAGES, marked),
         ("directives", "e", 10, LANGUAGES[:2], directive_lines),
+        ("unbraced", "h", 10, LANGUAGES, unbraced_nests),
     )
     for seed, (directory, letter, share, languages, make) in enumerate(rows):
         os.makedirs(os.path.join(dest, directory))
