@@ -1,11 +1,14 @@
 """The four analysis passes.
 
-Each checker is an independent function from a refined statement list to
-diagnostics, ``(stmts, profile, path="<input>")``, named once: its row in
-:data:`CHECKERS`, under the id its findings carry as ``Diagnostic.checker``.
-None of them ever consults token positions to make a decision: a checker
-hands ``diagnostics.finding`` an extent and an offset, and :func:`run_checkers`
-returns the findings in ``diagnostics.dedupe_and_sort``'s order.
+Each checker is named once: its row in :data:`CHECKERS`, under the id its
+findings carry as ``Diagnostic.checker``.  A row names the statement class its
+function inspects, and the function takes one such node, ``(node, profile,
+path)``; :func:`run_checkers` hands every such node to every such function in
+one tree walk.  A row naming ``None`` reads the whole tree in source order,
+``(stmts, profile, path="<input>")``.  None of them ever consults token
+positions to make a decision: a checker hands ``diagnostics.finding`` an
+extent and an offset, and :func:`run_checkers` returns the findings in
+``diagnostics.dedupe_and_sort``'s order.
 
 The null-dereference checker works from a linear event log (dereferences,
 null tests, assignments that invalidate tracked paths, scope resets)
@@ -265,45 +268,41 @@ def _repeat_findings(
                 yield finding(checker, message, path, spans[j], (spans[i].lo, note))
 
 
-def check_redundant_conditions(stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>") -> list[Diagnostic]:
-    """Duplicate conditions and duplicate branch bodies in if/else-if chains."""
+def check_if_chain(node: If, profile: LanguageProfile, path: str) -> list[Diagnostic]:
+    """Duplicate conditions and duplicate branch bodies in one if/else-if chain."""
     diags: list[Diagnostic] = []
     checker = "redundant-condition"
-    for node in walk_statements(stmts):
-        if not isinstance(node, If) or (not node.elifs and node.else_body is None):
-            continue  # one arm repeats nothing
-        parts = node.parts()
-        conds: list[Expr] = [part for role, part in parts if role is TEST]
-        diags += _repeat_findings(
-            map(expr_key, conds), [c.span for c in conds], checker,
-            "condition repeats an earlier condition of the same chain", "first tested here", path,
-        )
-        bodies: list[Sequence[Stmt]] = [part for role, part in parts if role is BODY]
-        diags += _repeat_findings(
-            _body_keys(bodies), [_body_span(b, node.span) for b in bodies], checker,
-            "branch body is identical to an earlier branch of the same chain", "identical branch here", path,
-        )
+    if not node.elifs and node.else_body is None:
+        return diags  # one arm repeats nothing
+    parts = node.parts()
+    conds: list[Expr] = [part for role, part in parts if role is TEST]
+    diags += _repeat_findings(
+        map(expr_key, conds), [c.span for c in conds], checker,
+        "condition repeats an earlier condition of the same chain", "first tested here", path,
+    )
+    bodies: list[Sequence[Stmt]] = [part for role, part in parts if role is BODY]
+    diags += _repeat_findings(
+        _body_keys(bodies), [_body_span(b, node.span) for b in bodies], checker,
+        "branch body is identical to an earlier branch of the same chain", "identical branch here", path,
+    )
     return diags
 
 
-def check_redundant_branches(stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>") -> list[Diagnostic]:
-    """Duplicate labels and duplicate non-empty bodies across switch arms."""
+def check_switch(node: Switch, profile: LanguageProfile, path: str) -> list[Diagnostic]:
+    """Duplicate labels and duplicate non-empty bodies across one switch's arms."""
     diags: list[Diagnostic] = []
     checker = "redundant-branch"
-    for node in walk_statements(stmts):
-        if not isinstance(node, Switch):
-            continue
-        arms = node.cases
-        diags += _repeat_findings(
-            (expr_key(a.label) if a.label is not None else ("DefaultArm",) for a in arms),
-            [a.label.span if a.label is not None else a.span for a in arms], checker,
-            "case label duplicates an earlier label of the same switch", "first labeled here", path,
-        )
-        # empty fallthrough arms are exempt: their key is the empty tuple
-        diags += _repeat_findings(
-            (key or None for key in _body_keys([a.body for a in arms])), [a.span for a in arms], checker,
-            "case body is identical to an earlier case of the same switch", "identical case here", path,
-        )
+    arms = node.cases
+    diags += _repeat_findings(
+        (expr_key(a.label) if a.label is not None else ("DefaultArm",) for a in arms),
+        [a.label.span if a.label is not None else a.span for a in arms], checker,
+        "case label duplicates an earlier label of the same switch", "first labeled here", path,
+    )
+    # empty fallthrough arms are exempt: their key is the empty tuple
+    diags += _repeat_findings(
+        (key or None for key in _body_keys([a.body for a in arms])), [a.span for a in arms], checker,
+        "case body is identical to an earlier case of the same switch", "identical case here", path,
+    )
     return diags
 
 
@@ -319,27 +318,23 @@ WARNING_PAIRS: frozenset[tuple[str, str]] = frozenset(
 _MIRRORED = {"<": ">", ">": "<", "<=": ">=", ">=": "<="}
 
 
-def check_loop_direction(stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>") -> list[Diagnostic]:
-    """For-loops whose bound comparison contradicts the update direction."""
-    diags: list[Diagnostic] = []
-    for node in walk_statements(stmts):
-        if not isinstance(node, For):
-            continue
-        if not isinstance(node.cond, Compare) or not isinstance(node.update, Update):
-            continue
-        target = _path_of(node.update.target)
-        if target is None:
-            continue
-        if _path_of(node.cond.lhs) == target:
-            op = node.cond.op
-        elif _path_of(node.cond.rhs) == target:  # ``n > i`` bounds ``i`` as ``i < n`` does
-            op = _MIRRORED.get(node.cond.op, node.cond.op)
-        else:
-            continue
-        if (op, node.update.op) in WARNING_PAIRS:
-            message = f"loop variable '{target[0]}' is updated with '{node.update.op}' but bounded by '{node.cond.op}'"
-            diags.append(finding("loop-direction", message, path, node.header_span))
-    return diags
+def check_for_loop(node: For, profile: LanguageProfile, path: str) -> list[Diagnostic]:
+    """A for-loop whose bound comparison contradicts its update direction."""
+    if not isinstance(node.cond, Compare) or not isinstance(node.update, Update):
+        return []
+    target = _path_of(node.update.target)
+    if target is None:
+        return []
+    if _path_of(node.cond.lhs) == target:
+        op = node.cond.op
+    elif _path_of(node.cond.rhs) == target:  # ``n > i`` bounds ``i`` as ``i < n`` does
+        op = _MIRRORED.get(node.cond.op, node.cond.op)
+    else:
+        return []
+    if (op, node.update.op) not in WARNING_PAIRS:
+        return []
+    message = f"loop variable '{target[0]}' is updated with '{node.update.op}' but bounded by '{node.cond.op}'"
+    return [finding("loop-direction", message, path, node.header_span)]
 
 
 # ---------------------------------------------------------------------------
@@ -349,12 +344,29 @@ def check_loop_direction(stmts: Sequence[Stmt], profile: LanguageProfile, path: 
 
 # Every checker, by the id ``--checkers`` takes and its findings carry, in the
 # order ``run_checkers`` runs them: adding a checker is one function and one row.
-CHECKERS: dict[str, Callable[[Sequence[Stmt], LanguageProfile, str], list[Diagnostic]]] = {
-    "redundant-condition": check_redundant_conditions,
-    "redundant-branch": check_redundant_branches,
-    "loop-direction": check_loop_direction,
-    "null-deref": check_null_deref,
+# A row names the statement class whose nodes its function takes one at a time,
+# or ``None`` for a function that reads the whole tree in source order.
+CHECKERS: dict[str, tuple[type[Stmt] | None, Callable[..., list[Diagnostic]]]] = {
+    "redundant-condition": (If, check_if_chain),
+    "redundant-branch": (Switch, check_switch),
+    "loop-direction": (For, check_for_loop),
+    "null-deref": (None, check_null_deref),
 }
+
+
+def _whole_tree(checker: str) -> Callable[[Sequence[Stmt], LanguageProfile, str], list[Diagnostic]]:
+    """A node checker's row as a whole-tree checker, ``(stmts, profile, path="<input>")``."""
+    cls, check = CHECKERS[checker]
+
+    def check_tree(stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>") -> list[Diagnostic]:
+        return [d for node in walk_statements(stmts) if type(node) is cls for d in check(node, profile, path)]
+
+    return check_tree
+
+
+check_redundant_conditions = _whole_tree("redundant-condition")
+check_redundant_branches = _whole_tree("redundant-branch")
+check_loop_direction = _whole_tree("loop-direction")
 
 
 def run_checkers(
@@ -363,7 +375,8 @@ def run_checkers(
     enabled: Iterable[str] | None = None,
     path: str = "<input>",
 ) -> list[Diagnostic]:
-    """Run the enabled checkers (by default all of ``CHECKERS``); their findings, deduplicated and ordered."""
+    """Run the enabled checkers (by default all of ``CHECKERS``), the node
+    checkers in one shared walk; their findings, deduplicated and ordered."""
     ids = set(CHECKERS if enabled is None else enabled)
     if not ids:
         raise ValueError("no checkers enabled")
@@ -371,7 +384,14 @@ def run_checkers(
     if unknown:
         raise ValueError(f"unknown checker ids: {', '.join(sorted(unknown))}")
     diags: list[Diagnostic] = []
-    for checker, check in CHECKERS.items():
-        if checker in ids:
+    by_class: dict[type[Stmt], list[Callable[..., list[Diagnostic]]]] = {}
+    for checker, (cls, check) in CHECKERS.items():
+        if checker in ids and cls is None:
             diags += check(stmts, profile, path)
+        elif checker in ids:
+            by_class.setdefault(cls, []).append(check)
+    if by_class:
+        for node in walk_statements(stmts):
+            for check in by_class.get(type(node), ()):
+                diags += check(node, profile, path)
     return dedupe_and_sort(diags)

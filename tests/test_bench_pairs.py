@@ -61,6 +61,23 @@ def test_summary_shows_a_gain_only_beyond_the_parents_spread():
     assert equal["change_wins"] == 0 and str(equal["median_gain"]) == "0.0"
 
 
+def test_summary_flags_a_metric_worse_than_its_bound(capsys):
+    runs = _runs(
+        parent_ms=[1.0, 1.0, 1.0, 1.0, 1.0],
+        change_ms=[1.3, 1.3, 1.3, 1.3, 1.3],  # 30% slower: past the 0.2 bound
+        parent_kb=[100] * 5,
+        change_kb=[80] * 5,  # 20% lower: inside the 0.25 bound
+    )
+    summary = bench_pairs.summarize(runs, METRICS)
+    ms, kb = summary["file_ms_p50"], summary["throughput_kb_s"]
+    assert ms["worse_share"] == pytest.approx(0.3) and ms["beyond_bound"] is True
+    assert kb["worse_share"] == pytest.approx(0.2) and kb["beyond_bound"] is False
+    bench_pairs.print_table("w", summary)
+    lines = capsys.readouterr().out.splitlines()
+    flagged = [line.split()[0] for line in lines[1:] if line.endswith("worse than bound")]
+    assert flagged == ["file_ms_p50"]
+
+
 def test_refuses_to_start_while_a_tree_holds_a_bytecode_cache(tmp_path, monkeypatch, capsys):
     old, new = tmp_path / "old", tmp_path / "new"
     for root in (old, new):

@@ -524,14 +524,13 @@ def test_a_checker_is_one_row(monkeypatch, tmp_path):
     import io
 
     from xcheck import cli
-    from xcheck.diagnostics import Diagnostic
-    from xcheck.microgrammar import While, walk_statements
+    from xcheck.diagnostics import finding
+    from xcheck.microgrammar import While
 
-    def check_demo(stmts, profile, path="<input>"):
-        loops = [s for s in walk_statements(stmts) if isinstance(s, While)]
-        return [Diagnostic("demo", "a while loop", path, s.span.resolve()) for s in loops]
+    def check_demo(node, profile, path):
+        return [finding("demo", "a while loop", path, node.span)]
 
-    monkeypatch.setitem(checkers.CHECKERS, "demo", check_demo)
+    monkeypatch.setitem(checkers.CHECKERS, "demo", (While, check_demo))
     source = "void f(int x) {\n  while (x) x--;\n}\n"
     assert findings(run_checkers(parse_source(source), C, enabled=("demo",))) == [("demo", 2, None)]
     path = tmp_path / "t.c"
@@ -545,7 +544,7 @@ def test_a_checker_is_one_row(monkeypatch, tmp_path):
     assert exc.value.code == 2
 
 
-def test_checker_independence():
+def test_checker_independence(monkeypatch):
     src = (
         "if (a) f(); else if (a) f();\n"
         "switch (x) { case 1: m(); break; case 1: m(); break; }\n"
@@ -553,10 +552,21 @@ def test_checker_independence():
         "p->q(z);\nif (p) t();\n"
     )
     stmts = parse_source(src)
+    walks = 0
+
+    def counted(tree):
+        nonlocal walks
+        walks += 1
+        return microgrammar.walk_statements(tree)
+
+    monkeypatch.setattr(checkers, "walk_statements", counted)
     together = run_checkers(stmts, C)
+    assert walks == 1  # every node checker shares one walk
     for checker in CHECKERS:
+        walks = 0
         alone = run_checkers(stmts, C, enabled=(checker,))
         assert alone == [d for d in together if d.checker == checker]
+        assert walks == (0 if checker == "null-deref" else 1), checker  # the event log reads the tree itself
     assert {d.checker for d in together} == set(CHECKERS)
 
 

@@ -16,6 +16,8 @@ For each metric the benchmark declares (end-to-end with ``--trace 0``, per
 layer with ``--trace 1``) it prints each side's median and quartiles, the
 pairs the change won (ties count for neither), the gap between the medians
 in the metric's better direction, and the parent's interquartile range.
+A metric whose median is worse than the parent's by more than the bound the
+benchmark declares for it is flagged ``worse than bound``.
 With ``--out`` the summary is written as JSON; a file that already exists is
 read first, so runs of several workloads collect in one file.
 
@@ -58,7 +60,9 @@ def quartiles(values: list[float]) -> dict[str, float]:
 
 def summarize(runs: list[dict], metrics: list[dict]) -> dict[str, dict]:
     """Per metric: both sides' quartiles, the change's pair wins, the median
-    gap in the metric's better direction and the parent's IQR.
+    gap in the metric's better direction and the parent's IQR; for a metric
+    with a ``bound``, the share by which the change is worse and whether
+    that share exceeds the bound.
 
     ``runs`` holds one ``{"seed", "parent", "change"}`` per pair, each side a
     ``{metric name: value}`` map; ``metrics`` are the benchmark's
@@ -91,6 +95,8 @@ def summarize(runs: list[dict], metrics: list[dict]) -> dict[str, dict]:
         if "bound" in spec and p["median"]:
             out[name]["bound"] = spec["bound"]
             out[name]["worse_share"] = round(-gain / abs(p["median"]), 6)
+            # The regression rule: no worse than the parent by more than the bound.
+            out[name]["beyond_bound"] = out[name]["worse_share"] > spec["bound"]
     return out
 
 
@@ -125,6 +131,7 @@ def print_table(workload: str, summary: dict[str, dict]) -> None:
             f" {c['median']:>12.5g} [{c['q1']:.5g}, {c['q3']:.5g}]"
             f" {s['change_wins']}/{s['pairs']} {s['median_gain']:+.4g} {s['parent_iqr']:.4g}"
             f"{'  gain shown' if s['gain_shown'] else ''}"
+            f"{'  worse than bound' if s.get('beyond_bound') else ''}"
         )
 
 
