@@ -54,7 +54,14 @@ class LanguageProfile(NamedTuple):
 
 
 def validate_profile(profile: LanguageProfile) -> None:
-    """Raise MalformedProfile when the profile's own invariants fail."""
+    """Raise MalformedProfile when the profile's own invariants fail: every
+    field immutable; ``name`` and ``stmt_terminator`` non-empty; ``operators``
+    non-empty, with no empty operator, and holding every ``deref_ops`` entry;
+    ``string_delims`` two single-character quotes and ``escape_char`` one
+    character; ``block_comment`` an (opener, closer) pair, an empty opener
+    meaning no block comments and any other needing a closer; ``punctuation``
+    single characters; ``open_close_pairs`` non-empty tokens with distinct
+    openers; each extension starting with '.'."""
     try:
         hash(profile)  # the lexer caches its scanner by the profile's value
     except TypeError:
@@ -74,6 +81,11 @@ def validate_profile(profile: LanguageProfile) -> None:
         problems.append("string_delims must be two single-character quotes")
     if len(profile.escape_char) != 1:
         problems.append("escape_char must be a single character")
+    if len(profile.block_comment) != 2 or (profile.block_comment[0] and not profile.block_comment[1]):
+        problems.append("block_comment must be an (opener, closer) pair, with a closer if it has an opener")
+    longer = ", ".join(repr(p) for p in sorted(profile.punctuation) if len(p) != 1)
+    if longer:
+        problems.append(f"punctuation {longer} must be single characters (a longer symbol belongs in operators)")
     opens = [o for o, _ in profile.open_close_pairs]
     if len(set(opens)) != len(opens):
         problems.append("open_close_pairs has a duplicate opening token")
@@ -130,31 +142,45 @@ class Registry:
 # --------------------------------------------------------------------------
 #
 # One language per file, `key = value` lines, `#` starts a comment line,
-# list values are whitespace-separated.  Only `name` and `operators` are
-# required; a key left out takes its default (C's comment, quote, escape,
-# terminator, punctuation `( ) { } [ ] ; , : ?` and pairs, and otherwise
-# nothing).  Example:
-#
-#     name = mini
-#     extensions = .mini .mn
-#     line_comment = //
-#     block_comment = /* */
-#     string_delims = " '
-#     escape = \
-#     operators = . == != < > = ! && ||
-#     keywords = if else while for
-#     punctuation = ( ) { } [ ] ; ,
-#     stmt_terminator = ;
-#     deref_ops = .
-#     null_literals = nil
-#     pairs = ( ) { } [ ]
-#     preprocessor = #
+# list values are whitespace-separated.  The rows of `_KEYS` are the keys,
+# each with its default written in this format; `name` and `operators` have
+# none and are required.  `punctuation` lists single characters: a longer
+# symbol is an operator.
 
-_LIST_KEYS = {
-    "extensions", "operators", "keywords", "punctuation",
-    "deref_ops", "null_literals", "pairs", "block_comment", "string_delims",
+
+def _set(value: str) -> frozenset[str]:
+    return frozenset(value.split())
+
+
+def _seq(value: str) -> tuple[str, ...]:
+    return tuple(value.split())
+
+
+def _pairs(value: str) -> tuple[tuple[str, str], ...]:
+    words = value.split()
+    if len(words) % 2:
+        raise MalformedProfile("pairs needs an even number of tokens")
+    return tuple(zip(words[::2], words[1::2]))
+
+
+# key: (LanguageProfile field, default in the profile-file format or None for
+# a required key, how the value's text becomes the field's value)
+_KEYS = {
+    "name": ("name", None, str),
+    "extensions": ("file_extensions", "", _set),
+    "line_comment": ("line_comment", "//", str),
+    "block_comment": ("block_comment", "/* */", _seq),
+    "string_delims": ("string_delims", "\" '", _seq),
+    "escape": ("escape_char", "\\", str),
+    "operators": ("operators", None, _set),
+    "keywords": ("keywords", "", _set),
+    "punctuation": ("punctuation", "( ) { } [ ] ; , : ?", _set),
+    "stmt_terminator": ("stmt_terminator", ";", str),
+    "deref_ops": ("deref_ops", "", _seq),
+    "null_literals": ("null_literals", "", _set),
+    "pairs": ("open_close_pairs", "( ) { } [ ]", _pairs),
+    "preprocessor": ("preprocessor_prefix", "", lambda value: value or None),
 }
-_SCALAR_KEYS = {"name", "line_comment", "escape", "stmt_terminator", "preprocessor"}
 
 
 def parse_profile_text(text: str) -> LanguageProfile:
@@ -166,7 +192,7 @@ def parse_profile_text(text: str) -> LanguageProfile:
 
 def _read_profile_text(text: str) -> LanguageProfile:
     """A profile from the profile-file format, not validated (each caller validates once)."""
-    values: dict[str, list[str] | str] = {}
+    values: dict[str, str] = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -175,47 +201,18 @@ def _read_profile_text(text: str) -> LanguageProfile:
             raise MalformedProfile(f"profile file line {lineno}: expected 'key = value'")
         key, _, value = line.partition("=")
         key = key.strip()
-        value = value.strip()
         if key in values:
             raise MalformedProfile(f"profile file line {lineno}: key {key!r} is given twice")
-        if key in _LIST_KEYS:
-            values[key] = value.split()
-        elif key in _SCALAR_KEYS:
-            values[key] = value
-        else:
+        if key not in _KEYS:
             raise MalformedProfile(f"profile file line {lineno}: unknown key {key!r}")
-
-    block = values.get("block_comment", ["/*", "*/"])
-    if len(block) != 2:
-        raise MalformedProfile("block_comment needs exactly two tokens (open close)")
-    quotes = values.get("string_delims", ['"', "'"])
-    if len(quotes) != 2:
-        raise MalformedProfile("string_delims needs exactly two tokens (string char)")
-    pair_tokens = values.get("pairs", ["(", ")", "{", "}", "[", "]"])
-    if len(pair_tokens) % 2:
-        raise MalformedProfile("pairs needs an even number of tokens")
-    for key in ("name", "operators"):
+        values[key] = value.strip()
+    fields = {_KEYS[key][0]: _KEYS[key][2](value) for key, value in values.items()}
+    for key, (field, default, read) in _KEYS.items():
         if key not in values:
-            raise MalformedProfile(f"profile file is missing required key {key!r}")
-    pairs = tuple(
-        (pair_tokens[i], pair_tokens[i + 1]) for i in range(0, len(pair_tokens), 2)
-    )
-    return LanguageProfile(
-        name=values["name"],
-        file_extensions=frozenset(values.get("extensions", [])),
-        line_comment=values.get("line_comment", "//"),
-        block_comment=(block[0], block[1]),
-        string_delims=(quotes[0], quotes[1]),
-        escape_char=values.get("escape", "\\"),
-        operators=frozenset(values["operators"]),
-        keywords=frozenset(values.get("keywords", [])),
-        punctuation=frozenset(values.get("punctuation", list("(){}[];,:?"))),
-        stmt_terminator=values.get("stmt_terminator", ";"),
-        deref_ops=tuple(values.get("deref_ops", [])),
-        null_literals=frozenset(values.get("null_literals", [])),
-        open_close_pairs=pairs,
-        preprocessor_prefix=values.get("preprocessor") or None,  # type: ignore[arg-type]
-    )
+            if default is None:
+                raise MalformedProfile(f"profile file is missing required key {key!r}")
+            fields[field] = read(default)
+    return LanguageProfile(**fields)
 
 
 # --------------------------------------------------------------------------

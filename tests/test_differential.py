@@ -141,6 +141,7 @@ def test_each_corpus_row_writes_its_share_of_n_in_its_languages(tmp_path, monkey
         "bom": (3, every),
         "directives": (3, {".c", ".cpp"}),
         "unbraced": (3, every),
+        "profiled": (3, {".odd"}),
     }
     written = {d: os.listdir(tmp_path / d) for d in os.listdir(tmp_path)}
     assert {d: (len(names), {os.path.splitext(n)[1] for n in names}) for d, names in written.items()} == expected
@@ -197,3 +198,18 @@ def test_a_tree_is_compared_in_place_and_leaves_the_status(tmp_path):
     assert len(lines) == 2 + len(expected), proc.stdout
     for pattern, line in zip(expected, lines[2:]):
         assert re.fullmatch(pattern, line), (pattern, line)
+
+
+def test_a_changed_profile_reader_is_reported(tmp_path):
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    profiles = tmp_path / "src" / "xcheck" / "profiles.py"
+    source = profiles.read_text()
+    row = '"string_delims": ("string_delims", "\\" \'", _seq),'
+    assert source.count(row) == 1
+    # a given string_delims is ignored; no built-in profile gives one, so only the --profile run differs
+    profiles.write_text(source.replace(row, row.replace("_seq", "lambda _: _seq('\" \\'')")))
+    proc = differential(ROOT, str(tmp_path), programs=10)  # N = 10: one soup in the --profile run's profile
+    assert proc.returncode == 1, proc.stdout + proc.stderr
+    first, summary = proc.stdout.splitlines()[1], proc.stdout.splitlines()[-1]
+    assert "the runs differ with --profile " in first
+    assert re.fullmatch(r"differential: 1 of \d+ files differ: profiled 1; by stream: .*", summary), summary

@@ -186,6 +186,9 @@ def test_a_missing_required_key_is_named(text, message):
     assert str(err.value) == message
 
 
+BLOCK_COMMENT_RULE = "block_comment must be an (opener, closer) pair, with a closer if it has an opener"
+
+
 @pytest.mark.parametrize(
     "fields, message",
     [
@@ -193,6 +196,9 @@ def test_a_missing_required_key_is_named(text, message):
         ({"stmt_terminator": ""}, "stmt_terminator is empty"),
         ({"string_delims": ('"', "''")}, "string_delims must be two single-character quotes"),
         ({"open_close_pairs": (("(", ")"), ("{", ""))}, "open_close_pairs contains an empty token"),
+        ({"block_comment": ("/*",)}, BLOCK_COMMENT_RULE),
+        ({"block_comment": ("/*", "*/", "x")}, BLOCK_COMMENT_RULE),
+        ({"block_comment": ("/*", "")}, BLOCK_COMMENT_RULE),
     ],
 )
 def test_each_broken_invariant_is_named(fields, message):
@@ -205,14 +211,35 @@ def test_each_broken_invariant_is_named(fields, message):
     "line, message",
     [
         ("operators", "profile file line 3: expected 'key = value'"),
-        ("block_comment = /*", "block_comment needs exactly two tokens (open close)"),
-        ("string_delims = \" ' `", "string_delims needs exactly two tokens (string char)"),
+        ("block_comment = /*", f"profile 't': {BLOCK_COMMENT_RULE}"),
+        ("string_delims = \" ' `", "profile 't': string_delims must be two single-character quotes"),
     ],
 )
 def test_a_malformed_profile_file_line_is_named(line, message):
     with pytest.raises(MalformedProfile) as err:
         parse_profile_text(f"name = t\noperators = + =\n{line}\n")
     assert str(err.value) == message
+
+
+def test_an_empty_block_comment_opener_means_none():
+    validate_profile(C._replace(block_comment=("", "")))
+    validate_profile(C._replace(block_comment=("", "*/")))
+
+
+@pytest.mark.parametrize("block_comment", [("/*",), ("/*", "*/", "x"), ("/*", "")])
+def test_a_derived_profile_with_a_malformed_block_comment_is_not_registered(block_comment):
+    # registered, its tokenize would fail to unpack the pair, or never close a comment
+    with pytest.raises(MalformedProfile, match="block_comment"):
+        Registry().register(C._replace(block_comment=block_comment))
+
+
+def test_multi_character_punctuation_is_rejected_and_named():
+    # the scanner takes punctuation one character at a time: '::' would lex as ':' ':'
+    with pytest.raises(MalformedProfile) as err:
+        parse_profile_text("name = t\noperators = + =\npunctuation = ( ) { } ; :: ->\n")
+    assert str(err.value) == (
+        "profile 't': punctuation '->', '::' must be single characters (a longer symbol belongs in operators)"
+    )
 
 
 def test_any_line_starting_with_hash_is_a_comment():

@@ -43,17 +43,22 @@ files), and functions that put a chain of 40-200 unbraced heads (``if ( a )``,
 ``while ( b )``, ``for ( i = 0 ; i < n ; i ++ )``, ``if ( c ) g ( ) ; else``
 and ``if ( p ) q->x ( ) ; else if ( p )``), across the nesting cap on
 single-statement bodies, between a dereference and a null test; all but the
-programs, the prefix lines and the directives spread over C, C++ and Java.  The corpus comes from this checkout, so both sides
-see the same files.
+programs, the prefix lines and the directives spread over C, C++ and Java.
+Last come ``N // 10`` token soups in ``PROFILE_TEXT``, a profile that sets
+every key of the profile-file format, most of them away from their
+defaults.  The corpus comes from this checkout, so both sides see the same
+files.
 
 The first line printed gives each side's line count of ``src/xcheck/*.py``
 (as ``wc -l`` counts) and the difference.
 
 The CLI then runs on each side, with ``ROOT/src`` on ``PYTHONPATH``: once as
 ``xcheck --dump-ast --format json DIR``, once naming several inputs (a
-fixture file, the golden directory and the generated-programs directory), and
-once per fixture and golden input with ``--line-range`` set to the middle
-third of that file's lines.  One more run, again on each side's own
+fixture file, the golden directory and the generated-programs directory), once
+over the soups in ``PROFILE_TEXT`` with ``--profile`` naming a file that holds
+it (written outside the corpus, so that a walk of the corpus skips those
+soups), and once per fixture and golden input with ``--line-range`` set to the
+middle third of that file's lines.  One more run, again on each side's own
 ``src/``, reads each corpus file with a profile as the CLI does (a leading
 U+FEFF dropped) and prints a SHA-1 digest of its token stream (the kind,
 text and offset of each token and each lex error), its null-event log
@@ -156,6 +161,24 @@ UNBRACED_DEPTHS = (40, 200)  # across MAX_NESTING
 WORKLOADS = ("tree_mixed", "docs_heavy", "stress_shapes")
 LONE_OPS = ("=", "||", "&&", "<", "<=", ">", ">=", "==", "!=", "+=", "-=")  # the operators refinement splits at
 HEADERS = {"// AST ": "dump", "// LOG ": "log"}  # a section header's start -> its stream
+# Read by each side's own reader through --profile: every key set, most of them
+# away from their defaults.
+PROFILE_TEXT = """\
+name = odd
+extensions = .odd
+line_comment = --
+block_comment = {- -}
+string_delims = ` "
+escape = `
+operators = -> - = == < <= + ++ . :=
+keywords = if else while do for switch case default break return
+punctuation = ( ) { } [ ] ; ,
+stmt_terminator = ;
+deref_ops = -> .
+null_literals = nil
+pairs = ( ) [ ]
+preprocessor = %%
+"""
 
 
 def deep_nest(rng: random.Random, profile) -> str:
@@ -425,7 +448,10 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
     sys.path[:0] = [os.path.join(ROOT, d) for d in ("src", "tests", "bench")]
     import run as bench_run
     from support import long_chain_program, random_micro_program, random_token_source
-    from xcheck.profiles import profile_for
+    from xcheck.profiles import DEFAULT_REGISTRY, Registry, parse_profile_text
+
+    registry = Registry(DEFAULT_REGISTRY)
+    registry.register(parse_profile_text(PROFILE_TEXT))
 
     os.makedirs(os.path.join(dest, "fixtures"))
     for name in FIXTURES:
@@ -457,6 +483,7 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
         ("bom", "u", 10, LANGUAGES, marked),
         ("directives", "e", 10, LANGUAGES[:2], directive_lines),
         ("unbraced", "h", 10, LANGUAGES, unbraced_nests),
+        ("profiled", "f", 10, (("odd", ".odd"),), soup),  # read with --profile only
     )
     for seed, (directory, letter, share, languages, make) in enumerate(rows):
         os.makedirs(os.path.join(dest, directory))
@@ -464,7 +491,7 @@ def write_corpus(dest: str, programs: int, seeds: list[int]) -> None:
         for i in range(programs // share):
             language, extension = languages[i % len(languages)]
             with open(os.path.join(dest, directory, f"{letter}{i:04d}{extension}"), "w", encoding="utf-8") as fh:
-                fh.write(make(rng, profile_for(language)))
+                fh.write(make(rng, registry.resolve(language)))
     for seed in seeds:
         for workload in WORKLOADS:
             files, _ = bench_run.build_workload(workload, seed)
@@ -625,11 +652,14 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     old_lines, new_lines = src_lines(args.old_root), src_lines(args.new_root)
     print(f"differential: src/xcheck/*.py: old {old_lines} lines, new {new_lines} lines, {new_lines - old_lines:+d}")
-    with tempfile.TemporaryDirectory(prefix="xcheck-diff-") as corpus:
+    with tempfile.TemporaryDirectory(prefix="xcheck-diff-") as scratch:
+        corpus, profile = os.path.join(scratch, "corpus"), os.path.join(scratch, "odd.profile")
         write_corpus(corpus, args.programs, args.seeds)
+        with open(profile, "w", encoding="utf-8") as fh:
+            fh.write(PROFILE_TEXT)
         files = sum(len(names) for _, _, names in os.walk(corpus))
         several = [os.path.join(corpus, d) for d in (os.path.join("fixtures", FIXTURES[-1]), "golden", "programs")]
-        runs = [[corpus], several] + line_range_runs(corpus)
+        runs = [[corpus], several, ["--profile", profile, os.path.join(corpus, "profiled")]] + line_range_runs(corpus)
         labelled = [(where(run, corpus), [CLI_CODE, "--dump-ast", "--format", "json", *run]) for run in runs]
         labelled.append((" in the null-event logs, statement key classes or incomplete marks", [LOG_CODE, corpus]))
         results = [(run_side(args.old_root, argv), run_side(args.new_root, argv)) for _, argv in labelled]
@@ -643,7 +673,7 @@ def main(argv: list[str] | None = None) -> int:
     else:
         whole = results[0][0]
         print(
-            f"differential: {files} files, one multi-input run, {len(runs) - 2} "
+            f"differential: {files} files, one multi-input run, one --profile run, {len(runs) - 3} "
             f"line-range windows and the token and null-event logs, no difference "
             f"(exit {whole.returncode}, {len(whole.stdout.splitlines())} stdout lines, "
             f"{len(whole.stderr.splitlines())} stderr lines)"
