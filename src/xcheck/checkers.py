@@ -5,10 +5,11 @@ findings carry as ``Diagnostic.checker``.  A row names the statement class its
 function inspects, and the function takes one such node, ``(node, profile,
 path)``; :func:`run_checkers` hands every such node to every such function in
 one tree walk.  A row naming ``None`` reads the whole tree in source order,
-``(stmts, profile, path="<input>")``.  None of them ever consults token
-positions to make a decision: a checker hands ``diagnostics.finding`` an
-extent and an offset, and :func:`run_checkers` returns the findings in
-``diagnostics.dedupe_and_sort``'s order.
+``(stmts, profile, path="<input>")``.  Every checker runs through
+:func:`run_checkers`, which returns the findings in ``dedupe_and_sort``'s
+order: ``check_loop_direction`` and the other two node checkers' whole-tree
+names select their one id.  No checker consults token positions to make a
+decision: it hands ``diagnostics.finding`` an extent and an offset.
 
 The null-dereference checker works from a linear event log (dereferences,
 null tests, assignments that invalidate tracked paths, scope resets)
@@ -354,21 +355,6 @@ CHECKERS: dict[str, tuple[type[Stmt] | None, Callable[..., list[Diagnostic]]]] =
 }
 
 
-def _whole_tree(checker: str) -> Callable[[Sequence[Stmt], LanguageProfile, str], list[Diagnostic]]:
-    """A node checker's row as a whole-tree checker, ``(stmts, profile, path="<input>")``."""
-    cls, check = CHECKERS[checker]
-
-    def check_tree(stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>") -> list[Diagnostic]:
-        return [d for node in walk_statements(stmts) if type(node) is cls for d in check(node, profile, path)]
-
-    return check_tree
-
-
-check_redundant_conditions = _whole_tree("redundant-condition")
-check_redundant_branches = _whole_tree("redundant-branch")
-check_loop_direction = _whole_tree("loop-direction")
-
-
 def run_checkers(
     stmts: Sequence[Stmt],
     profile: LanguageProfile,
@@ -395,3 +381,16 @@ def run_checkers(
             for check in by_class.get(type(node), ()):
                 diags += check(node, profile, path)
     return dedupe_and_sort(diags)
+
+
+# The node checkers' whole-tree names: each is ``run_checkers`` with its one id, in its order.
+def check_redundant_conditions(stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>") -> list[Diagnostic]:
+    return run_checkers(stmts, profile, ("redundant-condition",), path)
+
+
+def check_redundant_branches(stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>") -> list[Diagnostic]:
+    return run_checkers(stmts, profile, ("redundant-branch",), path)
+
+
+def check_loop_direction(stmts: Sequence[Stmt], profile: LanguageProfile, path: str = "<input>") -> list[Diagnostic]:
+    return run_checkers(stmts, profile, ("loop-direction",), path)

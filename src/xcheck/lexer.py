@@ -3,7 +3,8 @@
 Turns raw source text into a stream of tokens that hold offsets, not lines
 (``tok.pos`` finds line and column when read).  Each profile's data
 (comment syntax, quotes and escape, preprocessor prefix, operators) is
-compiled into one regex scanner, cached by the profile's value.  Comments
+compiled into one regex scanner, cached by the profile's value and validated
+once, when compiled: a malformed one raises ``MalformedProfile``.  Comments
 never produce tokens, string/char literals collapse into single tokens, and
 operators are matched with maximal munch (the longest operator in the
 profile wins at every position), so "++" can never lex as "+", "+".
@@ -19,10 +20,9 @@ import re
 from bisect import bisect_right
 from enum import Enum, auto
 from functools import lru_cache
-from typing import TYPE_CHECKING, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-if TYPE_CHECKING:
-    from .profiles import LanguageProfile
+from .profiles import LanguageProfile, validate_profile
 
 
 class TokenKind(Enum):
@@ -137,7 +137,7 @@ def _quoted(name: str, quote: str, escape: str) -> str:
     return rf"(?P<{name}>{q}{plain}(?:{re.escape(escape)}(?:\r\n|[\s\S])?{plain})*(?P<{name}_end>{q})?)"
 
 
-def _operator_rule(operators: list[str]) -> str:
+def _operator_rule(operators: Iterable[str]) -> str:
     """One alternative per first character, trying its continuations longest
     first (maximal munch) and the character alone, when an operator, last."""
     by_first: dict[str, list[str]] = {}
@@ -150,6 +150,9 @@ def _operator_rule(operators: list[str]) -> str:
 @lru_cache(maxsize=32)
 def compile_scanner(profile: LanguageProfile) -> re.Pattern[str]:
     """Compile ``profile`` into its scanner pattern, cached by the profile's value.
+
+    ``validate_profile`` checks the profile here, once per value, and the
+    scanner and ``tokenize`` trust its fields.
 
     One match takes one token: it skips a run of whitespace, line comments
     and directives, then tries the token rules, and only at the end of input
@@ -172,6 +175,7 @@ def compile_scanner(profile: LanguageProfile) -> re.Pattern[str]:
     can start with; the other fixed openers; numbers; operators, one
     alternative per first character; and any single character.
     """
+    validate_profile(profile)
     string_quote, char_quote = profile.string_delims
     line_comment, (block_open, _) = profile.line_comment, profile.block_comment
     blank = r"[ \t\r\f\v]*"
@@ -193,18 +197,14 @@ def compile_scanner(profile: LanguageProfile) -> re.Pattern[str]:
     if char_quote != string_quote:
         fixed.append((char_quote, _quoted("chr", char_quote, profile.escape_char)))
     starts_ident = re.compile(_IDENT_START).match
-    operators = [op for op in profile.operators if op]
-    taken = {opener[0] for opener, _ in fixed} | {op[0] for op in operators} | set("0123456789.")
-    lone = sorted(p for p in profile.punctuation if len(p) == 1 and p not in taken and not starts_ident(p))
+    taken = {opener[0] for opener, _ in fixed} | {op[0] for op in profile.operators} | set("0123456789.")
+    lone = sorted(p for p in profile.punctuation if p not in taken and not starts_ident(p))
     rules = [rule for opener, rule in fixed if starts_ident(opener)]
     rules.append(f"(?P<ident>{_IDENT_START}{_IDENT_CHAR}*)")
     if lone:
         rules.append(f"(?P<punct>[{''.join(map(re.escape, lone))}])")
     rules += [rule for opener, rule in fixed if not starts_ident(opener)]
-    rules += [f"(?P<hex>{_HEX})", f"(?P<num>{_DECIMAL})"]
-    if operators:
-        rules.append(_operator_rule(operators))
-    rules.append(r"(?P<char>[\s\S])")
+    rules += [f"(?P<hex>{_HEX})", f"(?P<num>{_DECIMAL})", _operator_rule(profile.operators), r"(?P<char>[\s\S])"]
     return re.compile(f"{skip}(?:{'|'.join(rules)})?")
 
 
@@ -232,7 +232,7 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
         text = m[group]
         start = pos - len(text)
         if group == "bc":
-            close = source.find(block_close, pos) if block_close else -1
+            close = source.find(block_close, pos)
             if close < 0:
                 message = "block comment is never closed"
                 errors.append(LexError("unterminated-block-comment", message, position(source, start)))

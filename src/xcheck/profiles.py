@@ -145,7 +145,7 @@ class Registry:
 # list values are whitespace-separated.  The rows of `_KEYS` are the keys,
 # each with its default written in this format; `name` and `operators` have
 # none and are required.  `punctuation` lists single characters: a longer
-# symbol is an operator.
+# symbol is an operator.  An empty `block_comment` means no block comments.
 
 
 def _set(value: str) -> frozenset[str]:
@@ -169,7 +169,7 @@ _KEYS = {
     "name": ("name", None, str),
     "extensions": ("file_extensions", "", _set),
     "line_comment": ("line_comment", "//", str),
-    "block_comment": ("block_comment", "/* */", _seq),
+    "block_comment": ("block_comment", "/* */", lambda value: _seq(value) or ("", "")),
     "string_delims": ("string_delims", "\" '", _seq),
     "escape": ("escape_char", "\\", str),
     "operators": ("operators", None, _set),

@@ -1,5 +1,6 @@
 """Checker behavior, including the event-log oracle for derived cases."""
 
+import os
 import random
 import sys
 import tracemalloc
@@ -29,6 +30,7 @@ from xcheck.checkers import (
 from xcheck import checkers, microgrammar
 from xcheck.lexer import tokenize
 from xcheck.microgrammar import parse_statements
+from xcheck.profiles import profile_for
 
 
 def findings(diags):
@@ -568,6 +570,34 @@ def test_checker_independence(monkeypatch):
         assert alone == [d for d in together if d.checker == checker]
         assert walks == (0 if checker == "null-deref" else 1), checker  # the event log reads the tree itself
     assert {d.checker for d in together} == set(CHECKERS)
+
+
+WHOLE_TREE_NAMES = {
+    "redundant-condition": check_redundant_conditions,
+    "redundant-branch": check_redundant_branches,
+    "loop-direction": check_loop_direction,
+}
+
+
+def _whole_tree_inputs():
+    from xcheck.fixtures import builtin_cases, load_source
+
+    golden = os.path.join(os.path.dirname(__file__), "golden")
+    for case in builtin_cases():
+        yield pytest.param(case.filename, load_source(case), profile_for(case.language), id=case.name)
+    for name in ("all_forms.cpp", "empty_slots.c"):
+        with open(os.path.join(golden, name), encoding="utf-8") as fh:
+            yield pytest.param(name, fh.read(), profile_for(name), id=name)
+    # A repeated condition on line 3 and a repeated body on line 2: the chain's
+    # own order puts conditions first, run_checkers puts line 2 first.
+    yield pytest.param("chain.c", "if (a) f();\nelse if (b) f();\nelse if (a) g();", C, id="else-if-chain")
+
+
+@pytest.mark.parametrize("path, source, profile", _whole_tree_inputs())
+def test_each_whole_tree_name_is_run_checkers_with_its_one_id(path, source, profile):
+    stmts = parse_source(source, profile)
+    for checker, check in WHOLE_TREE_NAMES.items():
+        assert check(stmts, profile, path) == run_checkers(stmts, profile, (checker,), path), checker
 
 
 def test_positions_are_reporting_only():

@@ -13,6 +13,7 @@ from support import (
 )
 from xcheck import lexer
 from xcheck.lexer import TokenKind, compile_scanner, tokenize
+from xcheck.profiles import MalformedProfile, validate_profile
 
 
 def texts(stream):
@@ -222,6 +223,32 @@ def test_the_scanner_is_entered_once_per_token(monkeypatch):
     stream = tokenize(source, C)
     assert texts(stream) == words + ["y", ";"]
     assert CountingPattern.matches <= len(stream.tokens) + 2
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"block_comment": ("/*",)}, {"operators": frozenset()}, {"punctuation": C.punctuation | {"->"}}],
+    ids=["block-comment-without-closer", "no-operators", "multi-character-punctuation"],
+)
+def test_a_malformed_profile_handed_to_tokenize_is_named(fields):
+    # Derived with _replace, the profile never meets a registry: its scanner validates it.
+    profile = C._replace(**fields)
+    with pytest.raises(MalformedProfile) as validated:
+        validate_profile(profile)
+    with pytest.raises(MalformedProfile) as lexed:
+        tokenize("a -> b", profile)
+    assert str(lexed.value) == str(validated.value)
+
+
+def test_tokenize_validates_a_profile_once_per_value(monkeypatch):
+    compile_scanner.cache_clear()
+    calls = []
+    validate = lexer.validate_profile
+    monkeypatch.setattr(lexer, "validate_profile", lambda profile: calls.append(profile.name) or validate(profile))
+    for _ in range(20):
+        tokenize("if (p) x = 1;", C)
+        tokenize("a -> b", C._replace())  # an equal value shares the scanner
+    assert calls == ["c"]
 
 
 def test_hash_is_not_special_in_java():

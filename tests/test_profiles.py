@@ -4,6 +4,7 @@
 import pytest
 
 from support import C, CPP, JAVA
+from xcheck.lexer import tokenize
 from xcheck.profiles import (
     DEFAULT_REGISTRY,
     DuplicateName,
@@ -224,6 +225,12 @@ def test_a_malformed_profile_file_line_is_named(line, message):
 def test_an_empty_block_comment_opener_means_none():
     validate_profile(C._replace(block_comment=("", "")))
     validate_profile(C._replace(block_comment=("", "*/")))
+
+
+def test_an_empty_block_comment_value_in_a_profile_file_means_none():
+    profile = parse_profile_text(f"name = t\noperators = {' '.join(sorted(C.operators))}\nblock_comment =\n")
+    assert profile.block_comment == ("", "")
+    assert [t.text for t in tokenize("a /* b */", profile).tokens] == ["a", "/", "*", "b", "*", "/"]
 
 
 @pytest.mark.parametrize("block_comment", [("/*",), ("/*", "*/", "x"), ("/*", "")])
