@@ -14,7 +14,9 @@ decision: it hands ``diagnostics.finding`` an extent and an offset.
 The null-dereference checker works from a linear event log (dereferences,
 null tests, assignments that invalidate tracked paths, scope resets)
 extracted by :func:`iter_null_events`; the log is also the surface the test
-suite's brute-force oracle consumes.
+suite's brute-force oracle consumes.  Building and reading the log test each
+node's and event's exact class once (``x.__class__ is Cls``), so no node class
+may have a subclass; the redundancy checkers build a span only for a finding.
 """
 
 from __future__ import annotations
@@ -93,11 +95,9 @@ NullEvent = DerefEvent | NullTestEvent | KillEvent | ResetEvent
 
 
 def _path_of(e: Expr) -> Path | None:
-    if isinstance(e, Atom) and e.token.kind is _IDENT:
-        return (e.token.text,)
-    if isinstance(e, AccessPath):
-        return e.path()
-    return None
+    if e.__class__ is Atom:
+        return (e.token.text,) if e.token.kind is _IDENT else None
+    return e.path() if e.__class__ is AccessPath else None
 
 
 def _numbers(path: Path, numbers: dict) -> list[int]:
@@ -168,52 +168,62 @@ def _expr_events(e: Expr, profile: LanguageProfile, truth: bool, out: list[NullE
     or an access path) in a truth position is a null test, unless it is one
     token that is a null literal; a longer path also proves its proper prefixes.
     """
-    if isinstance(e, Wildcard):
+    cls = e.__class__
+    if cls is Wildcard:
         _wildcard_deref_events(e, profile, out, numbers)
         return
-    path = _path_of(e)
-    if path is not None:
-        if truth and (len(path) > 1 or path[0] not in profile.null_literals):
-            out.append(NullTestEvent(path, _numbers(path, numbers)[-1], e.span))
-        if len(path) > 1:
-            _deref_events(path, e.root.offset, out, numbers, include_full=False)
+    if cls is Atom:
+        text = e.token.text
+        if truth and e.token.kind is _IDENT and text not in profile.null_literals:
+            out.append(NullTestEvent((text,), numbers.setdefault(text, len(numbers)), e.span))
         return
-    children = e.children()
-    if isinstance(e, Compare):
+    if cls is AccessPath:
+        path = e.path()
+        if truth:
+            out.append(NullTestEvent(path, _numbers(path, numbers)[-1], e.span))
+        _deref_events(path, e.root.offset, out, numbers, include_full=False)
+        return
+    if cls is Compare:
         tested = _null_test_path(e, profile) if truth and e.op in ("==", "!=") else None
         if tested is not None:
             out.append(NullTestEvent(tested, _numbers(tested, numbers)[-1], e.span))
-    elif isinstance(e, Call):
-        callee, children = children[0], children[1:]
-        if isinstance(callee, AccessPath):
+        children = (e.lhs, e.rhs)
+    elif cls is Call:
+        callee, children = e.callee, e.args
+        if callee.__class__ is AccessPath:
             _deref_events(callee.path(), callee.root.offset, out, numbers, include_full=True)
-    truth = truth and isinstance(e, (Logical, Not))
+    else:
+        children = e.children()
+    truth = truth and (cls is Logical or cls is Not)
     for child in children:
-        if truth or not isinstance(child, Atom):  # an Atom outside a truth position has no events
+        if truth or child.__class__ is not Atom:  # an Atom outside a truth position has no events
             _expr_events(child, profile, truth, out, numbers)
-    if isinstance(e, (Assign, Update)):
+    if cls is Assign or cls is Update:
         target = _path_of(children[0])
         if target is not None:
             out.append(KillEvent(target[0], e.toks[e.lo].offset))
 
 
-def _stmt_events(s: Stmt, profile: LanguageProfile, out: list[NullEvent], numbers: dict) -> None:
-    for role, part in s.parts():
-        if role is BODY:
-            for child in part:
-                _stmt_events(child, profile, out, numbers)
-        elif part is not None:
-            _expr_events(part, profile, role is TEST, out, numbers)
+def _body_events(body: Sequence[Stmt], profile: LanguageProfile, out: list[NullEvent], numbers: dict) -> None:
+    for s in body:
+        if s.__class__ is WildcardStmt:  # no bodies, and its one slot is no truth position
+            _expr_events(s.expr, profile, False, out, numbers)
+            continue
+        for role, part in s.parts():
+            if role is BODY:
+                _body_events(part, profile, out, numbers)
+            elif part is not None:
+                _expr_events(part, profile, role is TEST, out, numbers)
 
 
 def iter_null_events(stmts: Sequence[Stmt], profile: LanguageProfile) -> Iterator[NullEvent]:
     """The ordered event log the null-deref checker runs on, built in full
-    before the first event is read: one call per tree node."""
+    before the first event is read: at most one call per tree node."""
     out: list[NullEvent] = []
     numbers: dict = {}  # each path's number in this log (see ``_numbers``)
     for s in stmts:
-        _stmt_events(s, profile, out, numbers)
-        if not isinstance(s, WildcardStmt):
+        _body_events((s,), profile, out, numbers)
+        if s.__class__ is not WildcardStmt:
             # Function-boundary heuristic: leaving a top-level compound
             # statement (typically a function body) clears tracked state.
             out.append(ResetEvent(s.span.hi))
@@ -225,15 +235,16 @@ def check_null_deref(stmts: Sequence[Stmt], profile: LanguageProfile, path: str 
     diags: list[Diagnostic] = []
     nonnull: dict[str, dict[int, int]] = {}  # by root: each path number's earliest dereference offset
     for ev in iter_null_events(stmts, profile):
-        if isinstance(ev, DerefEvent):
+        cls = ev.__class__
+        if cls is DerefEvent:
             nonnull.setdefault(ev.root, {}).setdefault(ev.number, ev.offset)
-        elif isinstance(ev, NullTestEvent):
+        elif cls is NullTestEvent:
             deref_at = nonnull.get(ev.path[0], {}).pop(ev.number, None)  # one report per chain
             if deref_at is not None:
                 name = "".join(ev.path)
                 message = f"'{name}' checked for null here but dereferenced earlier"
                 diags.append(finding("null-deref", message, path, ev.span, (deref_at, f"'{name}' dereferenced")))
-        elif isinstance(ev, KillEvent):
+        elif cls is KillEvent:
             nonnull.pop(ev.root, None)
         else:
             nonnull.clear()
@@ -257,16 +268,17 @@ def _body_keys(bodies: Sequence[Sequence[Stmt]]) -> list[Key | None]:
 
 
 def _repeat_findings(
-    keys: Iterable[Key | None], spans: Sequence[Extent], checker: str, message: str, note: str, path: str
+    items: Sequence, keys: Iterable[Key | None], span: Callable[..., Extent],
+    checker: str, message: str, note: str, path: str,
 ) -> Iterator[Diagnostic]:
-    """One finding per key seen before, at its span, citing the first
-    occurrence's start; ``None`` keys are never compared."""
+    """One finding per item whose key was seen before, at its span, citing the first
+    occurrence's start; ``None`` keys are never compared, and no other span is built."""
     first: dict[Key, int] = {}
     for j, key in enumerate(keys):
         if key is not None:
             i = first.setdefault(key, j)
             if i != j:
-                yield finding(checker, message, path, spans[j], (spans[i].lo, note))
+                yield finding(checker, message, path, span(items[j]), (span(items[i]).lo, note))
 
 
 def check_if_chain(node: If, profile: LanguageProfile, path: str) -> list[Diagnostic]:
@@ -278,12 +290,12 @@ def check_if_chain(node: If, profile: LanguageProfile, path: str) -> list[Diagno
     parts = node.parts()
     conds: list[Expr] = [part for role, part in parts if role is TEST]
     diags += _repeat_findings(
-        map(expr_key, conds), [c.span for c in conds], checker,
+        conds, map(expr_key, conds), lambda cond: cond.span, checker,
         "condition repeats an earlier condition of the same chain", "first tested here", path,
     )
     bodies: list[Sequence[Stmt]] = [part for role, part in parts if role is BODY]
     diags += _repeat_findings(
-        _body_keys(bodies), [_body_span(b, node.span) for b in bodies], checker,
+        bodies, _body_keys(bodies), lambda body: _body_span(body, node.span), checker,
         "branch body is identical to an earlier branch of the same chain", "identical branch here", path,
     )
     return diags
@@ -295,13 +307,13 @@ def check_switch(node: Switch, profile: LanguageProfile, path: str) -> list[Diag
     checker = "redundant-branch"
     arms = node.cases
     diags += _repeat_findings(
-        (expr_key(a.label) if a.label is not None else ("DefaultArm",) for a in arms),
-        [a.label.span if a.label is not None else a.span for a in arms], checker,
+        arms, (expr_key(a.label) if a.label is not None else ("DefaultArm",) for a in arms),
+        lambda arm: arm.label.span if arm.label is not None else arm.span, checker,
         "case label duplicates an earlier label of the same switch", "first labeled here", path,
     )
     # empty fallthrough arms are exempt: their key is the empty tuple
     diags += _repeat_findings(
-        (key or None for key in _body_keys([a.body for a in arms])), [a.span for a in arms], checker,
+        arms, (key or None for key in _body_keys([a.body for a in arms])), lambda arm: arm.span, checker,
         "case body is identical to an earlier case of the same switch", "identical case here", path,
     )
     return diags

@@ -215,7 +215,11 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
     increasing offset order and contains nothing from comments or
     directives (C/C++ preprocessor lines).
     """
-    match = compile_scanner(profile).match
+    try:
+        match = compile_scanner(profile).match
+    except TypeError:  # the cache could not hash the profile: say which rule it breaks
+        validate_profile(profile)
+        raise
     keywords = profile.keywords
     punctuation = profile.punctuation
     block_close = profile.block_comment[1]

@@ -508,7 +508,8 @@ class _Parser:
         start = self.i
         tok = self.toks[start]
         if tok.text == "{":
-            return self._block(depth)
+            lo, body, ok = self._block(depth)
+            return Block(body, _extent(self.toks, lo - 1, self.i), incomplete=not ok)
         form = self._FORMS.get(tok.text) if tok.kind is _KW and depth < MAX_NESTING else None
         if form is None:
             return self._wildcard_stmt()
@@ -531,10 +532,11 @@ class _Parser:
         lo, hi, _ = self._balanced("(")
         return self._refine(lo, hi, 0)
 
-    def _block(self, depth: int) -> Block:
+    def _block(self, depth: int) -> tuple[int, list[Stmt], bool]:
+        """The braced body at the cursor, the one reader of one: its interior's start
+        (its ``{`` is ``toks[lo - 1]``), its statements and whether its ``{`` closed."""
         lo, hi, ok = self._balanced("{")
-        body = self.parse(lo, hi, depth + 1)
-        return Block(body, _extent(self.toks, lo - 1, self.i), incomplete=not ok)
+        return lo, self.parse(lo, hi, depth + 1), ok
 
     def _body(self, depth: int) -> tuple[list[Stmt], bool]:
         """Either a braced statement list or exactly one statement, and whether
@@ -547,8 +549,8 @@ class _Parser:
         if tok is None:
             return [], True
         if tok.text == "{":
-            block = self._block(depth)
-            return block.body, block.incomplete
+            _, body, ok = self._block(depth)
+            return body, not ok
         return [self._statement(depth + 1)], False
 
     def _if(self, start: int, depth: int) -> If:
@@ -834,7 +836,7 @@ def walk_statements(stmts: Iterable[Stmt]) -> Iterator[Stmt]:
     while stack:
         s = stack.pop()
         yield s
-        for role, part in reversed(s.parts()):
+        for role, part in () if s.__class__ is WildcardStmt else reversed(s.parts()):  # it has no bodies
             if role is BODY:
                 stack += reversed(part)
 

@@ -417,15 +417,15 @@ def test_checker_matches_brute_force_oracle_on_random_programs():
         assert got == want, f"divergence on:\n{src}"
 
 
-def _tree_module_calls(fn):
-    """How many Python calls (and generator resumptions) ``fn()`` makes in
-    ``microgrammar`` and ``checkers``: a clock-free measure of its steps."""
+def _tree_module_call_names(fn):
+    """The Python calls (and generator resumptions) ``fn()`` makes in
+    ``microgrammar`` and ``checkers``, counted by function name."""
     files = {microgrammar.__file__, checkers.__file__}
-    calls = 0
+    calls = Counter()
 
     def count(frame, event, arg):
-        nonlocal calls
-        calls += event == "call" and frame.f_code.co_filename in files
+        if event == "call" and frame.f_code.co_filename in files:
+            calls[frame.f_code.co_name] += 1
 
     sys.setprofile(count)
     try:
@@ -433,6 +433,12 @@ def _tree_module_calls(fn):
     finally:
         sys.setprofile(None)
     return calls
+
+
+def _tree_module_calls(fn):
+    """How many Python calls (and generator resumptions) ``fn()`` makes in
+    ``microgrammar`` and ``checkers``: a clock-free measure of its steps."""
+    return sum(_tree_module_call_names(fn).values())
 
 
 def test_walks_and_the_event_log_take_one_step_per_node_at_any_depth():
@@ -508,6 +514,56 @@ def test_redundancy_checkers_key_a_nest_once_per_level(level, close, check):
 
     cost30, cost60 = cost(30), cost(60)
     assert cost60 <= 2.2 * cost30, (cost30, cost60)
+
+
+_NO_REPEAT_CHAINS = {
+    "else-if": lambda n: "void f(int x) { if (x == 0) g(0);" + "".join(f" else if (x == {i}) g({i});" for i in range(1, n)) + " }",
+    "switch": lambda n: "void f(int x) { switch (x) {" + "".join(f" case {i}: g({i}); break;" for i in range(n)) + " } }",
+}
+
+
+@pytest.mark.parametrize("shape", sorted(_NO_REPEAT_CHAINS))
+def test_a_chain_with_no_repeat_resolves_no_extent_and_costs_linear_steps(shape):
+    # Only a repeat is reported, so only a repeat needs its span: building
+    # every condition's, label's and body's extent up front is waste.
+    def calls(n):
+        stmts, diags = parse_source(_NO_REPEAT_CHAINS[shape](n)), []
+        names = _tree_module_call_names(lambda: diags.extend(run_checkers(stmts, C)))
+        assert diags == []
+        return names
+
+    calls300, calls600 = calls(300), calls(600)
+    for names in (calls300, calls600):
+        assert names["_extent"] == names["_body_span"] == 0, names
+    cost300, cost600 = sum(calls300.values()), sum(calls600.values())
+    assert cost600 <= 2 * cost300, (cost300, cost600)
+
+
+def test_no_xcheck_class_subclasses_a_class_the_checkers_compare_exactly():
+    # The checkers and the walk dispatch on ``x.__class__ is Cls``: a subclass
+    # would silently take another branch, so it fails here instead.
+    import importlib
+    import pkgutil
+
+    import xcheck
+    from xcheck.checkers import KillEvent, ResetEvent
+    from xcheck.microgrammar import (
+        AccessPath, Assign, Atom, Call, Compare, For, If, Logical, Not, Switch, Update, Wildcard, WildcardStmt,
+    )
+
+    for module in pkgutil.walk_packages(xcheck.__path__, "xcheck."):
+        importlib.import_module(module.name)
+    exact = [
+        Wildcard, Atom, AccessPath, Compare, Call, Logical, Not, Assign, Update,
+        WildcardStmt, If, Switch, For, DerefEvent, NullTestEvent, KillEvent, ResetEvent,
+    ]
+    stack, subclasses = list(exact), []
+    while stack:
+        for sub in stack.pop().__subclasses__():
+            stack.append(sub)
+            if sub.__module__.split(".")[0] == "xcheck":
+                subclasses.append(sub)
+    assert subclasses == []
 
 
 # -- driver ------------------------------------------------------------------------

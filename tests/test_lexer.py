@@ -240,6 +240,15 @@ def test_a_malformed_profile_handed_to_tokenize_is_named(fields):
     assert str(lexed.value) == str(validated.value)
 
 
+@pytest.mark.parametrize(
+    "fields", [{"operators": set(C.operators)}, {"keywords": ["if"]}], ids=["set", "list"]
+)
+def test_a_profile_with_a_mutable_field_handed_to_tokenize_is_named(fields):
+    # The scanner cache hashes the profile before validation could run.
+    with pytest.raises(MalformedProfile, match="every field must be immutable"):
+        tokenize("a", C._replace(**fields))
+
+
 def test_tokenize_validates_a_profile_once_per_value(monkeypatch):
     compile_scanner.cache_clear()
     calls = []
