@@ -5,9 +5,10 @@ Turns raw source text into a stream of tokens that hold offsets, not lines
 (comment syntax, quotes and escape, preprocessor prefix, operators) is
 compiled into one regex scanner, cached by the profile's value and validated
 once, when compiled: a malformed one raises ``MalformedProfile``.  Comments
-never produce tokens, string/char literals collapse into single tokens, and
-operators are matched with maximal munch (the longest operator in the
-profile wins at every position), so "++" can never lex as "+", "+".
+never produce tokens; a number (one rule, hex or decimal), string or char
+literal is one ``LITERAL`` token, and operators are matched with maximal
+munch (the longest operator in the profile wins at every position), so "++"
+can never lex as "+", "+".
 
 Lexing never hard-fails and always terminates: every step consumes at
 least one character.  Unterminated literals and unknown characters are
@@ -30,20 +31,14 @@ class TokenKind(Enum):
     KEYWORD = auto()
     OPERATOR = auto()
     PUNCTUATION = auto()
-    INT_LITERAL = auto()
-    FLOAT_LITERAL = auto()
-    STRING_LITERAL = auto()
-    CHAR_LITERAL = auto()
+    LITERAL = auto()  # a number, string or char: no reader tells them apart by kind
 
 
 # Members bound to module names once, here, and imported by the parser and
 # checkers: on CPython 3.11 reading a member through its enum class costs
 # several times a module-global read, and per-token loops pay it per token.
-_IDENT, _KW, _OP, _PUNCT = (
-    TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.OPERATOR, TokenKind.PUNCTUATION
-)
-_INT, _FLOAT, _STR, _CHAR = (
-    TokenKind.INT_LITERAL, TokenKind.FLOAT_LITERAL, TokenKind.STRING_LITERAL, TokenKind.CHAR_LITERAL
+_IDENT, _KW, _OP, _PUNCT, _LIT = (
+    TokenKind.IDENTIFIER, TokenKind.KEYWORD, TokenKind.OPERATOR, TokenKind.PUNCTUATION, TokenKind.LITERAL
 )
 
 
@@ -165,15 +160,15 @@ def compile_scanner(profile: LanguageProfile) -> re.Pattern[str]:
     A prefix anywhere else is matched by the token rules like any other text.
 
     Each token is the one this order of rules decides: block-comment opener,
-    string and char literals, hex and decimal numbers, identifiers, operators
-    longest first (maximal munch), any single character.  The rules are tried
-    in another order, so that ordinary code fails few of them before one
-    matches, in which a rule moves ahead of another only where the two cannot
-    start with the same character: the fixed openers (comment, quotes) that
-    start with an identifier character, such as a ``$*`` comment;
-    identifiers; one class of the punctuation characters that no other rule
-    can start with; the other fixed openers; numbers; operators, one
-    alternative per first character; and any single character.
+    string and char literals, numbers (one rule, hex tried first), identifiers,
+    operators longest first (maximal munch), any single character.  The rules
+    are tried in another order, so that ordinary code fails few of them before
+    one matches, in which a rule moves ahead of another only where the two
+    cannot start with the same character: the fixed openers (comment, quotes)
+    that start with an identifier character, such as a ``$*`` comment;
+    identifiers; one class of the punctuation characters that no other rule can
+    start with; the other fixed openers; numbers; operators, one alternative
+    per first character; and any single character.
     """
     validate_profile(profile)
     string_quote, char_quote = profile.string_delims
@@ -204,7 +199,7 @@ def compile_scanner(profile: LanguageProfile) -> re.Pattern[str]:
     if lone:
         rules.append(f"(?P<punct>[{''.join(map(re.escape, lone))}])")
     rules += [rule for opener, rule in fixed if not starts_ident(opener)]
-    rules += [f"(?P<hex>{_HEX})", f"(?P<num>{_DECIMAL})", _operator_rule(profile.operators), r"(?P<char>[\s\S])"]
+    rules += [f"(?P<num>{_HEX}|{_DECIMAL})", _operator_rule(profile.operators), r"(?P<char>[\s\S])"]
     return re.compile(f"{skip}(?:{'|'.join(rules)})?")
 
 
@@ -253,15 +248,9 @@ def tokenize(source: str, profile: LanguageProfile, source_path: str = "<input>"
             kind = _PUNCT
             if text not in punctuation:
                 errors.append(LexError("unknown-character", f"unexpected character {text!r}", position(source, start)))
-        elif group == "num":
-            floaty = "." in text or "e" in text[1:] or "E" in text[1:]
-            kind = _FLOAT if floaty else _INT
-        elif group == "hex":
-            floaty = "." in text or "p" in text[2:] or "P" in text[2:]
-            kind = _FLOAT if floaty else _INT
         else:
-            kind = _STR if group == "str" else _CHAR
-            if m.group(f"{group}_end") is None:
+            kind = _LIT
+            if group != "num" and m.group(f"{group}_end") is None:
                 what = "string" if group == "str" else "char"
                 errors.append(LexError("unterminated-string", f"unterminated {what} literal", position(source, start)))
         append(_new(Token, (kind, text, start, source)))

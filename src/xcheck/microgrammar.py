@@ -508,8 +508,8 @@ class _Parser:
         start = self.i
         tok = self.toks[start]
         if tok.text == "{":
-            lo, body, ok = self._block(depth)
-            return Block(body, _extent(self.toks, lo - 1, self.i), incomplete=not ok)
+            body, ok = self._block(depth)
+            return Block(body, _extent(self.toks, start, self.i), incomplete=not ok)
         form = self._FORMS.get(tok.text) if tok.kind is _KW and depth < MAX_NESTING else None
         if form is None:
             return self._wildcard_stmt()
@@ -532,11 +532,11 @@ class _Parser:
         lo, hi, _ = self._balanced("(")
         return self._refine(lo, hi, 0)
 
-    def _block(self, depth: int) -> tuple[int, list[Stmt], bool]:
-        """The braced body at the cursor, the one reader of one: its interior's start
-        (its ``{`` is ``toks[lo - 1]``), its statements and whether its ``{`` closed."""
+    def _block(self, depth: int) -> tuple[list[Stmt], bool]:
+        """The braced body at the cursor, the one reader of one: its statements
+        and whether its ``{`` closed."""
         lo, hi, ok = self._balanced("{")
-        return lo, self.parse(lo, hi, depth + 1), ok
+        return self.parse(lo, hi, depth + 1), ok
 
     def _body(self, depth: int) -> tuple[list[Stmt], bool]:
         """Either a braced statement list or exactly one statement, and whether
@@ -549,7 +549,7 @@ class _Parser:
         if tok is None:
             return [], True
         if tok.text == "{":
-            _, body, ok = self._block(depth)
+            body, ok = self._block(depth)
             return body, not ok
         return [self._statement(depth + 1)], False
 

@@ -3,7 +3,7 @@ compiled each profile into one regex, kept as a test-only oracle.
 
 ``tests/test_lexer_oracle.py`` requires the production lexer to produce
 exactly the tokens and errors this scanner produces.  The scanner is the
-old one unchanged with six exceptions.  Its operator table is built per
+old one unchanged with seven exceptions.  Its operator table is built per
 scanner instead of being cached by ``id(profile)``, which could hand a new
 profile the table of a freed one.  A number starts only at an ASCII digit,
 or at ``.`` and an ASCII digit, as in the shipped lexer: the old test
@@ -14,10 +14,12 @@ test ``str.strip()`` also took a no-break space (U+00A0) or U+001C, which
 the main loop lexes as a token.  A backslash before CRLF continues a
 directive, as one before LF does: C's first translation phase reads CRLF as
 a line end.  For the same reason an escape before CRLF takes both characters,
-so it continues a string or char literal as one before LF does.  And it
-records its tokens and errors with the line and column it tracks, in records
-of its own, since the shipped ones carry an offset and resolve the rest when
-read.
+so it continues a string or char literal as one before LF does.  Every
+number, string and char is one ``LITERAL`` token, as in the shipped lexer:
+the old one told integers from floats and strings from chars, and no reader
+of a token's kind told them apart.  And it records its tokens and errors
+with the line and column it tracks, in records of its own, since the
+shipped ones carry an offset and resolve the rest when read.
 """
 
 from __future__ import annotations
@@ -139,7 +141,7 @@ class _Scanner:
 
     # -- token scanners ----------------------------------------------------
 
-    def scan_quoted(self, quote: str, kind: TokenKind, what: str) -> None:
+    def scan_quoted(self, quote: str, what: str) -> None:
         start = self.pos()
         self.advance()  # opening quote
         escape = self.profile.escape_char
@@ -150,7 +152,7 @@ class _Scanner:
                 continue
             if ch == quote:
                 self.advance()
-                self.emit(kind, start)
+                self.emit(TokenKind.LITERAL, start)
                 return
             if ch == "\n":
                 break
@@ -158,7 +160,7 @@ class _Scanner:
         # Unterminated: keep what was consumed as the token, resume at the
         # newline (or end of input).
         self.error("unterminated-string", f"unterminated {what} literal", start)
-        self.emit(kind, start)
+        self.emit(TokenKind.LITERAL, start)
 
     def scan_number(self) -> None:
         start = self.pos()
@@ -174,12 +176,7 @@ class _Scanner:
                 self.advance()
                 continue
             break
-        text = src[start.offset : self.i]
-        if is_hex:
-            floaty = "." in text or "p" in text[2:] or "P" in text[2:]
-        else:
-            floaty = "." in text or "e" in text[1:] or "E" in text[1:]
-        self.emit(TokenKind.FLOAT_LITERAL if floaty else TokenKind.INT_LITERAL, start)
+        self.emit(TokenKind.LITERAL, start)
 
     def scan_identifier(self) -> None:
         start = self.pos()
@@ -226,10 +223,10 @@ class _Scanner:
                 self.skip_preprocessor_line()
                 continue
             if ch == profile.string_delims[0]:
-                self.scan_quoted(ch, TokenKind.STRING_LITERAL, "string")
+                self.scan_quoted(ch, "string")
                 continue
             if ch == profile.string_delims[1]:
-                self.scan_quoted(ch, TokenKind.CHAR_LITERAL, "char")
+                self.scan_quoted(ch, "char")
                 continue
             if ch in _ASCII_DIGITS or (ch == "." and self.peek(1) in _ASCII_DIGITS):
                 self.scan_number()

@@ -4,6 +4,7 @@ independent oracles the derived expectations are computed from."""
 from __future__ import annotations
 
 import random
+import re
 from collections import Counter
 from typing import Iterable, Sequence
 
@@ -58,13 +59,11 @@ def guess_kind(text: str, profile: LanguageProfile = C) -> TokenKind:
         return TokenKind.KEYWORD
     if text in profile.operators:
         return TokenKind.OPERATOR
-    if text[0].isdigit():
-        return TokenKind.INT_LITERAL
-    if text[0] == '"':
-        return TokenKind.STRING_LITERAL
-    if text[0] == "'":
-        return TokenKind.CHAR_LITERAL
-    if text[0].isalpha() or text[0] in "_$":
+    # a number starts at an ASCII digit, an identifier at an ASCII letter, "_", "$" or any non-ASCII
+    # character, as the lexer's rules say
+    if re.match(r"\.?[0-9]|[\"']", text):
+        return TokenKind.LITERAL
+    if re.match(r"[A-Za-z_$\x80-\U0010ffff]", text):
         return TokenKind.IDENTIFIER
     return TokenKind.PUNCTUATION
 

@@ -7,6 +7,7 @@ import re
 import shutil
 import subprocess
 import sys
+import textwrap
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
 TOOL = os.path.join(ROOT, "tools", "differential.py")
@@ -19,6 +20,16 @@ def differential(old_root, new_root, programs=5):
 
 def src_lines(root):
     return sum(path.read_bytes().count(b"\n") for path in pathlib.Path(root, "src", "xcheck").glob("*.py"))
+
+
+def mutant(tmp_path, module, rebinding):
+    """A root under ``tmp_path`` holding a copy of this checkout's ``src/``
+    whose ``xcheck/<module>.py`` ends with ``rebinding``: code that rebinds
+    one of the module's names, so that the mutant reads no line of its text."""
+    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
+    path = tmp_path / "src" / "xcheck" / f"{module}.py"
+    path.write_text(path.read_text() + "\n\n" + textwrap.dedent(rebinding))
+    return str(tmp_path)
 
 
 def test_a_tree_agrees_with_itself():
@@ -42,23 +53,25 @@ def test_a_changed_dump_is_reported(tmp_path):
 
 
 def test_a_changed_line_range_window_is_reported(tmp_path):
-    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    cli = tmp_path / "src" / "xcheck" / "cli.py"
-    source = cli.read_text()
-    assert "if line_range is not None:" in source
-    cli.write_text(source.replace("if line_range is not None:", "if False:"))  # the window is ignored
-    proc = differential(ROOT, str(tmp_path))
+    new_root = mutant(tmp_path, "cli", """
+        _analyze_source = analyze_source
+
+        def analyze_source(source, profile, path, line_range, checkers):  # the window is ignored
+            return _analyze_source(source, profile, path, None, checkers)
+    """)
+    proc = differential(ROOT, new_root)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "differ with --line-range" in proc.stdout
 
 
 def test_every_differing_file_is_counted_by_group_and_stream(tmp_path):
-    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    checkers = tmp_path / "src" / "xcheck" / "checkers.py"
-    source = checkers.read_text()
-    assert "checked for null here but dereferenced earlier" in source
-    checkers.write_text(source.replace("checked for null here", "tested for null"))
-    proc = differential(ROOT, str(tmp_path))
+    new_root = mutant(tmp_path, "checkers", """
+        _finding = finding
+
+        def finding(checker, message, *rest):  # a null-deref finding says it otherwise
+            return _finding(checker, message.upper() if checker == "null-deref" else message, *rest)
+    """)
+    proc = differential(ROOT, new_root)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     assert "differ at stdout line" in proc.stdout
     assert "15 files differ at" not in proc.stdout.splitlines()[1]  # the corpus size is no count of differing files
@@ -70,49 +83,55 @@ def test_every_differing_file_is_counted_by_group_and_stream(tmp_path):
 
 
 def test_a_changed_null_event_log_is_reported(tmp_path):
-    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    checkers = tmp_path / "src" / "xcheck" / "checkers.py"
-    source = checkers.read_text()
-    append = "out.append(DerefEvent(path[0], number, offset))"
-    assert source.count(append) == 1
-    checkers.write_text(source.replace(append, f"{append}; {append}"))  # every DerefEvent twice: no finding changes
-    proc = differential(ROOT, str(tmp_path))
+    new_root = mutant(tmp_path, "checkers", """
+        _iter_null_events = iter_null_events
+
+        def iter_null_events(stmts, profile):  # every DerefEvent twice: no finding changes
+            for event in _iter_null_events(stmts, profile):
+                yield from (event, event) if event.__class__ is DerefEvent else (event,)
+    """)
+    proc = differential(ROOT, new_root)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     first, summary = proc.stdout.splitlines()[1], proc.stdout.splitlines()[-1]
-    assert "differ in the null-event logs, statement key classes or incomplete marks at stdout line" in first
+    assert "differ in the token digests, null-event logs, statement key classes or incomplete marks at stdout line" in first
     assert re.fullmatch(r"differential: \d+ of 15 files differ: .*; by stream: log \d+", summary), summary
 
 
 def test_a_changed_incomplete_mark_is_reported(tmp_path):
-    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    parser = tmp_path / "src" / "xcheck" / "microgrammar.py"
-    source = parser.read_text()
-    block = "Block(body, _extent(self.toks, lo - 1, self.i), incomplete=not ok)"
-    assert source.count(block) == 1
     # no block is incomplete: no CLI output changes, only the log run's marks
-    parser.write_text(source.replace(block, block.replace("not ok", "False")))
-    proc = differential(ROOT, str(tmp_path))
+    new_root = mutant(tmp_path, "microgrammar", """
+        _parse_statements = parse_statements
+
+        def parse_statements(stream, profile):
+            stmts = _parse_statements(stream, profile)
+            for s in walk_statements(stmts):
+                if s.__class__ is Block:
+                    s.incomplete = False
+            return stmts
+    """)
+    proc = differential(ROOT, new_root)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     first, summary = proc.stdout.splitlines()[1], proc.stdout.splitlines()[-1]
-    assert "differ in the null-event logs, statement key classes or incomplete marks at stdout line" in first
+    assert "differ in the token digests, null-event logs, statement key classes or incomplete marks at stdout line" in first
     assert re.fullmatch(r"differential: \d+ of 15 files differ: .*; by stream: log \d+", summary), summary
 
 
 def test_a_changed_token_kind_is_reported(tmp_path):
-    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    lexer = tmp_path / "src" / "xcheck" / "lexer.py"
-    source = lexer.read_text()
-    hex_kind = '''floaty = "." in text or "p" in text[2:] or "P" in text[2:]
-            kind = _FLOAT if floaty else _INT'''
-    assert source.count(hex_kind) == 1
-    # 0x1f lexes as a FLOAT_LITERAL: the dump prints only its text, so only the log run differs
-    lexer.write_text(source.replace(hex_kind, hex_kind.replace("_FLOAT if floaty else _INT", "_INT if floaty else _FLOAT")))
-    proc = differential(ROOT, str(tmp_path), programs=10)  # N = 10: one file of the directives row, which masks with hex
+    # every literal lexes as punctuation: the dump prints only token texts, and no reader
+    # of a kind reads either, so only the log run's token digests differ
+    new_root = mutant(tmp_path, "lexer", """
+        _tokenize = tokenize
+
+        def tokenize(source, profile, source_path="<input>"):
+            stream = _tokenize(source, profile, source_path)
+            return stream._replace(tokens=[t._replace(kind=_PUNCT) if t.kind is _LIT else t for t in stream.tokens])
+    """)
+    proc = differential(ROOT, new_root)
     assert proc.returncode == 1, proc.stdout + proc.stderr
     first, summary = proc.stdout.splitlines()[1], proc.stdout.splitlines()[-1]
-    assert "differ in the null-event logs, statement key classes or incomplete marks at stdout line" in first
+    assert "differ in the token digests, null-event logs, statement key classes or incomplete marks at stdout line" in first
     assert "tokens" in proc.stdout.splitlines()[2]
-    assert re.fullmatch(r"differential: \d+ of \d+ files differ: .*; by stream: log \d+", summary), summary
+    assert re.fullmatch(r"differential: \d+ of \d+ files differ: .*; by stream: tokens \d+", summary), summary
 
 
 def test_each_corpus_row_writes_its_share_of_n_in_its_languages(tmp_path, monkeypatch):
@@ -170,13 +189,9 @@ def test_a_tree_is_compared_in_place_and_leaves_the_status(tmp_path):
     (tree / "a.c").write_text("void f(int i) { for (i = 0; i == n; i--) g(); }\n")
     (tree / "sub" / "b.java").write_text("class B { void f(P p) { use(p.x); if (p != null) g(); char c = 'x; } }\n")
     (tree / "notes.txt").write_text("not analyzed\n")
-    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    checkers = tmp_path / "src" / "xcheck" / "checkers.py"
-    source = checkers.read_text()
-    pairs = '{(c, u) for c in ("<", "<=") for u in ("--", "-=")}'
-    assert source.count(pairs) == 1
-    checkers.write_text(source.replace(pairs, pairs.replace('"<=")', '"<=", "==")')))  # i == n with i-- is a finding
-    argv = [sys.executable, TOOL, ROOT, str(tmp_path), "--programs", "0", "--seeds", "--tree", str(tree), "--tree", f"c={tree}"]
+    # i == n with i-- is a finding
+    new_root = mutant(tmp_path, "checkers", 'WARNING_PAIRS = WARNING_PAIRS | {("==", "--"), ("==", "-=")}\n')
+    argv = [sys.executable, TOOL, ROOT, new_root, "--programs", "0", "--seeds", "--tree", str(tree), "--tree", f"c={tree}"]
     proc = subprocess.run(argv, capture_output=True, text=True, timeout=300)
     # no corpus file holds such a loop, so only the trees differ, and the status is the corpus's
     assert proc.returncode == 0, proc.stdout + proc.stderr
@@ -201,14 +216,11 @@ def test_a_tree_is_compared_in_place_and_leaves_the_status(tmp_path):
 
 
 def test_a_changed_profile_reader_is_reported(tmp_path):
-    shutil.copytree(os.path.join(ROOT, "src"), tmp_path / "src", ignore=shutil.ignore_patterns("__pycache__"))
-    profiles = tmp_path / "src" / "xcheck" / "profiles.py"
-    source = profiles.read_text()
-    row = '"string_delims": ("string_delims", "\\" \'", _seq),'
-    assert source.count(row) == 1
     # a given string_delims is ignored; no built-in profile gives one, so only the --profile run differs
-    profiles.write_text(source.replace(row, row.replace("_seq", "lambda _: _seq('\" \\'')")))
-    proc = differential(ROOT, str(tmp_path), programs=10)  # N = 10: one soup in the --profile run's profile
+    new_root = mutant(tmp_path, "profiles", """
+        _KEYS = {**_KEYS, "string_delims": (*_KEYS["string_delims"][:2], lambda _: _seq(_KEYS["string_delims"][1]))}
+    """)
+    proc = differential(ROOT, new_root, programs=10)  # N = 10: one soup in the --profile run's profile
     assert proc.returncode == 1, proc.stdout + proc.stderr
     first, summary = proc.stdout.splitlines()[1], proc.stdout.splitlines()[-1]
     assert "the runs differ with --profile " in first

@@ -69,8 +69,9 @@ four, and the CLI shows none of them (its dump prints token texts, not
 kinds).
 The exit codes, stdout and stderr of each run are compared.  When they
 differ, the first difference is printed, then how many corpus files differ
-in any run, by corpus directory and by stream (dump, findings, stderr, log),
-and the exit status is 1; when the two sides agree the status is 0.
+in any run, by corpus directory and by stream (dump, findings, stderr, the
+log's token digests as ``tokens`` and the rest of the log as ``log``), and
+the exit status is 1; when the two sides agree the status is 0.
 
 Each ``--tree DIR`` (repeatable; ``LANG=DIR`` forces a profile as ``--lang``
 does) adds a local source tree, read in place: each side runs ``xcheck
@@ -532,7 +533,8 @@ def first_difference(old: subprocess.CompletedProcess, new: subprocess.Completed
 def by_file(proc: subprocess.CompletedProcess, corpus: str) -> dict[tuple[str, str | None], list]:
     """A run's output split by the corpus file each piece names, as
     (stream, path relative to the corpus) -> pieces: dump and log sections by
-    their ``// AST`` and ``// LOG`` headers, findings by their ``file`` field,
+    their ``// AST`` and ``// LOG`` headers (a log's token digest line as a
+    ``tokens`` stream of its own), findings by their ``file`` field,
     stderr lines by the path they name.  The exit code, and what names no file, go under
     (stream, None)."""
     names = re.compile(re.escape(os.path.join(corpus, "")) + r"([^\s:]+)")
@@ -551,7 +553,7 @@ def by_file(proc: subprocess.CompletedProcess, corpus: str) -> dict[tuple[str, s
     for line in proc.stdout[:cut].splitlines():
         if line[:7] in HEADERS:
             stream, path = HEADERS[line[:7]], file_of(line)
-        pieces[stream, path].append(line)
+        pieces["tokens" if stream == "log" and line.startswith("tokens ") else stream, path].append(line)
     try:
         for record in json.loads(proc.stdout[cut:]):
             pieces["findings", file_of(record["file"])].append(record)
@@ -576,7 +578,7 @@ def differing_files(results: list, corpus: str, files: int) -> str:
     text = f"{len(differing)} of {files} files differ"
     if differing:
         text += ": " + ", ".join(f"{group} {n}" for group, n in sorted(groups.items()))
-        text += "; by stream: " + ", ".join(f"{s} {len(streams[s])}" for s in ("dump", "findings", "stderr", "log") if streams[s])
+        text += "; by stream: " + ", ".join(f"{s} {len(streams[s])}" for s in ("dump", "findings", "stderr", "tokens", "log") if streams[s])
     if whole_runs:
         text += f"; {whole_runs} runs differ in their exit code or in output that names no file"
     return text
@@ -661,7 +663,7 @@ def main(argv: list[str] | None = None) -> int:
         several = [os.path.join(corpus, d) for d in (os.path.join("fixtures", FIXTURES[-1]), "golden", "programs")]
         runs = [[corpus], several, ["--profile", profile, os.path.join(corpus, "profiled")]] + line_range_runs(corpus)
         labelled = [(where(run, corpus), [CLI_CODE, "--dump-ast", "--format", "json", *run]) for run in runs]
-        labelled.append((" in the null-event logs, statement key classes or incomplete marks", [LOG_CODE, corpus]))
+        labelled.append((" in the token digests, null-event logs, statement key classes or incomplete marks", [LOG_CODE, corpus]))
         results = [(run_side(args.old_root, argv), run_side(args.new_root, argv)) for _, argv in labelled]
     for (label, _), (old, new) in zip(labelled, results):
         diff = first_difference(old, new)
